@@ -11,6 +11,7 @@ from .camera import (
     normalized_to_pixel,
     pixel_to_normalized,
     undistort,
+    undistort_batch,
 )
 from .evaluate import (
     GroundTruthFrame,
@@ -47,10 +48,12 @@ from .recovery import (
     RigConfig,
     build_plane,
     camera_to_uav_enu,
+    recover_batch,
     recover_camera_frame,
     recover_uav_enu,
 )
 from .synth import NoiseSpec, Scenario, build_scenario, generate_logs, project_point
+from .table import Table
 
 __all__ = [
     "CameraIntrinsics",
@@ -61,6 +64,7 @@ __all__ = [
     "normalized_to_pixel",
     "pixel_to_normalized",
     "undistort",
+    "undistort_batch",
     "GroundTruthFrame",
     "TrajectoryErrorReport",
     "enu_to_ground_truth",
@@ -89,6 +93,7 @@ __all__ = [
     "RigConfig",
     "build_plane",
     "camera_to_uav_enu",
+    "recover_batch",
     "recover_camera_frame",
     "recover_uav_enu",
     "NoiseSpec",
@@ -96,6 +101,7 @@ __all__ = [
     "build_scenario",
     "generate_logs",
     "project_point",
+    "Table",
 ]
 
 __version__ = "0.1.0"

@@ -15,6 +15,8 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
+import numpy as np
+
 from .errors import NonConvergence
 
 UNDISTORT_MAX_ITER = 50
@@ -25,7 +27,8 @@ class PixelCoord(NamedTuple):
     """Image position in pixels: u rightward, v downward.
 
     May lie outside the image bounds; trackers legitimately report
-    near-edge or overshooting boxes.
+    near-edge or overshooting boxes. Like NormalizedCoord, the fields
+    may be equal-shaped arrays, and the functions below act elementwise.
     """
 
     u: float
@@ -59,9 +62,10 @@ class CameraIntrinsics:
                 f"{self.image_width}x{self.image_height}"
             )
 
-    def contains(self, px: PixelCoord) -> bool:
-        """True if the pixel falls inside the image bounds."""
-        return 0 <= px.u < self.image_width and 0 <= px.v < self.image_height
+    def contains(self, px: PixelCoord):
+        """True where the pixel falls inside the image bounds."""
+        u, v = px
+        return (0 <= u) & (u < self.image_width) & (0 <= v) & (v < self.image_height)
 
 
 @dataclass(frozen=True)
@@ -97,7 +101,7 @@ def normalized_to_pixel(n: NormalizedCoord, intr: CameraIntrinsics) -> PixelCoor
 def pixel_to_normalized(px: PixelCoord, intr: CameraIntrinsics) -> NormalizedCoord:
     """Invert the intrinsic scaling, pixels to normalized coordinates."""
     u, v = px
-    if not (math.isfinite(u) and math.isfinite(v)):
+    if not (np.all(np.isfinite(u)) and np.all(np.isfinite(v))):
         raise ValueError(f"non-finite pixel coordinate ({u}, {v})")
     return NormalizedCoord((u - intr.cx) / intr.fx, (v - intr.cy) / intr.fy)
 
@@ -124,19 +128,78 @@ def _distortion_jacobian(x, y, d):
     return jxx, jxy, jxy, jyy
 
 
+def undistort_batch(
+    n_d: NormalizedCoord,
+    d: DistortionCoeffs,
+    max_iter: int = UNDISTORT_MAX_ITER,
+    tol: float = UNDISTORT_TOL,
+) -> tuple[NormalizedCoord, np.ndarray]:
+    """Invert the distortion model for arrays of distorted points.
+
+    Starts at the distorted point and iterates a damped Newton update on
+    the residual distort(x) - n_d until its max-norm drops below `tol`.
+    A plain fixed-point update is not contractive for strong distortion
+    near the edge of the field, so each step solves the 2x2 distortion
+    Jacobian and backtracks when the residual would grow. Each point is
+    frozen once its residual is below `tol`, so it follows the same
+    iterates as it would alone.
+
+    Returns the undistorted points and a boolean array that is False
+    where a point did not converge: its residual was still above `tol`
+    after `max_iter` iterations, or its iterate escaped the model's
+    invertible region around the input. Those points hold their last
+    iterate.
+    """
+    xd = np.asarray(n_d.x, dtype=float)
+    yd = np.asarray(n_d.y, dtype=float)
+    if d.is_zero():
+        return NormalizedCoord(xd, yd), np.ones(xd.shape, dtype=bool)
+
+    x, y = xd.copy(), yd.copy()
+    fx, fy = distort(NormalizedCoord(x, y), d)
+    rx, ry = fx - xd, fy - yd
+    res = np.maximum(np.abs(rx), np.abs(ry))
+    escaped = np.zeros(xd.shape, dtype=bool)
+    # iterates wandering far outside the input radius have left the
+    # invertible region; any root found there is on a folded sheet
+    bound = 4.0 * (1.0 + np.hypot(xd, yd))
+    for _ in range(max_iter):
+        live = np.flatnonzero(~(res < tol) & ~escaped)
+        if live.size == 0:
+            break
+        xl, yl, rxl, ryl, start_res = x[live], y[live], rx[live], ry[live], res[live]
+        jxx, jxy, jyx, jyy = _distortion_jacobian(xl, yl, d)
+        det = jxx * jyy - jxy * jyx
+        solvable = np.abs(det) > 1e-14
+        det = np.where(solvable, det, 1.0)
+        # fall back to the undamped fixed-point step where J is singular
+        sx = np.where(solvable, (jyy * rxl - jxy * ryl) / det, rxl)
+        sy = np.where(solvable, (-jyx * rxl + jxx * ryl) / det, ryl)
+        # halve the step until the residual shrinks; every point still
+        # searching has been halved the same number of times
+        lam, search = 1.0, np.arange(live.size)
+        while search.size:
+            k = live[search]
+            x[k] = xl[search] - lam * sx[search]
+            y[k] = yl[search] - lam * sy[search]
+            fx, fy = distort(NormalizedCoord(x[k], y[k]), d)
+            rx[k], ry[k] = fx - xd[k], fy - yd[k]
+            res[k] = np.maximum(np.abs(rx[k]), np.abs(ry[k]))
+            if lam < 1.0 / 64.0:
+                break
+            search = search[~(res[k] < start_res[search])]
+            lam *= 0.5
+        escaped[live] = np.hypot(x[live], y[live]) > bound[live]
+    return NormalizedCoord(x, y), (res < tol) & ~escaped
+
+
 def undistort(
     n_d: NormalizedCoord,
     d: DistortionCoeffs,
     max_iter: int = UNDISTORT_MAX_ITER,
     tol: float = UNDISTORT_TOL,
 ) -> NormalizedCoord:
-    """Invert the distortion model.
-
-    Starts at the distorted point and iterates a damped Newton update on
-    the residual distort(x) - n_d until its max-norm drops below `tol`.
-    A plain fixed-point update is not contractive for strong distortion
-    near the edge of the field, so each step solves the 2x2 distortion
-    Jacobian and backtracks when the residual would grow.
+    """Invert the distortion model for one point (see undistort_batch).
 
     Raises:
         NonConvergence: residual still above `tol` after `max_iter`
@@ -146,43 +209,12 @@ def undistort(
     xd, yd = n_d
     if not (math.isfinite(xd) and math.isfinite(yd)):
         raise ValueError(f"non-finite distorted coordinate ({xd}, {yd})")
-    if d.is_zero():
-        return NormalizedCoord(xd, yd)
-
-    # iterates wandering far outside the input radius have left the
-    # invertible region; any root found there is on a folded sheet
-    bound = 4.0 * (1.0 + math.hypot(xd, yd))
-
-    x, y = xd, yd
-    fx, fy = distort(NormalizedCoord(x, y), d)
-    rx, ry = fx - xd, fy - yd
-    res = max(abs(rx), abs(ry))
-    for _ in range(max_iter):
-        if res < tol:
-            return NormalizedCoord(x, y)
-        jxx, jxy, jyx, jyy = _distortion_jacobian(x, y, d)
-        det = jxx * jyy - jxy * jyx
-        if abs(det) > 1e-14:
-            sx = (jyy * rx - jxy * ry) / det
-            sy = (-jyx * rx + jxx * ry) / det
-        else:
-            sx, sy = rx, ry  # fall back to the undamped fixed-point step
-        lam = 1.0
-        while True:
-            xn, yn = x - lam * sx, y - lam * sy
-            fxn, fyn = distort(NormalizedCoord(xn, yn), d)
-            rxn, ryn = fxn - xd, fyn - yd
-            resn = max(abs(rxn), abs(ryn))
-            if resn < res or lam < 1.0 / 64.0:
-                break
-            lam *= 0.5
-        x, y, rx, ry, res = xn, yn, rxn, ryn, resn
-        if math.hypot(x, y) > bound:
-            raise NonConvergence(
-                f"undistort iterate left the invertible region for ({xd}, {yd})"
-            )
-    if res < tol:
-        return NormalizedCoord(x, y)
-    raise NonConvergence(
-        f"undistort residual {res:.3e} above {tol:.1e} after {max_iter} iterations"
+    (x, y), converged = undistort_batch(
+        NormalizedCoord(np.array([xd]), np.array([yd])), d, max_iter, tol
     )
+    if not converged[0]:
+        raise NonConvergence(
+            f"undistort of ({xd}, {yd}) did not reach {tol:.1e} within {max_iter} "
+            "iterations inside the invertible region"
+        )
+    return NormalizedCoord(float(x[0]), float(y[0]))

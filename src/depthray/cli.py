@@ -6,154 +6,74 @@ Exit codes: 0 success, 1 input error (bad or empty logs, failed sync),
 
 import argparse
 import json
-import math
 import sys
 
 import numpy as np
 
 from . import io
-from .camera import PixelCoord
 from .errors import (
-    BehindCamera,
     ConfigError,
-    DepthrayError,
     EmptyTrajectory,
-    IllConditionedRay,
     InfeasibleScene,
     LengthMismatch,
-    NonConvergence,
-    ParallelRay,
     SchemaError,
 )
 from .evaluate import enu_to_ground_truth, rescale_grid_point, time_sync, trajectory_errors
-from .geodesy import GeodeticCoord, ecef_to_geodetic, enu_to_ecef
-from .geometry import EulerAngles
-from .recovery import Observation, camera_to_uav_enu, recover_camera_frame
+from .recovery import NO_ORIGIN_MATCH, RECOVERED, REASONS, recover_batch
 from .synth import generate_logs
+from .table import Table
 
 EXIT_OK = 0
 EXIT_INPUT = 1
 EXIT_CONFIG = 2
 
 
-def _observation_from_row(row, config):
-    """Build a validated observation from one CSV row.
-
-    The altitude datum offset converts above-takeoff readings to
-    above-water; raises ValueError when the corrected row is unusable.
-    """
-    return Observation(
-        t=row["t"],
-        px=PixelCoord(row["u"], row["v"]),
-        a_uav=row["a_uav"] + config.altitude_datum_offset,
-        d_uuv=row["d_uuv"],
-        gimbal=EulerAngles.from_degrees(
-            row["gimbal_yaw_deg"], row["gimbal_pitch_deg"], row["gimbal_roll_deg"]
-        ),
-        body=EulerAngles.from_degrees(
-            row["body_yaw_deg"], row["body_pitch_deg"], row["body_roll_deg"]
-        ),
-        ref_geo=GeodeticCoord.from_degrees(
-            row["ref_lat_deg"], row["ref_lon_deg"], row["ref_alt_m"]
-        ),
-    )
-
-
-def _apply_origin_track(indexed_rows, track_rows, intr, max_gap):
+def _apply_origin_track(obs, track, intr, max_gap):
     """Replace each pixel by the origin-relative vector re-anchored at
     the principal point, compensating hover drift.
 
-    Returns (kept_indexed_rows, exclusions); rows without a time-matched
-    origin sample are excluded.
+    Returns the observations with a time-matched origin sample, adjusted,
+    and the mask of those rows; the others are excluded.
     """
-    idx, track_idx, _ = time_sync(
-        [r["t"] for _, r in indexed_rows], [r["t"] for r in track_rows], max_gap
-    )
-    matched = dict(zip(idx.tolist(), track_idx.tolist()))
-    kept, exclusions = [], []
-    for i, (line, row) in enumerate(indexed_rows):
-        if i not in matched:
-            exclusions.append({"row": line, "t": row["t"], "reason": "no_origin_match"})
-            continue
-        origin = track_rows[matched[i]]
-        adjusted = dict(row)
-        adjusted["u"] = intr.cx + (row["u"] - origin["u"])
-        adjusted["v"] = intr.cy + (row["v"] - origin["v"])
-        kept.append((line, adjusted))
-    return kept, exclusions
+    idx, track_idx, _ = time_sync(obs["t"], track["t"], max_gap)
+    kept = obs.take(idx)
+    kept.columns["u"] = intr.cx + (kept["u"] - track["u"][track_idx])
+    kept.columns["v"] = intr.cy + (kept["v"] - track["v"][track_idx])
+    matched = np.zeros(len(obs), dtype=bool)
+    matched[idx] = True
+    return kept, matched
 
 
 def cmd_recover(args) -> int:
     config = io.load_run_config(args.config)
-    rows = io.read_observations(args.input)
-    if not rows:
+    obs = io.read_observations(args.input)
+    if not len(obs):
         raise EmptyTrajectory(f"{args.input}: no observation rows")
-    n_input = len(rows)
-    indexed = list(enumerate(rows, start=2))  # 1 header line precedes the data
-    exclusions = []
+    n_input = len(obs)
+    t = obs["t"]
+    codes = np.full(n_input, NO_ORIGIN_MATCH, dtype=np.int8)
+    matched = slice(None)
     if args.origin_track:
         track = io.read_track(args.origin_track)
-        if not track:
+        if not len(track):
             raise EmptyTrajectory(f"{args.origin_track}: no track rows")
-        indexed, origin_exclusions = _apply_origin_track(
-            indexed, track, config.intrinsics, config.sync_max_gap
-        )
-        exclusions.extend(origin_exclusions)
+        obs, matched = _apply_origin_track(obs, track, config.intrinsics, config.sync_max_gap)
+    trajectory, codes[matched] = recover_batch(obs, config)
+    io.write_trajectory(args.output, trajectory)
 
-    out_rows = []
-    for line, row in indexed:
-        t = row["t"]
-
-        def exclude(reason):
-            exclusions.append({"row": line, "t": t, "reason": reason})
-
-        try:
-            obs = _observation_from_row(row, config)
-        except ValueError:
-            exclude("degenerate")
-            continue
-        try:
-            p_c, _ = recover_camera_frame(obs, config.intrinsics, config.distortion, config.rig)
-        except ParallelRay:
-            exclude("parallel_ray")
-            continue
-        except IllConditionedRay:
-            exclude("ill_conditioned")
-            continue
-        except BehindCamera:
-            exclude("behind_camera")
-            continue
-        except NonConvergence:
-            exclude("undistort_nonconvergence")
-            continue
-        except DepthrayError:
-            exclude("degenerate")
-            continue
-        p_d = camera_to_uav_enu(p_c, obs, config.rig)
-        geo = ecef_to_geodetic(enu_to_ecef(p_d, obs.ref_geo, config.ellipsoid), config.ellipsoid)
-        flags = []
-        if not config.intrinsics.contains(obs.px):
-            flags.append("out_of_frame")
-        out_rows.append(
-            {
-                "t": t,
-                "cam_x": p_c.x,
-                "cam_y": p_c.y,
-                "cam_z": p_c.z,
-                "enu_x": p_d.x,
-                "enu_y": p_d.y,
-                "enu_z": p_d.z,
-                "lat_deg": math.degrees(geo.lat),
-                "lon_deg": math.degrees(geo.lon),
-                "alt_m": geo.h,
-                "flags": ";".join(flags),
-            }
-        )
-    io.write_trajectory(args.output, out_rows)
-    io.write_exclusions(str(args.output) + ".exclusions.csv", exclusions)
+    # rows without an origin match come first, then the others in row order
+    excluded = np.concatenate([
+        np.flatnonzero(codes == NO_ORIGIN_MATCH),
+        np.flatnonzero((codes != RECOVERED) & (codes != NO_ORIGIN_MATCH)),
+    ])
+    io.write_exclusions(str(args.output) + ".exclusions.csv", Table({
+        "row": excluded + 2,  # 1 header line precedes the data
+        "t": t[excluded],
+        "reason": np.array(REASONS, dtype=object)[codes[excluded]],
+    }))
     print(
-        f"recovered {len(out_rows)} of {n_input} samples "
-        f"({len(exclusions)} excluded)"
+        f"recovered {len(trajectory)} of {n_input} samples "
+        f"({len(excluded)} excluded)"
     )
     return EXIT_OK
 
@@ -162,33 +82,27 @@ def cmd_evaluate(args) -> int:
     config = io.load_run_config(args.config)
     est_rows = io.read_trajectory(args.input)
     gt_rows = io.read_ground_truth(args.gt)
-    if not est_rows:
+    if not len(est_rows):
         raise EmptyTrajectory(f"{args.input}: no trajectory rows")
-    if not gt_rows:
+    if not len(gt_rows):
         raise EmptyTrajectory(f"{args.gt}: no ground-truth rows")
 
-    est_idx, gt_idx, n_dropped = time_sync(
-        [r["t"] for r in est_rows], [r["t"] for r in gt_rows], config.sync_max_gap
-    )
+    est_idx, gt_idx, n_dropped = time_sync(est_rows["t"], gt_rows["t"], config.sync_max_gap)
     if len(est_idx) == 0:
         raise LengthMismatch(
             f"no timestamps match within {config.sync_max_gap} s "
             f"({len(est_rows)} estimates, {len(gt_rows)} ground-truth samples)"
         )
 
-    est = np.array(
-        [[est_rows[i]["enu_x"], est_rows[i]["enu_y"], est_rows[i]["enu_z"]] for i in est_idx]
-    )
-    gt = np.array([[gt_rows[j]["x"], gt_rows[j]["y"], gt_rows[j]["z"]] for j in gt_idx])
+    est = np.column_stack([est_rows[c][est_idx] for c in ("enu_x", "enu_y", "enu_z")])
+    gt = np.column_stack([gt_rows[c][gt_idx] for c in ("x", "y", "z")])
 
     if config.gt_frame is not None:
-        est = np.array([enu_to_ground_truth(p, config.gt_frame) for p in est])
+        est = enu_to_ground_truth(est, config.gt_frame)
     if config.gt_rescale:
         a_cam = config.gt_rescale_a_cam
         depth = np.maximum(-gt[:, 2] - a_cam, 0.0)
-        gt = gt.copy()
-        for k in range(len(gt)):
-            gt[k, :2] = rescale_grid_point(gt[k, :2], config.gt_rescale_nadir, a_cam, depth[k])
+        gt[:, :2] = rescale_grid_point(gt[:, :2], config.gt_rescale_nadir, a_cam, depth)
 
     report = trajectory_errors(est[:, :2], gt[:, :2], n_excluded=n_dropped)
     payload = {

@@ -47,22 +47,24 @@ class TrajectoryErrorReport:
 
 
 def enu_to_ground_truth(p, frame: GroundTruthFrame) -> np.ndarray:
-    """Rigidly transform an ENU point into the survey frame."""
-    return rot_z(frame.yaw) @ np.asarray(p, dtype=float) + frame.translation
+    """Rigidly transform ENU points, (3,) or (n, 3), into the survey frame."""
+    return np.asarray(p, dtype=float) @ rot_z(frame.yaw).T + frame.translation
 
 
 def rescale_grid_point(grid_xy, nadir_xy, a_cam: float, d_uuv: float) -> np.ndarray:
-    """Correct a surface-grid reading for target depth.
+    """Correct surface-grid readings for target depth.
 
     A point at depth projects onto the surface grid closer to the camera
     nadir than its true planar position; similar triangles scale the
-    reading about the nadir by (a_cam + d_uuv) / a_cam.
+    reading about the nadir by (a_cam + d_uuv) / a_cam. grid_xy is (2,)
+    with a scalar depth, or (n, 2) with n depths.
     """
     if not a_cam > 0:
         raise DegenerateGeometry(f"camera height above surface must be positive, got {a_cam}")
     grid_xy = np.asarray(grid_xy, dtype=float)
     nadir_xy = np.asarray(nadir_xy, dtype=float)
-    return nadir_xy + (grid_xy - nadir_xy) * ((a_cam + d_uuv) / a_cam)
+    scale = np.asarray((a_cam + np.asarray(d_uuv, dtype=float)) / a_cam)
+    return nadir_xy + (grid_xy - nadir_xy) * scale[..., None]
 
 
 def trajectory_errors(est, gt, n_excluded: int = 0) -> TrajectoryErrorReport:

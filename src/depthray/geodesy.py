@@ -6,9 +6,8 @@ equal-shaped numpy arrays in the coordinate fields and vectorize
 elementwise.
 """
 
-import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -81,11 +80,16 @@ class GeodeticCoord:
 
 @dataclass(frozen=True)
 class EcefCoord:
-    """Earth-centered, earth-fixed Cartesian coordinates, meters."""
+    """Earth-centered, earth-fixed Cartesian coordinates, meters.
+
+    `ellipsoid` is the reference surface the coordinates belong to; a
+    point more than 100 km from it draws a RuntimeWarning.
+    """
 
     x: float
     y: float
     z: float
+    ellipsoid: "Ellipsoid" = field(default=WGS84, repr=False, compare=False)
 
     def __post_init__(self):
         x = np.asarray(self.x, dtype=float)
@@ -94,7 +98,8 @@ class EcefCoord:
         if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y)) and np.all(np.isfinite(z))):
             raise ValueError("ECEF coordinates must be finite")
         r = np.sqrt(x * x + y * y + z * z)
-        if np.any(r < WGS84.r_p - 1e5) or np.any(r > WGS84.r_e + 1e5):
+        ell = self.ellipsoid
+        if np.any(r < ell.r_p - 1e5) or np.any(r > ell.r_e + 1e5):
             warnings.warn(
                 "ECEF point more than 100 km from the reference surface",
                 RuntimeWarning,
@@ -122,29 +127,33 @@ def geodetic_to_ecef(g: GeodeticCoord, ell: Ellipsoid = WGS84) -> EcefCoord:
     x = (n + g.h) * clat * np.cos(g.lon)
     y = (n + g.h) * clat * np.sin(g.lon)
     z = ((ell.r_p / ell.r_e) ** 2 * n + g.h) * slat
-    return EcefCoord(_scalar_or_array(x), _scalar_or_array(y), _scalar_or_array(z))
+    return EcefCoord(x, y, z, ell)
 
 
 def enu_to_ecef_rotation(ref: GeodeticCoord) -> np.ndarray:
-    """Rotation block taking local ENU offsets at `ref` into ECEF axes."""
-    clat, slat = math.cos(ref.lat), math.sin(ref.lat)
-    clon, slon = math.cos(ref.lon), math.sin(ref.lon)
-    return np.array(
-        [
-            [-slon, -slat * clon, clat * clon],
-            [clon, -slat * slon, clat * slon],
-            [0.0, clat, slat],
-        ]
-    )
+    """Rotation block taking local ENU offsets at `ref` into ECEF axes;
+    a stack of shape (n, 3, 3) when `ref` holds arrays."""
+    lat, lon = np.asarray(ref.lat), np.asarray(ref.lon)
+    clat, slat = np.cos(lat), np.sin(lat)
+    clon, slon = np.cos(lon), np.sin(lon)
+    entries = [
+        -slon, -slat * clon, clat * clon,
+        clon, -slat * slon, clat * slon,
+        np.zeros_like(clat), clat, slat,
+    ]
+    return np.stack(entries, axis=-1).reshape(lat.shape + (3, 3))
 
 
 def enu_to_ecef(p, ref: GeodeticCoord, ell: Ellipsoid = WGS84) -> EcefCoord:
-    """Transform a local ENU point (3-vector, meters) anchored at `ref`."""
+    """Transform local ENU points (meters) anchored at `ref`.
+
+    `p` is a 3-vector, or an (n, 3) array with `ref` holding n anchors.
+    """
     p = np.asarray(p, dtype=float)
     origin = geodetic_to_ecef(ref, ell)
-    r = enu_to_ecef_rotation(ref)
-    x, y, z = r @ p + np.array([origin.x, origin.y, origin.z])
-    return EcefCoord(float(x), float(y), float(z))
+    offset = (enu_to_ecef_rotation(ref) @ p[..., None])[..., 0]
+    x, y, z = np.moveaxis(offset, -1, 0)
+    return EcefCoord(x + origin.x, y + origin.y, z + origin.z, ell)
 
 
 def _geodetic_closed_form(x, y, z, ell):

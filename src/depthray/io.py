@@ -4,9 +4,13 @@ All CSVs are UTF-8 with a required header, `.` decimal separator,
 angles in degrees and distances in meters. Floats are written with
 Python's shortest round-trip repr so a written value reads back
 bit-identical, and identical runs produce byte-identical files.
+
+Logs are read into and written from column tables (depthray.table),
+a block of rows at a time.
 """
 
 import csv
+import itertools
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -19,7 +23,7 @@ from .errors import ConfigError, SchemaError
 from .evaluate import GroundTruthFrame
 from .geodesy import ELLIPSOIDS, WGS84, Ellipsoid, GeodeticCoord
 from .geometry import EulerAngles
-from .recovery import RigConfig
+from .recovery import OBSERVATION_COLUMNS, TRAJECTORY_COLUMNS, RigConfig
 from .synth import (
     NoiseSpec,
     Scenario,
@@ -28,39 +32,9 @@ from .synth import (
     lawnmower_path,
     line_path,
 )
-
-OBSERVATION_COLUMNS = [
-    "t",
-    "u",
-    "v",
-    "a_uav",
-    "d_uuv",
-    "gimbal_yaw_deg",
-    "gimbal_pitch_deg",
-    "gimbal_roll_deg",
-    "body_yaw_deg",
-    "body_pitch_deg",
-    "body_roll_deg",
-    "ref_lat_deg",
-    "ref_lon_deg",
-    "ref_alt_m",
-]
+from .table import Table
 
 GROUND_TRUTH_COLUMNS = ["t", "x", "y", "z"]
-
-TRAJECTORY_COLUMNS = [
-    "t",
-    "cam_x",
-    "cam_y",
-    "cam_z",
-    "enu_x",
-    "enu_y",
-    "enu_z",
-    "lat_deg",
-    "lon_deg",
-    "alt_m",
-    "flags",
-]
 
 EXCLUSION_COLUMNS = ["row", "t", "reason"]
 
@@ -123,67 +97,109 @@ def fmt(value) -> str:
 
 # --- CSV ---
 
+# rows parsed or formatted per block, which bounds the text held at once
+CSV_BLOCK_ROWS = 4096
 
-def _read_rows(path, columns, text_columns=()):
-    """Read a strict-schema CSV into a list of dicts of floats.
 
-    The header must match `columns` exactly; any non-numeric value in a
-    numeric column is a SchemaError carrying the 1-based line number.
+def _check_record(path, columns, text_columns, raw, lineno):
+    """Raise the SchemaError for the first bad field of one record, if any."""
+    if len(raw) != len(columns):
+        raise SchemaError(f"{path}: expected {len(columns)} fields, got {len(raw)}", line=lineno)
+    for name, value in zip(columns, raw):
+        if name in text_columns:
+            continue
+        try:
+            number = float(value)
+        except ValueError:
+            raise SchemaError(
+                f"{path}: column {name}: not a number: {value!r}", line=lineno
+            ) from None
+        if not math.isfinite(number):
+            raise SchemaError(f"{path}: column {name}: non-finite value {value}", line=lineno)
+
+
+def _parse_block(path, columns, text_columns, block, first_line):
+    """Columns of one block of records, or None if all are blank.
+
+    A block that fails the fast columnar parse is checked record by
+    record, so the error names the first bad line, as a row-wise reader
+    would.
+    """
+    records = [raw for raw in block if raw]
+    if not records:
+        return None
+    try:
+        if any(len(raw) != len(columns) for raw in records):
+            raise ValueError
+        parsed = []
+        for name, values in zip(columns, zip(*records)):
+            if name in text_columns:
+                parsed.append(np.array(values, dtype=object))
+                continue
+            array = np.fromiter(map(float, values), dtype=float, count=len(values))
+            if not np.all(np.isfinite(array)):
+                raise ValueError
+            parsed.append(array)
+        return parsed
+    except ValueError:
+        for lineno, raw in enumerate(block, start=first_line):
+            if raw:
+                _check_record(path, columns, text_columns, raw, lineno)
+        raise  # unreachable: the record checks reject what the block parse did
+
+
+def _read_rows(path, columns, text_columns=()) -> Table:
+    """Read a strict-schema CSV into a column table.
+
+    The header must match `columns` exactly; any non-numeric or
+    non-finite value in a numeric column is a SchemaError carrying the
+    1-based line number.
     """
     path = Path(path)
     try:
         handle = path.open(newline="", encoding="utf-8")
     except OSError as exc:
         raise SchemaError(f"cannot open {path}: {exc}") from exc
-    rows = []
+    blocks = []
     with handle:
         reader = csv.reader(handle)
         try:
             header = next(reader)
         except StopIteration:
             raise SchemaError(f"{path}: missing header", line=1) from None
-        if header != columns:
+        if header != list(columns):
             raise SchemaError(
                 f"{path}: expected columns {','.join(columns)}, got {','.join(header)}",
                 line=1,
             )
-        for lineno, raw in enumerate(reader, start=2):
-            if not raw:
-                continue
-            if len(raw) != len(columns):
-                raise SchemaError(
-                    f"{path}: expected {len(columns)} fields, got {len(raw)}", line=lineno
-                )
-            row = {}
-            for name, value in zip(columns, raw):
-                if name in text_columns:
-                    row[name] = value
-                    continue
-                try:
-                    row[name] = float(value)
-                except ValueError:
-                    raise SchemaError(
-                        f"{path}: column {name}: not a number: {value!r}", line=lineno
-                    ) from None
-                if not math.isfinite(row[name]):
-                    raise SchemaError(
-                        f"{path}: column {name}: non-finite value {value}", line=lineno
-                    )
-            rows.append(row)
-    return rows
+        first_line = 2
+        while block := list(itertools.islice(reader, CSV_BLOCK_ROWS)):
+            parsed = _parse_block(path, columns, text_columns, block, first_line)
+            if parsed is not None:
+                blocks.append(parsed)
+            first_line += len(block)
+    if not blocks:
+        return Table({c: np.array([], dtype=object if c in text_columns else float) for c in columns})
+    return Table({name: np.concatenate(parts) for name, parts in zip(columns, zip(*blocks))})
 
 
 def _write_rows(path, columns, rows, text_columns=()):
+    """Write a column table, or a sequence of row mappings, as CSV."""
+    table = rows if isinstance(rows, Table) else Table.from_rows(columns, rows)
     with Path(path).open("w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(columns)
-        for row in rows:
-            writer.writerow(
-                [row[c] if c in text_columns else fmt(row[c]) for c in columns]
-            )
+        for start in range(0, len(table), CSV_BLOCK_ROWS):
+            block = slice(start, start + CSV_BLOCK_ROWS)
+            # numbers as fmt() writes them: repr of the Python float
+            writer.writerows(zip(*(
+                table[c][block].tolist() if c in text_columns
+                else list(map(repr, np.asarray(table[c][block], dtype=float).tolist()))
+                for c in columns
+            )))
 
 
-def read_observations(path):
+def read_observations(path) -> Table:
     return _read_rows(path, OBSERVATION_COLUMNS)
 
 
@@ -191,7 +207,7 @@ def write_observations(path, rows):
     _write_rows(path, OBSERVATION_COLUMNS, rows)
 
 
-def read_ground_truth(path):
+def read_ground_truth(path) -> Table:
     return _read_rows(path, GROUND_TRUTH_COLUMNS)
 
 
@@ -199,7 +215,7 @@ def write_ground_truth(path, rows):
     _write_rows(path, GROUND_TRUTH_COLUMNS, rows)
 
 
-def read_trajectory(path):
+def read_trajectory(path) -> Table:
     return _read_rows(path, TRAJECTORY_COLUMNS, text_columns=("flags",))
 
 
@@ -207,7 +223,7 @@ def write_trajectory(path, rows):
     _write_rows(path, TRAJECTORY_COLUMNS, rows, text_columns=("flags",))
 
 
-def read_track(path):
+def read_track(path) -> Table:
     return _read_rows(path, TRACK_COLUMNS)
 
 
@@ -264,10 +280,8 @@ def _vector(data, key, path, length, default):
     return np.asarray(value, dtype=float)
 
 
-def load_calibration(path):
-    """Read intrinsics and distortion from a calibration file."""
-    path = Path(path)
-    data = _load_mapping(path)
+def _calibration(data, path):
+    """Intrinsics and distortion from a calibration mapping."""
     _check_keys(data, CALIBRATION_KEYS, path)
     try:
         intr = CameraIntrinsics(
@@ -290,6 +304,12 @@ def load_calibration(path):
     return intr, dist
 
 
+def load_calibration(path):
+    """Read intrinsics and distortion from a calibration file."""
+    path = Path(path)
+    return _calibration(_load_mapping(path), path)
+
+
 def _ellipsoid(data, path) -> Ellipsoid:
     value = data.get("ellipsoid", "wgs84")
     if isinstance(value, str):
@@ -308,13 +328,11 @@ def _ellipsoid(data, path) -> Ellipsoid:
 
 
 def _rig(data, path) -> RigConfig:
-    frame = data.get("gimbal_frame", "world")
-    sign = data.get("gimbal_pitch_sign", 1)
     try:
         return RigConfig(
             cam_offset=_vector(data, "cam_offset", path, 3, [0.0, 0.0, 0.0]),
-            gimbal_pitch_sign=sign if isinstance(sign, int) else int(_number(data, "gimbal_pitch_sign", path)),
-            gimbal_frame=frame,
+            gimbal_pitch_sign=data.get("gimbal_pitch_sign", 1),
+            gimbal_frame=data.get("gimbal_frame", "world"),
         )
     except ValueError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
@@ -391,25 +409,7 @@ def load_scenario_config(path, seed=None) -> Scenario:
     if isinstance(calib, str):
         intr, dist = load_calibration(path.parent / calib)
     elif isinstance(calib, dict):
-        _check_keys(calib, CALIBRATION_KEYS, path)
-        try:
-            intr = CameraIntrinsics(
-                fx=_number(calib, "fx", path),
-                fy=_number(calib, "fy", path),
-                cx=_number(calib, "cx", path),
-                cy=_number(calib, "cy", path),
-                image_width=int(_number(calib, "width", path)),
-                image_height=int(_number(calib, "height", path)),
-            )
-            dist = DistortionCoeffs(
-                k1=_number(calib, "k1", path, 0.0),
-                k2=_number(calib, "k2", path, 0.0),
-                k3=_number(calib, "k3", path, 0.0),
-                p1=_number(calib, "p1", path, 0.0),
-                p2=_number(calib, "p2", path, 0.0),
-            )
-        except ValueError as exc:
-            raise ConfigError(f"{path}: {exc}") from exc
+        intr, dist = _calibration(calib, path)
     else:
         raise ConfigError(f"{path}: key calibration must be a path or a mapping")
 

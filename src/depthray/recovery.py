@@ -6,6 +6,9 @@ Casting the (undistorted) pixel ray onto that plane resolves the scale
 ambiguity of the single view; the hit is then expressed in the
 vehicle-body ENU frame and, downstream, in geodetic coordinates.
 
+`recover_batch` runs the whole chain on columns of observations; the
+one-observation functions below are wrappers over the same code.
+
 Frames:
     {G}  ENU with origin at the camera optical center, z up.
     {C}  camera frame, x right, y down, z along the optical axis.
@@ -23,24 +26,98 @@ from .camera import (
     DistortionCoeffs,
     PixelCoord,
     pixel_to_normalized,
-    undistort,
+    undistort_batch,
 )
-from .errors import DegenerateGeometry, IllConditionedRay, ParallelRay
-from .geodesy import GeodeticCoord
+from .errors import (
+    BehindCamera,
+    DegenerateGeometry,
+    IllConditionedRay,
+    NonConvergence,
+    ParallelRay,
+)
+from .geodesy import GeodeticCoord, ecef_to_geodetic, enu_to_ecef
 from .geometry import (
-    CAM_FROM_FORWARD,
+    PARALLEL_EPS,
     EulerAngles,
     Plane,
-    Ray,
-    intersect_ray_plane,
+    as_angles,
+    gimbal_to_camera_rotation,
+    ray_plane_hits,
+    wrap_angle,
     yaw_pitch_roll_matrix,
 )
+from .table import Table
 
 # Rays meeting the depth plane shallower than this (normalized inner
 # product) produce fixes too noisy to aggregate.
 CONDITIONING_MIN = 1e-3
 
 GIMBAL_FRAMES = ("world", "body")
+
+# recover_batch works through its input this many rows at a time, so its
+# intermediate arrays stay the same size however long the log is.
+CHUNK_ROWS = 8192
+
+# Per-row outcome codes; REASONS[code] is the name written to the
+# exclusions sidecar. A row with more than one fault gets the first in
+# this order.
+RECOVERED = 0
+NO_ORIGIN_MATCH = 1
+DEGENERATE = 2
+UNDISTORT_NONCONVERGENCE = 3
+PARALLEL_RAY = 4
+ILL_CONDITIONED = 5
+BEHIND_CAMERA = 6
+REASONS = (
+    "",
+    "no_origin_match",
+    "degenerate",
+    "undistort_nonconvergence",
+    "parallel_ray",
+    "ill_conditioned",
+    "behind_camera",
+)
+
+# what the one-observation wrappers raise for each code
+_ERRORS = {
+    DEGENERATE: (DegenerateGeometry, "camera at or below the target plane"),
+    UNDISTORT_NONCONVERGENCE: (NonConvergence, "pixel could not be undistorted"),
+    PARALLEL_RAY: (ParallelRay, "pixel ray parallel to the depth plane"),
+    ILL_CONDITIONED: (IllConditionedRay, "ray grazes the depth plane"),
+    BEHIND_CAMERA: (BehindCamera, "depth plane behind the camera"),
+}
+
+# Observation log and trajectory schemas, in file column order.
+OBSERVATION_COLUMNS = [
+    "t",
+    "u",
+    "v",
+    "a_uav",
+    "d_uuv",
+    "gimbal_yaw_deg",
+    "gimbal_pitch_deg",
+    "gimbal_roll_deg",
+    "body_yaw_deg",
+    "body_pitch_deg",
+    "body_roll_deg",
+    "ref_lat_deg",
+    "ref_lon_deg",
+    "ref_alt_m",
+]
+
+TRAJECTORY_COLUMNS = [
+    "t",
+    "cam_x",
+    "cam_y",
+    "cam_z",
+    "enu_x",
+    "enu_y",
+    "enu_z",
+    "lat_deg",
+    "lon_deg",
+    "alt_m",
+    "flags",
+]
 
 
 class CameraFramePoint(NamedTuple):
@@ -80,11 +157,13 @@ class RigConfig:
             raise ValueError("cam_offset must be a 3-vector")
         if not np.linalg.norm(offset) < 10.0:
             raise ValueError("cam_offset exceeds the 10 m sanity bound")
-        if self.gimbal_pitch_sign not in (1, -1):
+        # a bool is an int equal to 1 or 0, but not a pitch sign
+        if isinstance(self.gimbal_pitch_sign, bool) or self.gimbal_pitch_sign not in (1, -1):
             raise ValueError("gimbal_pitch_sign must be +1 or -1")
         if self.gimbal_frame not in GIMBAL_FRAMES:
             raise ValueError(f"gimbal_frame must be one of {GIMBAL_FRAMES}")
         object.__setattr__(self, "cam_offset", offset)
+        object.__setattr__(self, "gimbal_pitch_sign", int(self.gimbal_pitch_sign))
 
 
 @dataclass(frozen=True)
@@ -106,17 +185,24 @@ class Observation:
             raise ValueError(f"depth must be non-negative, got {self.d_uuv}")
 
 
-def camera_rotation(gimbal: EulerAngles, body: EulerAngles, rig: RigConfig) -> np.ndarray:
-    """Full world-to-camera rotation for one observation.
+def camera_rotation(gimbal, body, rig: RigConfig) -> np.ndarray:
+    """Full world-to-camera rotation for one observation, or a stack.
 
-    With world-referenced gimbal angles this is the plain gimbal chain;
-    with body-referenced angles the body attitude is composed first.
+    gimbal, body: EulerAngles, or (..., 3) arrays of wrapped yaw, pitch,
+    roll in radians. With world-referenced gimbal angles this is the
+    plain gimbal chain; with body-referenced angles the body attitude is
+    composed first.
     """
-    g = gimbal.with_pitch_sign(rig.gimbal_pitch_sign)
-    r_world_fwd = yaw_pitch_roll_matrix(g)
-    if rig.gimbal_frame == "body":
-        r_world_fwd = yaw_pitch_roll_matrix(body) @ r_world_fwd
-    return CAM_FROM_FORWARD @ r_world_fwd.T
+    gimbal = as_angles(gimbal)
+    if rig.gimbal_pitch_sign != 1:
+        gimbal = gimbal.copy()
+        gimbal[..., 1] = wrap_angle(rig.gimbal_pitch_sign * gimbal[..., 1])
+    return gimbal_to_camera_rotation(gimbal, body if rig.gimbal_frame == "body" else None)
+
+
+def _depth_below_camera(a_uav, d_uuv, rig: RigConfig):
+    # the camera sits a_uav + cam_offset_z above the surface
+    return a_uav + float(rig.cam_offset[2]) + d_uuv
 
 
 def build_plane(a_uav: float, d_uuv: float, rig: RigConfig) -> Plane:
@@ -129,14 +215,58 @@ def build_plane(a_uav: float, d_uuv: float, rig: RigConfig) -> Plane:
     Raises:
         DegenerateGeometry: camera at or below the target plane.
     """
-    a_cam = a_uav + float(rig.cam_offset[2])
-    depth_below_camera = a_cam + d_uuv
-    if not depth_below_camera > 0:
+    depth = _depth_below_camera(a_uav, d_uuv, rig)
+    if not depth > 0:
         raise DegenerateGeometry(
-            f"camera {a_cam:.3f} m above surface, target depth {d_uuv:.3f} m: "
-            "no plane below the camera"
+            f"camera {a_uav + rig.cam_offset[2]:.3f} m above surface, target depth "
+            f"{d_uuv:.3f} m: no plane below the camera"
         )
-    return Plane(point=np.array([0.0, 0.0, -depth_below_camera]), normal=np.array([0.0, 0.0, 1.0]))
+    return Plane(point=np.array([0.0, 0.0, -depth]), normal=np.array([0.0, 0.0, 1.0]))
+
+
+def _hit_depth_plane(u, v, a_uav, d_uuv, gimbal, body, intr, dist, rig):
+    """Camera-frame recovery for stacked rows of validated readings.
+
+    The pixel is undistorted into a unit-plane ray l = (x, y, 1). The
+    depth plane lies h below the camera, so in {C} its normal is R e_z
+    and the hit is l * s with s = -h / (R e_z) . l.
+
+    Returns (p_c, s, r_cw, codes): camera-frame points (n, 3), scales,
+    world-to-camera rotations and a reason code per row (RECOVERED where
+    the fix is usable).
+    """
+    (x, y), converged = undistort_batch(pixel_to_normalized(PixelCoord(u, v), intr), dist)
+    depth = _depth_below_camera(a_uav, d_uuv, rig)
+    r_cw = camera_rotation(gimbal, body, rig)
+    ray = np.stack([x, y, np.ones_like(x)], axis=-1)
+    s, conditioning = ray_plane_hits(ray, r_cw[..., :, 2], -depth)
+    codes = np.select(
+        [
+            ~converged,
+            ~(depth > 0),
+            conditioning <= PARALLEL_EPS,
+            conditioning < CONDITIONING_MIN,
+            s <= 0.0,
+        ],
+        [UNDISTORT_NONCONVERGENCE, DEGENERATE, PARALLEL_RAY, ILL_CONDITIONED, BEHIND_CAMERA],
+        RECOVERED,
+    )
+    with np.errstate(invalid="ignore"):  # parallel rays: 0 * inf
+        return ray * s[:, None], s, r_cw, codes
+
+
+def _camera_to_body_enu(p_c, r_cw, body, rig: RigConfig):
+    """Rotate stacked camera-frame points back to ENU and move the
+    origin from the optical center to the body: p_D = R^T p_C + R_body o.
+    """
+    p_g = (np.swapaxes(r_cw, -1, -2) @ p_c[..., None])[..., 0]
+    return p_g + yaw_pitch_roll_matrix(body) @ rig.cam_offset
+
+
+def _raise_for(code):
+    if code != RECOVERED:
+        error, message = _ERRORS[code]
+        raise error(message)
 
 
 def recover_camera_frame(
@@ -156,25 +286,13 @@ def recover_camera_frame(
         DegenerateGeometry: per-sample geometric failures; callers
         running batches flag the sample and continue.
     """
-    n = undistort(pixel_to_normalized(obs.px, intr), dist)
-    direction = np.array([n.x, n.y, 1.0])
-    plane_g = build_plane(obs.a_uav, obs.d_uuv, rig)
-    r_cam_world = camera_rotation(obs.gimbal, obs.body, rig)
-    plane_c = Plane(point=r_cam_world @ plane_g.point, normal=r_cam_world @ plane_g.normal)
-
-    conditioning = abs(float(np.dot(direction, plane_c.normal))) / float(
-        np.linalg.norm(direction)
+    p_c, s, _, codes = _hit_depth_plane(
+        np.array([obs.px.u]), np.array([obs.px.v]), np.array([obs.a_uav]),
+        np.array([obs.d_uuv]), as_angles(obs.gimbal)[None], as_angles(obs.body)[None],
+        intr, dist, rig,
     )
-    if conditioning <= 1e-12:
-        raise ParallelRay("pixel ray parallel to the depth plane")
-    if conditioning < CONDITIONING_MIN:
-        raise IllConditionedRay(
-            f"ray grazes the depth plane (|l.n| = {conditioning:.2e})"
-        )
-    point, d = intersect_ray_plane(
-        Ray(origin=np.zeros(3), direction=direction), plane_c
-    )
-    return CameraFramePoint(*map(float, point)), d
+    _raise_for(codes[0])
+    return CameraFramePoint(*p_c[0].tolist()), float(s[0])
 
 
 def camera_to_uav_enu(p_c, obs: Observation, rig: RigConfig) -> EnuPoint:
@@ -183,10 +301,11 @@ def camera_to_uav_enu(p_c, obs: Observation, rig: RigConfig) -> EnuPoint:
     The camera offset is rotated by the body attitude and added after
     rotating the point back out of the camera frame.
     """
-    r_cam_world = camera_rotation(obs.gimbal, obs.body, rig)
-    offset_d = yaw_pitch_roll_matrix(obs.body) @ rig.cam_offset
-    p = r_cam_world.T @ np.asarray(p_c, dtype=float) + offset_d
-    return EnuPoint(*map(float, p))
+    r_cw = camera_rotation(obs.gimbal, obs.body, rig)
+    p_d = _camera_to_body_enu(
+        np.asarray(p_c, dtype=float)[None], r_cw[None], as_angles(obs.body)[None], rig
+    )
+    return EnuPoint(*p_d[0].tolist())
 
 
 def recover_uav_enu(
@@ -198,3 +317,64 @@ def recover_uav_enu(
     """Run the camera-frame recovery and the ENU transform in one call."""
     p_c, d = recover_camera_frame(obs, intr, dist, rig)
     return p_c, camera_to_uav_enu(p_c, obs, rig), d
+
+
+def _degrees_to_angles(columns, prefix):
+    return wrap_angle(np.radians(np.stack(
+        [columns[f"{prefix}_yaw_deg"], columns[f"{prefix}_pitch_deg"], columns[f"{prefix}_roll_deg"]],
+        axis=-1,
+    )))
+
+
+def _recover_chunk(columns, config) -> tuple[dict, np.ndarray]:
+    intr = config.intrinsics
+    a_uav = columns["a_uav"] + config.altitude_datum_offset
+    lat = np.radians(columns["ref_lat_deg"])
+    # the checks Observation and GeodeticCoord make on one reading
+    valid = np.all([np.isfinite(columns[k]) for k in OBSERVATION_COLUMNS[1:]], axis=0)
+    valid &= np.isfinite(a_uav) & (a_uav > 0) & (columns["d_uuv"] >= 0)
+    valid &= np.abs(lat) <= np.pi / 2 + 1e-12
+    rows = np.flatnonzero(valid)
+    u, v, body = columns["u"][rows], columns["v"][rows], _degrees_to_angles(columns, "body")[rows]
+    p_c, _, r_cw, hit_codes = _hit_depth_plane(
+        u, v, a_uav[rows], columns["d_uuv"][rows], _degrees_to_angles(columns, "gimbal")[rows],
+        body, intr, config.distortion, config.rig,
+    )
+    codes = np.full(len(valid), DEGENERATE, dtype=np.int8)
+    codes[rows] = hit_codes
+    ok = hit_codes == RECOVERED
+    rows, u, v, p_c = rows[ok], u[ok], v[ok], p_c[ok]
+    p_d = _camera_to_body_enu(p_c, r_cw[ok], body[ok], config.rig)
+    ref = GeodeticCoord(lat[rows], np.radians(columns["ref_lon_deg"][rows]), columns["ref_alt_m"][rows])
+    geo = ecef_to_geodetic(enu_to_ecef(p_d, ref, config.ellipsoid), config.ellipsoid)
+    out = {
+        "t": columns["t"][rows],
+        "cam_x": p_c[:, 0], "cam_y": p_c[:, 1], "cam_z": p_c[:, 2],
+        "enu_x": p_d[:, 0], "enu_y": p_d[:, 1], "enu_z": p_d[:, 2],
+        "lat_deg": np.degrees(geo.lat), "lon_deg": np.degrees(geo.lon), "alt_m": geo.h,
+        "flags": np.where(intr.contains(PixelCoord(u, v)), "", "out_of_frame"),
+    }
+    return out, codes
+
+
+def recover_batch(columns, config) -> tuple[Table, np.ndarray]:
+    """Recover every observation row, column by column.
+
+    columns: mapping from OBSERVATION_COLUMNS (angles in degrees) to
+    equal-length arrays, such as the table io.read_observations returns.
+    config: a run configuration with intrinsics, distortion, rig,
+    ellipsoid and altitude_datum_offset.
+
+    Returns the trajectory table (TRAJECTORY_COLUMNS) of the recovered
+    rows, in input order, and an int8 reason code per input row:
+    RECOVERED, or why the row was excluded (REASONS names the codes).
+    """
+    n = len(columns["t"])
+    codes = np.empty(n, dtype=np.int8)
+    parts = []
+    # an empty input still makes one (empty) chunk, for the column layout
+    for start in range(0, max(n, 1), CHUNK_ROWS):
+        rows = slice(start, start + CHUNK_ROWS)
+        out, codes[rows] = _recover_chunk({k: columns[k][rows] for k in OBSERVATION_COLUMNS}, config)
+        parts.append(out)
+    return Table({k: np.concatenate([p[k] for p in parts]) for k in TRAJECTORY_COLUMNS}), codes

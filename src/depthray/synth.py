@@ -21,8 +21,9 @@ from .camera import (
 )
 from .errors import BehindCamera, InfeasibleScene
 from .geodesy import GeodeticCoord
-from .geometry import EulerAngles
-from .recovery import RigConfig, camera_rotation
+from .geometry import EulerAngles, as_angles, wrap_angle
+from .recovery import OBSERVATION_COLUMNS, RigConfig, camera_rotation
+from .table import Table
 
 MIN_CAMERA_Z = 1e-9
 
@@ -86,6 +87,18 @@ class Scenario:
         return len(self.t)
 
 
+def _project(p_g, gimbal, body, intr, dist, rig):
+    """Stacked forward projection: (n, 3) points in {G} and (n, 3)
+    wrapped gimbal and body angles to pixels (u, v) and the camera-frame
+    depth z of each point."""
+    p_c = (camera_rotation(gimbal, body, rig) @ p_g[..., None])[..., 0]
+    x, y, z = p_c[:, 0], p_c[:, 1], p_c[:, 2]
+    # points at or behind the camera give non-finite pixels; callers reject them by z
+    with np.errstate(all="ignore"):
+        u, v = normalized_to_pixel(distort(NormalizedCoord(x / z, y / z), dist), intr)
+    return u, v, z
+
+
 def project_point(
     p_g,
     gimbal: EulerAngles,
@@ -102,87 +115,71 @@ def project_point(
     Raises:
         BehindCamera: camera-frame z at or below zero.
     """
-    p_c = camera_rotation(gimbal, body, rig) @ np.asarray(p_g, dtype=float)
-    if p_c[2] <= MIN_CAMERA_Z:
-        raise BehindCamera(f"camera-frame z = {p_c[2]:.6g}")
-    n = NormalizedCoord(float(p_c[0] / p_c[2]), float(p_c[1] / p_c[2]))
-    return normalized_to_pixel(distort(n, dist), intr)
+    u, v, z = _project(
+        np.asarray(p_g, dtype=float)[None], as_angles(gimbal)[None], as_angles(body)[None],
+        intr, dist, rig,
+    )
+    if z[0] <= MIN_CAMERA_Z:
+        raise BehindCamera(f"camera-frame z = {z[0]:.6g}")
+    return PixelCoord(float(u[0]), float(v[0]))
 
 
-def generate_logs(scenario: Scenario):
-    """Produce observation rows and exact ground-truth rows.
+def generate_logs(scenario: Scenario) -> tuple[Table, Table]:
+    """Produce the observation log and the exact ground truth as tables.
 
-    Observation rows mirror the batch-pipeline input schema (pixel
+    The observation table has the batch-pipeline input columns (pixel
     track, altitude, depth, attitudes, reference fix) with noise applied
-    per channel; ground-truth rows are the exact {G} positions. The same
-    seed always yields the same rows.
+    per channel; the truth table (t, x, y, z) holds the exact {G}
+    positions. The same seed always yields the same rows: noise is drawn
+    row by row, in channel order, for the channels with a nonzero sigma.
 
     Raises:
         InfeasibleScene: a noiseless projection falls outside the image
             or behind the camera (reported with its sample index).
     """
-    rng = np.random.default_rng(scenario.noise.seed)
-    noise = scenario.noise
     intr = scenario.intrinsics
-    obs_rows = []
-    gt_rows = []
-    for i in range(len(scenario)):
-        gimbal = EulerAngles(*scenario.gimbal[i])
-        body = EulerAngles(*scenario.body[i])
-        try:
-            px = project_point(
-                scenario.positions[i], gimbal, intr, scenario.distortion, scenario.rig, body
-            )
-        except BehindCamera as exc:
-            raise InfeasibleScene(str(exc), index=i) from exc
-        if not intr.contains(px):
-            raise InfeasibleScene(
-                f"projects to ({px.u:.1f}, {px.v:.1f}) outside "
-                f"{intr.image_width}x{intr.image_height}",
-                index=i,
-            )
-        u, v = px
-        if noise.sigma_px > 0:
-            u += rng.normal(0.0, noise.sigma_px)
-            v += rng.normal(0.0, noise.sigma_px)
-        a_uav = float(scenario.a_uav[i])
-        if noise.sigma_alt > 0:
-            a_uav += rng.normal(0.0, noise.sigma_alt)
-        d_uuv = float(scenario.d_uuv[i])
-        if noise.sigma_depth > 0:
-            d_uuv += rng.normal(0.0, noise.sigma_depth)
-        gy, gp, gr = scenario.gimbal[i]
-        if noise.sigma_gimbal > 0:
-            gy += rng.normal(0.0, noise.sigma_gimbal)
-            gp += rng.normal(0.0, noise.sigma_gimbal)
-            gr += rng.normal(0.0, noise.sigma_gimbal)
-        obs_rows.append(
-            {
-                "t": float(scenario.t[i]),
-                "u": float(u),
-                "v": float(v),
-                "a_uav": a_uav,
-                "d_uuv": d_uuv,
-                "gimbal_yaw_deg": math.degrees(gy),
-                "gimbal_pitch_deg": math.degrees(gp),
-                "gimbal_roll_deg": math.degrees(gr),
-                "body_yaw_deg": math.degrees(scenario.body[i][0]),
-                "body_pitch_deg": math.degrees(scenario.body[i][1]),
-                "body_roll_deg": math.degrees(scenario.body[i][2]),
-                "ref_lat_deg": math.degrees(scenario.ref_geo.lat),
-                "ref_lon_deg": math.degrees(scenario.ref_geo.lon),
-                "ref_alt_m": float(scenario.ref_geo.h),
-            }
+    u, v, z = _project(
+        scenario.positions, wrap_angle(scenario.gimbal), wrap_angle(scenario.body),
+        intr, scenario.distortion, scenario.rig,
+    )
+    behind = z <= MIN_CAMERA_Z
+    infeasible = np.flatnonzero(behind | ~intr.contains(PixelCoord(u, v)))
+    if infeasible.size:
+        i = int(infeasible[0])
+        if behind[i]:
+            raise InfeasibleScene(f"camera-frame z = {z[i]:.6g}", index=i)
+        raise InfeasibleScene(
+            f"projects to ({u[i]:.1f}, {v[i]:.1f}) outside "
+            f"{intr.image_width}x{intr.image_height}",
+            index=i,
         )
-        gt_rows.append(
-            {
-                "t": float(scenario.t[i]),
-                "x": float(scenario.positions[i][0]),
-                "y": float(scenario.positions[i][1]),
-                "z": float(scenario.positions[i][2]),
-            }
-        )
-    return obs_rows, gt_rows
+
+    noise = scenario.noise
+    a_uav, d_uuv, gimbal = scenario.a_uav.copy(), scenario.d_uuv.copy(), scenario.gimbal.copy()
+    channels = [
+        (u, noise.sigma_px),
+        (v, noise.sigma_px),
+        (a_uav, noise.sigma_alt),
+        (d_uuv, noise.sigma_depth),
+        *((gimbal[:, k], noise.sigma_gimbal) for k in range(3)),
+    ]
+    noisy = [(values, sigma) for values, sigma in channels if sigma > 0]
+    if noisy:
+        rng = np.random.default_rng(noise.seed)
+        draws = rng.normal(0.0, [sigma for _, sigma in noisy], size=(len(scenario), len(noisy)))
+        for (values, _), column in zip(noisy, draws.T):
+            values += column
+
+    n = len(scenario)
+    ref = scenario.ref_geo
+    obs = dict(zip(OBSERVATION_COLUMNS, [
+        scenario.t.copy(), u, v, a_uav, d_uuv,
+        *np.degrees(gimbal).T, *np.degrees(scenario.body).T,
+        np.full(n, math.degrees(ref.lat)), np.full(n, math.degrees(ref.lon)),
+        np.full(n, float(ref.h)),
+    ]))
+    truth = dict(zip(["t", "x", "y", "z"], [scenario.t.copy(), *scenario.positions.T.copy()]))
+    return Table(obs), Table(truth)
 
 
 def lawnmower_path(n: int, width: float, height: float, legs: int) -> np.ndarray:

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -163,3 +165,21 @@ class TestTypes:
     def test_far_point_warns(self):
         with pytest.warns(RuntimeWarning):
             EcefCoord(2 * WGS84.r_e, 0.0, 0.0)
+
+
+class TestRangeWarning:
+    MARS = Ellipsoid(r_e=3396190.0, r_p=3376200.0)
+
+    def test_no_warning_near_another_ellipsoid(self):
+        ref = GeodeticCoord.from_degrees(18.4, 77.5, -2500.0)
+        points = np.array([[10.0, -20.0, -25.0], [0.0, 0.0, 0.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            e = enu_to_ecef(points, GeodeticCoord(np.full(2, ref.lat), np.full(2, ref.lon),
+                                                  np.full(2, ref.h)), self.MARS)
+            g = ecef_to_geodetic(e, self.MARS)
+        assert_allclose(g.h, [-2525.0, -2500.0], atol=1e-3)
+
+    def test_wgs84_point_200_km_up_warns(self):
+        with pytest.warns(RuntimeWarning, match="100 km"):
+            enu_to_ecef([0.0, 0.0, 200e3], GeodeticCoord.from_degrees(42.87, 17.7, 0.0))

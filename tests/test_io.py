@@ -164,3 +164,24 @@ class TestCsv:
     def test_float_format_shortest_round_trip(self):
         for v in (0.1, 1.0 / 3.0, 25.630000000000003, -1e-17):
             assert float(io.fmt(v)) == v
+
+
+class TestRigConfig:
+    def test_bool_pitch_sign_rejected(self, tmp_path):
+        # YAML true is an int in Python; it is not a pitch sign
+        write(tmp_path / "cal.yaml", CALIB)
+        text = "calibration: cal.yaml\ngimbal_pitch_sign: true\n"
+        with pytest.raises(ConfigError, match="gimbal_pitch_sign"):
+            io.load_run_config(write(tmp_path / "run.yaml", text))
+
+    def test_bool_pitch_sign_exits_2(self, tmp_path, capsys):
+        from depthray.cli import main
+
+        write(tmp_path / "cal.yaml", CALIB)
+        write(tmp_path / "run.yaml", "calibration: cal.yaml\ngimbal_pitch_sign: true\n")
+        code = main([
+            "recover", "--config", str(tmp_path / "run.yaml"),
+            "--input", str(tmp_path / "obs.csv"), "--output", str(tmp_path / "traj.csv"),
+        ])
+        assert code == 2
+        assert "gimbal_pitch_sign" in capsys.readouterr().err
