@@ -11,7 +11,6 @@ from .camera import (
     normalized_to_pixel,
     pixel_to_normalized,
     undistort,
-    undistort_batch,
 )
 from .evaluate import (
     GroundTruthFrame,
@@ -31,28 +30,9 @@ from .geodesy import (
     geodetic_to_ecef,
     prime_vertical_radius,
 )
-from .geometry import (
-    EulerAngles,
-    Plane,
-    Ray,
-    gimbal_to_camera_rotation,
-    intersect_ray_plane,
-    rot_x,
-    rot_y,
-    rot_z,
-)
-from .recovery import (
-    CameraFramePoint,
-    EnuPoint,
-    Observation,
-    RigConfig,
-    build_plane,
-    camera_to_uav_enu,
-    recover_batch,
-    recover_camera_frame,
-    recover_uav_enu,
-)
-from .synth import NoiseSpec, Scenario, build_scenario, generate_logs, project_point
+from .geometry import EulerAngles, gimbal_to_camera_rotation, rot_x, rot_y, rot_z
+from .recovery import RigConfig, recover_batch
+from .synth import NoiseSpec, Scenario, build_scenario, generate_logs
 from .table import Table
 
 __all__ = [
@@ -64,7 +44,6 @@ __all__ = [
     "normalized_to_pixel",
     "pixel_to_normalized",
     "undistort",
-    "undistort_batch",
     "GroundTruthFrame",
     "TrajectoryErrorReport",
     "enu_to_ground_truth",
@@ -80,27 +59,16 @@ __all__ = [
     "geodetic_to_ecef",
     "prime_vertical_radius",
     "EulerAngles",
-    "Plane",
-    "Ray",
     "gimbal_to_camera_rotation",
-    "intersect_ray_plane",
     "rot_x",
     "rot_y",
     "rot_z",
-    "CameraFramePoint",
-    "EnuPoint",
-    "Observation",
     "RigConfig",
-    "build_plane",
-    "camera_to_uav_enu",
     "recover_batch",
-    "recover_camera_frame",
-    "recover_uav_enu",
     "NoiseSpec",
     "Scenario",
     "build_scenario",
     "generate_logs",
-    "project_point",
     "Table",
 ]
 

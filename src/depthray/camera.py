@@ -17,8 +17,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import NonConvergence
-
 UNDISTORT_MAX_ITER = 50
 UNDISTORT_TOL = 1e-10
 
@@ -128,13 +126,13 @@ def _distortion_jacobian(x, y, d):
     return jxx, jxy, jxy, jyy
 
 
-def undistort_batch(
+def undistort(
     n_d: NormalizedCoord,
     d: DistortionCoeffs,
     max_iter: int = UNDISTORT_MAX_ITER,
     tol: float = UNDISTORT_TOL,
 ) -> tuple[NormalizedCoord, np.ndarray]:
-    """Invert the distortion model for arrays of distorted points.
+    """Invert the distortion model for distorted points, elementwise.
 
     Starts at the distorted point and iterates a damped Newton update on
     the residual distort(x) - n_d until its max-norm drops below `tol`.
@@ -150,10 +148,11 @@ def undistort_batch(
     invertible region around the input. Those points hold their last
     iterate.
     """
-    xd = np.asarray(n_d.x, dtype=float)
-    yd = np.asarray(n_d.y, dtype=float)
+    shape = np.shape(n_d.x)
+    xd = np.asarray(n_d.x, dtype=float).reshape(-1)
+    yd = np.asarray(n_d.y, dtype=float).reshape(-1)
     if d.is_zero():
-        return NormalizedCoord(xd, yd), np.ones(xd.shape, dtype=bool)
+        return NormalizedCoord(xd.reshape(shape), yd.reshape(shape)), np.ones(shape, dtype=bool)
 
     x, y = xd.copy(), yd.copy()
     fx, fy = distort(NormalizedCoord(x, y), d)
@@ -190,31 +189,6 @@ def undistort_batch(
             search = search[~(res[k] < start_res[search])]
             lam *= 0.5
         escaped[live] = np.hypot(x[live], y[live]) > bound[live]
-    return NormalizedCoord(x, y), (res < tol) & ~escaped
+    converged = (res < tol) & ~escaped
+    return NormalizedCoord(x.reshape(shape), y.reshape(shape)), converged.reshape(shape)
 
-
-def undistort(
-    n_d: NormalizedCoord,
-    d: DistortionCoeffs,
-    max_iter: int = UNDISTORT_MAX_ITER,
-    tol: float = UNDISTORT_TOL,
-) -> NormalizedCoord:
-    """Invert the distortion model for one point (see undistort_batch).
-
-    Raises:
-        NonConvergence: residual still above `tol` after `max_iter`
-            iterations, or the iterate escapes the model's invertible
-            region around the input.
-    """
-    xd, yd = n_d
-    if not (math.isfinite(xd) and math.isfinite(yd)):
-        raise ValueError(f"non-finite distorted coordinate ({xd}, {yd})")
-    (x, y), converged = undistort_batch(
-        NormalizedCoord(np.array([xd]), np.array([yd])), d, max_iter, tol
-    )
-    if not converged[0]:
-        raise NonConvergence(
-            f"undistort of ({xd}, {yd}) did not reach {tol:.1e} within {max_iter} "
-            "iterations inside the invertible region"
-        )
-    return NormalizedCoord(float(x[0]), float(y[0]))

@@ -7,6 +7,7 @@ Exit codes: 0 success, 1 input error (bad or empty logs, failed sync),
 import argparse
 import json
 import sys
+from pathlib import Path
 
 import numpy as np
 
@@ -44,6 +45,11 @@ def _apply_origin_track(obs, track, intr, max_gap):
     return kept, matched
 
 
+def _exclusions_path(trajectory) -> Path:
+    """The sidecar listing the observation rows a trajectory left out."""
+    return Path(str(trajectory) + ".exclusions.csv")
+
+
 def cmd_recover(args) -> int:
     config = io.load_run_config(args.config)
     obs = io.read_observations(args.input)
@@ -66,7 +72,7 @@ def cmd_recover(args) -> int:
         np.flatnonzero(codes == NO_ORIGIN_MATCH),
         np.flatnonzero((codes != RECOVERED) & (codes != NO_ORIGIN_MATCH)),
     ])
-    io.write_exclusions(str(args.output) + ".exclusions.csv", Table({
+    io.write_exclusions(_exclusions_path(args.output), Table({
         "row": excluded + 2,  # 1 header line precedes the data
         "t": t[excluded],
         "reason": np.array(REASONS, dtype=object)[codes[excluded]],
@@ -104,6 +110,10 @@ def cmd_evaluate(args) -> int:
         depth = np.maximum(-gt[:, 2] - a_cam, 0.0)
         gt[:, :2] = rescale_grid_point(gt[:, :2], config.gt_rescale_nadir, a_cam, depth)
 
+    # rows recover wrote to its exclusions sidecar never reached the trajectory
+    sidecar = _exclusions_path(args.input)
+    if sidecar.exists():
+        n_dropped += len(io.read_exclusions(sidecar))
     report = trajectory_errors(est[:, :2], gt[:, :2], n_excluded=n_dropped)
     payload = {
         "mae": report.mae,
@@ -175,3 +185,7 @@ def main(argv=None) -> int:
 
 def entrypoint() -> None:
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    entrypoint()

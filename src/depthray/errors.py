@@ -22,22 +22,6 @@ class SchemaError(DepthrayError):
         self.line = line
 
 
-class NonConvergence(DepthrayError):
-    """Undistortion iteration failed to reach the residual tolerance."""
-
-
-class ParallelRay(DepthrayError):
-    """Ray direction is (numerically) parallel to the target plane."""
-
-
-class BehindCamera(DepthrayError):
-    """Intersection or scene point lies behind the optical center."""
-
-
-class IllConditionedRay(DepthrayError):
-    """Ray grazes the plane too shallowly for a trustworthy fix."""
-
-
 class DegenerateGeometry(DepthrayError):
     """Sensor readings place the camera at or below the target plane."""
 

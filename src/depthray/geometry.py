@@ -1,4 +1,4 @@
-"""3D primitives: passive rotations, the gimbal chain, ray-plane intersection.
+"""3D primitives: passive rotations, the gimbal chain and the depth-plane kernel.
 
 All rotation matrices follow the passive convention: R expresses the
 coordinates of a fixed point in a rotated frame, so rot_z(pi/2) maps
@@ -7,12 +7,12 @@ array of angles and returns one matrix or a stack of shape (..., 3, 3).
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BehindCamera, ParallelRay
-
+# A ray whose conditioning (see ray_plane_hits) is at or below this is
+# parallel to its plane.
 PARALLEL_EPS = 1e-12
 
 # Axis permutation from a forward/right/down mount frame into the camera
@@ -122,45 +122,6 @@ def gimbal_to_camera_rotation(gimbal, body=None) -> np.ndarray:
     return CAM_FROM_FORWARD @ np.swapaxes(r_world_fwd, -1, -2)
 
 
-@dataclass(frozen=True)
-class Ray:
-    """Parametric line: points are origin + direction * d."""
-
-    origin: np.ndarray
-    direction: np.ndarray
-
-    def __post_init__(self):
-        origin = np.asarray(self.origin, dtype=float)
-        direction = np.asarray(self.direction, dtype=float)
-        if origin.shape != (3,) or direction.shape != (3,):
-            raise ValueError("ray origin and direction must be 3-vectors")
-        if not np.linalg.norm(direction) > 0.0:
-            raise ValueError("ray direction must be nonzero")
-        object.__setattr__(self, "origin", origin)
-        object.__setattr__(self, "direction", direction)
-
-
-@dataclass(frozen=True)
-class Plane:
-    """Plane through `point` with unit `normal` (normalized on construction)."""
-
-    point: np.ndarray
-    normal: np.ndarray = field(default_factory=lambda: np.array([0.0, 0.0, 1.0]))
-
-    def __post_init__(self):
-        point = np.asarray(self.point, dtype=float)
-        normal = np.asarray(self.normal, dtype=float)
-        if point.shape != (3,) or normal.shape != (3,):
-            raise ValueError("plane point and normal must be 3-vectors")
-        norm = np.linalg.norm(normal)
-        if not norm > 0.0:
-            raise ValueError("plane normal must be nonzero")
-        if abs(norm - 1.0) > 1e-12:
-            normal = normal / norm
-        object.__setattr__(self, "point", point)
-        object.__setattr__(self, "normal", normal)
-
-
 def ray_plane_hits(direction, normal, offset):
     """Scale along rays from the frame origin to their planes, stacked.
 
@@ -174,23 +135,3 @@ def ray_plane_hits(direction, normal, offset):
     with np.errstate(divide="ignore", invalid="ignore"):
         return offset / ln, conditioning
 
-
-def intersect_ray_plane(ray: Ray, plane: Plane) -> tuple[np.ndarray, float]:
-    """Intersect a ray with a plane.
-
-    Returns the intersection point and the scalar d along the ray
-    direction, from d = (p0 - l0) . n / (l . n).
-
-    Raises:
-        ParallelRay: direction and plane are parallel within PARALLEL_EPS
-            (measured on the normalized inner product).
-        BehindCamera: the intersection lies at d <= 0.
-    """
-    d, conditioning = ray_plane_hits(
-        ray.direction, plane.normal, np.dot(plane.point - ray.origin, plane.normal)
-    )
-    if conditioning <= PARALLEL_EPS:
-        raise ParallelRay("ray direction is parallel to the plane")
-    if d <= 0.0:
-        raise BehindCamera(f"intersection at d={d:.6g} behind the ray origin")
-    return ray.origin + ray.direction * d, float(d)

@@ -183,9 +183,8 @@ def _read_rows(path, columns, text_columns=()) -> Table:
     return Table({name: np.concatenate(parts) for name, parts in zip(columns, zip(*blocks))})
 
 
-def _write_rows(path, columns, rows, text_columns=()):
-    """Write a column table, or a sequence of row mappings, as CSV."""
-    table = rows if isinstance(rows, Table) else Table.from_rows(columns, rows)
+def _write_rows(path, columns, table: Table, text_columns=()):
+    """Write the `columns` of a table as CSV."""
     with Path(path).open("w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(columns)
@@ -203,33 +202,37 @@ def read_observations(path) -> Table:
     return _read_rows(path, OBSERVATION_COLUMNS)
 
 
-def write_observations(path, rows):
-    _write_rows(path, OBSERVATION_COLUMNS, rows)
+def write_observations(path, table: Table):
+    _write_rows(path, OBSERVATION_COLUMNS, table)
 
 
 def read_ground_truth(path) -> Table:
     return _read_rows(path, GROUND_TRUTH_COLUMNS)
 
 
-def write_ground_truth(path, rows):
-    _write_rows(path, GROUND_TRUTH_COLUMNS, rows)
+def write_ground_truth(path, table: Table):
+    _write_rows(path, GROUND_TRUTH_COLUMNS, table)
 
 
 def read_trajectory(path) -> Table:
     return _read_rows(path, TRAJECTORY_COLUMNS, text_columns=("flags",))
 
 
-def write_trajectory(path, rows):
-    _write_rows(path, TRAJECTORY_COLUMNS, rows, text_columns=("flags",))
+def write_trajectory(path, table: Table):
+    _write_rows(path, TRAJECTORY_COLUMNS, table, text_columns=("flags",))
 
 
 def read_track(path) -> Table:
     return _read_rows(path, TRACK_COLUMNS)
 
 
-def write_exclusions(path, rows):
-    # row is an integer line reference, not a measurement
-    _write_rows(path, EXCLUSION_COLUMNS, rows, text_columns=("row", "reason"))
+# row is an integer line reference, not a measurement
+def read_exclusions(path) -> Table:
+    return _read_rows(path, EXCLUSION_COLUMNS, text_columns=("row", "reason"))
+
+
+def write_exclusions(path, table: Table):
+    _write_rows(path, EXCLUSION_COLUMNS, table, text_columns=("row", "reason"))
 
 
 # --- YAML configuration ---

@@ -6,8 +6,7 @@ Casting the (undistorted) pixel ray onto that plane resolves the scale
 ambiguity of the single view; the hit is then expressed in the
 vehicle-body ENU frame and, downstream, in geodetic coordinates.
 
-`recover_batch` runs the whole chain on columns of observations; the
-one-observation functions below are wrappers over the same code.
+`recover_batch` runs the whole chain on columns of observations.
 
 Frames:
     {G}  ENU with origin at the camera optical center, z up.
@@ -15,31 +14,14 @@ Frames:
     {D}  ENU fixed to the UAV body (same axes as {G}, origin at the body).
 """
 
-import math
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 
-from .camera import (
-    CameraIntrinsics,
-    DistortionCoeffs,
-    PixelCoord,
-    pixel_to_normalized,
-    undistort_batch,
-)
-from .errors import (
-    BehindCamera,
-    DegenerateGeometry,
-    IllConditionedRay,
-    NonConvergence,
-    ParallelRay,
-)
+from .camera import PixelCoord, pixel_to_normalized, undistort
 from .geodesy import GeodeticCoord, ecef_to_geodetic, enu_to_ecef
 from .geometry import (
     PARALLEL_EPS,
-    EulerAngles,
-    Plane,
     as_angles,
     gimbal_to_camera_rotation,
     ray_plane_hits,
@@ -78,15 +60,6 @@ REASONS = (
     "behind_camera",
 )
 
-# what the one-observation wrappers raise for each code
-_ERRORS = {
-    DEGENERATE: (DegenerateGeometry, "camera at or below the target plane"),
-    UNDISTORT_NONCONVERGENCE: (NonConvergence, "pixel could not be undistorted"),
-    PARALLEL_RAY: (ParallelRay, "pixel ray parallel to the depth plane"),
-    ILL_CONDITIONED: (IllConditionedRay, "ray grazes the depth plane"),
-    BEHIND_CAMERA: (BehindCamera, "depth plane behind the camera"),
-}
-
 # Observation log and trajectory schemas, in file column order.
 OBSERVATION_COLUMNS = [
     "t",
@@ -120,22 +93,6 @@ TRAJECTORY_COLUMNS = [
 ]
 
 
-class CameraFramePoint(NamedTuple):
-    """Position in {C}, meters; z > 0 for valid recoveries."""
-
-    x: float
-    y: float
-    z: float
-
-
-class EnuPoint(NamedTuple):
-    """Position in a local ENU frame, meters."""
-
-    x: float
-    y: float
-    z: float
-
-
 @dataclass(frozen=True)
 class RigConfig:
     """Mounting geometry and telemetry conventions of the camera rig.
@@ -166,25 +123,6 @@ class RigConfig:
         object.__setattr__(self, "gimbal_pitch_sign", int(self.gimbal_pitch_sign))
 
 
-@dataclass(frozen=True)
-class Observation:
-    """One time-synced measurement bundle feeding a single recovery."""
-
-    t: float
-    px: PixelCoord
-    a_uav: float  # altitude above the water surface, m, positive up
-    d_uuv: float  # depth below the surface, m, positive down
-    gimbal: EulerAngles
-    body: EulerAngles
-    ref_geo: GeodeticCoord
-
-    def __post_init__(self):
-        if not (math.isfinite(self.a_uav) and self.a_uav > 0):
-            raise ValueError(f"altitude must be positive, got {self.a_uav}")
-        if not (math.isfinite(self.d_uuv) and self.d_uuv >= 0):
-            raise ValueError(f"depth must be non-negative, got {self.d_uuv}")
-
-
 def camera_rotation(gimbal, body, rig: RigConfig) -> np.ndarray:
     """Full world-to-camera rotation for one observation, or a stack.
 
@@ -200,43 +138,21 @@ def camera_rotation(gimbal, body, rig: RigConfig) -> np.ndarray:
     return gimbal_to_camera_rotation(gimbal, body if rig.gimbal_frame == "body" else None)
 
 
-def _depth_below_camera(a_uav, d_uuv, rig: RigConfig):
-    # the camera sits a_uav + cam_offset_z above the surface
-    return a_uav + float(rig.cam_offset[2]) + d_uuv
-
-
-def build_plane(a_uav: float, d_uuv: float, rig: RigConfig) -> Plane:
-    """Horizontal plane at the target depth in {G}.
-
-    The camera sits a_uav + cam_offset_z above the surface and the
-    target d_uuv below it, so the plane passes through
-    (0, 0, -(a_uav + cam_offset_z + d_uuv)) with normal (0, 0, 1).
-
-    Raises:
-        DegenerateGeometry: camera at or below the target plane.
-    """
-    depth = _depth_below_camera(a_uav, d_uuv, rig)
-    if not depth > 0:
-        raise DegenerateGeometry(
-            f"camera {a_uav + rig.cam_offset[2]:.3f} m above surface, target depth "
-            f"{d_uuv:.3f} m: no plane below the camera"
-        )
-    return Plane(point=np.array([0.0, 0.0, -depth]), normal=np.array([0.0, 0.0, 1.0]))
-
-
 def _hit_depth_plane(u, v, a_uav, d_uuv, gimbal, body, intr, dist, rig):
     """Camera-frame recovery for stacked rows of validated readings.
 
     The pixel is undistorted into a unit-plane ray l = (x, y, 1). The
-    depth plane lies h below the camera, so in {C} its normal is R e_z
-    and the hit is l * s with s = -h / (R e_z) . l.
+    camera sits a_uav + cam_offset_z above the surface and the target
+    d_uuv below it, so the depth plane lies h = a_uav + cam_offset_z +
+    d_uuv below the camera. In {C} the plane's normal is R e_z and the
+    hit is l * s with s = -h / (R e_z) . l.
 
-    Returns (p_c, s, r_cw, codes): camera-frame points (n, 3), scales,
-    world-to-camera rotations and a reason code per row (RECOVERED where
-    the fix is usable).
+    Returns (p_c, r_cw, codes): camera-frame points (n, 3), world-to-
+    camera rotations and a reason code per row (RECOVERED where the fix
+    is usable).
     """
-    (x, y), converged = undistort_batch(pixel_to_normalized(PixelCoord(u, v), intr), dist)
-    depth = _depth_below_camera(a_uav, d_uuv, rig)
+    (x, y), converged = undistort(pixel_to_normalized(PixelCoord(u, v), intr), dist)
+    depth = a_uav + float(rig.cam_offset[2]) + d_uuv
     r_cw = camera_rotation(gimbal, body, rig)
     ray = np.stack([x, y, np.ones_like(x)], axis=-1)
     s, conditioning = ray_plane_hits(ray, r_cw[..., :, 2], -depth)
@@ -252,7 +168,7 @@ def _hit_depth_plane(u, v, a_uav, d_uuv, gimbal, body, intr, dist, rig):
         RECOVERED,
     )
     with np.errstate(invalid="ignore"):  # parallel rays: 0 * inf
-        return ray * s[:, None], s, r_cw, codes
+        return ray * s[:, None], r_cw, codes
 
 
 def _camera_to_body_enu(p_c, r_cw, body, rig: RigConfig):
@@ -261,62 +177,6 @@ def _camera_to_body_enu(p_c, r_cw, body, rig: RigConfig):
     """
     p_g = (np.swapaxes(r_cw, -1, -2) @ p_c[..., None])[..., 0]
     return p_g + yaw_pitch_roll_matrix(body) @ rig.cam_offset
-
-
-def _raise_for(code):
-    if code != RECOVERED:
-        error, message = _ERRORS[code]
-        raise error(message)
-
-
-def recover_camera_frame(
-    obs: Observation,
-    intr: CameraIntrinsics,
-    dist: DistortionCoeffs,
-    rig: RigConfig,
-) -> tuple[CameraFramePoint, float]:
-    """Recover the target position in the camera frame.
-
-    The pixel is undistorted into a unit-plane ray (x, y, 1), the depth
-    plane is rotated into {C}, and the ray-plane intersection gives the
-    3D point and its scale d.
-
-    Raises:
-        ParallelRay, IllConditionedRay, BehindCamera, NonConvergence,
-        DegenerateGeometry: per-sample geometric failures; callers
-        running batches flag the sample and continue.
-    """
-    p_c, s, _, codes = _hit_depth_plane(
-        np.array([obs.px.u]), np.array([obs.px.v]), np.array([obs.a_uav]),
-        np.array([obs.d_uuv]), as_angles(obs.gimbal)[None], as_angles(obs.body)[None],
-        intr, dist, rig,
-    )
-    _raise_for(codes[0])
-    return CameraFramePoint(*p_c[0].tolist()), float(s[0])
-
-
-def camera_to_uav_enu(p_c, obs: Observation, rig: RigConfig) -> EnuPoint:
-    """Express a camera-frame point in the body-fixed ENU frame {D}.
-
-    The camera offset is rotated by the body attitude and added after
-    rotating the point back out of the camera frame.
-    """
-    r_cw = camera_rotation(obs.gimbal, obs.body, rig)
-    p_d = _camera_to_body_enu(
-        np.asarray(p_c, dtype=float)[None], r_cw[None], as_angles(obs.body)[None], rig
-    )
-    return EnuPoint(*p_d[0].tolist())
-
-
-def recover_uav_enu(
-    obs: Observation,
-    intr: CameraIntrinsics,
-    dist: DistortionCoeffs,
-    rig: RigConfig,
-) -> tuple[CameraFramePoint, EnuPoint, float]:
-    """Run the camera-frame recovery and the ENU transform in one call."""
-    p_c, d = recover_camera_frame(obs, intr, dist, rig)
-    return p_c, camera_to_uav_enu(p_c, obs, rig), d
 
 
 def _degrees_to_angles(columns, prefix):
@@ -330,13 +190,14 @@ def _recover_chunk(columns, config) -> tuple[dict, np.ndarray]:
     intr = config.intrinsics
     a_uav = columns["a_uav"] + config.altitude_datum_offset
     lat = np.radians(columns["ref_lat_deg"])
-    # the checks Observation and GeodeticCoord make on one reading
+    # a row with a non-finite reading, no altitude above the datum, a
+    # negative depth or a latitude beyond the poles is degenerate
     valid = np.all([np.isfinite(columns[k]) for k in OBSERVATION_COLUMNS[1:]], axis=0)
     valid &= np.isfinite(a_uav) & (a_uav > 0) & (columns["d_uuv"] >= 0)
     valid &= np.abs(lat) <= np.pi / 2 + 1e-12
     rows = np.flatnonzero(valid)
     u, v, body = columns["u"][rows], columns["v"][rows], _degrees_to_angles(columns, "body")[rows]
-    p_c, _, r_cw, hit_codes = _hit_depth_plane(
+    p_c, r_cw, hit_codes = _hit_depth_plane(
         u, v, a_uav[rows], columns["d_uuv"][rows], _degrees_to_angles(columns, "gimbal")[rows],
         body, intr, config.distortion, config.rig,
     )

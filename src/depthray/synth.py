@@ -19,9 +19,9 @@ from .camera import (
     distort,
     normalized_to_pixel,
 )
-from .errors import BehindCamera, InfeasibleScene
+from .errors import InfeasibleScene
 from .geodesy import GeodeticCoord
-from .geometry import EulerAngles, as_angles, wrap_angle
+from .geometry import EulerAngles, wrap_angle, yaw_pitch_roll_matrix
 from .recovery import OBSERVATION_COLUMNS, RigConfig, camera_rotation
 from .table import Table
 
@@ -87,10 +87,15 @@ class Scenario:
         return len(self.t)
 
 
-def _project(p_g, gimbal, body, intr, dist, rig):
+def project(p_g, gimbal, body, intr, dist, rig):
     """Stacked forward projection: (n, 3) points in {G} and (n, 3)
     wrapped gimbal and body angles to pixels (u, v) and the camera-frame
-    depth z of each point."""
+    depth z of each point.
+
+    Exact forward composition of the recovery chain: rotate into the
+    camera frame, perspective-divide, distort, scale to pixels. A point
+    at or behind the camera (z <= MIN_CAMERA_Z) has no pixel.
+    """
     p_c = (camera_rotation(gimbal, body, rig) @ p_g[..., None])[..., 0]
     x, y, z = p_c[:, 0], p_c[:, 1], p_c[:, 2]
     # points at or behind the camera give non-finite pixels; callers reject them by z
@@ -99,47 +104,24 @@ def _project(p_g, gimbal, body, intr, dist, rig):
     return u, v, z
 
 
-def project_point(
-    p_g,
-    gimbal: EulerAngles,
-    intr: CameraIntrinsics,
-    dist: DistortionCoeffs,
-    rig: RigConfig,
-    body: EulerAngles = EulerAngles(),
-) -> PixelCoord:
-    """Project a point in {G} through the attitude and lens chain.
-
-    Exact forward composition of the recovery chain: rotate into the
-    camera frame, perspective-divide, distort, scale to pixels.
-
-    Raises:
-        BehindCamera: camera-frame z at or below zero.
-    """
-    u, v, z = _project(
-        np.asarray(p_g, dtype=float)[None], as_angles(gimbal)[None], as_angles(body)[None],
-        intr, dist, rig,
-    )
-    if z[0] <= MIN_CAMERA_Z:
-        raise BehindCamera(f"camera-frame z = {z[0]:.6g}")
-    return PixelCoord(float(u[0]), float(v[0]))
-
-
 def generate_logs(scenario: Scenario) -> tuple[Table, Table]:
     """Produce the observation log and the exact ground truth as tables.
 
     The observation table has the batch-pipeline input columns (pixel
     track, altitude, depth, attitudes, reference fix) with noise applied
-    per channel; the truth table (t, x, y, z) holds the exact {G}
-    positions. The same seed always yields the same rows: noise is drawn
-    row by row, in channel order, for the channels with a nonzero sigma.
+    per channel; the truth table (t, x, y, z) holds the exact positions
+    in {D}, the body-fixed ENU frame of the recovered trajectory, as
+    p_G + R_body o for the camera offset o. The same seed always yields
+    the same rows: noise is drawn row by row, in channel order, for the
+    channels with a nonzero sigma.
 
     Raises:
         InfeasibleScene: a noiseless projection falls outside the image
             or behind the camera (reported with its sample index).
     """
-    intr = scenario.intrinsics
-    u, v, z = _project(
-        scenario.positions, wrap_angle(scenario.gimbal), wrap_angle(scenario.body),
+    intr, body = scenario.intrinsics, wrap_angle(scenario.body)
+    u, v, z = project(
+        scenario.positions, wrap_angle(scenario.gimbal), body,
         intr, scenario.distortion, scenario.rig,
     )
     behind = z <= MIN_CAMERA_Z
@@ -178,7 +160,8 @@ def generate_logs(scenario: Scenario) -> tuple[Table, Table]:
         np.full(n, math.degrees(ref.lat)), np.full(n, math.degrees(ref.lon)),
         np.full(n, float(ref.h)),
     ]))
-    truth = dict(zip(["t", "x", "y", "z"], [scenario.t.copy(), *scenario.positions.T.copy()]))
+    p_d = scenario.positions + yaw_pitch_roll_matrix(body) @ scenario.rig.cam_offset
+    truth = dict(zip(["t", "x", "y", "z"], [scenario.t.copy(), *p_d.T]))
     return Table(obs), Table(truth)
 
 

@@ -18,7 +18,6 @@ from depthray.camera import (
     CameraIntrinsics,
     DistortionCoeffs,
     NormalizedCoord,
-    PixelCoord,
     distort,
     undistort,
 )
@@ -26,7 +25,8 @@ from depthray.cli import main
 from depthray.evaluate import rescale_grid_point, trajectory_errors
 from depthray.geodesy import ecef_to_geodetic, geodetic_to_ecef
 from depthray.geometry import EulerAngles, gimbal_to_camera_rotation
-from depthray.recovery import Observation, camera_rotation, recover_camera_frame
+from depthray.io import RunConfig
+from depthray.recovery import recover_batch
 from depthray.synth import NoiseSpec, build_scenario, generate_logs, lawnmower_path
 
 from conftest import bowring_oracle, random_geodetic, sample_invertible_distortion
@@ -77,30 +77,10 @@ def survey_scenario(n, sigma_px=0.0, sigma_alt=0.0, sigma_gimbal_deg=0.0,
 
 def planar_errors(scenario):
     """Run the recovery chain over generated logs; planar error norms."""
-    from depthray.geodesy import GeodeticCoord
-
     obs_rows, gt_rows = generate_logs(scenario)
-    rig = scenario.rig
-    ref = GeodeticCoord.from_degrees(*REF_DEG)
-    errors = np.empty(len(obs_rows))
-    for i, (o, g) in enumerate(zip(obs_rows, gt_rows)):
-        obs = Observation(
-            t=o["t"],
-            px=PixelCoord(o["u"], o["v"]),
-            a_uav=o["a_uav"],
-            d_uuv=o["d_uuv"],
-            gimbal=EulerAngles.from_degrees(
-                o["gimbal_yaw_deg"], o["gimbal_pitch_deg"], o["gimbal_roll_deg"]
-            ),
-            body=EulerAngles.from_degrees(
-                o["body_yaw_deg"], o["body_pitch_deg"], o["body_roll_deg"]
-            ),
-            ref_geo=ref,
-        )
-        p_c, _ = recover_camera_frame(obs, scenario.intrinsics, scenario.distortion, rig)
-        p_g = camera_rotation(obs.gimbal, obs.body, rig).T @ np.asarray(p_c)
-        errors[i] = math.hypot(p_g[0] - g["x"], p_g[1] - g["y"])
-    return errors
+    config = RunConfig(scenario.intrinsics, scenario.distortion, scenario.rig)
+    traj, _ = recover_batch(obs_rows, config)
+    return np.hypot(traj["enu_x"] - gt_rows["x"], traj["enu_y"] - gt_rows["y"])
 
 
 def test_1_end_to_end_noiseless_identity(tmp_path):
@@ -201,7 +181,7 @@ def test_4_geodetic_round_trip_and_oracle_agreement():
 def test_5_distortion_inversion():
     with criterion(5, "10k invertible-model distortion round trips < 1e-9; zero case exact"):
         n = NormalizedCoord(0.4, -0.3)
-        assert undistort(n, DistortionCoeffs.zero()) == n  # bitwise
+        assert undistort(n, DistortionCoeffs.zero())[0] == n  # bitwise
 
         rng = np.random.default_rng(5)
         worst = 0.0
@@ -210,7 +190,8 @@ def test_5_distortion_inversion():
             r = 0.8 * math.sqrt(rng.uniform())
             ang = rng.uniform(0.0, 2.0 * math.pi)
             point = NormalizedCoord(r * math.cos(ang), r * math.sin(ang))
-            back = undistort(distort(point, d), d)
+            back, converged = undistort(distort(point, d), d)
+            assert converged
             worst = max(worst, abs(back.x - point.x), abs(back.y - point.y))
         assert worst < 1e-9, f"worst round-trip error {worst:.2e}"
 

@@ -1,11 +1,17 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import depthray
 from depthray import io
 from depthray.cli import main
+from depthray.table import Table
 
 CALIB = """\
 fx: 1000.0
@@ -79,6 +85,32 @@ class TestPipeline:
         assert report["n_samples"] == 120
         assert report["n_excluded"] == 0
 
+    def test_camera_offset_identity(self, workdir, capsys):
+        # truth and trajectory are both in the body-fixed ENU frame, so an
+        # offset camera on a yawed body still evaluates to zero error
+        rig = "cam_offset: [0.3, 0.0, -0.2]\n"
+        (workdir / "offset.yaml").write_text(SCENARIO + rig + "body_yaw_deg: 30.0\n",
+                                             encoding="utf-8")
+        (workdir / "run.yaml").write_text("calibration: cal.yaml\n" + rig, encoding="utf-8")
+        simulate(workdir, scenario="offset.yaml")
+        assert run(
+            workdir, "recover",
+            "--config", workdir / "run.yaml",
+            "--input", workdir / "obs.csv",
+            "--output", workdir / "traj.csv",
+        ) == 0
+        capsys.readouterr()
+        assert run(
+            workdir, "evaluate",
+            "--config", workdir / "run.yaml",
+            "--input", workdir / "traj.csv",
+            "--gt", workdir / "gt.csv",
+        ) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["n_samples"] == 120
+        assert report["mae"] <= 1e-9
+        assert report["z_mae"] <= 1e-9
+
     def test_trajectory_columns_and_geodetic_output(self, workdir):
         simulate(workdir)
         run(
@@ -90,9 +122,9 @@ class TestPipeline:
         rows = io.read_trajectory(workdir / "traj.csv")
         assert len(rows) == 120
         # geodetic fix stays near the reference for a 10 m survey
-        assert abs(rows[0]["lat_deg"] - 42.87) < 0.01
-        assert abs(rows[0]["lon_deg"] - 17.7) < 0.01
-        assert rows[0]["flags"] == ""
+        assert abs(rows["lat_deg"][0] - 42.87) < 0.01
+        assert abs(rows["lon_deg"][0] - 17.7) < 0.01
+        assert rows["flags"][0] == ""
 
     def test_deterministic_bytes(self, workdir):
         noisy = SCENARIO + "sigma_px: 2.0\nseed: 11\n"
@@ -137,7 +169,7 @@ class TestRecoverErrors:
     def test_degenerate_row_flagged_and_run_continues(self, workdir):
         simulate(workdir)
         rows = io.read_observations(workdir / "obs.csv")
-        rows[3]["a_uav"] = -5.0
+        rows["a_uav"][3] = -5.0
         io.write_observations(workdir / "obs.csv", rows)
         assert run(
             workdir, "recover",
@@ -205,9 +237,8 @@ class TestEvaluateCommand:
         simulate(workdir)
         self._recover(workdir)
         gt = io.read_ground_truth(workdir / "gt.csv")
-        for row in gt:
-            row["x"] -= 0.3
-            row["y"] -= 0.4
+        gt["x"][:] -= 0.3
+        gt["y"][:] -= 0.4
         io.write_ground_truth(workdir / "gt.csv", gt)
         capsys.readouterr()
         run(
@@ -224,8 +255,7 @@ class TestEvaluateCommand:
         simulate(workdir)
         self._recover(workdir)
         gt = io.read_ground_truth(workdir / "gt.csv")
-        for row in gt:
-            row["t"] += 1000.0
+        gt["t"][:] += 1000.0
         io.write_ground_truth(workdir / "gt.csv", gt)
         code = run(
             workdir, "evaluate",
@@ -244,10 +274,9 @@ class TestEvaluateCommand:
         yaw = math.radians(-67.3)
         c, s = math.cos(yaw), math.sin(yaw)
         gt = io.read_ground_truth(workdir / "gt.csv")
-        for row in gt:
-            x, y = row["x"], row["y"]
-            row["x"] = c * x + s * y + 2.0
-            row["y"] = -s * x + c * y - 1.0
+        x, y = gt["x"].copy(), gt["y"].copy()
+        gt["x"][:] = c * x + s * y + 2.0
+        gt["y"][:] = -s * x + c * y - 1.0
         io.write_ground_truth(workdir / "gt.csv", gt)
         (workdir / "run_gt.yaml").write_text(
             "calibration: cal.yaml\n"
@@ -272,11 +301,10 @@ class TestEvaluateCommand:
         # looking down would read it; rescaling must undo the shrink
         a_cam = 25.0
         gt = io.read_ground_truth(workdir / "gt.csv")
-        for row in gt:
-            depth = -row["z"] - a_cam
-            factor = a_cam / (a_cam + depth)
-            row["x"] *= factor
-            row["y"] *= factor
+        depth = -gt["z"] - a_cam
+        factor = a_cam / (a_cam + depth)
+        gt["x"][:] *= factor
+        gt["y"][:] *= factor
         io.write_ground_truth(workdir / "gt.csv", gt)
         (workdir / "run_rescale.yaml").write_text(
             "calibration: cal.yaml\ngt_rescale: true\ngt_rescale_a_cam: 25.0\n",
@@ -291,6 +319,35 @@ class TestEvaluateCommand:
         )
         report = json.loads(capsys.readouterr().out)
         assert report["mae"] <= 1e-9
+
+    def test_counts_recover_exclusions(self, workdir, capsys):
+        simulate(workdir)
+        rows = io.read_observations(workdir / "obs.csv")
+        rows["a_uav"][[3, 50, 51]] = -5.0
+        io.write_observations(workdir / "obs.csv", rows)
+        self._recover(workdir)
+        capsys.readouterr()
+        assert run(
+            workdir, "evaluate",
+            "--config", workdir / "run.yaml",
+            "--input", workdir / "traj.csv",
+            "--gt", workdir / "gt.csv",
+        ) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["n_samples"] == 117
+        assert report["n_excluded"] == 3
+
+    def test_bad_exclusions_header_exits_1(self, workdir, capsys):
+        simulate(workdir)
+        self._recover(workdir)
+        (workdir / "traj.csv.exclusions.csv").write_text("row,reason\n", encoding="utf-8")
+        assert run(
+            workdir, "evaluate",
+            "--config", workdir / "run.yaml",
+            "--input", workdir / "traj.csv",
+            "--gt", workdir / "gt.csv",
+        ) == 1
+        assert "exclusions.csv" in capsys.readouterr().err
 
     def test_empty_gt_exits_1(self, workdir, capsys):
         simulate(workdir)
@@ -316,11 +373,10 @@ class TestOriginTrack:
         # a hovering drift shifts the vehicle and the origin landmark by
         # the same pixel vector; the origin track removes it
         rows = io.read_observations(workdir / "obs.csv")
-        track = []
-        for row in rows:
-            row["u"] += 17.0
-            row["v"] -= 9.0
-            track.append({"t": row["t"], "u": 960.0 + 17.0, "v": 540.0 - 9.0})
+        rows["u"][:] += 17.0
+        rows["v"][:] -= 9.0
+        n = len(rows)
+        track = Table({"t": rows["t"], "u": np.full(n, 960.0 + 17.0), "v": np.full(n, 540.0 - 9.0)})
         io.write_observations(workdir / "obs.csv", rows)
         io._write_rows(workdir / "origin.csv", io.TRACK_COLUMNS, track)
         assert run(
@@ -332,9 +388,8 @@ class TestOriginTrack:
         ) == 0
         clean = io.read_trajectory(workdir / "clean.csv")
         corrected = io.read_trajectory(workdir / "corrected.csv")
-        for a, b in zip(clean, corrected):
-            assert b["enu_x"] == pytest.approx(a["enu_x"], abs=1e-12)
-            assert b["enu_y"] == pytest.approx(a["enu_y"], abs=1e-12)
+        assert corrected["enu_x"] == pytest.approx(clean["enu_x"], abs=1e-12)
+        assert corrected["enu_y"] == pytest.approx(clean["enu_y"], abs=1e-12)
 
 
 class TestSimulateErrors:
@@ -350,3 +405,27 @@ class TestSimulateErrors:
         )
         assert code == 2
         assert "sample" in capsys.readouterr().err
+
+
+class TestModuleEntry:
+    def run_module(self, workdir, config):
+        src = Path(depthray.__file__).resolve().parents[1]
+        return subprocess.run(
+            [sys.executable, "-m", "depthray.cli", "recover", "--config", str(workdir / config),
+             "--input", str(workdir / "obs.csv"), "--output", str(workdir / "traj.csv")],
+            env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, text=True, timeout=60,
+        )
+
+    def test_python_m_runs_the_command(self, workdir):
+        simulate(workdir)
+        result = self.run_module(workdir, "run.yaml")
+        assert result.returncode == 0, result.stderr
+        assert "recovered 120 of 120 samples" in result.stdout
+        assert len(io.read_trajectory(workdir / "traj.csv")) == 120
+
+    def test_python_m_missing_config_exits_2(self, workdir):
+        simulate(workdir)
+        result = self.run_module(workdir, "absent.yaml")
+        assert result.returncode == 2
+        assert "absent.yaml" in result.stderr
+        assert not (workdir / "traj.csv").exists()

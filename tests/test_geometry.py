@@ -4,13 +4,11 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from depthray.errors import BehindCamera, ParallelRay
 from depthray.geometry import (
+    PARALLEL_EPS,
     EulerAngles,
-    Plane,
-    Ray,
     gimbal_to_camera_rotation,
-    intersect_ray_plane,
+    ray_plane_hits,
     rot_x,
     rot_y,
     rot_z,
@@ -98,31 +96,28 @@ class TestGimbalChain:
 
 
 class TestRayPlane:
+    """ray_plane_hits, the depth-plane kernel of the recovery."""
+
     def test_axis_aligned_intersection(self):
-        ray = Ray(origin=np.zeros(3), direction=np.array([0.0, 0.0, 1.0]))
-        plane = Plane(point=np.array([0.0, 0.0, 10.0]), normal=np.array([0.0, 0.0, 1.0]))
-        point, d = intersect_ray_plane(ray, plane)
-        assert_allclose(point, [0.0, 0.0, 10.0])
+        direction = np.array([0.0, 0.0, 1.0])
+        d, _ = ray_plane_hits(direction, np.array([0.0, 0.0, 1.0]), 10.0)
+        assert_allclose(direction * d, [0.0, 0.0, 10.0])
         assert d == pytest.approx(10.0)
 
     def test_oblique_ray_similar_triangles(self):
-        ray = Ray(origin=np.zeros(3), direction=np.array([0.5, 0.0, 1.0]))
-        plane = Plane(point=np.array([0.0, 0.0, 10.0]), normal=np.array([0.0, 0.0, 1.0]))
-        point, d = intersect_ray_plane(ray, plane)
-        assert_allclose(point, [5.0, 0.0, 10.0])
+        direction = np.array([0.5, 0.0, 1.0])
+        d, _ = ray_plane_hits(direction, np.array([0.0, 0.0, 1.0]), 10.0)
+        assert_allclose(direction * d, [5.0, 0.0, 10.0])
         assert d == pytest.approx(10.0)
 
     def test_parallel_ray_raises(self):
-        ray = Ray(origin=np.zeros(3), direction=np.array([1.0, 0.0, 0.0]))
-        plane = Plane(point=np.array([0.0, 0.0, 10.0]), normal=np.array([0.0, 0.0, 1.0]))
-        with pytest.raises(ParallelRay):
-            intersect_ray_plane(ray, plane)
+        d, conditioning = ray_plane_hits(np.array([1.0, 0.0, 0.0]), np.array([0.0, 0.0, 1.0]), 10.0)
+        assert conditioning <= PARALLEL_EPS
+        assert not np.isfinite(d)
 
     def test_intersection_behind_origin_raises(self):
-        ray = Ray(origin=np.zeros(3), direction=np.array([0.0, 0.0, 1.0]))
-        plane = Plane(point=np.array([0.0, 0.0, -4.0]), normal=np.array([0.0, 0.0, 1.0]))
-        with pytest.raises(BehindCamera):
-            intersect_ray_plane(ray, plane)
+        d, _ = ray_plane_hits(np.array([0.0, 0.0, 1.0]), np.array([0.0, 0.0, 1.0]), -4.0)
+        assert d <= 0.0
 
     def test_point_satisfies_plane_equation(self):
         rng = np.random.default_rng(8)
@@ -132,37 +127,27 @@ class TestRayPlane:
             normal = rng.uniform(-1.0, 1.0, 3)
             if np.linalg.norm(direction) < 0.1 or np.linalg.norm(normal) < 0.1:
                 continue
-            plane = Plane(point=rng.uniform(-20.0, 20.0, 3), normal=normal)
-            ray = Ray(origin=rng.uniform(-5.0, 5.0, 3), direction=direction)
-            cosine = abs(direction @ plane.normal) / np.linalg.norm(direction)
-            if cosine < 1e-3:
+            normal /= np.linalg.norm(normal)
+            plane_point = rng.uniform(-20.0, 20.0, 3)
+            origin = rng.uniform(-5.0, 5.0, 3)
+            d, cosine = ray_plane_hits(direction, normal, (plane_point - origin) @ normal)
+            if cosine < 1e-3 or d <= 0.0:
                 continue
-            try:
-                point, _ = intersect_ray_plane(ray, plane)
-            except BehindCamera:
-                continue
-            assert abs((point - plane.point) @ plane.normal) < 1e-9
+            point = origin + direction * d
+            assert abs((point - plane_point) @ normal) < 1e-9
             count += 1
 
     def test_result_invariant_to_plane_anchor(self):
         # moving the anchor within the plane leaves the hit unchanged
         rng = np.random.default_rng(9)
         normal = np.array([0.2, -0.3, 0.93])
-        plane = Plane(point=np.array([1.0, 2.0, 12.0]), normal=normal)
-        ray = Ray(origin=np.zeros(3), direction=np.array([0.1, 0.2, 1.0]))
-        point, d = intersect_ray_plane(ray, plane)
+        normal /= np.linalg.norm(normal)
+        anchor = np.array([1.0, 2.0, 12.0])
+        direction = np.array([0.1, 0.2, 1.0])
+        d, _ = ray_plane_hits(direction, normal, anchor @ normal)
         for _ in range(20):
             shift = rng.uniform(-5.0, 5.0, 3)
-            shift -= (shift @ plane.normal) * plane.normal  # keep it in-plane
-            moved = Plane(point=plane.point + shift, normal=normal)
-            point2, d2 = intersect_ray_plane(ray, moved)
-            assert_allclose(point2, point, atol=1e-9)
+            shift -= (shift @ normal) * normal  # keep it in-plane
+            d2, _ = ray_plane_hits(direction, normal, (anchor + shift) @ normal)
+            assert_allclose(direction * d2, direction * d, atol=1e-9)
             assert d2 == pytest.approx(d, abs=1e-9)
-
-    def test_plane_normalizes_normal(self):
-        plane = Plane(point=np.zeros(3), normal=np.array([0.0, 0.0, 5.0]))
-        assert_allclose(plane.normal, [0.0, 0.0, 1.0])
-
-    def test_zero_direction_rejected(self):
-        with pytest.raises(ValueError):
-            Ray(origin=np.zeros(3), direction=np.zeros(3))

@@ -3,6 +3,7 @@ import pytest
 
 from depthray import io
 from depthray.errors import ConfigError, SchemaError
+from depthray.table import Table
 
 CALIB = """\
 fx: 1000.0
@@ -130,10 +131,8 @@ calibration: {fx: 1000.0, fy: 1000.0, cx: 960.0, cy: 540.0, width: 1920, height:
 
 class TestCsv:
     def test_observation_round_trip_bit_exact(self, tmp_path):
-        rows = [
-            {c: v for c, v in zip(io.OBSERVATION_COLUMNS, np.random.default_rng(5).uniform(0.1, 100.0, 14))}
-            for _ in range(4)
-        ]
+        values = np.random.default_rng(5).uniform(0.1, 100.0, 14)
+        rows = Table({c: np.full(4, v) for c, v in zip(io.OBSERVATION_COLUMNS, values)})
         path = tmp_path / "obs.csv"
         io.write_observations(path, rows)
         back = io.read_observations(path)

@@ -1,73 +1,117 @@
-"""recover_batch against the one-observation functions, row by row."""
+"""recover_batch against references that share none of its code: the
+simulator's {D} truth, the row-level validity checks spelled out, and
+the same rows recovered one at a time."""
 
 import math
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from depthray.camera import CameraIntrinsics, DistortionCoeffs, PixelCoord
-from depthray.errors import DepthrayError
-from depthray.geodesy import WGS84, Ellipsoid, GeodeticCoord, ecef_to_geodetic, enu_to_ecef
+from depthray.camera import CameraIntrinsics, DistortionCoeffs
+from depthray.errors import InfeasibleScene
+from depthray.geodesy import WGS84, Ellipsoid, GeodeticCoord, geodetic_to_ecef
 from depthray.geometry import EulerAngles
 from depthray.io import RunConfig
 from depthray.recovery import (
     OBSERVATION_COLUMNS,
     REASONS,
-    Observation,
+    TRAJECTORY_COLUMNS,
     RigConfig,
-    camera_to_uav_enu,
     recover_batch,
-    recover_camera_frame,
 )
+from depthray.synth import NoiseSpec, build_scenario, generate_logs, line_path
 
 from conftest import sample_invertible_distortion
 
 INTRINSICS = CameraIntrinsics(1000.0, 1000.0, 960.0, 540.0, 1920, 1080)
 
-# what a caller of the one-observation functions maps each error to
-REASON_OF_ERROR = {
-    "ParallelRay": "parallel_ray",
-    "IllConditionedRay": "ill_conditioned",
-    "BehindCamera": "behind_camera",
-    "NonConvergence": "undistort_nonconvergence",
-    "DegenerateGeometry": "degenerate",
-}
-
-
-def scalar_recover(row, config):
-    """Reference: one observation at a time through the scalar API.
-
-    Returns (reason, trajectory values or None).
-    """
-    try:
-        obs = Observation(
-            t=row["t"],
-            px=PixelCoord(row["u"], row["v"]),
-            a_uav=row["a_uav"] + config.altitude_datum_offset,
-            d_uuv=row["d_uuv"],
-            gimbal=EulerAngles.from_degrees(
-                row["gimbal_yaw_deg"], row["gimbal_pitch_deg"], row["gimbal_roll_deg"]
-            ),
-            body=EulerAngles.from_degrees(
-                row["body_yaw_deg"], row["body_pitch_deg"], row["body_roll_deg"]
-            ),
-            ref_geo=GeodeticCoord.from_degrees(
-                row["ref_lat_deg"], row["ref_lon_deg"], row["ref_alt_m"]
-            ),
-        )
-    except ValueError:
-        return "degenerate", None
-    try:
-        p_c, _ = recover_camera_frame(obs, config.intrinsics, config.distortion, config.rig)
-    except DepthrayError as exc:
-        return REASON_OF_ERROR[type(exc).__name__], None
-    p_d = camera_to_uav_enu(p_c, obs, config.rig)
-    geo = ecef_to_geodetic(enu_to_ecef(p_d, obs.ref_geo, config.ellipsoid), config.ellipsoid)
-    return "", (*p_c, *p_d, math.degrees(geo.lat), math.degrees(geo.lon), geo.h)
-
-
 finite = dict(allow_nan=False, allow_infinity=False)
+
+
+def ecef_to_enu(x, y, z, ref: GeodeticCoord, ell):
+    """ENU offsets of ECEF points from `ref`, from the textbook rotation."""
+    o = geodetic_to_ecef(ref, ell)
+    dx, dy, dz = x - o.x, y - o.y, z - o.z
+    sl, cl = math.sin(ref.lat), math.cos(ref.lat)
+    so, co = math.sin(ref.lon), math.cos(ref.lon)
+    return np.column_stack([
+        -so * dx + co * dy,
+        -sl * co * dx - sl * so * dy + cl * dz,
+        cl * co * dx + cl * so * dy + sl * dz,
+    ])
+
+
+@st.composite
+def ellipsoids(draw):
+    if not draw(st.booleans()):
+        return WGS84
+    r_e = draw(st.floats(1e6, 8e6))
+    return Ellipsoid(r_e=r_e, r_p=r_e * (1.0 - draw(st.floats(0.0, 0.01))))
+
+
+@st.composite
+def rigs(draw):
+    offset = draw(st.lists(st.floats(-0.5, 0.5, **finite), min_size=3, max_size=3))
+    return RigConfig(
+        cam_offset=np.array(offset),
+        gimbal_pitch_sign=draw(st.sampled_from([1, -1])),
+        gimbal_frame=draw(st.sampled_from(["world", "body"])),
+    )
+
+
+angle = st.floats(-0.15, 0.15, **finite)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    rig=rigs(),
+    ell=ellipsoids(),
+    lens_seed=st.one_of(st.none(), st.integers(0, 2**32 - 1)),
+    gimbal=st.tuples(st.floats(-math.pi, math.pi, **finite), angle, angle),
+    body=st.tuples(st.floats(-math.pi, math.pi, **finite), angle, angle),
+    altitude=st.floats(15.0, 40.0, **finite),
+    depths=st.tuples(st.floats(0.0, 3.0, **finite), st.floats(0.0, 3.0, **finite)),
+    end=st.tuples(st.floats(-3.0, 3.0, **finite), st.floats(-3.0, 3.0, **finite)),
+    ref=st.tuples(st.floats(-89.0, 89.0, **finite), st.floats(-180.0, 180.0, **finite),
+                  st.floats(-50.0, 3000.0, **finite)),
+)
+def test_noiseless_logs_recover_the_body_frame_truth(
+    rig, ell, lens_seed, gimbal, body, altitude, depths, end, ref,
+):
+    if lens_seed is None:
+        dist = DistortionCoeffs.zero()
+    else:
+        dist = sample_invertible_distortion(
+            np.random.default_rng(lens_seed), k_max=0.3, p_max=0.01, r_max=0.85
+        )
+    # nadir as the vendor reports it: -90 deg, or +90 deg with pitch sign -1
+    yaw, tilt, roll = gimbal
+    gimbal = EulerAngles(yaw, rig.gimbal_pitch_sign * (-math.pi / 2 + tilt), roll)
+    ref_geo = GeodeticCoord.from_degrees(*ref)
+    scenario = build_scenario(
+        path_xy=line_path(25, [0.0, 0.0], end), duration=10.0, altitude=altitude,
+        depth_min=depths[0], depth_max=depths[1], ref_geo=ref_geo,
+        intrinsics=INTRINSICS, distortion=dist, rig=rig, noise=NoiseSpec(),
+        gimbal=gimbal, body=EulerAngles(*body),
+    )
+    try:
+        obs, truth = generate_logs(scenario)
+    except InfeasibleScene:
+        assume(False)
+    trajectory, codes = recover_batch(obs, RunConfig(INTRINSICS, dist, rig, ell))
+    assert [REASONS[c] for c in codes] == [""] * len(obs)
+    expected = np.column_stack([truth["x"], truth["y"], truth["z"]])
+    enu = np.column_stack([trajectory["enu_x"], trajectory["enu_y"], trajectory["enu_z"]])
+    np.testing.assert_allclose(enu, expected, rtol=0.0, atol=1e-8)
+    # the geodetic fix lands on the same point of the chosen ellipsoid
+    fix = geodetic_to_ecef(GeodeticCoord.from_degrees(
+        trajectory["lat_deg"], trajectory["lon_deg"], trajectory["alt_m"]
+    ), ell)
+    np.testing.assert_allclose(ecef_to_enu(fix.x, fix.y, fix.z, ref_geo, ell), expected,
+                               rtol=0.0, atol=1e-6)
+
+
 rows = st.fixed_dictionaries({
     "t": st.floats(0.0, 1e4, **finite),
     "u": st.floats(-200.0, 2120.0, **finite),
@@ -99,13 +143,7 @@ edge_rows = st.builds(
 
 @st.composite
 def configs(draw):
-    offset = draw(st.lists(st.floats(-0.5, 0.5, **finite), min_size=3, max_size=3))
-    sign = draw(st.sampled_from([1, -1]))
-    rig = RigConfig(
-        cam_offset=np.array(offset),
-        gimbal_pitch_sign=sign,
-        gimbal_frame=draw(st.sampled_from(["world", "body"])),
-    )
+    rig = draw(rigs())
     lens = draw(st.sampled_from(["invertible", "none", "folded"]))
     if lens == "invertible":
         rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -114,31 +152,40 @@ def configs(draw):
         dist = DistortionCoeffs.zero()
     else:  # pixels beyond ~0.54 focal lengths off axis have no preimage
         dist = DistortionCoeffs(k1=-0.5)
-    if draw(st.booleans()):
-        r_e = draw(st.floats(1e6, 8e6))
-        ell = Ellipsoid(r_e=r_e, r_p=r_e * (1.0 - draw(st.floats(0.0, 0.01))))
-    else:
-        ell = WGS84
     return RunConfig(
-        intrinsics=INTRINSICS, distortion=dist, rig=rig, ellipsoid=ell,
+        intrinsics=INTRINSICS, distortion=dist, rig=rig, ellipsoid=draw(ellipsoids()),
         altitude_datum_offset=draw(st.floats(-1.0, 1.0, **finite)),
-    ), sign
+    )
+
+
+def as_text(trajectory):
+    """Each trajectory column as the strings the CSV writer puts in a file."""
+    return {
+        c: list(map(repr, trajectory[c].tolist())) if c != "flags" else trajectory[c].tolist()
+        for c in TRAJECTORY_COLUMNS
+    }
 
 
 @settings(max_examples=60, deadline=None)
 @given(configs(), st.lists(st.one_of(rows, nadir_rows, edge_rows), min_size=1, max_size=12))
-def test_batch_matches_one_row_functions(config_and_sign, drawn):
-    config, sign = config_and_sign
+def test_rows_one_at_a_time_match_the_batch(config, drawn):
     for row in drawn:
-        row["gimbal_pitch_deg"] *= sign  # vendors reporting nadir as +90
+        row["gimbal_pitch_deg"] *= config.rig.gimbal_pitch_sign  # nadir as +90 deg
     columns = {name: np.array([row[name] for row in drawn]) for name in OBSERVATION_COLUMNS}
     trajectory, codes = recover_batch(columns, config)
-    expected = [scalar_recover(row, config) for row in drawn]
-    assert [REASONS[c] for c in codes] == [reason for reason, _ in expected]
-    values = [v for _, v in expected if v is not None]
-    assert len(trajectory) == len(values)
-    for row, want in zip(trajectory, values):
-        got = [row[c] for c in ("cam_x", "cam_y", "cam_z", "enu_x", "enu_y", "enu_z")]
-        np.testing.assert_allclose(got, want[:6], rtol=0.0, atol=1e-9)
-        np.testing.assert_allclose([row["lat_deg"], row["lon_deg"]], want[6:8], rtol=0.0, atol=1e-12)
-        np.testing.assert_allclose(row["alt_m"], want[8], rtol=0.0, atol=1e-9)
+
+    # the readings no recovery can use: no altitude above the datum, a
+    # negative depth, or a latitude beyond the poles
+    for row, code in zip(drawn, codes):
+        if (
+            row["a_uav"] + config.altitude_datum_offset <= 0
+            or row["d_uuv"] < 0
+            or abs(math.radians(row["ref_lat_deg"])) > math.pi / 2 + 1e-12
+        ):
+            assert REASONS[code] == "degenerate"
+
+    alone = [recover_batch({k: v[i:i + 1] for k, v in columns.items()}, config)
+             for i in range(len(drawn))]
+    assert [int(c[0]) for _, c in alone] == codes.tolist()
+    one_by_one = {c: sum((as_text(t)[c] for t, _ in alone), []) for c in TRAJECTORY_COLUMNS}
+    assert one_by_one == as_text(trajectory)

@@ -1,79 +1,100 @@
+import math
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from depthray.camera import CameraIntrinsics, DistortionCoeffs, PixelCoord
-from depthray.errors import (
-    BehindCamera,
-    DegenerateGeometry,
-    IllConditionedRay,
-    ParallelRay,
-)
-from depthray.geodesy import GeodeticCoord
+from depthray.camera import CameraIntrinsics, DistortionCoeffs
 from depthray.geometry import (
     CAM_FROM_FORWARD,
     EulerAngles,
-    Plane,
-    Ray,
-    intersect_ray_plane,
+    as_angles,
+    ray_plane_hits,
     yaw_pitch_roll_matrix,
 )
+from depthray.io import RunConfig
 from depthray.recovery import (
-    Observation,
+    BEHIND_CAMERA,
+    DEGENERATE,
+    ILL_CONDITIONED,
+    PARALLEL_RAY,
+    RECOVERED,
     RigConfig,
-    build_plane,
     camera_rotation,
-    camera_to_uav_enu,
-    recover_camera_frame,
-    recover_uav_enu,
+    recover_batch,
 )
-from depthray.synth import project_point
+from depthray.synth import project
 
-REF = GeodeticCoord.from_degrees(42.87, 17.7, 25.0)
+REF_DEG = (42.87, 17.7, 25.0)
 NADIR = EulerAngles(pitch=-np.pi / 2)
 LEVEL = EulerAngles()
+CAM = ("cam_x", "cam_y", "cam_z")
+ENU = ("enu_x", "enu_y", "enu_z")
 
 
-def make_obs(px, a_uav=25.0, d_uuv=0.63, gimbal=NADIR, body=LEVEL, t=0.0):
-    return Observation(t=t, px=PixelCoord(*px), a_uav=a_uav, d_uuv=d_uuv,
-                       gimbal=gimbal, body=body, ref_geo=REF)
+def make_columns(px, a_uav=25.0, d_uuv=0.63, gimbal=NADIR, body=LEVEL, t=0.0):
+    """One observation row as recover_batch input columns."""
+    values = {
+        "t": t, "u": px[0], "v": px[1], "a_uav": a_uav, "d_uuv": d_uuv,
+        "gimbal_yaw_deg": math.degrees(gimbal.yaw),
+        "gimbal_pitch_deg": math.degrees(gimbal.pitch),
+        "gimbal_roll_deg": math.degrees(gimbal.roll),
+        "body_yaw_deg": math.degrees(body.yaw),
+        "body_pitch_deg": math.degrees(body.pitch),
+        "body_roll_deg": math.degrees(body.roll),
+        "ref_lat_deg": REF_DEG[0], "ref_lon_deg": REF_DEG[1], "ref_alt_m": REF_DEG[2],
+    }
+    return {name: np.atleast_1d(np.asarray(v, dtype=float)) for name, v in values.items()}
 
 
 class TestBuildPlane:
-    def test_offsets_and_depth_sum(self):
-        rig = RigConfig(cam_offset=np.array([0.0, 0.0, -0.2]))
-        plane = build_plane(25.0, 0.63, rig)
-        assert_allclose(plane.point, [0.0, 0.0, -25.43])
-        assert_allclose(plane.normal, [0.0, 0.0, 1.0])
+    """The depth plane: camera height plus offset plus target depth."""
 
-    def test_surface_target(self):
-        plane = build_plane(10.0, 0.0, RigConfig())
-        assert_allclose(plane.point, [0.0, 0.0, -10.0])
-
-    def test_camera_below_surface_degenerate(self):
+    def test_offsets_and_depth_sum(self, intrinsics):
         rig = RigConfig(cam_offset=np.array([0.0, 0.0, -0.2]))
-        with pytest.raises(DegenerateGeometry):
-            build_plane(0.1, 0.0, rig)
+        config = RunConfig(intrinsics, DistortionCoeffs.zero(), rig)
+        r = camera_rotation(NADIR, LEVEL, rig)
+        traj, _ = recover_batch(make_columns((960.0, 540.0)), config)
+        assert_allclose(r.T @ [traj[c][0] for c in CAM], [0.0, 0.0, -25.43], atol=1e-12)
+        # an off-axis hit lies at the same height: the plane's normal is e_z
+        traj, _ = recover_batch(make_columns((1300.0, 200.0)), config)
+        assert_allclose((r.T @ [traj[c][0] for c in CAM])[2], -25.43)
+
+    def test_surface_target(self, intrinsics):
+        traj, _ = recover_batch(
+            make_columns((960.0, 540.0), a_uav=10.0, d_uuv=0.0),
+            RunConfig(intrinsics, DistortionCoeffs.zero(), RigConfig()),
+        )
+        p_g = camera_rotation(NADIR, LEVEL, RigConfig()).T @ [traj[c][0] for c in CAM]
+        assert_allclose(p_g, [0.0, 0.0, -10.0], atol=1e-12)
+
+    def test_camera_below_surface_degenerate(self, intrinsics):
+        rig = RigConfig(cam_offset=np.array([0.0, 0.0, -0.2]))
+        _, codes = recover_batch(
+            make_columns((960.0, 540.0), a_uav=0.1, d_uuv=0.0),
+            RunConfig(intrinsics, DistortionCoeffs.zero(), rig),
+        )
+        assert codes[0] == DEGENERATE
 
 
 class TestRecoverCameraFrame:
     def test_nadir_principal_point(self, intrinsics):
         # ray along the optical axis: range is the full vertical distance
-        p, d = recover_camera_frame(
-            make_obs((960.0, 540.0)), intrinsics, DistortionCoeffs.zero(), RigConfig()
+        traj, codes = recover_batch(
+            make_columns((960.0, 540.0)), RunConfig(intrinsics, DistortionCoeffs.zero(), RigConfig())
         )
-        assert p == pytest.approx((0.0, 0.0, 25.63), abs=1e-12)
-        assert d == pytest.approx(25.63, abs=1e-12)
+        assert codes[0] == RECOVERED
+        assert [traj[c][0] for c in CAM] == pytest.approx((0.0, 0.0, 25.63), abs=1e-12)
 
     def test_forward_projection_round_trip(self, intrinsics):
         rig = RigConfig()
         dist = DistortionCoeffs(k1=-0.1, k2=0.05, p1=0.001, p2=-0.002)
         truth = np.array([3.0, -2.0, -25.63])
-        px = project_point(truth, NADIR, intrinsics, dist, rig)
-        obs = make_obs(px)
-        p_c, _ = recover_camera_frame(obs, intrinsics, dist, rig)
+        u, v, _ = project(truth[None], as_angles(NADIR)[None], as_angles(LEVEL)[None],
+                          intrinsics, dist, rig)
+        traj, _ = recover_batch(make_columns((u, v)), RunConfig(intrinsics, dist, rig))
         expected_c = camera_rotation(NADIR, LEVEL, rig) @ truth
-        assert_allclose(p_c, expected_c, atol=1e-9)
+        assert_allclose([traj[c][0] for c in CAM], expected_c, atol=1e-9)
 
     def test_random_scene_round_trips(self, intrinsics):
         rng = np.random.default_rng(61)
@@ -98,20 +119,27 @@ class TestRecoverCameraFrame:
             r = camera_rotation(gimbal, body, rig)
             if (r @ truth)[2] < 0.2 * depth:
                 continue  # scene behind or grazing the camera
-            px = project_point(truth, gimbal, intrinsics, dist, rig, body)
-            obs = make_obs(px, a_uav=a_uav, d_uuv=d_uuv, gimbal=gimbal, body=body)
-            p_c, d = recover_camera_frame(obs, intrinsics, dist, rig)
-            assert_allclose(p_c, r @ truth, atol=1e-9)
-            assert d > 0
+            u, v, _ = project(truth[None], as_angles(gimbal)[None], as_angles(body)[None],
+                              intrinsics, dist, rig)
+            traj, codes = recover_batch(
+                make_columns((u, v), a_uav=a_uav, d_uuv=d_uuv, gimbal=gimbal, body=body),
+                RunConfig(intrinsics, dist, rig),
+            )
+            assert_allclose([traj[c][0] for c in CAM], r @ truth, atol=1e-9)
+            assert codes[0] == RECOVERED and traj["cam_z"][0] > 0
             count += 1
 
     def test_recovered_point_lies_on_rotated_plane(self, intrinsics):
         rig = RigConfig()
-        obs = make_obs((1200.0, 300.0), gimbal=EulerAngles(yaw=0.4, pitch=-1.2, roll=0.1))
-        p_c, _ = recover_camera_frame(obs, intrinsics, DistortionCoeffs.zero(), rig)
-        plane = build_plane(obs.a_uav, obs.d_uuv, rig)
-        r = camera_rotation(obs.gimbal, obs.body, rig)
-        residual = (np.asarray(p_c) - r @ plane.point) @ (r @ plane.normal)
+        gimbal = EulerAngles(yaw=0.4, pitch=-1.2, roll=0.1)
+        traj, _ = recover_batch(
+            make_columns((1200.0, 300.0), gimbal=gimbal),
+            RunConfig(intrinsics, DistortionCoeffs.zero(), rig),
+        )
+        p_c = np.array([traj[c][0] for c in CAM])
+        plane_point, plane_normal = np.array([0.0, 0.0, -25.63]), np.array([0.0, 0.0, 1.0])
+        r = camera_rotation(gimbal, LEVEL, rig)
+        residual = (p_c - r @ plane_point) @ (r @ plane_normal)
         assert abs(residual) < 1e-9
 
     def test_pixel_noise_first_order_magnitude(self):
@@ -121,16 +149,17 @@ class TestRecoverCameraFrame:
         sigma_px, z = 2.0, 25.63
         predicted = sigma_px / 2000.0 * z
         truth = np.array([0.0, 0.0, -z])
-        px = project_point(truth, NADIR, intr, DistortionCoeffs.zero(), rig)
+        u, v, _ = project(truth[None], as_angles(NADIR)[None], as_angles(LEVEL)[None],
+                          intr, DistortionCoeffs.zero(), rig)
         rng = np.random.default_rng(67)
-        errors = np.empty((1000, 2))
-        for i in range(1000):
-            noisy = PixelCoord(px.u + rng.normal(0, sigma_px), px.v + rng.normal(0, sigma_px))
-            p_c, _ = recover_camera_frame(
-                make_obs(noisy), intr, DistortionCoeffs.zero(), rig
-            )
-            p_g = camera_rotation(NADIR, LEVEL, rig).T @ np.asarray(p_c)
-            errors[i] = p_g[:2] - truth[:2]
+        noise = rng.normal(0, sigma_px, (1000, 2))  # u then v, row by row
+        columns = {k: np.repeat(c, 1000) for k, c in make_columns((u, v)).items()}
+        columns["u"] += noise[:, 0]
+        columns["v"] += noise[:, 1]
+        traj, _ = recover_batch(columns, RunConfig(intr, DistortionCoeffs.zero(), rig))
+        p_c = np.column_stack([traj[c] for c in CAM])
+        p_g = p_c @ camera_rotation(NADIR, LEVEL, rig)
+        errors = p_g[:, :2] - truth[:2]
         rms = np.sqrt(np.mean(errors**2, axis=0))
         mean_abs = np.mean(np.abs(errors), axis=0)
         assert np.all(rms > 0.7 * predicted) and np.all(rms < 1.3 * predicted)
@@ -138,51 +167,65 @@ class TestRecoverCameraFrame:
         assert np.all(mean_abs < 1.3 * predicted * np.sqrt(2 / np.pi))
 
     def test_grazing_ray_ill_conditioned(self, intrinsics):
-        obs = make_obs((960.0, 540.0), gimbal=EulerAngles(pitch=-1e-4))
-        with pytest.raises(IllConditionedRay):
-            recover_camera_frame(obs, intrinsics, DistortionCoeffs.zero(), RigConfig())
+        _, codes = recover_batch(
+            make_columns((960.0, 540.0), gimbal=EulerAngles(pitch=-1e-4)),
+            RunConfig(intrinsics, DistortionCoeffs.zero(), RigConfig()),
+        )
+        assert codes[0] == ILL_CONDITIONED
 
     def test_horizontal_ray_parallel(self, intrinsics):
-        obs = make_obs((960.0, 540.0), gimbal=EulerAngles(pitch=0.0))
-        with pytest.raises(ParallelRay):
-            recover_camera_frame(obs, intrinsics, DistortionCoeffs.zero(), RigConfig())
+        _, codes = recover_batch(
+            make_columns((960.0, 540.0), gimbal=EulerAngles(pitch=0.0)),
+            RunConfig(intrinsics, DistortionCoeffs.zero(), RigConfig()),
+        )
+        assert codes[0] == PARALLEL_RAY
 
     def test_upward_camera_behind(self, intrinsics):
-        obs = make_obs((960.0, 540.0), gimbal=EulerAngles(pitch=np.pi / 2))
-        with pytest.raises(BehindCamera):
-            recover_camera_frame(obs, intrinsics, DistortionCoeffs.zero(), RigConfig())
+        _, codes = recover_batch(
+            make_columns((960.0, 540.0), gimbal=EulerAngles(pitch=np.pi / 2)),
+            RunConfig(intrinsics, DistortionCoeffs.zero(), RigConfig()),
+        )
+        assert codes[0] == BEHIND_CAMERA
 
     def test_depth_monotonicity_along_fixed_ray(self, intrinsics):
         # deeper target on the same pixel ray is strictly farther
-        rig = RigConfig()
+        config = RunConfig(intrinsics, DistortionCoeffs.zero(), RigConfig())
         last = 0.0
         for depth in np.linspace(0.0, 5.0, 11):
-            p, _ = recover_camera_frame(
-                make_obs((1100.0, 650.0), d_uuv=depth), intrinsics,
-                DistortionCoeffs.zero(), rig,
-            )
-            norm = np.linalg.norm(p)
+            traj, _ = recover_batch(make_columns((1100.0, 650.0), d_uuv=depth), config)
+            norm = np.linalg.norm([traj[c][0] for c in CAM])
             assert norm > last
             last = norm
 
     def test_ray_scale_invariance(self):
         # the intersection compensates any positive rescaling of the direction
-        plane = Plane(point=np.array([0.3, -0.2, 18.0]), normal=np.array([0.05, 0.1, 1.0]))
+        normal = np.array([0.05, 0.1, 1.0])
+        normal /= np.linalg.norm(normal)
+        offset = np.array([0.3, -0.2, 18.0]) @ normal
         direction = np.array([0.12, -0.07, 1.0])
-        p1, _ = intersect_ray_plane(Ray(np.zeros(3), direction), plane)
-        p2, _ = intersect_ray_plane(Ray(np.zeros(3), 3.7 * direction), plane)
-        assert_allclose(p2, p1, rtol=1e-12, atol=0.0)
+        d1, _ = ray_plane_hits(direction, normal, offset)
+        d2, _ = ray_plane_hits(3.7 * direction, normal, offset)
+        assert_allclose(3.7 * direction * d2, direction * d1, rtol=1e-12, atol=0.0)
 
 
 class TestCameraToUavEnu:
+    """{C} to the body-fixed ENU frame {D}."""
+
     def test_straight_down_inverse(self, intrinsics):
-        p = camera_to_uav_enu((0.0, 0.0, 25.63), make_obs((960.0, 540.0)), RigConfig())
-        assert p == pytest.approx((0.0, 0.0, -25.63), abs=1e-12)
+        traj, _ = recover_batch(
+            make_columns((960.0, 540.0)), RunConfig(intrinsics, DistortionCoeffs.zero(), RigConfig())
+        )
+        assert [traj[c][0] for c in CAM] == pytest.approx((0.0, 0.0, 25.63), abs=1e-12)
+        assert [traj[c][0] for c in ENU] == pytest.approx((0.0, 0.0, -25.63), abs=1e-12)
 
     def test_offset_pure_translation(self, intrinsics):
+        # the body 25.2 m up puts the camera 25.63 m above the target
         rig = RigConfig(cam_offset=np.array([0.0, 0.0, -0.2]))
-        p = camera_to_uav_enu((0.0, 0.0, 25.63), make_obs((960.0, 540.0)), rig)
-        assert p == pytest.approx((0.0, 0.0, -25.83), abs=1e-12)
+        traj, _ = recover_batch(
+            make_columns((960.0, 540.0), a_uav=25.2), RunConfig(intrinsics, DistortionCoeffs.zero(), rig)
+        )
+        assert [traj[c][0] for c in CAM] == pytest.approx((0.0, 0.0, 25.63), abs=1e-12)
+        assert [traj[c][0] for c in ENU] == pytest.approx((0.0, 0.0, -25.83), abs=1e-12)
 
     def test_full_round_trip_random_attitudes(self, intrinsics):
         rng = np.random.default_rng(71)
@@ -202,11 +245,14 @@ class TestCameraToUavEnu:
                                 rng.uniform(-0.25, 0.25) * depth, -depth])
             if (camera_rotation(gimbal, body, rig) @ truth_g)[2] < 0.2 * depth:
                 continue
-            px = project_point(truth_g, gimbal, intrinsics, DistortionCoeffs.zero(), rig, body)
-            obs = make_obs(px, a_uav=a_uav, d_uuv=d_uuv, gimbal=gimbal, body=body)
-            _, p_d, _ = recover_uav_enu(obs, intrinsics, DistortionCoeffs.zero(), rig)
+            u, v, _ = project(truth_g[None], as_angles(gimbal)[None], as_angles(body)[None],
+                              intrinsics, DistortionCoeffs.zero(), rig)
+            traj, _ = recover_batch(
+                make_columns((u, v), a_uav=a_uav, d_uuv=d_uuv, gimbal=gimbal, body=body),
+                RunConfig(intrinsics, DistortionCoeffs.zero(), rig),
+            )
             expected = truth_g + yaw_pitch_roll_matrix(body) @ rig.cam_offset
-            assert_allclose(p_d, expected, atol=1e-9)
+            assert_allclose([traj[c][0] for c in ENU], expected, atol=1e-9)
             count += 1
 
 
@@ -214,9 +260,11 @@ class TestGimbalConventions:
     def test_pitch_sign_flag(self, intrinsics):
         # vendors reporting nadir as +90 recover identically with sign -1
         rig_flip = RigConfig(gimbal_pitch_sign=-1)
-        obs = make_obs((960.0, 540.0), gimbal=EulerAngles(pitch=np.pi / 2))
-        p, _ = recover_camera_frame(obs, intrinsics, DistortionCoeffs.zero(), rig_flip)
-        assert p == pytest.approx((0.0, 0.0, 25.63), abs=1e-12)
+        traj, _ = recover_batch(
+            make_columns((960.0, 540.0), gimbal=EulerAngles(pitch=np.pi / 2)),
+            RunConfig(intrinsics, DistortionCoeffs.zero(), rig_flip),
+        )
+        assert [traj[c][0] for c in CAM] == pytest.approx((0.0, 0.0, 25.63), abs=1e-12)
 
     def test_body_referenced_gimbal(self, intrinsics):
         # nadir gimbal relative to a yawed body equals the composed chain
@@ -235,13 +283,19 @@ class TestGimbalConventions:
 
 
 class TestValidation:
-    def test_rejects_nonpositive_altitude(self):
-        with pytest.raises(ValueError):
-            make_obs((0.0, 0.0), a_uav=0.0)
+    def test_rejects_nonpositive_altitude(self, intrinsics):
+        _, codes = recover_batch(
+            make_columns((0.0, 0.0), a_uav=0.0),
+            RunConfig(intrinsics, DistortionCoeffs.zero(), RigConfig()),
+        )
+        assert codes[0] == DEGENERATE
 
-    def test_rejects_negative_depth(self):
-        with pytest.raises(ValueError):
-            make_obs((0.0, 0.0), d_uuv=-0.1)
+    def test_rejects_negative_depth(self, intrinsics):
+        _, codes = recover_batch(
+            make_columns((0.0, 0.0), d_uuv=-0.1),
+            RunConfig(intrinsics, DistortionCoeffs.zero(), RigConfig()),
+        )
+        assert codes[0] == DEGENERATE
 
     def test_rig_offset_sanity_bound(self):
         with pytest.raises(ValueError):

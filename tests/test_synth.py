@@ -2,17 +2,14 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from depthray.camera import CameraIntrinsics, DistortionCoeffs, PixelCoord
-from depthray.errors import BehindCamera, InfeasibleScene
+from depthray.camera import CameraIntrinsics, DistortionCoeffs
+from depthray.errors import InfeasibleScene
 from depthray.geodesy import GeodeticCoord
-from depthray.geometry import EulerAngles
-from depthray.recovery import (
-    Observation,
-    RigConfig,
-    camera_rotation,
-    recover_camera_frame,
-)
+from depthray.geometry import EulerAngles, as_angles
+from depthray.io import RunConfig
+from depthray.recovery import RigConfig, camera_rotation, recover_batch
 from depthray.synth import (
+    MIN_CAMERA_Z,
     NoiseSpec,
     Scenario,
     build_scenario,
@@ -20,11 +17,12 @@ from depthray.synth import (
     generate_logs,
     lawnmower_path,
     line_path,
-    project_point,
+    project,
 )
 
 REF = GeodeticCoord.from_degrees(42.87, 17.7, 25.0)
 NADIR = EulerAngles(pitch=-np.pi / 2)
+
 
 
 def make_scenario(n=50, noise=NoiseSpec(), depth_min=0.63, depth_max=0.63,
@@ -44,40 +42,52 @@ def make_scenario(n=50, noise=NoiseSpec(), depth_min=0.63, depth_max=0.63,
 
 
 class TestProjectPoint:
+    """project, the forward model generate_logs uses."""
+
+    nadir, level = as_angles(NADIR)[None], np.zeros((1, 3))
+
     def test_optical_axis_hits_principal_point(self, intrinsics):
-        px = project_point([0.0, 0.0, -17.0], NADIR, intrinsics,
-                           DistortionCoeffs.zero(), RigConfig())
-        assert px == pytest.approx((960.0, 540.0), abs=1e-12)
+        u, v, _ = project(np.array([[0.0, 0.0, -17.0]]), self.nadir, self.level, intrinsics,
+                          DistortionCoeffs.zero(), RigConfig())
+        assert (u[0], v[0]) == pytest.approx((960.0, 540.0), abs=1e-12)
 
     def test_north_displacement_moves_u(self, intrinsics):
         # at nadir with zero gimbal yaw, world north maps to image x
         h = 20.0
-        px = project_point([0.0, 0.1 * h, -h], NADIR, intrinsics,
-                           DistortionCoeffs.zero(), RigConfig())
-        assert px == pytest.approx((1060.0, 540.0), abs=1e-9)
+        u, v, _ = project(np.array([[0.0, 0.1 * h, -h]]), self.nadir, self.level, intrinsics,
+                          DistortionCoeffs.zero(), RigConfig())
+        assert (u[0], v[0]) == pytest.approx((1060.0, 540.0), abs=1e-9)
 
     def test_point_behind_camera_raises(self, intrinsics):
-        with pytest.raises(BehindCamera):
-            project_point([0.0, 0.0, 5.0], NADIR, intrinsics,
+        _, _, z = project(np.array([[0.0, 0.0, 5.0]]), self.nadir, self.level, intrinsics,
                           DistortionCoeffs.zero(), RigConfig())
+        assert z[0] <= MIN_CAMERA_Z
 
     def test_project_then_recover_is_identity(self, intrinsics):
         rng = np.random.default_rng(73)
         rig = RigConfig()
         dist = DistortionCoeffs(k1=-0.12, k2=0.04, p1=0.002, p2=-0.001)
-        for _ in range(100):
-            a_uav = rng.uniform(12.0, 35.0)
-            d_uuv = rng.uniform(0.0, 2.0)
-            depth = a_uav + d_uuv
-            truth = np.array([rng.uniform(-0.3, 0.3) * depth,
-                              rng.uniform(-0.3, 0.3) * depth, -depth])
-            px = project_point(truth, NADIR, intrinsics, dist, rig)
-            obs = Observation(t=0.0, px=px, a_uav=a_uav, d_uuv=d_uuv,
-                              gimbal=NADIR, body=EulerAngles(), ref_geo=REF)
-            p_c, _ = recover_camera_frame(obs, intrinsics, dist, rig)
-            # compare in {G}: rotate the recovery back out of the camera
-            p_g = camera_rotation(NADIR, EulerAngles(), rig).T @ np.asarray(p_c)
-            assert_allclose(p_g, truth, atol=1e-9)
+        a_uav, d_uuv, truth = np.empty(100), np.empty(100), np.empty((100, 3))
+        for i in range(100):
+            a_uav[i] = rng.uniform(12.0, 35.0)
+            d_uuv[i] = rng.uniform(0.0, 2.0)
+            depth = a_uav[i] + d_uuv[i]
+            truth[i] = [rng.uniform(-0.3, 0.3) * depth, rng.uniform(-0.3, 0.3) * depth, -depth]
+        gimbal, body = np.tile(as_angles(NADIR), (100, 1)), np.zeros((100, 3))
+        u, v, _ = project(truth, gimbal, body, intrinsics, dist, rig)
+        zeros = np.zeros(100)
+        columns = {
+            "t": zeros, "u": u, "v": v, "a_uav": a_uav, "d_uuv": d_uuv,
+            "gimbal_yaw_deg": zeros, "gimbal_pitch_deg": np.full(100, -90.0),
+            "gimbal_roll_deg": zeros, "body_yaw_deg": zeros, "body_pitch_deg": zeros,
+            "body_roll_deg": zeros, "ref_lat_deg": np.full(100, 42.87),
+            "ref_lon_deg": np.full(100, 17.7), "ref_alt_m": np.full(100, 25.0),
+        }
+        traj, _ = recover_batch(columns, RunConfig(intrinsics, dist, rig))
+        # compare in {G}: rotate the recovery back out of the camera
+        p_c = np.column_stack([traj["cam_x"], traj["cam_y"], traj["cam_z"]])
+        p_g = p_c @ camera_rotation(NADIR, EulerAngles(), rig)
+        assert_allclose(p_g, truth, atol=1e-9)
 
 
 class TestGenerateLogs:
@@ -85,26 +95,12 @@ class TestGenerateLogs:
         scenario = make_scenario(n=40)
         obs_rows, gt_rows = generate_logs(scenario)
         assert len(obs_rows) == len(gt_rows) == 40
-        rig = scenario.rig
-        for obs_row, gt_row in zip(obs_rows, gt_rows):
-            obs = Observation(
-                t=obs_row["t"],
-                px=PixelCoord(obs_row["u"], obs_row["v"]),
-                a_uav=obs_row["a_uav"],
-                d_uuv=obs_row["d_uuv"],
-                gimbal=EulerAngles.from_degrees(
-                    obs_row["gimbal_yaw_deg"], obs_row["gimbal_pitch_deg"],
-                    obs_row["gimbal_roll_deg"],
-                ),
-                body=EulerAngles.from_degrees(
-                    obs_row["body_yaw_deg"], obs_row["body_pitch_deg"],
-                    obs_row["body_roll_deg"],
-                ),
-                ref_geo=REF,
-            )
-            p_c, _ = recover_camera_frame(obs, scenario.intrinsics, scenario.distortion, rig)
-            p_g = camera_rotation(obs.gimbal, obs.body, rig).T @ np.asarray(p_c)
-            assert_allclose(p_g, [gt_row["x"], gt_row["y"], gt_row["z"]], atol=1e-9)
+        traj, _ = recover_batch(
+            obs_rows, RunConfig(scenario.intrinsics, scenario.distortion, scenario.rig)
+        )
+        assert len(traj) == 40
+        for enu, truth in (("enu_x", "x"), ("enu_y", "y"), ("enu_z", "z")):
+            assert_allclose(traj[enu], gt_rows[truth], atol=1e-9)
 
     def test_same_seed_reproduces_rows(self):
         noise = NoiseSpec(sigma_px=2.0, sigma_alt=0.1, sigma_depth=0.02,
@@ -122,11 +118,9 @@ class TestGenerateLogs:
         # noiseless channels are bitwise equal to the projected values
         clean, _ = generate_logs(make_scenario(noise=NoiseSpec(seed=5)))
         noisy_px, _ = generate_logs(make_scenario(noise=NoiseSpec(sigma_px=1.0, seed=5)))
-        for c, n in zip(clean, noisy_px):
-            assert c["a_uav"] == n["a_uav"]
-            assert c["d_uuv"] == n["d_uuv"]
-            assert c["gimbal_pitch_deg"] == n["gimbal_pitch_deg"]
-            assert c["u"] != n["u"]
+        for name in ("a_uav", "d_uuv", "gimbal_pitch_deg"):
+            assert np.array_equal(clean[name], noisy_px[name])
+        assert np.all(clean["u"] != noisy_px["u"])
 
     def test_pixel_noise_monte_carlo_band(self):
         # sigma_px / fx scaled by the ~25.6 m range puts the planar MAE
@@ -135,22 +129,9 @@ class TestGenerateLogs:
         intr = CameraIntrinsics(2000.0, 2000.0, 960.0, 540.0, 1920, 1080)
         scenario = make_scenario(n=1200, noise=NoiseSpec(sigma_px=2.0, seed=13), intr=intr)
         obs_rows, gt_rows = generate_logs(scenario)
-        errors = []
-        for o, g in zip(obs_rows, gt_rows):
-            obs = Observation(
-                t=o["t"], px=PixelCoord(o["u"], o["v"]), a_uav=o["a_uav"],
-                d_uuv=o["d_uuv"],
-                gimbal=EulerAngles.from_degrees(
-                    o["gimbal_yaw_deg"], o["gimbal_pitch_deg"], o["gimbal_roll_deg"]
-                ),
-                body=EulerAngles.from_degrees(
-                    o["body_yaw_deg"], o["body_pitch_deg"], o["body_roll_deg"]
-                ),
-                ref_geo=REF,
-            )
-            p_c, _ = recover_camera_frame(obs, intr, scenario.distortion, scenario.rig)
-            p_g = camera_rotation(obs.gimbal, obs.body, scenario.rig).T @ np.asarray(p_c)
-            errors.append(np.hypot(p_g[0] - g["x"], p_g[1] - g["y"]))
+        traj, _ = recover_batch(obs_rows, RunConfig(intr, scenario.distortion, scenario.rig))
+        assert len(traj) == len(gt_rows)
+        errors = np.hypot(traj["enu_x"] - gt_rows["x"], traj["enu_y"] - gt_rows["y"])
         mae = float(np.mean(errors))
         assert 0.015 <= mae <= 0.04
 
