@@ -6,7 +6,10 @@ Python's shortest round-trip repr so a written value reads back
 bit-identical, and identical runs produce byte-identical files.
 
 Logs are read into and written from column tables (depthray.table),
-a block of rows at a time.
+a block of rows at a time: parsed by np.loadtxt and written as one
+joined string. A block that these could handle differently from the
+csv module (quotes, bad or oddly spelled fields) goes through csv
+instead, so values, errors and file bytes are the csv module's.
 """
 
 import csv
@@ -100,6 +103,18 @@ def fmt(value) -> str:
 # rows parsed or formatted per block, which bounds the text held at once
 CSV_BLOCK_ROWS = 4096
 
+_BLANK_LINES = ("\n", "\r\n", "\r")
+
+# Fields that loadtxt reads differently from csv.reader + float(): quoted
+# fields, NULs (dropped from the end of text fields) and the separators
+# \x1c-\x1f (stripped by loadtxt as space, rejected by float()).
+_CSV_ONLY_CHARS = '"\0\x1c\x1d\x1e\x1f'
+
+_LOADTXT = dict(delimiter=",", comments=None, quotechar=None, ndmin=2)
+
+# a text field csv.writer quotes
+_QUOTED_CHARS = ',"\r\n'
+
 
 def _check_record(path, columns, text_columns, raw, lineno):
     """Raise the SchemaError for the first bad field of one record, if any."""
@@ -118,34 +133,60 @@ def _check_record(path, columns, text_columns, raw, lineno):
             raise SchemaError(f"{path}: column {name}: non-finite value {value}", line=lineno)
 
 
-def _parse_block(path, columns, text_columns, block, first_line):
-    """Columns of one block of records, or None if all are blank.
+def _parse_lines(columns, text_columns, records):
+    """Columns of a block of non-blank lines, parsed by np.loadtxt.
 
-    A block that fails the fast columnar parse is checked record by
-    record, so the error names the first bad line, as a row-wise reader
-    would.
+    Returns None where a line may read differently from csv.reader and
+    float(), or is bad; the caller then reads the block record by record.
     """
-    records = [raw for raw in block if raw]
-    if not records:
+    text = "".join(records)
+    if any(c in text for c in _CSV_ONLY_CHARS):
         return None
+    numeric = [k for k, name in enumerate(columns) if name not in text_columns]
     try:
-        if any(len(raw) != len(columns) for raw in records):
-            raise ValueError
-        parsed = []
-        for name, values in zip(columns, zip(*records)):
-            if name in text_columns:
-                parsed.append(np.array(values, dtype=object))
-                continue
-            array = np.fromiter(map(float, values), dtype=float, count=len(values))
-            if not np.all(np.isfinite(array)):
-                raise ValueError
-            parsed.append(array)
-        return parsed
+        if text_columns:
+            # usecols lifts loadtxt's field-count check; unquoted, a line
+            # has one comma fewer than fields
+            if set(map(str.count, records, itertools.repeat(","))) != {len(columns) - 1}:
+                return None
+            numbers = np.loadtxt(records, usecols=numeric, **_LOADTXT)
+            texts = np.loadtxt(
+                records, usecols=[k for k in range(len(columns)) if k not in numeric],
+                dtype=str, **_LOADTXT,
+            )
+        else:
+            numbers = np.loadtxt(records, **_LOADTXT)
     except ValueError:
-        for lineno, raw in enumerate(block, start=first_line):
-            if raw:
-                _check_record(path, columns, text_columns, raw, lineno)
-        raise  # unreachable: the record checks reject what the block parse did
+        return None
+    if numbers.shape != (len(records), len(numeric)) or not np.isfinite(numbers).all():
+        return None
+    parts = iter(numbers.T)
+    strings = iter(texts.T.astype(object)) if text_columns else None
+    return [next(strings) if name in text_columns else next(parts) for name in columns]
+
+
+def _parse_records(path, columns, text_columns, lines, handle, first_line):
+    """Columns of a block read by csv.reader + float(), and its record count.
+
+    Each record is checked by _check_record. A quoted field still open
+    at the block's last line runs on into `handle`.
+    """
+    reader = csv.reader(itertools.chain(lines, handle))
+    records = []
+    for raw in reader:
+        records.append(raw)
+        if reader.line_num >= len(lines):
+            break
+    checked = []
+    for lineno, raw in enumerate(records, start=first_line):
+        if raw:
+            _check_record(path, columns, text_columns, raw, lineno)
+            checked.append(raw)
+    return [
+        np.array(values, dtype=object) if name in text_columns
+        else np.fromiter(map(float, values), dtype=float, count=len(values))
+        for name, values in zip(columns, zip(*checked))
+    ], len(records)
 
 
 def _read_rows(path, columns, text_columns=()) -> Table:
@@ -153,7 +194,12 @@ def _read_rows(path, columns, text_columns=()) -> Table:
 
     The header must match `columns` exactly; any non-numeric or
     non-finite value in a numeric column is a SchemaError carrying the
-    1-based line number.
+    1-based line number (the record number, for fields spanning lines).
+
+    Each block of lines is parsed by np.loadtxt. A block it cannot take
+    as csv.reader would (quotes, bad or unusual fields) is read by
+    csv.reader + float() instead, so the values and the error are the
+    same either way.
     """
     path = Path(path)
     try:
@@ -162,9 +208,8 @@ def _read_rows(path, columns, text_columns=()) -> Table:
         raise SchemaError(f"cannot open {path}: {exc}") from exc
     blocks = []
     with handle:
-        reader = csv.reader(handle)
         try:
-            header = next(reader)
+            header = next(csv.reader(handle))
         except StopIteration:
             raise SchemaError(f"{path}: missing header", line=1) from None
         if header != list(columns):
@@ -173,29 +218,65 @@ def _read_rows(path, columns, text_columns=()) -> Table:
                 line=1,
             )
         first_line = 2
-        while block := list(itertools.islice(reader, CSV_BLOCK_ROWS)):
-            parsed = _parse_block(path, columns, text_columns, block, first_line)
-            if parsed is not None:
+        while lines := list(itertools.islice(handle, CSV_BLOCK_ROWS)):
+            records = [line for line in lines if line not in _BLANK_LINES]
+            n_records = len(lines)
+            if records:
+                parsed = _parse_lines(columns, text_columns, records)
+                if parsed is None:
+                    parsed, n_records = _parse_records(
+                        path, columns, text_columns, lines, handle, first_line
+                    )
                 blocks.append(parsed)
-            first_line += len(block)
+            first_line += n_records
     if not blocks:
         return Table({c: np.array([], dtype=object if c in text_columns else float) for c in columns})
     return Table({name: np.concatenate(parts) for name, parts in zip(columns, zip(*blocks))})
 
 
+def _number_fields(column) -> list:
+    """fmt() of each value; a column of one bit pattern is formatted once."""
+    values = np.asarray(column, dtype=float)
+    bits = values.view(np.int64)  # bits, not ==, so -0.0 and 0.0 stay apart
+    if (bits == bits[0]).all():
+        return [repr(float(values[0]))] * len(values)
+    # a list's repr holds the repr of each float, made without a call per item
+    return repr(values.tolist())[1:-1].split(", ")
+
+
+def _text_fields(column):
+    """The fields of a text column, and whether csv.writer writes them verbatim."""
+    values = column.tolist()
+    if not set(map(type, values)) <= {str, int}:
+        return values, False
+    fields = list(map(str, values))
+    return fields, not any(c in field for field in set(fields) for c in _QUOTED_CHARS)
+
+
 def _write_rows(path, columns, table: Table, text_columns=()):
-    """Write the `columns` of a table as CSV."""
+    """Write the `columns` of a table as CSV.
+
+    Blocks are joined as text and written at once; a block with a text
+    field that needs quoting goes through csv.writer. The bytes are the
+    same either way.
+    """
     with Path(path).open("w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(columns)
         for start in range(0, len(table), CSV_BLOCK_ROWS):
             block = slice(start, start + CSV_BLOCK_ROWS)
-            # numbers as fmt() writes them: repr of the Python float
-            writer.writerows(zip(*(
-                table[c][block].tolist() if c in text_columns
-                else list(map(repr, np.asarray(table[c][block], dtype=float).tolist()))
-                for c in columns
-            )))
+            fields, verbatim = [], True
+            for name in columns:
+                if name in text_columns:
+                    text, plain = _text_fields(table[name][block])
+                    fields.append(text)
+                    verbatim = verbatim and plain
+                else:
+                    fields.append(_number_fields(table[name][block]))
+            if verbatim:
+                handle.write("".join(",".join(row) + "\n" for row in zip(*fields)))
+            else:
+                writer.writerows(zip(*fields))
 
 
 def read_observations(path) -> Table:

@@ -1,5 +1,10 @@
+import csv
+import io as textio
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from depthray import io
 from depthray.errors import ConfigError, SchemaError
@@ -163,6 +168,177 @@ class TestCsv:
     def test_float_format_shortest_round_trip(self):
         for v in (0.1, 1.0 / 3.0, 25.630000000000003, -1e-17):
             assert float(io.fmt(v)) == v
+
+
+GT_HEADER = "t,x,y,z\n"
+
+
+def gt_table(*rows):
+    return Table({c: np.array(v, dtype=float) for c, v in zip(io.GROUND_TRUTH_COLUMNS, zip(*rows))})
+
+
+def read_gt(tmp_path, text):
+    path = tmp_path / "gt.csv"
+    path.write_bytes(text.encode("utf-8"))
+    return io.read_ground_truth(path)
+
+
+def schema_error(tmp_path, text):
+    with pytest.raises(SchemaError) as info:
+        read_gt(tmp_path, text)
+    return str(info.value).replace(str(tmp_path / "gt.csv"), "gt.csv"), info.value.line
+
+
+class TestCsvReader:
+    """What the reader returns or raises for each kind of input line."""
+
+    def test_crlf_line_endings(self, tmp_path):
+        text = "t,x,y,z\r\n0.0,1.0,2.0,3.0\r\n1.0,4.0,5.0,6.0\r\n"
+        assert read_gt(tmp_path, text) == gt_table([0, 1, 2, 3], [1, 4, 5, 6])
+
+    def test_blank_lines_skipped(self, tmp_path):
+        text = GT_HEADER + "\n0.0,1.0,2.0,3.0\n\r\n\n1.0,4.0,5.0,6.0\n\n"
+        assert read_gt(tmp_path, text) == gt_table([0, 1, 2, 3], [1, 4, 5, 6])
+        # blank lines still count in the line numbers
+        assert schema_error(tmp_path, GT_HEADER + "\n\r\n0.0,a,2.0,3.0\n") == (
+            "line 4: gt.csv: column x: not a number: 'a'", 4
+        )
+
+    def test_whitespace_only_line_is_a_short_record(self, tmp_path):
+        text = GT_HEADER + "0.0,1.0,2.0,3.0\n   \n"
+        assert schema_error(tmp_path, text) == ("line 3: gt.csv: expected 4 fields, got 1", 3)
+        assert schema_error(tmp_path, GT_HEADER + "\t\n")[1] == 2
+
+    def test_number_spellings_read_as_float_does(self, tmp_path):
+        text = GT_HEADER + '"1.5",1_0,+1, 1.0 \n'
+        assert read_gt(tmp_path, text) == gt_table([1.5, 10.0, 1.0, 1.0])
+
+    def test_unit_separator_is_not_space(self, tmp_path):
+        # np.loadtxt strips \x1c-\x1f around a number; float() does not
+        text = GT_HEADER + "0.0,\x1f1.0,2.0,3.0\n"
+        assert schema_error(tmp_path, text) == (
+            "line 2: gt.csv: column x: not a number: '\\x1f1.0'", 2
+        )
+
+    def test_hash_is_not_a_comment(self, tmp_path):
+        text = GT_HEADER + "0.0,1.0,2.0,3.0\n1.0,2.0#,2.0,3.0\n"
+        assert schema_error(tmp_path, text) == ("line 3: gt.csv: column x: not a number: '2.0#'", 3)
+        path = tmp_path / "traj.csv"
+        path.write_text(",".join(io.TRAJECTORY_COLUMNS) + "\n" + "1.0," * 10 + "a#b\n")
+        assert list(io.read_trajectory(path)["flags"]) == ["a#b"]
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-Infinity", "1e999"])
+    def test_non_finite_values(self, tmp_path, value):
+        text = GT_HEADER + f"0.0,1.0,2.0,3.0\n1.0,2.0,3.0,{value}\n"
+        assert schema_error(tmp_path, text) == (
+            f"line 3: gt.csv: column z: non-finite value {value}", 3
+        )
+
+    def test_extra_field_on_first_data_row(self, tmp_path):
+        text = GT_HEADER + "0.0,1.0,2.0,3.0,4.0\n1.0,2.0,3.0,4.0\n"
+        assert schema_error(tmp_path, text) == ("line 2: gt.csv: expected 4 fields, got 5", 2)
+
+    @pytest.mark.parametrize("fields", [10, 12])
+    def test_field_count_with_text_column(self, tmp_path, fields):
+        path = tmp_path / "traj.csv"
+        good = "1.0," * 10 + "ok\n"
+        path.write_text(",".join(io.TRAJECTORY_COLUMNS) + "\n" + good + "1.0," * (fields - 1) + "ok\n")
+        with pytest.raises(SchemaError, match=f"^line 3: .*expected 11 fields, got {fields}$"):
+            io.read_trajectory(path)
+
+    def test_short_row_in_second_block(self, tmp_path):
+        assert io.CSV_BLOCK_ROWS < 4100
+        rows = ["0.0,1.0,2.0,3.0\n"] * 4100
+        rows[4100 - 2] = "1.0,2.0,3.0\n"
+        text = GT_HEADER + "".join(rows)
+        assert schema_error(tmp_path, text) == ("line 4100: gt.csv: expected 4 fields, got 3", 4100)
+
+    def test_empty_file_after_header(self, tmp_path):
+        table = read_gt(tmp_path, GT_HEADER)
+        assert len(table) == 0
+        assert list(table.columns) == io.GROUND_TRUTH_COLUMNS
+        assert all(table[c].dtype == float for c in io.GROUND_TRUTH_COLUMNS)
+
+    def test_quoted_field_across_block_end(self, tmp_path):
+        # a record spanning lines is one record: the line numbers of later
+        # errors count records, as csv.reader does
+        n = io.CSV_BLOCK_ROWS
+        lines = ["1.0," * 10 + "ok\n"] * (n + 2)
+        lines[n - 1] = "1.0," * 10 + '"two\nlines"\n'
+        lines[n + 1] = "1.0," * 9 + "bad,ok\n"
+        path = tmp_path / "traj.csv"
+        path.write_text(",".join(io.TRAJECTORY_COLUMNS) + "\n" + "".join(lines))
+        with pytest.raises(SchemaError, match=f"line {n + 3}: .* not a number: 'bad'"):
+            io.read_trajectory(path)
+        path.write_text(",".join(io.TRAJECTORY_COLUMNS) + "\n" + "".join(lines[:-1]))
+        flags = io.read_trajectory(path)["flags"]
+        assert len(flags) == n + 1
+        assert flags[n - 1] == "two\nlines" and flags[n] == "ok"
+
+
+def reference_csv(columns, table, text_columns):
+    """The bytes csv.writer writes for the table, numbers as repr()."""
+    out = textio.StringIO(newline="")
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(columns)
+    writer.writerows(zip(*(
+        table[c].tolist() if c in text_columns else [repr(float(v)) for v in table[c]]
+        for c in columns
+    )))
+    return out.getvalue().encode("utf-8")
+
+
+finite = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([0.0, -0.0, 5e-324, -2.2250738585072014e-308, 1e16, 1e-5, 0.1]),
+)
+
+
+@st.composite
+def number_columns(draw, n):
+    kind = draw(st.sampled_from(["any", "constant", "zeros"]))
+    if kind == "constant":
+        return [draw(finite)] * n
+    if kind == "zeros":
+        return draw(st.lists(st.sampled_from([0.0, -0.0]), min_size=n, max_size=n))
+    return draw(st.lists(finite, min_size=n, max_size=n))
+
+
+@st.composite
+def trajectories(draw):
+    n = draw(st.integers(1, 30))
+    columns = {c: draw(number_columns(n)) for c in io.TRAJECTORY_COLUMNS[:-1]}
+    texts = st.sampled_from(["", "out_of_frame", "a,b", 'q"x', "two\nlines"])
+    columns["flags"] = np.array(draw(st.lists(texts, min_size=n, max_size=n)), dtype=object)
+    return Table(columns)
+
+
+class TestCsvWriter:
+    @settings(max_examples=80, deadline=None)
+    @given(trajectories())
+    def test_round_trip_is_bit_exact_and_matches_csv_writer(self, tmp_path_factory, table):
+        path = tmp_path_factory.mktemp("csv") / "traj.csv"
+        io.write_trajectory(path, table)
+        assert path.read_bytes() == reference_csv(io.TRAJECTORY_COLUMNS, table, ("flags",))
+        back = io.read_trajectory(path)
+        for c in io.TRAJECTORY_COLUMNS[:-1]:
+            assert np.array_equal(back[c].view(np.int64), np.asarray(table[c]).view(np.int64))
+        assert list(back["flags"]) == list(table["flags"])
+
+    def test_integer_text_column(self, tmp_path):
+        table = Table({"row": np.array([2, 17]), "t": [0.5, -0.0], "reason": ["degenerate"] * 2})
+        path = tmp_path / "excl.csv"
+        io.write_exclusions(path, table)
+        assert path.read_bytes() == reference_csv(io.EXCLUSION_COLUMNS, table, ("row", "reason"))
+        assert list(io.read_exclusions(path)["row"]) == ["2", "17"]
+
+    def test_blocks_written_in_order(self, tmp_path):
+        n = 2 * io.CSV_BLOCK_ROWS + 3
+        table = Table({c: np.arange(n) + k for k, c in enumerate(io.GROUND_TRUTH_COLUMNS)})
+        path = tmp_path / "gt.csv"
+        io.write_ground_truth(path, table)
+        assert path.read_bytes() == reference_csv(io.GROUND_TRUTH_COLUMNS, table, ())
+        assert io.read_ground_truth(path) == Table({c: table[c].astype(float) for c in table.columns})
 
 
 class TestRigConfig:
