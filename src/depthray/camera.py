@@ -126,27 +126,22 @@ def _distortion_jacobian(x, y, d):
     return jxx, jxy, jxy, jyy
 
 
-def undistort(
-    n_d: NormalizedCoord,
-    d: DistortionCoeffs,
-    max_iter: int = UNDISTORT_MAX_ITER,
-    tol: float = UNDISTORT_TOL,
-) -> tuple[NormalizedCoord, np.ndarray]:
+def undistort(n_d: NormalizedCoord, d: DistortionCoeffs) -> tuple[NormalizedCoord, np.ndarray]:
     """Invert the distortion model for distorted points, elementwise.
 
     Starts at the distorted point and iterates a damped Newton update on
-    the residual distort(x) - n_d until its max-norm drops below `tol`.
-    A plain fixed-point update is not contractive for strong distortion
-    near the edge of the field, so each step solves the 2x2 distortion
-    Jacobian and backtracks when the residual would grow. Each point is
-    frozen once its residual is below `tol`, so it follows the same
-    iterates as it would alone.
+    the residual distort(x) - n_d until its max-norm drops below
+    UNDISTORT_TOL. A plain fixed-point update is not contractive for
+    strong distortion near the edge of the field, so each step solves the
+    2x2 distortion Jacobian and backtracks when the residual would grow.
+    Each point is frozen once its residual is below UNDISTORT_TOL, so it
+    follows the same iterates as it would alone.
 
     Returns the undistorted points and a boolean array that is False
-    where a point did not converge: its residual was still above `tol`
-    after `max_iter` iterations, or its iterate escaped the model's
-    invertible region around the input. Those points hold their last
-    iterate.
+    where a point did not converge: its residual was still above
+    UNDISTORT_TOL after UNDISTORT_MAX_ITER iterations, or its iterate
+    escaped the model's invertible region around the input. Those points
+    hold their last iterate.
     """
     shape = np.shape(n_d.x)
     xd = np.asarray(n_d.x, dtype=float).reshape(-1)
@@ -162,8 +157,8 @@ def undistort(
     # iterates wandering far outside the input radius have left the
     # invertible region; any root found there is on a folded sheet
     bound = 4.0 * (1.0 + np.hypot(xd, yd))
-    for _ in range(max_iter):
-        live = np.flatnonzero(~(res < tol) & ~escaped)
+    for _ in range(UNDISTORT_MAX_ITER):
+        live = np.flatnonzero(~(res < UNDISTORT_TOL) & ~escaped)
         if live.size == 0:
             break
         xl, yl, rxl, ryl, start_res = x[live], y[live], rx[live], ry[live], res[live]
@@ -189,6 +184,6 @@ def undistort(
             search = search[~(res[k] < start_res[search])]
             lam *= 0.5
         escaped[live] = np.hypot(x[live], y[live]) > bound[live]
-    converged = (res < tol) & ~escaped
+    converged = (res < UNDISTORT_TOL) & ~escaped
     return NormalizedCoord(x.reshape(shape), y.reshape(shape)), converged.reshape(shape)
 

@@ -5,6 +5,7 @@ Exit codes: 0 success, 1 input error (bad or empty logs, failed sync),
 """
 
 import argparse
+import itertools
 import json
 import sys
 from pathlib import Path
@@ -20,7 +21,7 @@ from .errors import (
     SchemaError,
 )
 from .evaluate import enu_to_ground_truth, rescale_grid_point, time_sync, trajectory_errors
-from .recovery import NO_ORIGIN_MATCH, RECOVERED, REASONS, recover_batch
+from .recovery import NO_ORIGIN_MATCH, OBSERVATION_COLUMNS, RECOVERED, REASONS, recover_batch
 from .synth import generate_logs
 from .table import Table
 
@@ -29,58 +30,61 @@ EXIT_INPUT = 1
 EXIT_CONFIG = 2
 
 
-def _apply_origin_track(obs, track, intr, max_gap):
-    """Replace each pixel by the origin-relative vector re-anchored at
-    the principal point, compensating hover drift.
-
-    Returns the observations with a time-matched origin sample, adjusted,
-    and the mask of those rows; the others are excluded.
-    """
-    idx, track_idx, _ = time_sync(obs["t"], track["t"], max_gap)
-    kept = obs.take(idx)
-    kept.columns["u"] = intr.cx + (kept["u"] - track["u"][track_idx])
-    kept.columns["v"] = intr.cy + (kept["v"] - track["v"][track_idx])
-    matched = np.zeros(len(obs), dtype=bool)
-    matched[idx] = True
-    return kept, matched
-
-
 def _exclusions_path(trajectory) -> Path:
     """The sidecar listing the observation rows a trajectory left out."""
     return Path(str(trajectory) + ".exclusions.csv")
 
 
+def _recover_blocks(blocks, track, config, outcomes):
+    """Recover observation blocks one at a time, yielding their trajectories.
+
+    With an origin track, each pixel is replaced by its offset from the
+    time-matched origin sample, re-anchored at the principal point, which
+    cancels hover drift; rows without a match are excluded. Appends to
+    `outcomes`, per block, its row count and copies (not views of the
+    parsed block) of the row index, time and code of excluded rows.
+    """
+    intr, first_row = config.intrinsics, 0
+    for obs in blocks:
+        t, matched = obs["t"], slice(None)
+        codes = np.full(len(obs), NO_ORIGIN_MATCH, dtype=np.int8)
+        if track is not None:
+            matched, track_idx, _ = time_sync(t, track["t"], config.sync_max_gap)
+            obs = {name: obs[name][matched] for name in OBSERVATION_COLUMNS}
+            obs["u"] = intr.cx + (obs["u"] - track["u"][track_idx])
+            obs["v"] = intr.cy + (obs["v"] - track["v"][track_idx])
+        trajectory, codes[matched] = recover_batch(obs, config)
+        excluded = np.flatnonzero(codes != RECOVERED)
+        outcomes.append((len(codes), first_row + excluded, t[excluded], codes[excluded]))
+        first_row += len(codes)
+        yield trajectory
+
+
 def cmd_recover(args) -> int:
     config = io.load_run_config(args.config)
-    obs = io.read_observations(args.input)
-    if not len(obs):
-        raise EmptyTrajectory(f"{args.input}: no observation rows")
-    n_input = len(obs)
-    t = obs["t"]
-    codes = np.full(n_input, NO_ORIGIN_MATCH, dtype=np.int8)
-    matched = slice(None)
+    blocks = io.read_observation_blocks(args.input)
+    try:  # an empty or bad log is reported before any fault of the track
+        blocks = itertools.chain([next(blocks)], blocks)
+    except StopIteration:
+        raise EmptyTrajectory(f"{args.input}: no observation rows") from None
+    track = None
     if args.origin_track:
         track = io.read_track(args.origin_track)
         if not len(track):
             raise EmptyTrajectory(f"{args.origin_track}: no track rows")
-        obs, matched = _apply_origin_track(obs, track, config.intrinsics, config.sync_max_gap)
-    trajectory, codes[matched] = recover_batch(obs, config)
-    io.write_trajectory(args.output, trajectory)
-
+    outcomes = []
+    io.write_trajectory(args.output, _recover_blocks(blocks, track, config, outcomes))
+    sizes, rows, t, codes = zip(*outcomes)
+    rows, t, codes = np.concatenate(rows), np.concatenate(t), np.concatenate(codes)
     # rows without an origin match come first, then the others in row order
-    excluded = np.concatenate([
-        np.flatnonzero(codes == NO_ORIGIN_MATCH),
-        np.flatnonzero((codes != RECOVERED) & (codes != NO_ORIGIN_MATCH)),
-    ])
-    io.write_exclusions(_exclusions_path(args.output), Table({
-        "row": excluded + 2,  # 1 header line precedes the data
-        "t": t[excluded],
-        "reason": np.array(REASONS, dtype=object)[codes[excluded]],
-    }))
-    print(
-        f"recovered {len(trajectory)} of {n_input} samples "
-        f"({len(excluded)} excluded)"
-    )
+    order = np.argsort(codes != NO_ORIGIN_MATCH, kind="stable")
+    io.write_exclusions(_exclusions_path(args.output), [Table({
+        "row": rows[order] + 2,  # 1 header line precedes the data
+        "t": t[order],
+        "reason": np.array(REASONS, dtype=object)[codes[order]],
+    })])
+    n_input = sum(sizes)
+    print(f"recovered {n_input - len(rows)} of {n_input} samples ({len(rows)} excluded)")
     return EXIT_OK
 
 
@@ -133,8 +137,8 @@ def cmd_evaluate(args) -> int:
 def cmd_simulate(args) -> int:
     scenario = io.load_scenario_config(args.config, seed=args.seed)
     obs_rows, gt_rows = generate_logs(scenario)
-    io.write_observations(args.output, obs_rows)
-    io.write_ground_truth(args.gt, gt_rows)
+    io.write_observations(args.output, [obs_rows])
+    io.write_ground_truth(args.gt, [gt_rows])
     print(f"simulated {len(obs_rows)} samples")
     return EXIT_OK
 

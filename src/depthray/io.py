@@ -9,12 +9,15 @@ Logs are read into and written from column tables (depthray.table),
 a block of rows at a time: parsed by np.loadtxt and written as one
 joined string. A block that these could handle differently from the
 csv module (quotes, bad or oddly spelled fields) goes through csv
-instead, so values, errors and file bytes are the csv module's.
+instead, so values, errors and file bytes are the csv module's. A log
+can be read block by block; a file is written from a sequence of tables
+to a temporary file, renamed onto the target once complete.
 """
 
 import csv
 import itertools
 import math
+import os
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -91,11 +94,6 @@ SCENARIO_KEYS = {
     "gimbal_frame",
     "gimbal_pitch_sign",
 }
-
-
-def fmt(value) -> str:
-    """Shortest decimal string that reads back to the same double."""
-    return repr(float(value))
 
 
 # --- CSV ---
@@ -189,8 +187,8 @@ def _parse_records(path, columns, text_columns, lines, handle, first_line):
     ], len(records)
 
 
-def _read_rows(path, columns, text_columns=()) -> Table:
-    """Read a strict-schema CSV into a column table.
+def _read_blocks(path, columns, text_columns=()):
+    """Yield a strict-schema CSV as column tables of up to CSV_BLOCK_ROWS rows.
 
     The header must match `columns` exactly; any non-numeric or
     non-finite value in a numeric column is a SchemaError carrying the
@@ -206,7 +204,6 @@ def _read_rows(path, columns, text_columns=()) -> Table:
         handle = path.open(newline="", encoding="utf-8")
     except OSError as exc:
         raise SchemaError(f"cannot open {path}: {exc}") from exc
-    blocks = []
     with handle:
         try:
             header = next(csv.reader(handle))
@@ -227,15 +224,22 @@ def _read_rows(path, columns, text_columns=()) -> Table:
                     parsed, n_records = _parse_records(
                         path, columns, text_columns, lines, handle, first_line
                     )
-                blocks.append(parsed)
+                yield Table(dict(zip(columns, parsed)))
             first_line += n_records
-    if not blocks:
-        return Table({c: np.array([], dtype=object if c in text_columns else float) for c in columns})
-    return Table({name: np.concatenate(parts) for name, parts in zip(columns, zip(*blocks))})
+
+
+def _read_rows(path, columns, text_columns=()) -> Table:
+    """Read a whole strict-schema CSV into one column table (see _read_blocks)."""
+    blocks = list(_read_blocks(path, columns, text_columns))
+    # the empty first part types the columns of a log without rows
+    return Table({name: np.concatenate(
+        [np.array([], dtype=object if name in text_columns else float)] + [b[name] for b in blocks]
+    ) for name in columns})
 
 
 def _number_fields(column) -> list:
-    """fmt() of each value; a column of one bit pattern is formatted once."""
+    """The shortest round-trip repr of each value; a column of one bit
+    pattern is formatted once."""
     values = np.asarray(column, dtype=float)
     bits = values.view(np.int64)  # bits, not ==, so -0.0 and 0.0 stay apart
     if (bits == bits[0]).all():
@@ -253,54 +257,66 @@ def _text_fields(column):
     return fields, not any(c in field for field in set(fields) for c in _QUOTED_CHARS)
 
 
-def _write_rows(path, columns, table: Table, text_columns=()):
-    """Write the `columns` of a table as CSV.
+def _write_rows(path, columns, tables, text_columns=()):
+    """Write the `columns` of a sequence of tables as one CSV.
 
     Blocks are joined as text and written at once; a block with a text
     field that needs quoting goes through csv.writer. The bytes are the
-    same either way.
+    same either way. The file is written next to `path` and renamed onto
+    it once complete, so a failed write leaves `path` as it was.
     """
-    with Path(path).open("w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(columns)
-        for start in range(0, len(table), CSV_BLOCK_ROWS):
-            block = slice(start, start + CSV_BLOCK_ROWS)
-            fields, verbatim = [], True
-            for name in columns:
-                if name in text_columns:
-                    text, plain = _text_fields(table[name][block])
-                    fields.append(text)
-                    verbatim = verbatim and plain
-                else:
-                    fields.append(_number_fields(table[name][block]))
-            if verbatim:
-                handle.write("".join(",".join(row) + "\n" for row in zip(*fields)))
-            else:
-                writer.writerows(zip(*fields))
+    path = Path(path)
+    temp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with temp.open("w", newline="", encoding="utf-8") as handle:
+            writer = csv.writer(handle, lineterminator="\n")
+            writer.writerow(columns)
+            for table in tables:
+                for start in range(0, len(table), CSV_BLOCK_ROWS):
+                    block = slice(start, start + CSV_BLOCK_ROWS)
+                    fields, plain = zip(*(
+                        _text_fields(table[name][block]) if name in text_columns
+                        else (_number_fields(table[name][block]), True)
+                        for name in columns
+                    ))
+                    if all(plain):
+                        handle.write("".join(",".join(row) + "\n" for row in zip(*fields)))
+                    else:
+                        writer.writerows(zip(*fields))
+        os.replace(temp, path)
+    except BaseException as exc:
+        temp.unlink(missing_ok=True)
+        if isinstance(exc, OSError) and exc.filename == str(temp):  # report the target's name
+            raise OSError(exc.errno, exc.strerror, str(path)) from None
+        raise
 
 
 def read_observations(path) -> Table:
     return _read_rows(path, OBSERVATION_COLUMNS)
 
 
-def write_observations(path, table: Table):
-    _write_rows(path, OBSERVATION_COLUMNS, table)
+def read_observation_blocks(path):
+    return _read_blocks(path, OBSERVATION_COLUMNS)
+
+
+def write_observations(path, tables):
+    _write_rows(path, OBSERVATION_COLUMNS, tables)
 
 
 def read_ground_truth(path) -> Table:
     return _read_rows(path, GROUND_TRUTH_COLUMNS)
 
 
-def write_ground_truth(path, table: Table):
-    _write_rows(path, GROUND_TRUTH_COLUMNS, table)
+def write_ground_truth(path, tables):
+    _write_rows(path, GROUND_TRUTH_COLUMNS, tables)
 
 
 def read_trajectory(path) -> Table:
     return _read_rows(path, TRAJECTORY_COLUMNS, text_columns=("flags",))
 
 
-def write_trajectory(path, table: Table):
-    _write_rows(path, TRAJECTORY_COLUMNS, table, text_columns=("flags",))
+def write_trajectory(path, tables):
+    _write_rows(path, TRAJECTORY_COLUMNS, tables, text_columns=("flags",))
 
 
 def read_track(path) -> Table:
@@ -312,8 +328,8 @@ def read_exclusions(path) -> Table:
     return _read_rows(path, EXCLUSION_COLUMNS, text_columns=("row", "reason"))
 
 
-def write_exclusions(path, table: Table):
-    _write_rows(path, EXCLUSION_COLUMNS, table, text_columns=("row", "reason"))
+def write_exclusions(path, tables):
+    _write_rows(path, EXCLUSION_COLUMNS, tables, text_columns=("row", "reason"))
 
 
 # --- YAML configuration ---

@@ -6,7 +6,9 @@ Casting the (undistorted) pixel ray onto that plane resolves the scale
 ambiguity of the single view; the hit is then expressed in the
 vehicle-body ENU frame and, downstream, in geodetic coordinates.
 
-`recover_batch` runs the whole chain on columns of observations.
+`recover_batch` runs the whole chain on columns of observations; every
+row is recovered on its own, so any split of a log into blocks gives the
+same rows. The `recover` command feeds it one CSV block at a time.
 
 Frames:
     {G}  ENU with origin at the camera optical center, z up.
@@ -35,10 +37,6 @@ from .table import Table
 CONDITIONING_MIN = 1e-3
 
 GIMBAL_FRAMES = ("world", "body")
-
-# recover_batch works through its input this many rows at a time, so its
-# intermediate arrays stay the same size however long the log is.
-CHUNK_ROWS = 8192
 
 # Per-row outcome codes; REASONS[code] is the name written to the
 # exclusions sidecar. A row with more than one fault gets the first in
@@ -186,7 +184,20 @@ def _degrees_to_angles(columns, prefix):
     )))
 
 
-def _recover_chunk(columns, config) -> tuple[dict, np.ndarray]:
+def recover_batch(columns, config) -> tuple[Table, np.ndarray]:
+    """Recover every observation row, column by column.
+
+    columns: mapping from OBSERVATION_COLUMNS (angles in degrees) to
+    equal-length arrays, such as the table io.read_observations returns.
+    config: a run configuration with intrinsics, distortion, rig,
+    ellipsoid and altitude_datum_offset.
+
+    Returns the trajectory table (TRAJECTORY_COLUMNS) of the recovered
+    rows, in input order, and an int8 reason code per input row:
+    RECOVERED, or why the row was excluded (REASONS names the codes).
+    The intermediate arrays grow with the rows passed in; `recover`
+    passes one CSV block at a time.
+    """
     intr = config.intrinsics
     a_uav = columns["a_uav"] + config.altitude_datum_offset
     lat = np.radians(columns["ref_lat_deg"])
@@ -208,34 +219,10 @@ def _recover_chunk(columns, config) -> tuple[dict, np.ndarray]:
     p_d = _camera_to_body_enu(p_c, r_cw[ok], body[ok], config.rig)
     ref = GeodeticCoord(lat[rows], np.radians(columns["ref_lon_deg"][rows]), columns["ref_alt_m"][rows])
     geo = ecef_to_geodetic(enu_to_ecef(p_d, ref, config.ellipsoid), config.ellipsoid)
-    out = {
+    return Table({
         "t": columns["t"][rows],
         "cam_x": p_c[:, 0], "cam_y": p_c[:, 1], "cam_z": p_c[:, 2],
         "enu_x": p_d[:, 0], "enu_y": p_d[:, 1], "enu_z": p_d[:, 2],
         "lat_deg": np.degrees(geo.lat), "lon_deg": np.degrees(geo.lon), "alt_m": geo.h,
         "flags": np.where(intr.contains(PixelCoord(u, v)), "", "out_of_frame"),
-    }
-    return out, codes
-
-
-def recover_batch(columns, config) -> tuple[Table, np.ndarray]:
-    """Recover every observation row, column by column.
-
-    columns: mapping from OBSERVATION_COLUMNS (angles in degrees) to
-    equal-length arrays, such as the table io.read_observations returns.
-    config: a run configuration with intrinsics, distortion, rig,
-    ellipsoid and altitude_datum_offset.
-
-    Returns the trajectory table (TRAJECTORY_COLUMNS) of the recovered
-    rows, in input order, and an int8 reason code per input row:
-    RECOVERED, or why the row was excluded (REASONS names the codes).
-    """
-    n = len(columns["t"])
-    codes = np.empty(n, dtype=np.int8)
-    parts = []
-    # an empty input still makes one (empty) chunk, for the column layout
-    for start in range(0, max(n, 1), CHUNK_ROWS):
-        rows = slice(start, start + CHUNK_ROWS)
-        out, codes[rows] = _recover_chunk({k: columns[k][rows] for k in OBSERVATION_COLUMNS}, config)
-        parts.append(out)
-    return Table({k: np.concatenate([p[k] for p in parts]) for k in TRAJECTORY_COLUMNS}), codes
+    }), codes

@@ -27,9 +27,7 @@ class Table:
             raise ValueError(f"columns differ in length: {sorted(lengths)}")
         self._length = lengths.pop() if lengths else 0
 
-    def take(self, index) -> "Table":
-        """Rows selected by an index array or boolean mask, as a new table."""
-        return Table({name: column[index] for name, column in self.columns.items()})
+    __iter__ = None  # not a sequence of rows: writers take a sequence of tables
 
     def __len__(self):
         return self._length

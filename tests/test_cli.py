@@ -170,7 +170,7 @@ class TestRecoverErrors:
         simulate(workdir)
         rows = io.read_observations(workdir / "obs.csv")
         rows["a_uav"][3] = -5.0
-        io.write_observations(workdir / "obs.csv", rows)
+        io.write_observations(workdir / "obs.csv", [rows])
         assert run(
             workdir, "recover",
             "--config", workdir / "run.yaml",
@@ -239,7 +239,7 @@ class TestEvaluateCommand:
         gt = io.read_ground_truth(workdir / "gt.csv")
         gt["x"][:] -= 0.3
         gt["y"][:] -= 0.4
-        io.write_ground_truth(workdir / "gt.csv", gt)
+        io.write_ground_truth(workdir / "gt.csv", [gt])
         capsys.readouterr()
         run(
             workdir, "evaluate",
@@ -256,7 +256,7 @@ class TestEvaluateCommand:
         self._recover(workdir)
         gt = io.read_ground_truth(workdir / "gt.csv")
         gt["t"][:] += 1000.0
-        io.write_ground_truth(workdir / "gt.csv", gt)
+        io.write_ground_truth(workdir / "gt.csv", [gt])
         code = run(
             workdir, "evaluate",
             "--config", workdir / "run.yaml",
@@ -277,7 +277,7 @@ class TestEvaluateCommand:
         x, y = gt["x"].copy(), gt["y"].copy()
         gt["x"][:] = c * x + s * y + 2.0
         gt["y"][:] = -s * x + c * y - 1.0
-        io.write_ground_truth(workdir / "gt.csv", gt)
+        io.write_ground_truth(workdir / "gt.csv", [gt])
         (workdir / "run_gt.yaml").write_text(
             "calibration: cal.yaml\n"
             "gt_frame_yaw_deg: -67.3\n"
@@ -305,7 +305,7 @@ class TestEvaluateCommand:
         factor = a_cam / (a_cam + depth)
         gt["x"][:] *= factor
         gt["y"][:] *= factor
-        io.write_ground_truth(workdir / "gt.csv", gt)
+        io.write_ground_truth(workdir / "gt.csv", [gt])
         (workdir / "run_rescale.yaml").write_text(
             "calibration: cal.yaml\ngt_rescale: true\ngt_rescale_a_cam: 25.0\n",
             encoding="utf-8",
@@ -324,7 +324,7 @@ class TestEvaluateCommand:
         simulate(workdir)
         rows = io.read_observations(workdir / "obs.csv")
         rows["a_uav"][[3, 50, 51]] = -5.0
-        io.write_observations(workdir / "obs.csv", rows)
+        io.write_observations(workdir / "obs.csv", [rows])
         self._recover(workdir)
         capsys.readouterr()
         assert run(
@@ -377,8 +377,8 @@ class TestOriginTrack:
         rows["v"][:] -= 9.0
         n = len(rows)
         track = Table({"t": rows["t"], "u": np.full(n, 960.0 + 17.0), "v": np.full(n, 540.0 - 9.0)})
-        io.write_observations(workdir / "obs.csv", rows)
-        io._write_rows(workdir / "origin.csv", io.TRACK_COLUMNS, track)
+        io.write_observations(workdir / "obs.csv", [rows])
+        io._write_rows(workdir / "origin.csv", io.TRACK_COLUMNS, [track])
         assert run(
             workdir, "recover",
             "--config", workdir / "run.yaml",

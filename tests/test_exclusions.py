@@ -89,7 +89,7 @@ def test_each_reason_and_precedence(tmp_path, capsys):
 
 
 def test_chunked_run_matches_one_chunk(tmp_path, monkeypatch):
-    from depthray import recovery
+    from depthray import io
 
     write_inputs(tmp_path)
     # a noisy simulated log, where every row recovers, next to the crafted one
@@ -111,8 +111,10 @@ def test_chunked_run_matches_one_chunk(tmp_path, monkeypatch):
         ]) == 0
 
     recover_both("whole")
-    # the crafted log has 12 rows with an origin match: chunks of 7 and 5
-    monkeypatch.setattr(recovery, "CHUNK_ROWS", 7)
+    # read, recover and write in blocks of 7: the crafted log's 14 rows
+    # (12 with an origin match) and its 12-row track make two blocks each,
+    # the simulated log's 40 rows six
+    monkeypatch.setattr(io, "CSV_BLOCK_ROWS", 7)
     recover_both("chunked")
     for name in ("{}.csv", "{}.csv.exclusions.csv", "{}-sim.csv", "{}-sim.csv.exclusions.csv"):
         whole = (tmp_path / name.format("whole")).read_bytes()

@@ -3,7 +3,7 @@ import io as textio
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from depthray import io
@@ -139,7 +139,7 @@ class TestCsv:
         values = np.random.default_rng(5).uniform(0.1, 100.0, 14)
         rows = Table({c: np.full(4, v) for c, v in zip(io.OBSERVATION_COLUMNS, values)})
         path = tmp_path / "obs.csv"
-        io.write_observations(path, rows)
+        io.write_observations(path, [rows])
         back = io.read_observations(path)
         assert back == rows
 
@@ -164,10 +164,6 @@ class TestCsv:
     def test_missing_file_is_schema_error(self, tmp_path):
         with pytest.raises(SchemaError, match="cannot open"):
             io.read_observations(tmp_path / "absent.csv")
-
-    def test_float_format_shortest_round_trip(self):
-        for v in (0.1, 1.0 / 3.0, 25.630000000000003, -1e-17):
-            assert float(io.fmt(v)) == v
 
 
 GT_HEADER = "t,x,y,z\n"
@@ -313,12 +309,20 @@ def trajectories(draw):
     return Table(columns)
 
 
+# values whose shortest repr is easy to get wrong
+SHORTEST_REPR = Table({
+    **{c: [0.1, 1.0 / 3.0, 25.630000000000003, -1e-17] for c in io.TRAJECTORY_COLUMNS[:-1]},
+    "flags": np.array([""] * 4, dtype=object),
+})
+
+
 class TestCsvWriter:
     @settings(max_examples=80, deadline=None)
     @given(trajectories())
+    @example(table=SHORTEST_REPR)
     def test_round_trip_is_bit_exact_and_matches_csv_writer(self, tmp_path_factory, table):
         path = tmp_path_factory.mktemp("csv") / "traj.csv"
-        io.write_trajectory(path, table)
+        io.write_trajectory(path, [table])
         assert path.read_bytes() == reference_csv(io.TRAJECTORY_COLUMNS, table, ("flags",))
         back = io.read_trajectory(path)
         for c in io.TRAJECTORY_COLUMNS[:-1]:
@@ -328,7 +332,7 @@ class TestCsvWriter:
     def test_integer_text_column(self, tmp_path):
         table = Table({"row": np.array([2, 17]), "t": [0.5, -0.0], "reason": ["degenerate"] * 2})
         path = tmp_path / "excl.csv"
-        io.write_exclusions(path, table)
+        io.write_exclusions(path, [table])
         assert path.read_bytes() == reference_csv(io.EXCLUSION_COLUMNS, table, ("row", "reason"))
         assert list(io.read_exclusions(path)["row"]) == ["2", "17"]
 
@@ -336,9 +340,16 @@ class TestCsvWriter:
         n = 2 * io.CSV_BLOCK_ROWS + 3
         table = Table({c: np.arange(n) + k for k, c in enumerate(io.GROUND_TRUTH_COLUMNS)})
         path = tmp_path / "gt.csv"
-        io.write_ground_truth(path, table)
+        io.write_ground_truth(path, [table])
         assert path.read_bytes() == reference_csv(io.GROUND_TRUTH_COLUMNS, table, ())
         assert io.read_ground_truth(path) == Table({c: table[c].astype(float) for c in table.columns})
+
+
+    def test_a_bare_table_is_refused_and_leaves_no_file(self, tmp_path):
+        # writers take a sequence of tables; a Table is not a sequence of rows
+        with pytest.raises(TypeError, match="not iterable"):
+            io.write_ground_truth(tmp_path / "gt.csv", gt_table((0.0, 1.0, 2.0, 3.0)))
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestRigConfig:
