@@ -20,6 +20,7 @@ from .errors import (
     LengthMismatch,
     SchemaError,
 )
+from .evaluate import _match_sorted
 from .evaluate import enu_to_ground_truth, rescale_grid_point, time_sync, trajectory_errors
 from .recovery import NO_ORIGIN_MATCH, OBSERVATION_COLUMNS, RECOVERED, REASONS, recover_batch
 from .synth import generate_logs
@@ -38,18 +39,19 @@ def _exclusions_path(trajectory) -> Path:
 def _recover_blocks(blocks, track, config, outcomes):
     """Recover observation blocks one at a time, yielding their trajectories.
 
-    With an origin track, each pixel is replaced by its offset from the
-    time-matched origin sample, re-anchored at the principal point, which
-    cancels hover drift; rows without a match are excluded. Appends to
-    `outcomes`, per block, its row count and copies (not views of the
-    parsed block) of the row index, time and code of excluded rows.
+    With an origin track (stably sorted by time), each pixel is replaced by
+    its offset from the time-matched origin sample, re-anchored at the
+    principal point, which cancels hover drift; rows without a match are
+    excluded. Appends to `outcomes`, per block, its row count and copies
+    (not views of the parsed block) of the row index, time and code of
+    excluded rows.
     """
     intr, first_row = config.intrinsics, 0
     for obs in blocks:
         t, matched = obs["t"], slice(None)
         codes = np.full(len(obs), NO_ORIGIN_MATCH, dtype=np.int8)
         if track is not None:
-            matched, track_idx, _ = time_sync(t, track["t"], config.sync_max_gap)
+            matched, track_idx, _ = _match_sorted(t, track["t"], config.sync_max_gap)
             obs = {name: obs[name][matched] for name in OBSERVATION_COLUMNS}
             obs["u"] = intr.cx + (obs["u"] - track["u"][track_idx])
             obs["v"] = intr.cy + (obs["v"] - track["v"][track_idx])
@@ -72,6 +74,8 @@ def cmd_recover(args) -> int:
         track = io.read_track(args.origin_track)
         if not len(track):
             raise EmptyTrajectory(f"{args.origin_track}: no track rows")
+        order = np.argsort(track["t"], kind="stable")  # once, not per block
+        track = {name: track[name][order] for name in track.columns}
     outcomes = []
     io.write_trajectory(args.output, _recover_blocks(blocks, track, config, outcomes))
     sizes, rows, t, codes = zip(*outcomes)

@@ -100,7 +100,12 @@ def time_sync(t_est, t_gt, max_gap: float):
     if len(t_gt) == 0 or len(t_est) == 0:
         raise EmptyTrajectory("cannot sync empty timestamp sequences")
     order = np.argsort(t_gt, kind="stable")
-    sorted_gt = t_gt[order]
+    est_idx, nearest, n_dropped = _match_sorted(t_est, t_gt[order], max_gap)
+    return est_idx, order[nearest], n_dropped
+
+
+def _match_sorted(t_est, sorted_gt, max_gap: float):
+    """time_sync against stably sorted timestamps, its gt_idx indexing `sorted_gt`."""
     pos = np.searchsorted(sorted_gt, t_est)
     pos = np.clip(pos, 1, len(sorted_gt) - 1) if len(sorted_gt) > 1 else np.zeros_like(pos)
     left = np.abs(t_est - sorted_gt[np.maximum(pos - 1, 0)])
@@ -108,6 +113,4 @@ def time_sync(t_est, t_gt, max_gap: float):
     nearest = np.where(left <= right, np.maximum(pos - 1, 0), pos)
     gap = np.abs(sorted_gt[nearest] - t_est)
     keep = gap <= max_gap
-    est_idx = np.nonzero(keep)[0]
-    gt_idx = order[nearest[keep]]
-    return est_idx, gt_idx, int(np.sum(~keep))
+    return np.nonzero(keep)[0], nearest[keep], int(np.sum(~keep))

@@ -3,7 +3,10 @@
 All CSVs are UTF-8 with a required header, `.` decimal separator,
 angles in degrees and distances in meters. Floats are written with
 Python's shortest round-trip repr so a written value reads back
-bit-identical, and identical runs produce byte-identical files.
+bit-identical, and identical runs produce byte-identical files. The
+digits come from orjson's Ryu formatter, one call per block column;
+repr itself formats the values it writes with an exponent (nonzero
+|x| < 1e-4 or |x| >= 1e16) and non-finite ones.
 
 Logs are read into and written from column tables (depthray.table),
 a block of rows at a time: parsed by np.loadtxt and written as one
@@ -22,6 +25,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
+import orjson
 import yaml
 
 from .camera import CameraIntrinsics, DistortionCoeffs
@@ -238,14 +242,14 @@ def _read_rows(path, columns, text_columns=()) -> Table:
 
 
 def _number_fields(column) -> list:
-    """The shortest round-trip repr of each value; a column of one bit
-    pattern is formatted once."""
-    values = np.asarray(column, dtype=float)
-    bits = values.view(np.int64)  # bits, not ==, so -0.0 and 0.0 stay apart
-    if (bits == bits[0]).all():
-        return [repr(float(values[0]))] * len(values)
-    # a list's repr holds the repr of each float, made without a call per item
-    return repr(values.tolist())[1:-1].split(", ")
+    """The shortest round-trip repr of each value: Ryu's digits from orjson,
+    and repr's own where it writes an exponent or the value is not finite."""
+    values = np.ascontiguousarray(column, dtype=float)
+    fields = orjson.dumps(values, option=orjson.OPT_SERIALIZE_NUMPY)[1:-1].decode().split(",")
+    size = np.abs(values)
+    for k in np.flatnonzero(~((size >= 1e-4) & (size < 1e16) | (values == 0))):
+        fields[k] = repr(float(values[k]))
+    return fields if len(values) else []
 
 
 def _text_fields(column):

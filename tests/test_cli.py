@@ -391,6 +391,31 @@ class TestOriginTrack:
         assert corrected["enu_x"] == pytest.approx(clean["enu_x"], abs=1e-12)
         assert corrected["enu_y"] == pytest.approx(clean["enu_y"], abs=1e-12)
 
+    def test_unsorted_track_with_duplicates_matched_per_block(self, workdir, monkeypatch):
+        simulate(workdir)
+        run(
+            workdir, "recover",
+            "--config", workdir / "run.yaml",
+            "--input", workdir / "obs.csv",
+            "--output", workdir / "clean.csv",
+        )
+        # every timestamp twice, in shuffled order, read and matched in
+        # blocks of 7 observations
+        t = io.read_observations(workdir / "obs.csv")["t"]
+        order = np.random.default_rng(2).permutation(2 * len(t))
+        n = len(order)
+        track = Table({"t": np.tile(t, 2)[order], "u": np.full(n, 960.0), "v": np.full(n, 540.0)})
+        io._write_rows(workdir / "origin.csv", io.TRACK_COLUMNS, [track])
+        monkeypatch.setattr(io, "CSV_BLOCK_ROWS", 7)
+        assert run(
+            workdir, "recover",
+            "--config", workdir / "run.yaml",
+            "--input", workdir / "obs.csv",
+            "--output", workdir / "tracked.csv",
+            "--origin-track", workdir / "origin.csv",
+        ) == 0
+        assert (workdir / "tracked.csv").read_bytes() == (workdir / "clean.csv").read_bytes()
+
 
 class TestSimulateErrors:
     def test_infeasible_scene_exits_2(self, workdir, capsys):

@@ -8,6 +8,7 @@ from depthray.errors import DegenerateGeometry, EmptyTrajectory, LengthMismatch
 from depthray.evaluate import (
     GroundTruthFrame,
     TrajectoryErrorReport,
+    _match_sorted,
     enu_to_ground_truth,
     rescale_grid_point,
     time_sync,
@@ -153,3 +154,21 @@ class TestTimeSync:
     def test_empty_raises(self):
         with pytest.raises(EmptyTrajectory):
             time_sync([], [1.0], max_gap=0.1)
+
+    def test_per_block_matching_of_a_track_sorted_once(self):
+        # recover sorts the origin track once and matches each block of
+        # estimates against it; the pairs must be time_sync's, ties included
+        rng = np.random.default_rng(11)
+        t_gt = rng.permutation(np.concatenate([np.round(rng.uniform(0, 50, 300), 1)] * 2))
+        t_est = np.sort(rng.uniform(-1, 51, 1000))
+        est_idx, gt_idx, dropped = time_sync(t_est, t_gt, max_gap=0.04)
+        assert 0 < dropped < len(t_est)
+        order = np.argsort(t_gt, kind="stable")
+        blocks = [
+            _match_sorted(t_est[start:start + 64], t_gt[order], max_gap=0.04)
+            for start in range(0, len(t_est), 64)
+        ]
+        est_blocks = [b[0] + k * 64 for k, b in enumerate(blocks)]
+        assert np.concatenate(est_blocks).tolist() == est_idx.tolist()
+        assert np.concatenate([order[b[1]] for b in blocks]).tolist() == gt_idx.tolist()
+        assert sum(b[2] for b in blocks) == dropped

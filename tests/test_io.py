@@ -286,7 +286,11 @@ def reference_csv(columns, table, text_columns):
 
 finite = st.one_of(
     st.floats(allow_nan=False, allow_infinity=False),
-    st.sampled_from([0.0, -0.0, 5e-324, -2.2250738585072014e-308, 1e16, 1e-5, 0.1]),
+    st.sampled_from([
+        0.0, -0.0, 5e-324, -2.2250738585072014e-308, 1e16, 1e-5, 0.1,
+        # either side of the bounds of repr's plain notation, and integers
+        1e-4, 9.999999999999999e-05, 9999999999999998.0, 25.0, 2.0**53, 1e22,
+    ]),
 )
 
 
@@ -328,6 +332,27 @@ class TestCsvWriter:
         for c in io.TRAJECTORY_COLUMNS[:-1]:
             assert np.array_equal(back[c].view(np.int64), np.asarray(table[c]).view(np.int64))
         assert list(back["flags"]) == list(table["flags"])
+
+    def test_non_finite_values_written_as_repr(self, tmp_path):
+        table = gt_table((0.0, float("nan"), float("inf"), -float("inf")), (1.0, 2.0, -0.0, 3.0))
+        path = tmp_path / "gt.csv"
+        io.write_ground_truth(path, [table])
+        assert path.read_bytes() == reference_csv(io.GROUND_TRUTH_COLUMNS, table, ())
+        assert path.read_text().splitlines()[1] == "0.0,nan,inf,-inf"
+
+    def test_number_fields_match_repr_in_bulk(self):
+        # the digits come from orjson: any departure from repr in a release
+        # of it shows here, over random bit patterns of every exponent and
+        # values of few significant digits
+        rng = np.random.default_rng(8)
+        bits = rng.integers(0, 2**64, 200_000, dtype=np.uint64, endpoint=False)
+        mantissa = rng.uniform(-10.0, 10.0, 100_000) * 10.0 ** rng.integers(-6, 18, 100_000)
+        digits = rng.integers(1, 16, 100_000)
+        rounded = np.array([float(f"{m:.{d}g}") for m, d in zip(mantissa.tolist(), digits)])
+        for values in (bits.view(float), rounded):
+            for start in range(0, len(values), io.CSV_BLOCK_ROWS):
+                block = values[start:start + io.CSV_BLOCK_ROWS]
+                assert io._number_fields(block) == list(map(repr, block.tolist()))
 
     def test_integer_text_column(self, tmp_path):
         table = Table({"row": np.array([2, 17]), "t": [0.5, -0.0], "reason": ["degenerate"] * 2})
