@@ -75,7 +75,8 @@ def cmd_recover(args) -> int:
         if not len(track):
             raise EmptyTrajectory(f"{args.origin_track}: no track rows")
         order = np.argsort(track["t"], kind="stable")  # once, not per block
-        track = {name: track[name][order] for name in track.columns}
+        # each column is sorted in turn and its unsorted copy dropped
+        track = {name: track.columns.pop(name)[order] for name in io.TRACK_COLUMNS}
     outcomes = []
     io.write_trajectory(args.output, _recover_blocks(blocks, track, config, outcomes))
     sizes, rows, t, codes = zip(*outcomes)

@@ -26,10 +26,6 @@ class DegenerateGeometry(DepthrayError):
     """Sensor readings place the camera at or below the target plane."""
 
 
-class NearSingularAxis(DepthrayError):
-    """ECEF point too close to the rotation axis for a geodetic fix."""
-
-
 class EmptyTrajectory(DepthrayError):
     """No samples left to evaluate."""
 

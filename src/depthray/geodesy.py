@@ -11,12 +11,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NearSingularAxis
-
-# Region around the rotation axis where the closed-form conversion is
-# replaced by iterative refinement.
-AXIS_GUARD_M = 1.0
-
 
 @dataclass(frozen=True)
 class Ellipsoid:
@@ -156,8 +150,12 @@ def enu_to_ecef(p, ref: GeodeticCoord, ell: Ellipsoid = WGS84) -> EcefCoord:
     return EcefCoord(x + origin.x, y + origin.y, z + origin.z, ell)
 
 
-def _geodetic_closed_form(x, y, z, ell):
-    """Closed-form ECEF to geodetic solution (array-valued)."""
+def ecef_to_geodetic(e: EcefCoord, ell: Ellipsoid = WGS84) -> GeodeticCoord:
+    """Convert ECEF to geodetic coordinates in closed form (Heikkinen 1982,
+    Zhu 1994). The solution holds on and near the rotation axis too; it
+    breaks down only within tens of km of the earth's centre.
+    """
+    x, y, z = (np.asarray(c, dtype=float) for c in (e.x, e.y, e.z))
     a, b = ell.r_e, ell.r_p
     e2, ep2 = ell.e2, ell.ep2
     p = np.hypot(x, y)
@@ -181,49 +179,4 @@ def _geodetic_closed_form(x, y, z, ell):
     v = np.sqrt(t * t + (1.0 - e2) * z * z)
     z0 = b * b * z / (a * v)
     h = u * (1.0 - b * b / (a * v))
-    lat = np.arctan2(z + ep2 * z0, p)
-    lon = np.arctan2(y, x)
-    return lat, lon, h
-
-
-def _geodetic_iterative(x, y, z, ell, iterations=30):
-    """Parametric-latitude fixed point, used near the rotation axis."""
-    a, b = ell.r_e, ell.r_p
-    e2, ep2 = ell.e2, ell.ep2
-    p = np.hypot(x, y)
-    beta = np.arctan2(a * z, b * p)
-    lat = np.zeros_like(p)
-    for _ in range(iterations):
-        lat = np.arctan2(z + ep2 * b * np.sin(beta) ** 3, p - e2 * a * np.cos(beta) ** 3)
-        beta = np.arctan2(b * np.sin(lat), a * np.cos(lat))
-    n = ell.r_e**2 / np.sqrt((a * np.cos(lat)) ** 2 + (b * np.sin(lat)) ** 2)
-    # height from whichever axis is better conditioned at this latitude
-    h = np.where(
-        np.abs(lat) < np.pi / 4,
-        p / np.maximum(np.cos(lat), 1e-300) - n,
-        z / np.where(np.sin(lat) == 0.0, 1.0, np.sin(lat)) - (b / a) ** 2 * n,
-    )
-    if not np.all(np.isfinite(lat)):
-        raise NearSingularAxis("iterative geodetic refinement did not converge")
-    return lat, np.arctan2(y, x), h
-
-
-def ecef_to_geodetic(e: EcefCoord, ell: Ellipsoid = WGS84) -> GeodeticCoord:
-    """Convert ECEF to geodetic coordinates.
-
-    Uses the closed-form solution everywhere except a guard band around
-    the rotation axis (|x| and |y| both below AXIS_GUARD_M), where it
-    falls back to an iterative parametric-latitude refinement.
-    """
-    x = np.atleast_1d(np.asarray(e.x, dtype=float))
-    y = np.atleast_1d(np.asarray(e.y, dtype=float))
-    z = np.atleast_1d(np.asarray(e.z, dtype=float))
-    lat, lon, h = _geodetic_closed_form(x, y, z, ell)
-    near = (np.abs(x) < AXIS_GUARD_M) & (np.abs(y) < AXIS_GUARD_M)
-    if np.any(near):
-        lat_i, lon_i, h_i = _geodetic_iterative(x[near], y[near], z[near], ell)
-        lat[near], lon[near], h[near] = lat_i, lon_i, h_i
-    scalar = np.asarray(e.x).ndim == 0
-    if scalar:
-        return GeodeticCoord(float(lat[0]), float(lon[0]), float(h[0]))
-    return GeodeticCoord(lat, lon, h)
+    return GeodeticCoord(np.arctan2(z + ep2 * z0, p), np.arctan2(y, x), h)

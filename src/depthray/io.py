@@ -10,11 +10,12 @@ repr itself formats the values it writes with an exponent (nonzero
 
 Logs are read into and written from column tables (depthray.table),
 a block of rows at a time: parsed by np.loadtxt and written as one
-joined string. A block that these could handle differently from the
-csv module (quotes, bad or oddly spelled fields) goes through csv
-instead, so values, errors and file bytes are the csv module's. A log
-can be read block by block; a file is written from a sequence of tables
-to a temporary file, renamed onto the target once complete.
+joined string, text fields quoted so that csv.reader reads them back.
+A block that loadtxt could read differently from csv.reader (quotes,
+bad or oddly spelled fields) goes through csv.reader + float() instead,
+so values and errors are the csv module's. A log can be read block by
+block; a file is written from a sequence of tables to a temporary file,
+renamed onto the target once complete.
 """
 
 import csv
@@ -114,7 +115,7 @@ _CSV_ONLY_CHARS = '"\0\x1c\x1d\x1e\x1f'
 
 _LOADTXT = dict(delimiter=",", comments=None, quotechar=None, ndmin=2)
 
-# a text field csv.writer quotes
+# a text field holding any of these is written quoted, as csv.reader reads it back
 _QUOTED_CHARS = ',"\r\n'
 
 
@@ -162,7 +163,8 @@ def _parse_lines(columns, text_columns, records):
         return None
     if numbers.shape != (len(records), len(numeric)) or not np.isfinite(numbers).all():
         return None
-    parts = iter(numbers.T)
+    # owned columns, so a whole read frees each block's column once it is joined
+    parts = iter([c.copy() for c in numbers.T])
     strings = iter(texts.T.astype(object)) if text_columns else None
     return [next(strings) if name in text_columns else next(parts) for name in columns]
 
@@ -234,11 +236,14 @@ def _read_blocks(path, columns, text_columns=()):
 
 def _read_rows(path, columns, text_columns=()) -> Table:
     """Read a whole strict-schema CSV into one column table (see _read_blocks)."""
-    blocks = list(_read_blocks(path, columns, text_columns))
     # the empty first part types the columns of a log without rows
-    return Table({name: np.concatenate(
-        [np.array([], dtype=object if name in text_columns else float)] + [b[name] for b in blocks]
-    ) for name in columns})
+    parts = {name: [np.array([], dtype=object if name in text_columns else float)]
+             for name in columns}
+    for block in _read_blocks(path, columns, text_columns):
+        for name in columns:
+            parts[name].append(block[name])
+    # each column's parts are dropped as it is joined, so no column is held twice
+    return Table({name: np.concatenate(parts.pop(name)) for name in columns})
 
 
 def _number_fields(column) -> list:
@@ -252,41 +257,38 @@ def _number_fields(column) -> list:
     return fields if len(values) else []
 
 
-def _text_fields(column):
-    """The fields of a text column, and whether csv.writer writes them verbatim."""
-    values = column.tolist()
-    if not set(map(type, values)) <= {str, int}:
-        return values, False
-    fields = list(map(str, values))
-    return fields, not any(c in field for field in set(fields) for c in _QUOTED_CHARS)
+def _text_fields(column) -> list:
+    """The CSV fields of a text column: None as empty, str() of anything
+    else, quoted with inner quotes doubled where it holds _QUOTED_CHARS."""
+    fields = ["" if value is None else str(value) for value in column.tolist()]
+    quoted = {
+        field: '"' + field.replace('"', '""') + '"'
+        for field in set(fields) if any(c in field for c in _QUOTED_CHARS)
+    }
+    return [quoted.get(field, field) for field in fields] if quoted else fields
 
 
 def _write_rows(path, columns, tables, text_columns=()):
     """Write the `columns` of a sequence of tables as one CSV.
 
-    Blocks are joined as text and written at once; a block with a text
-    field that needs quoting goes through csv.writer. The bytes are the
-    same either way. The file is written next to `path` and renamed onto
+    The header and each block of rows are joined into one string and
+    written at once. The file is written next to `path` and renamed onto
     it once complete, so a failed write leaves `path` as it was.
     """
     path = Path(path)
     temp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    blocks = itertools.chain([[[name] for name in columns]], (
+        [
+            _text_fields(table[name][start:start + CSV_BLOCK_ROWS]) if name in text_columns
+            else _number_fields(table[name][start:start + CSV_BLOCK_ROWS])
+            for name in columns
+        ]
+        for table in tables for start in range(0, len(table), CSV_BLOCK_ROWS)
+    ))
     try:
         with temp.open("w", newline="", encoding="utf-8") as handle:
-            writer = csv.writer(handle, lineterminator="\n")
-            writer.writerow(columns)
-            for table in tables:
-                for start in range(0, len(table), CSV_BLOCK_ROWS):
-                    block = slice(start, start + CSV_BLOCK_ROWS)
-                    fields, plain = zip(*(
-                        _text_fields(table[name][block]) if name in text_columns
-                        else (_number_fields(table[name][block]), True)
-                        for name in columns
-                    ))
-                    if all(plain):
-                        handle.write("".join(",".join(row) + "\n" for row in zip(*fields)))
-                    else:
-                        writer.writerows(zip(*fields))
+            for fields in blocks:
+                handle.write("\n".join(map(",".join, zip(*fields))) + "\n")
         os.replace(temp, path)
     except BaseException as exc:
         temp.unlink(missing_ok=True)

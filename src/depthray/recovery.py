@@ -202,10 +202,12 @@ def recover_batch(columns, config) -> tuple[Table, np.ndarray]:
     a_uav = columns["a_uav"] + config.altitude_datum_offset
     lat = np.radians(columns["ref_lat_deg"])
     # a row with a non-finite reading, no altitude above the datum, a
-    # negative depth or a latitude beyond the poles is degenerate
+    # negative depth, a latitude beyond the poles, or an altitude, depth or
+    # reference height over 100 km (where EcefCoord warns) is degenerate
     valid = np.all([np.isfinite(columns[k]) for k in OBSERVATION_COLUMNS[1:]], axis=0)
     valid &= np.isfinite(a_uav) & (a_uav > 0) & (columns["d_uuv"] >= 0)
     valid &= np.abs(lat) <= np.pi / 2 + 1e-12
+    valid &= np.max(np.abs([a_uav, columns["d_uuv"], columns["ref_alt_m"]]), axis=0) <= 1e5
     rows = np.flatnonzero(valid)
     u, v, body = columns["u"][rows], columns["v"][rows], _degrees_to_angles(columns, "body")[rows]
     p_c, r_cw, hit_codes = _hit_depth_plane(

@@ -1,6 +1,12 @@
 """Exclusion reasons of `recover`: one crafted row per reason, and the
 precedence between reasons when a row has several faults."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import depthray
 from depthray.cli import main
 
 CALIB = """\
@@ -120,3 +126,32 @@ def test_chunked_run_matches_one_chunk(tmp_path, monkeypatch):
         whole = (tmp_path / name.format("whole")).read_bytes()
         assert (tmp_path / name.format("chunked")).read_bytes() == whole
     assert len((tmp_path / "whole-sim.csv").read_text().splitlines()) == 41
+
+
+def test_fix_near_the_earths_centre_is_degenerate(tmp_path):
+    # a reference height that puts the fix 20-43 km from the earth's
+    # centre, once off and once on the rotation axis
+    rows = [
+        "0.0,1000.0,500.0,25.0,0.6,0.0,-90.0,0.0,0.0,0.0,0.0,42.87,17.7,25.0",
+        "1.0,960.0,540.0,25.0,0.6,0.0,-90.0,0.0,0.0,0.0,0.0,42.87,17.7,-6355000.0",
+        "2.0,960.0,540.0,25.0,0.6,0.0,-90.0,0.0,0.0,0.0,0.0,90.0,0.0,-6356000.0",
+    ]
+    (tmp_path / "cal.yaml").write_text(CALIB, encoding="utf-8")
+    (tmp_path / "run.yaml").write_text("calibration: cal.yaml\n", encoding="utf-8")
+    src = str(Path(depthray.__file__).resolve().parents[1])
+
+    def run(name, lines):
+        (tmp_path / f"{name}.csv").write_text("\n".join([HEADER] + lines) + "\n", encoding="utf-8")
+        result = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning", "-m", "depthray.cli", "recover",
+             "--config", str(tmp_path / "run.yaml"), "--input", str(tmp_path / f"{name}.csv"),
+             "--output", str(tmp_path / f"{name}-traj.csv")],
+            env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, timeout=60,
+        )
+        assert (result.returncode, result.stderr) == (0, "")
+        return (tmp_path / f"{name}-traj.csv").read_text(encoding="utf-8")
+
+    traj = run("absurd", rows)
+    sidecar = (tmp_path / "absurd-traj.csv.exclusions.csv").read_text(encoding="utf-8")
+    assert sidecar == "row,t,reason\n3,1.0,degenerate\n4,2.0,degenerate\n"
+    assert traj == run("sane", rows[:1])

@@ -136,6 +136,19 @@ class TestEcefToGeodetic:
         assert (back.x, back.y, back.z) == pytest.approx((e.x, e.y, e.z), abs=1e-6)
         assert g.lat == pytest.approx(np.pi / 2, abs=1e-3)
 
+    @pytest.mark.parametrize("ell", [WGS84, Ellipsoid(r_e=3396190.0, r_p=3376200.0)])
+    def test_near_axis_round_trip(self, ell):
+        # within 1 m of the rotation axis (and on it), over both poles, from
+        # 10 km below to 100 km above the ellipsoid
+        rng = np.random.default_rng(61)
+        x, y = rng.uniform(-1.0, 1.0, (2, 20_000))
+        x[:4] = y[:4] = 0.0
+        h = np.concatenate([[-1e4, 1e5, -1e4, 1e5], rng.uniform(-1e4, 1e5, 19_996)])
+        z = np.tile([1.0, -1.0], 10_000) * (ell.r_p + h)
+        back = geodetic_to_ecef(ecef_to_geodetic(EcefCoord(x, y, z, ell), ell), ell)
+        err = np.sqrt((back.x - x) ** 2 + (back.y - y) ** 2 + (back.z - z) ** 2)
+        assert np.max(err) <= 1e-8
+
     def test_exactly_on_axis(self):
         g = ecef_to_geodetic(EcefCoord(0.0, 0.0, WGS84.r_p + 100.0))
         assert g.lat == pytest.approx(np.pi / 2, abs=1e-12)

@@ -354,6 +354,24 @@ class TestCsvWriter:
                 block = values[start:start + io.CSV_BLOCK_ROWS]
                 assert io._number_fields(block) == list(map(repr, block.tolist()))
 
+    def test_carriage_return_in_a_text_field_round_trips(self, tmp_path):
+        flags = ["a\rb", "\r", "\r\n", "ok"]
+        table = Table({
+            **{c: np.arange(4.0) for c in io.TRAJECTORY_COLUMNS[:-1]},
+            "flags": np.array(flags, dtype=object),
+        })
+        path = tmp_path / "traj.csv"
+        io.write_trajectory(path, [table])
+        assert list(io.read_trajectory(path)["flags"]) == flags
+
+    def test_none_text_value_is_an_empty_field(self, tmp_path):
+        table = Table({"row": np.array([None, 4], dtype=object), "t": [0.5, 1.0],
+                       "reason": np.array(["degenerate", None], dtype=object)})
+        path = tmp_path / "excl.csv"
+        io.write_exclusions(path, [table])
+        assert path.read_bytes() == reference_csv(io.EXCLUSION_COLUMNS, table, ("row", "reason"))
+        assert path.read_text().splitlines()[1:] == [",0.5,degenerate", "4,1.0,"]
+
     def test_integer_text_column(self, tmp_path):
         table = Table({"row": np.array([2, 17]), "t": [0.5, -0.0], "reason": ["degenerate"] * 2})
         path = tmp_path / "excl.csv"

@@ -116,8 +116,8 @@ rows = st.fixed_dictionaries({
     "t": st.floats(0.0, 1e4, **finite),
     "u": st.floats(-200.0, 2120.0, **finite),
     "v": st.floats(-200.0, 1280.0, **finite),
-    "a_uav": st.floats(-2.0, 40.0, **finite),
-    "d_uuv": st.floats(-0.5, 3.0, **finite),
+    "a_uav": st.one_of(st.floats(-2.0, 40.0, **finite), st.floats(9.9e4, 1.01e5, **finite)),
+    "d_uuv": st.one_of(st.floats(-0.5, 3.0, **finite), st.floats(9.9e4, 1.01e5, **finite)),
     "gimbal_yaw_deg": st.floats(-360.0, 360.0, **finite),
     "gimbal_pitch_deg": st.floats(-180.0, 180.0, **finite),
     "gimbal_roll_deg": st.floats(-40.0, 40.0, **finite),
@@ -126,7 +126,8 @@ rows = st.fixed_dictionaries({
     "body_roll_deg": st.floats(-20.0, 20.0, **finite),
     "ref_lat_deg": st.floats(-91.0, 91.0, **finite),
     "ref_lon_deg": st.floats(-190.0, 190.0, **finite),
-    "ref_alt_m": st.floats(-100.0, 3000.0, **finite),
+    "ref_alt_m": st.one_of(st.floats(-100.0, 3000.0, **finite),
+                           st.floats(-1.01e5, -9.9e4, **finite), st.floats(9.9e4, 1.01e5, **finite)),
 })
 # nadir-ish views, so that most rows recover
 nadir_rows = rows.map(lambda r: {**r, "gimbal_pitch_deg": -90.0 + r["gimbal_pitch_deg"] / 6.0})
@@ -175,12 +176,16 @@ def test_rows_one_at_a_time_match_the_batch(config, drawn):
     trajectory, codes = recover_batch(columns, config)
 
     # the readings no recovery can use: no altitude above the datum, a
-    # negative depth, or a latitude beyond the poles
+    # negative depth, a latitude beyond the poles, or an altitude, depth or
+    # reference height more than 100 km out
     for row, code in zip(drawn, codes):
         if (
             row["a_uav"] + config.altitude_datum_offset <= 0
             or row["d_uuv"] < 0
             or abs(math.radians(row["ref_lat_deg"])) > math.pi / 2 + 1e-12
+            or row["a_uav"] + config.altitude_datum_offset > 1e5
+            or row["d_uuv"] > 1e5
+            or abs(row["ref_alt_m"]) > 1e5
         ):
             assert REASONS[code] == "degenerate"
 

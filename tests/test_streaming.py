@@ -110,3 +110,17 @@ def test_memory_does_not_grow_with_the_log(tmp_path, monkeypatch):
         tracemalloc.stop()
     assert len((tmp_path / "traj.csv").read_text(encoding="utf-8").splitlines()) == 20_001
     assert peak < PEAK_BOUND
+
+
+def test_whole_read_holds_each_column_once(tmp_path, monkeypatch):
+    simulate(tmp_path, 20_000)
+    monkeypatch.setattr(io, "CSV_BLOCK_ROWS", 256)
+    tracemalloc.start()
+    try:
+        table = io.read_observations(tmp_path / "obs.csv")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    column_bytes = sum(table[name].nbytes for name in table.columns)
+    # 2.0x when every block is kept until all columns are joined
+    assert peak <= 1.3 * column_bytes
