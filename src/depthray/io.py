@@ -9,19 +9,25 @@ repr itself formats the values it writes with an exponent (nonzero
 |x| < 1e-4 or |x| >= 1e16) and non-finite ones.
 
 Logs are read into and written from column tables (depthray.table),
-a block of rows at a time: parsed by np.loadtxt and written as one
+a block of rows at a time. The numeric fields of a block are read as
+one JSON array by orjson, with the text columns cut off each line: JSON
+numbers are a subset of what float() reads, and orjson rounds them as
+float() does. A block goes through csv.reader + float() instead, so
+that values and errors are the csv module's, when it holds a quote or
+a NUL, when a line has too few or too many fields, when its numeric
+fields hold [ ] { } or the letters t, f or n (of true, false and null)
+or a bare -0 (an integer to JSON, which loses its sign), or when orjson
+cannot parse them or a value is not finite. A block is written as one
 joined string, text fields quoted so that csv.reader reads them back.
-A block that loadtxt could read differently from csv.reader (quotes,
-bad or oddly spelled fields) goes through csv.reader + float() instead,
-so values and errors are the csv module's. A log can be read block by
-block; a file is written from a sequence of tables to a temporary file,
-renamed onto the target once complete.
+A log can be read block by block; a file is written from a sequence of
+tables to a temporary file, renamed onto the target once complete.
 """
 
 import csv
 import itertools
 import math
 import os
+import re
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -108,12 +114,16 @@ CSV_BLOCK_ROWS = 4096
 
 _BLANK_LINES = ("\n", "\r\n", "\r")
 
-# Fields that loadtxt reads differently from csv.reader + float(): quoted
-# fields, NULs (dropped from the end of text fields) and the separators
-# \x1c-\x1f (stripped by loadtxt as space, rejected by float()).
-_CSV_ONLY_CHARS = '"\0\x1c\x1d\x1e\x1f'
+# Characters for which csv.reader does not take a line as plain comma-split
+# fields: quotes, and NULs (which it rejects before Python 3.11).
+_CSV_ONLY_CHARS = '"\0'
 
-_LOADTXT = dict(delimiter=",", comments=None, quotechar=None, ndmin=2)
+# In numeric fields, JSON structure and the letters of true, false and null:
+# orjson would read these where float() refuses them.
+_JSON_ONLY_CHARS = "[]{}tfn"
+
+# A bare -0 is a JSON integer, which orjson reads as 0 without its sign.
+_NEGATIVE_ZERO = re.compile(r"-0(?![.0-9eE])")
 
 # a text field holding any of these is written quoted, as csv.reader reads it back
 _QUOTED_CHARS = ',"\r\n'
@@ -137,36 +147,46 @@ def _check_record(path, columns, text_columns, raw, lineno):
 
 
 def _parse_lines(columns, text_columns, records):
-    """Columns of a block of non-blank lines, parsed by np.loadtxt.
+    """Columns of a block of non-blank lines, the numbers parsed by orjson.
 
+    Once every line is seen to hold one field per column, the numeric
+    fields of the block are parsed as one flat JSON array, so a number
+    reads as float() reads it. Text columns sit at either end of the
+    schema and are cut off each line at its first or last commas.
     Returns None where a line may read differently from csv.reader and
     float(), or is bad; the caller then reads the block record by record.
     """
     text = "".join(records)
     if any(c in text for c in _CSV_ONLY_CHARS):
         return None
-    numeric = [k for k, name in enumerate(columns) if name not in text_columns]
-    try:
-        if text_columns:
-            # usecols lifts loadtxt's field-count check; unquoted, a line
-            # has one comma fewer than fields
-            if set(map(str.count, records, itertools.repeat(","))) != {len(columns) - 1}:
-                return None
-            numbers = np.loadtxt(records, usecols=numeric, **_LOADTXT)
-            texts = np.loadtxt(
-                records, usecols=[k for k in range(len(columns)) if k not in numeric],
-                dtype=str, **_LOADTXT,
-            )
-        else:
-            numbers = np.loadtxt(records, **_LOADTXT)
-    except ValueError:
+    if set(map(str.count, records, itertools.repeat(","))) != {len(columns) - 1}:
         return None
-    if numbers.shape != (len(records), len(numeric)) or not np.isfinite(numbers).all():
+    numeric = [name for name in columns if name not in text_columns]
+    texts = {}
+    if text_columns:
+        body = map(str.rstrip, records, itertools.repeat("\r\n"))
+        for name in columns[:columns.index(numeric[0])]:
+            texts[name], _, body = zip(*map(str.partition, body, itertools.repeat(",")))
+        for name in reversed(columns[columns.index(numeric[-1]) + 1:]):
+            body, _, texts[name] = zip(*map(str.rpartition, body, itertools.repeat(",")))
+        body = ",".join(body)
+    else:
+        body = text.rstrip("\r\n").replace("\n", ",")
+    if any(c in body for c in _JSON_ONLY_CHARS) or _NEGATIVE_ZERO.search(body):
+        return None
+    try:
+        numbers = np.array(orjson.loads("[" + body + "]"), dtype=float)
+        numbers = numbers.reshape(len(records), len(numeric))
+    except ValueError:  # orjson's decode error: a field that is not a JSON number
+        return None
+    if not np.isfinite(numbers).all():
         return None
     # owned columns, so a whole read frees each block's column once it is joined
-    parts = iter([c.copy() for c in numbers.T])
-    strings = iter(texts.T.astype(object)) if text_columns else None
-    return [next(strings) if name in text_columns else next(parts) for name in columns]
+    parts = dict(zip(numeric, (c.copy() for c in numbers.T)))
+    return [
+        np.array(texts[name], dtype=object) if name in text_columns else parts[name]
+        for name in columns
+    ]
 
 
 def _parse_records(path, columns, text_columns, lines, handle, first_line):
@@ -200,10 +220,11 @@ def _read_blocks(path, columns, text_columns=()):
     non-finite value in a numeric column is a SchemaError carrying the
     1-based line number (the record number, for fields spanning lines).
 
-    Each block of lines is parsed by np.loadtxt. A block it cannot take
-    as csv.reader would (quotes, bad or unusual fields) is read by
+    Each block of lines is parsed by _parse_lines. A block it cannot
+    take as csv.reader would (quotes, bad or unusual fields) is read by
     csv.reader + float() instead, so the values and the error are the
-    same either way.
+    same either way. Bytes that are not UTF-8 are a SchemaError naming
+    the offset of the first bad byte.
     """
     path = Path(path)
     try:
@@ -212,26 +233,30 @@ def _read_blocks(path, columns, text_columns=()):
         raise SchemaError(f"cannot open {path}: {exc}") from exc
     with handle:
         try:
-            header = next(csv.reader(handle))
-        except StopIteration:
-            raise SchemaError(f"{path}: missing header", line=1) from None
-        if header != list(columns):
-            raise SchemaError(
-                f"{path}: expected columns {','.join(columns)}, got {','.join(header)}",
-                line=1,
-            )
-        first_line = 2
-        while lines := list(itertools.islice(handle, CSV_BLOCK_ROWS)):
-            records = [line for line in lines if line not in _BLANK_LINES]
-            n_records = len(lines)
-            if records:
-                parsed = _parse_lines(columns, text_columns, records)
-                if parsed is None:
-                    parsed, n_records = _parse_records(
-                        path, columns, text_columns, lines, handle, first_line
-                    )
-                yield Table(dict(zip(columns, parsed)))
-            first_line += n_records
+            header = next(csv.reader(handle), None)
+            if header is None:
+                raise SchemaError(f"{path}: missing header", line=1)
+            if header != list(columns):
+                raise SchemaError(
+                    f"{path}: expected columns {','.join(columns)}, got {','.join(header)}",
+                    line=1,
+                )
+            first_line = 2
+            while lines := list(itertools.islice(handle, CSV_BLOCK_ROWS)):
+                records = [line for line in lines if line not in _BLANK_LINES]
+                n_records = len(lines)
+                if records:
+                    parsed = _parse_lines(columns, text_columns, records)
+                    if parsed is None:
+                        parsed, n_records = _parse_records(
+                            path, columns, text_columns, lines, handle, first_line
+                        )
+                    yield Table(dict(zip(columns, parsed)))
+                first_line += n_records
+        except UnicodeDecodeError as exc:
+            # exc.object is the chunk being decoded, which ends where the file is read to
+            offset = handle.buffer.tell() - len(exc.object) + exc.start
+            raise SchemaError(f"{path}: not UTF-8: {exc.reason} at byte {offset}") from None
 
 
 def _read_rows(path, columns, text_columns=()) -> Table:
@@ -347,6 +372,8 @@ def _load_mapping(path) -> dict:
         text = path.read_text(encoding="utf-8")
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8: {exc.reason} at byte {exc.start}") from None
     try:
         data = yaml.safe_load(text)
     except yaml.YAMLError as exc:

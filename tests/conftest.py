@@ -2,9 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from depthray.camera import CameraIntrinsics, DistortionCoeffs
 from depthray.geodesy import WGS84, GeodeticCoord
+
+# CI runs `pytest --hypothesis-profile=ci`: the same examples on every run,
+# and more of them for the properties that leave max_examples unset
+settings.register_profile("ci", derandomize=True, max_examples=500)
 
 
 @pytest.fixture

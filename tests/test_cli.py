@@ -197,6 +197,23 @@ class TestRecoverErrors:
         assert code == 1
         assert "line 3" in capsys.readouterr().err
 
+    def test_config_not_utf8_exits_2(self, workdir, capsys):
+        simulate(workdir)
+        (workdir / "run.yaml").write_bytes(b"calibration: cal.yaml\n# \xff\n")
+        code = run(
+            workdir, "recover",
+            "--config", workdir / "run.yaml",
+            "--input", workdir / "obs.csv",
+            "--output", workdir / "traj.csv",
+        )
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: {workdir / 'run.yaml'}: not UTF-8: invalid start byte at byte 24\n"
+        )
+        assert sorted(p.name for p in workdir.iterdir()) == [
+            "cal.yaml", "gt.csv", "obs.csv", "run.yaml", "scenario.yaml"
+        ]
+
     def test_unknown_config_key_exits_2(self, workdir, capsys):
         (workdir / "bad.yaml").write_text(
             "calibration: cal.yaml\nfocal: es\n", encoding="utf-8"

@@ -1,9 +1,10 @@
 import csv
 import io as textio
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from depthray import io
@@ -136,12 +137,17 @@ calibration: {fx: 1000.0, fy: 1000.0, cx: 960.0, cy: 540.0, width: 1920, height:
 
 class TestCsv:
     def test_observation_round_trip_bit_exact(self, tmp_path):
-        values = np.random.default_rng(5).uniform(0.1, 100.0, 14)
-        rows = Table({c: np.full(4, v) for c, v in zip(io.OBSERVATION_COLUMNS, values)})
+        values = np.random.default_rng(5).uniform(0.1, 100.0, (5, 14))
+        # -0.0, and values written with an exponent
+        values[1:] *= [[-0.0], [1e-9], [1e17], [-5e-324 / 0.1]]
+        rows = Table(dict(zip(io.OBSERVATION_COLUMNS, values.T)))
         path = tmp_path / "obs.csv"
         io.write_observations(path, [rows])
+        assert "-0.0," in path.read_text() and "e-" in path.read_text()
         back = io.read_observations(path)
-        assert back == rows
+        assert list(back.columns) == list(rows.columns)
+        for name in io.OBSERVATION_COLUMNS:
+            assert np.array_equal(back[name].view(np.uint64), rows[name].view(np.uint64))
 
     def test_header_mismatch_is_schema_error(self, tmp_path):
         path = tmp_path / "obs.csv"
@@ -210,7 +216,7 @@ class TestCsvReader:
         assert read_gt(tmp_path, text) == gt_table([1.5, 10.0, 1.0, 1.0])
 
     def test_unit_separator_is_not_space(self, tmp_path):
-        # np.loadtxt strips \x1c-\x1f around a number; float() does not
+        # float() does not strip \x1c-\x1f as it strips spaces
         text = GT_HEADER + "0.0,\x1f1.0,2.0,3.0\n"
         assert schema_error(tmp_path, text) == (
             "line 2: gt.csv: column x: not a number: '\\x1f1.0'", 2
@@ -255,6 +261,17 @@ class TestCsvReader:
         assert list(table.columns) == io.GROUND_TRUTH_COLUMNS
         assert all(table[c].dtype == float for c in io.GROUND_TRUTH_COLUMNS)
 
+    @pytest.mark.parametrize("offset", [3, 8190, 8191, 8192, 8195, 20000])
+    def test_invalid_utf8_names_the_byte(self, tmp_path, offset):
+        # the file is decoded in chunks of 8192 bytes, and the 3-byte
+        # character before the bad byte may straddle two of them
+        text = (GT_HEADER + "0.0,1.0,2.0,3.0\n" * 1300).encode("utf-8")
+        path = tmp_path / "gt.csv"
+        path.write_bytes(text[:offset - 3] + "€".encode("utf-8") + b"\xff" + text[offset + 1:])
+        with pytest.raises(SchemaError) as info:
+            io.read_ground_truth(path)
+        assert str(info.value) == f"{path}: not UTF-8: invalid start byte at byte {offset}"
+
     def test_quoted_field_across_block_end(self, tmp_path):
         # a record spanning lines is one record: the line numbers of later
         # errors count records, as csv.reader does
@@ -270,6 +287,138 @@ class TestCsvReader:
         flags = io.read_trajectory(path)["flags"]
         assert len(flags) == n + 1
         assert flags[n - 1] == "two\nlines" and flags[n] == "ok"
+
+
+# JSON numbers that float() reads, at the edges of what a double holds
+EDGE_NUMBERS = [
+    "-0.0", "0e0", "-0e0", "0", "1e308", "1.7976931348623157e308",
+    "1e-324", "4e-324", "2.4703282292062328e-324", "2.4703282292062327e-324",
+    "9007199254740993", "18446744073709551615", "18446744073709551616", "-9223372036854775809",
+]
+# spellings that JSON and float() read differently, or only one of them reads
+ODD_NUMBERS = [
+    "-0", "-0e-0", "1e-0", "1.8e308", "-1e309", "1e999",
+    "+1", "1.", ".5", "01", "-01", "1_0", "0x10", "1e", "--1", "1 2", "",
+    "nan", "NaN", "inf", "-Infinity", "true", "false", "null",
+    "[1", "1]", "{}", "[]", '"1.5"', '"1,5"', "\x001", "1\x1c", "\x1f1", "\xa01", "١",
+]
+
+json_numbers = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.integers(-2**70, 2**70).map(str),
+    st.builds("{}e{}".format, st.integers(-9, 9), st.integers(-330, 308)),
+    st.sampled_from(EDGE_NUMBERS),
+)
+spaces = st.sampled_from(["", "", " ", "\t"])
+numbers = st.builds("{}{}{}".format, spaces, json_numbers, spaces)
+texts = st.sampled_from(["", "out_of_frame", "no_origin_match", "17", "-0", "[t]"])
+# half of them spellings orjson reads as a value float() refuses or reads otherwise
+odd_numbers = st.one_of(
+    st.sampled_from(["-0", "true", "false", "null", "{}", "[]", "[1", "1]"]),
+    st.sampled_from(ODD_NUMBERS),
+)
+odd_texts = st.one_of(
+    st.sampled_from(['"a,b"', '"', "x\x00", "\r", "\x1c", ","]),
+    st.text(st.sampled_from(' -0.5e[]{}tfn"\t\x00\x1c\x1f,'), max_size=4),
+)
+SCHEMAS = [
+    (io.GROUND_TRUTH_COLUMNS, (), io.read_ground_truth),
+    (io.TRAJECTORY_COLUMNS, ("flags",), io.read_trajectory),
+    (io.EXCLUSION_COLUMNS, ("row", "reason"), io.read_exclusions),
+]
+
+
+@st.composite
+def csv_blocks(draw):
+    """A schema and the lines of a block of its rows, as a file yields them:
+    rows of JSON numbers and plain text, with at most one odd field, or
+    a row a field short, a row a field long, or both."""
+    columns, text_columns, reader = draw(st.sampled_from(SCHEMAS))
+    rows = [
+        [draw(texts if c in text_columns else numbers) for c in columns]
+        for _ in range(draw(st.integers(1, 6)))
+    ]
+    row, other = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+    k = draw(st.integers(0, len(columns) - 1))
+    fault = draw(st.sampled_from(["none", "odd", "short", "long", "short and long"]))
+    if fault == "odd":
+        row[k] = draw(odd_texts if columns[k] in text_columns else odd_numbers)
+    if "short" in fault:
+        del row[k]
+    if "long" in fault:
+        other.insert(k, other[k - 1])
+    ends = st.sampled_from(["\n", "\r\n", "\n\n", "\r\n\r\n"])
+    text = "".join(",".join(fields) + draw(ends) for fields in rows)
+    if draw(st.booleans()):
+        text = text.rstrip("\r\n")
+    lines = textio.StringIO(text, newline="").readlines()
+    return columns, text_columns, reader, lines
+
+
+def bits_equal(columns, text_columns, got, want):
+    for name, a, b in zip(columns, got, want, strict=True):
+        if name in text_columns:
+            assert a.dtype == b.dtype == object and a.tolist() == b.tolist()
+        else:
+            assert a.dtype == b.dtype == float
+            assert np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+class TestFastParser:
+    """_parse_lines reads a block as csv.reader + float() does, or declines."""
+
+    @settings(deadline=None)
+    @given(csv_blocks())
+    def test_block_matches_csv_reader_bit_for_bit(self, block):
+        columns, text_columns, _, lines = block
+        records = [line for line in lines if line not in io._BLANK_LINES]
+        assume(records)
+        parsed = io._parse_lines(columns, text_columns, records)
+        if parsed is not None:
+            want, _ = io._parse_records("gt.csv", columns, text_columns, lines, iter(()), 2)
+            bits_equal(columns, text_columns, parsed, want)
+
+    @settings(deadline=None)
+    @given(csv_blocks())
+    def test_readers_match_the_csv_path(self, tmp_path_factory, block):
+        columns, text_columns, reader, lines = block
+        path = tmp_path_factory.mktemp("csv") / "log.csv"
+        path.write_bytes((",".join(columns) + "\n" + "".join(lines)).encode("utf-8"))
+        results = []
+        for parse in (io._parse_lines, lambda *args: None):
+            with mock.patch.object(io, "_parse_lines", parse):
+                try:
+                    table = reader(path)
+                    results.append([table[name] for name in columns])
+                except SchemaError as exc:
+                    results.append((str(exc), exc.line))
+        got, want = results
+        if isinstance(want, tuple):
+            assert got == want
+        else:
+            bits_equal(columns, text_columns, got, want)
+
+    def test_numbers_match_float_in_bulk(self):
+        # the values come from orjson: a release of it that rounds any
+        # spelling differently from float() shows here
+        rng = np.random.default_rng(9)
+        values = rng.integers(0, 2**64, 60_000, dtype=np.uint64, endpoint=False).view(float)
+        values = values[np.isfinite(values)].tolist()
+        digits = rng.integers(1, 25, len(values)).tolist()
+        spellings = [
+            *map(repr, values),
+            *(f"{v:.{d}e}" for v, d in zip(values, digits)),
+            *(f"{v:.{d}f}" for v, d in zip(values, digits) if 1e-30 < abs(v) < 1e30),
+            *(str(int(v)) for v in values if abs(v) < 1e30),
+        ]
+        spellings = spellings[:len(spellings) // 4 * 4]
+        lines = [",".join(spellings[k:k + 4]) + "\n" for k in range(0, len(spellings), 4)]
+        want = np.array(list(map(float, spellings))).reshape(-1, 4)
+        for start in range(0, len(lines), io.CSV_BLOCK_ROWS):
+            block = slice(start, start + io.CSV_BLOCK_ROWS)
+            parsed = io._parse_lines(io.GROUND_TRUTH_COLUMNS, (), lines[block])
+            assert parsed is not None
+            bits_equal(io.GROUND_TRUTH_COLUMNS, (), parsed, want[block].T)
 
 
 def reference_csv(columns, table, text_columns):

@@ -67,13 +67,22 @@ def bad_value_in_a_later_block(path):
     return f"error: line 91: {path}: column u: not a number: 'oops'\n"
 
 
+def invalid_utf8_in_a_later_block(path):
+    data = path.read_bytes()
+    offset = data.index(b"\n", len(data) // 2) + 3
+    path.write_bytes(data[:offset] + b"\xff" + data[offset + 1:])
+    return f"error: {path}: not UTF-8: invalid start byte at byte {offset}\n"
+
+
 def empty_log(path):
     path.write_text(",".join(io.OBSERVATION_COLUMNS) + "\n", encoding="utf-8")
     return f"error: {path}: no observation rows\n"
 
 
 @pytest.mark.parametrize("earlier_run", [False, True])
-@pytest.mark.parametrize("fault", [bad_value_in_a_later_block, empty_log])
+@pytest.mark.parametrize(
+    "fault", [bad_value_in_a_later_block, invalid_utf8_in_a_later_block, empty_log]
+)
 def test_failed_run_leaves_no_output(tmp_path, monkeypatch, capsys, fault, earlier_run):
     simulate(tmp_path, 120)
     if earlier_run:
