@@ -78,16 +78,18 @@ def cmd_recover(args) -> int:
         # each column is sorted in turn and its unsorted copy dropped
         track = {name: track.columns.pop(name)[order] for name in io.TRACK_COLUMNS}
     outcomes = []
-    io.write_trajectory(args.output, _recover_blocks(blocks, track, config, outcomes))
-    sizes, rows, t, codes = zip(*outcomes)
-    rows, t, codes = np.concatenate(rows), np.concatenate(t), np.concatenate(codes)
-    # rows without an origin match come first, then the others in row order
-    order = np.argsort(codes != NO_ORIGIN_MATCH, kind="stable")
-    io.write_exclusions(_exclusions_path(args.output), [Table({
-        "row": rows[order] + 2,  # 1 header line precedes the data
-        "t": t[order],
-        "reason": np.array(REASONS, dtype=object)[codes[order]],
-    })])
+    # the trajectory replaces --output only once its sidecar is in place
+    with io.staged(args.output, _exclusions_path(args.output)) as (output, sidecar):
+        io.write_trajectory(output, _recover_blocks(blocks, track, config, outcomes))
+        sizes, rows, t, codes = zip(*outcomes)
+        rows, t, codes = np.concatenate(rows), np.concatenate(t), np.concatenate(codes)
+        # rows without an origin match come first, then the others in row order
+        order = np.argsort(codes != NO_ORIGIN_MATCH, kind="stable")
+        io.write_exclusions(sidecar, [Table({
+            "row": rows[order] + 2,  # 1 header line precedes the data
+            "t": t[order],
+            "reason": np.array(REASONS, dtype=object)[codes[order]],
+        })])
     n_input = sum(sizes)
     print(f"recovered {n_input - len(rows)} of {n_input} samples ({len(rows)} excluded)")
     return EXIT_OK
@@ -133,8 +135,8 @@ def cmd_evaluate(args) -> int:
     }
     text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        with io.staged(args.output) as (output,):
+            output.write_text(text, encoding="utf-8")
     print(text, end="")
     return EXIT_OK
 
@@ -142,8 +144,9 @@ def cmd_evaluate(args) -> int:
 def cmd_simulate(args) -> int:
     scenario = io.load_scenario_config(args.config, seed=args.seed)
     obs_rows, gt_rows = generate_logs(scenario)
-    io.write_observations(args.output, [obs_rows])
-    io.write_ground_truth(args.gt, [gt_rows])
+    with io.staged(args.output, args.gt) as (output, gt):
+        io.write_observations(output, [obs_rows])
+        io.write_ground_truth(gt, [gt_rows])
     print(f"simulated {len(obs_rows)} samples")
     return EXIT_OK
 

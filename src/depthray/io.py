@@ -4,9 +4,11 @@ All CSVs are UTF-8 with a required header, `.` decimal separator,
 angles in degrees and distances in meters. Floats are written with
 Python's shortest round-trip repr so a written value reads back
 bit-identical, and identical runs produce byte-identical files. The
-digits come from orjson's Ryu formatter, one call per block column;
-repr itself formats the values it writes with an exponent (nonzero
-|x| < 1e-4 or |x| >= 1e16) and non-finite ones.
+digits come from orjson's Ryu formatter, one call per block of rows on
+its numeric columns as one 2-D array. repr itself formats the values
+it writes with an exponent (nonzero |x| < 1e-4 or |x| >= 1e16) and
+non-finite ones: they go to orjson as NaN, written null, and each null
+is replaced by the repr of its value.
 
 Logs are read into and written from column tables (depthray.table),
 a block of rows at a time. The numeric fields of a block are read as
@@ -20,9 +22,11 @@ or a bare -0 (an integer to JSON, which loses its sign), or when orjson
 cannot parse them or a value is not finite. A block is written as one
 joined string, text fields quoted so that csv.reader reads them back.
 A log can be read block by block; a file is written from a sequence of
-tables to a temporary file, renamed onto the target once complete.
+tables to a temporary file, renamed onto the target once complete (see
+staged, which also lets a command replace two files together).
 """
 
+import contextlib
 import csv
 import itertools
 import math
@@ -271,15 +275,23 @@ def _read_rows(path, columns, text_columns=()) -> Table:
     return Table({name: np.concatenate(parts.pop(name)) for name in columns})
 
 
-def _number_fields(column) -> list:
-    """The shortest round-trip repr of each value: Ryu's digits from orjson,
-    and repr's own where it writes an exponent or the value is not finite."""
-    values = np.ascontiguousarray(column, dtype=float)
-    fields = orjson.dumps(values, option=orjson.OPT_SERIALIZE_NUMPY)[1:-1].decode().split(",")
-    size = np.abs(values)
-    for k in np.flatnonzero(~((size >= 1e-4) & (size < 1e16) | (values == 0))):
-        fields[k] = repr(float(values[k]))
-    return fields if len(values) else []
+def _number_rows(block) -> list:
+    """Each row of a (rows, k) float block as its comma-joined fields.
+
+    A value is written as its shortest round-trip repr: Ryu's digits
+    from one orjson call for the block, and repr's own where it writes an
+    exponent or the value is not finite. Those values are set to NaN in
+    `block`, which orjson writes as null, and their repr put in its place.
+    """
+    size = np.abs(block)
+    odd = ~((size >= 1e-4) & (size < 1e16) | (block == 0))
+    reprs = list(map(repr, block[odd].tolist()))  # row-major, as orjson writes them
+    block[odd] = np.nan
+    text = orjson.dumps(block, option=orjson.OPT_SERIALIZE_NUMPY)[2:-2].decode()
+    if reprs:
+        parts = text.split("null")
+        text = "".join(itertools.chain.from_iterable(zip(parts, reprs))) + parts[-1]
+    return text.split("],[")
 
 
 def _text_fields(column) -> list:
@@ -293,33 +305,55 @@ def _text_fields(column) -> list:
     return [quoted.get(field, field) for field in fields] if quoted else fields
 
 
-def _write_rows(path, columns, tables, text_columns=()):
-    """Write the `columns` of a sequence of tables as one CSV.
+@contextlib.contextmanager
+def staged(*paths):
+    """Yield a temporary path next to each of `paths`, and rename each onto
+    its path once the body completes: the last first, the first last.
 
-    The header and each block of rows are joined into one string and
-    written at once. The file is written next to `path` and renamed onto
-    it once complete, so a failed write leaves `path` as it was.
+    On any failure every temporary file is removed, so the paths not yet
+    renamed onto are left as they were, and an OSError names the path,
+    not its temporary file.
     """
-    path = Path(path)
-    temp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-    blocks = itertools.chain([[[name] for name in columns]], (
-        [
-            _text_fields(table[name][start:start + CSV_BLOCK_ROWS]) if name in text_columns
-            else _number_fields(table[name][start:start + CSV_BLOCK_ROWS])
-            for name in columns
-        ]
-        for table in tables for start in range(0, len(table), CSV_BLOCK_ROWS)
-    ))
+    paths = [Path(p) for p in paths]
+    temps = [p.with_name(f".{p.name}.{os.getpid()}.tmp") for p in paths]
     try:
-        with temp.open("w", newline="", encoding="utf-8") as handle:
-            for fields in blocks:
-                handle.write("\n".join(map(",".join, zip(*fields))) + "\n")
-        os.replace(temp, path)
+        yield temps
+        for temp, path in reversed(list(zip(temps, paths))):
+            os.replace(temp, path)
     except BaseException as exc:
-        temp.unlink(missing_ok=True)
-        if isinstance(exc, OSError) and exc.filename == str(temp):  # report the target's name
-            raise OSError(exc.errno, exc.strerror, str(path)) from None
+        for temp in temps:
+            temp.unlink(missing_ok=True)
+        targets = dict(zip(map(str, temps), map(str, paths)))
+        if isinstance(exc, OSError) and str(exc.filename) in targets:
+            raise OSError(exc.errno, exc.strerror, targets[str(exc.filename)]) from None
         raise
+
+
+def _write_rows(path, columns, tables, text_columns=()):
+    """Write the `columns` of a sequence of tables as one staged CSV.
+
+    The numeric columns sit together between any text columns; in each
+    block of rows they are stacked into one array for _number_rows, and
+    the text fields joined on at either end. The header and each block
+    are written as one string.
+    """
+    numeric = [name for name in columns if name not in text_columns]
+    first, stop = columns.index(numeric[0]), columns.index(numeric[-1]) + 1
+    with staged(path) as (temp,), temp.open("w", newline="", encoding="utf-8") as handle:
+        handle.write(",".join(columns) + "\n")
+        for table in tables:
+            for start in range(0, len(table), CSV_BLOCK_ROWS):
+                rows = slice(start, start + CSV_BLOCK_ROWS)
+                lines = _number_rows(np.stack(
+                    [np.asarray(table[name][rows], dtype=float) for name in numeric], axis=1
+                ))
+                if text_columns:
+                    lines = map(",".join, zip(
+                        *(_text_fields(table[name][rows]) for name in columns[:first]),
+                        lines,
+                        *(_text_fields(table[name][rows]) for name in columns[stop:]),
+                    ))
+                handle.write("\n".join(lines) + "\n")
 
 
 def read_observations(path) -> Table:

@@ -214,6 +214,21 @@ class TestRecoverErrors:
             "cal.yaml", "gt.csv", "obs.csv", "run.yaml", "scenario.yaml"
         ]
 
+    def test_failed_sidecar_leaves_the_old_output(self, workdir, capsys):
+        simulate(workdir)
+        (workdir / "traj.csv").write_text("old trajectory\n", encoding="utf-8")
+        (workdir / "traj.csv.exclusions.csv").mkdir()  # the sidecar's path is taken
+        code = run(
+            workdir, "recover",
+            "--config", workdir / "run.yaml",
+            "--input", workdir / "obs.csv",
+            "--output", workdir / "traj.csv",
+        )
+        assert code == 1
+        assert f"{workdir / 'traj.csv.exclusions.csv'}" in capsys.readouterr().err
+        assert (workdir / "traj.csv").read_bytes() == b"old trajectory\n"
+        assert not list(workdir.rglob("*.tmp"))
+
     def test_unknown_config_key_exits_2(self, workdir, capsys):
         (workdir / "bad.yaml").write_text(
             "calibration: cal.yaml\nfocal: es\n", encoding="utf-8"
@@ -447,6 +462,27 @@ class TestSimulateErrors:
         )
         assert code == 2
         assert "sample" in capsys.readouterr().err
+
+
+    # the truth file fails to open in a missing directory, or to be renamed onto a directory
+    @pytest.mark.parametrize("gt, message", [
+        ("missing_dir/gt.csv", "No such file or directory"),
+        ("gt_dir", "Is a directory"),
+    ], ids=["missing_dir", "directory"])
+    def test_failed_gt_leaves_the_old_output(self, workdir, capsys, gt, message):
+        (workdir / "obs.csv").write_text("old observations\n", encoding="utf-8")
+        (workdir / "gt_dir").mkdir()
+        code = run(
+            workdir, "simulate",
+            "--config", workdir / "scenario.yaml",
+            "--output", workdir / "obs.csv",
+            "--gt", workdir / gt,
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert message in err and f"{workdir / gt}" in err
+        assert (workdir / "obs.csv").read_bytes() == b"old observations\n"
+        assert not list(workdir.rglob("*.tmp"))
 
 
 class TestModuleEntry:

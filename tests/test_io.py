@@ -1,5 +1,6 @@
 import csv
 import io as textio
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -422,15 +423,17 @@ class TestFastParser:
 
 
 def reference_csv(columns, table, text_columns):
-    """The bytes csv.writer writes for the table, numbers as repr()."""
-    out = textio.StringIO(newline="")
-    writer = csv.writer(out, lineterminator="\n")
+    """The bytes csv.writer writes for the table, numbers as repr(), rows
+    ended by "\n". It writes each row with a "\r\n" terminator, so that it
+    quotes a field holding a lone CR, as csv.reader needs to read it back."""
+    rows = []
+    writer = csv.writer(SimpleNamespace(write=rows.append), lineterminator="\r\n")
     writer.writerow(columns)
     writer.writerows(zip(*(
         table[c].tolist() if c in text_columns else [repr(float(v)) for v in table[c]]
         for c in columns
     )))
-    return out.getvalue().encode("utf-8")
+    return "".join(row[:-2] + "\n" for row in rows).encode("utf-8")
 
 
 finite = st.one_of(
@@ -462,6 +465,46 @@ def trajectories(draw):
     return Table(columns)
 
 
+ODD_VALUES = [
+    0.0, -0.0, 5e-324, -2.225073858507201e-308, 1e-5, 9.99e-5, 1e16,
+    float("nan"), float("inf"), -float("inf"),
+]
+
+# every schema the package writes; origin tracks have no public writer
+WRITERS = [
+    (io.write_observations, io.OBSERVATION_COLUMNS, ()),
+    (io.write_ground_truth, io.GROUND_TRUTH_COLUMNS, ()),
+    (io.write_trajectory, io.TRAJECTORY_COLUMNS, ("flags",)),
+    (io.write_exclusions, io.EXCLUSION_COLUMNS, ("row", "reason")),
+    (lambda path, tables: io._write_rows(path, io.TRACK_COLUMNS, tables), io.TRACK_COLUMNS, ()),
+]
+
+text_values = st.one_of(
+    st.none(), st.integers(-5, 10**6),
+    st.sampled_from(["", "degenerate", "a,b", 'q"x', '""', "a\rb", "\r", "cr\r\n", "two\nlines"]),
+)
+
+
+@st.composite
+def any_column(draw, n, text):
+    if text:
+        return np.array(draw(st.lists(text_values, min_size=n, max_size=n)), dtype=object)
+    if draw(st.booleans()):
+        return np.array(draw(st.lists(st.integers(-2**63, 2**63 - 1), min_size=n, max_size=n)))
+    values = st.one_of(st.floats(), st.sampled_from(ODD_VALUES))
+    return np.array(draw(st.lists(values, min_size=n, max_size=n)), dtype=float)
+
+
+@st.composite
+def schema_tables(draw):
+    writer, columns, text_columns = draw(st.sampled_from(WRITERS))
+    tables = [
+        Table({c: draw(any_column(n, c in text_columns)) for c in columns})
+        for n in draw(st.lists(st.integers(0, 20), min_size=1, max_size=3))
+    ]
+    return writer, columns, text_columns, tables
+
+
 # values whose shortest repr is easy to get wrong
 SHORTEST_REPR = Table({
     **{c: [0.1, 1.0 / 3.0, 25.630000000000003, -1e-17] for c in io.TRAJECTORY_COLUMNS[:-1]},
@@ -489,19 +532,22 @@ class TestCsvWriter:
         assert path.read_bytes() == reference_csv(io.GROUND_TRUTH_COLUMNS, table, ())
         assert path.read_text().splitlines()[1] == "0.0,nan,inf,-inf"
 
-    def test_number_fields_match_repr_in_bulk(self):
+    def test_number_rows_match_repr_in_bulk(self):
         # the digits come from orjson: any departure from repr in a release
         # of it shows here, over random bit patterns of every exponent and
-        # values of few significant digits
+        # values of few significant digits, in blocks as wide as each schema
         rng = np.random.default_rng(8)
         bits = rng.integers(0, 2**64, 200_000, dtype=np.uint64, endpoint=False)
         mantissa = rng.uniform(-10.0, 10.0, 100_000) * 10.0 ** rng.integers(-6, 18, 100_000)
         digits = rng.integers(1, 16, 100_000)
         rounded = np.array([float(f"{m:.{d}g}") for m, d in zip(mantissa.tolist(), digits)])
-        for values in (bits.view(float), rounded):
-            for start in range(0, len(values), io.CSV_BLOCK_ROWS):
-                block = values[start:start + io.CSV_BLOCK_ROWS]
-                assert io._number_fields(block) == list(map(repr, block.tolist()))
+        values = np.concatenate([bits.view(float), rounded])
+        for width in (1, 4, 14):
+            rows = values[:len(values) // width * width].reshape(-1, width)
+            for start in range(0, len(rows), io.CSV_BLOCK_ROWS):
+                block = rows[start:start + io.CSV_BLOCK_ROWS]
+                want = [",".join(map(repr, row)) for row in block.tolist()]
+                assert io._number_rows(block.copy()) == want
 
     def test_carriage_return_in_a_text_field_round_trips(self, tmp_path):
         flags = ["a\rb", "\r", "\r\n", "ok"]
@@ -542,6 +588,16 @@ class TestCsvWriter:
         with pytest.raises(TypeError, match="not iterable"):
             io.write_ground_truth(tmp_path / "gt.csv", gt_table((0.0, 1.0, 2.0, 3.0)))
         assert list(tmp_path.iterdir()) == []
+
+    @settings(max_examples=150, deadline=None)
+    @given(schema_tables(), st.sampled_from([1, 7, io.CSV_BLOCK_ROWS]))
+    def test_every_writer_matches_csv_writer(self, tmp_path_factory, case, block_rows):
+        writer, columns, text_columns, tables = case
+        path = tmp_path_factory.mktemp("csv") / "out.csv"
+        with mock.patch.object(io, "CSV_BLOCK_ROWS", block_rows):
+            writer(path, tables)
+        whole = Table({c: np.concatenate([t[c] for t in tables]) for c in columns})
+        assert path.read_bytes() == reference_csv(columns, whole, text_columns)
 
 
 class TestRigConfig:
