@@ -30,8 +30,8 @@ from .geodesy import (
     geodetic_to_ecef,
     prime_vertical_radius,
 )
-from .geometry import EulerAngles, gimbal_to_camera_rotation, rot_x, rot_y, rot_z
-from .recovery import RigConfig, recover_batch
+from .geometry import EulerAngles, rot_x, rot_y, rot_z
+from .recovery import RigConfig, camera_rotation, recover_batch
 from .synth import NoiseSpec, Scenario, build_scenario, generate_logs
 from .table import Table
 
@@ -59,11 +59,11 @@ __all__ = [
     "geodetic_to_ecef",
     "prime_vertical_radius",
     "EulerAngles",
-    "gimbal_to_camera_rotation",
     "rot_x",
     "rot_y",
     "rot_z",
     "RigConfig",
+    "camera_rotation",
     "recover_batch",
     "NoiseSpec",
     "Scenario",

@@ -1,4 +1,4 @@
-"""3D primitives: passive rotations, the gimbal chain and the depth-plane kernel.
+"""3D primitives: passive rotations and the depth-plane kernel.
 
 All rotation matrices follow the passive convention: R expresses the
 coordinates of a fixed point in a rotated frame, so rot_z(pi/2) maps
@@ -104,22 +104,6 @@ def yaw_pitch_roll_matrix(angles) -> np.ndarray:
     """
     yaw, pitch, roll = np.moveaxis(as_angles(angles), -1, 0)
     return rot_z(yaw) @ rot_y(pitch) @ rot_x(roll)
-
-
-def gimbal_to_camera_rotation(gimbal, body=None) -> np.ndarray:
-    """Rotation taking world-ENU coordinates (origin at the optical
-    center) into the camera frame (x right, y down, z forward).
-
-    The gimbal angles orient an intermediate forward/right/down frame
-    whose x axis is the optical axis; a fixed axis permutation then
-    produces the z-forward camera frame. Pitch of -pi/2 points the
-    camera at nadir. Gimbal angles measured against the body take the
-    body attitude as `body`.
-    """
-    r_world_fwd = yaw_pitch_roll_matrix(gimbal)
-    if body is not None:
-        r_world_fwd = yaw_pitch_roll_matrix(body) @ r_world_fwd
-    return CAM_FROM_FORWARD @ np.swapaxes(r_world_fwd, -1, -2)
 
 
 def ray_plane_hits(direction, normal, offset):

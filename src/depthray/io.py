@@ -312,9 +312,14 @@ def staged(*paths):
 
     On any failure every temporary file is removed, so the paths not yet
     renamed onto are left as they were, and an OSError names the path,
-    not its temporary file.
+    not its temporary file. Paths that resolve to one file are refused
+    before anything is written: their temporary files would share a name.
     """
     paths = [Path(p) for p in paths]
+    resolved = [p.resolve() for p in paths]
+    for i, path in enumerate(paths):
+        if resolved[i] in resolved[:i]:
+            raise OSError(f"{path}: the same file is given as another output")
     temps = [p.with_name(f".{p.name}.{os.getpid()}.tmp") for p in paths]
     try:
         yield temps

@@ -1,14 +1,16 @@
-"""Recover the 3D position of a submerged target from one aerial view.
+"""The camera model, and recovery of a submerged target from one aerial view.
 
 The altitude of the camera above the water and the target's pressure
-depth together fix a horizontal plane in the camera-centered ENU frame.
-Casting the (undistorted) pixel ray onto that plane resolves the scale
-ambiguity of the single view; the hit is then expressed in the
-vehicle-body ENU frame and, downstream, in geodetic coordinates.
+depth fix a horizontal plane `plane_depth` below the camera. `cast`
+sends the undistorted pixel ray onto it, which resolves the scale
+ambiguity of the single view; `project` maps a point in {G} back to its
+pixel. Both take the rotation of `camera_rotation`, the one rotation
+builder, and the simulator calls the same functions.
 
-`recover_batch` runs the whole chain on columns of observations; every
-row is recovered on its own, so any split of a log into blocks gives the
-same rows. The `recover` command feeds it one CSV block at a time.
+`recover_batch` runs the chain on columns of observations, on to {D}
+(`camera_to_body`) and geodetic fixes. Every row is recovered on its own,
+so any split of a log into blocks gives the same rows; `recover` feeds
+it one CSV block at a time.
 
 Frames:
     {G}  ENU with origin at the camera optical center, z up.
@@ -20,12 +22,19 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .camera import PixelCoord, pixel_to_normalized, undistort
+from .camera import (
+    NormalizedCoord,
+    PixelCoord,
+    distort,
+    normalized_to_pixel,
+    pixel_to_normalized,
+    undistort,
+)
 from .geodesy import GeodeticCoord, ecef_to_geodetic, enu_to_ecef
 from .geometry import (
+    CAM_FROM_FORWARD,
     PARALLEL_EPS,
     as_angles,
-    gimbal_to_camera_rotation,
     ray_plane_hits,
     wrap_angle,
     yaw_pitch_roll_matrix,
@@ -122,36 +131,37 @@ class RigConfig:
 
 
 def camera_rotation(gimbal, body, rig: RigConfig) -> np.ndarray:
-    """Full world-to-camera rotation for one observation, or a stack.
+    """Rotation from {G} into {C} for one observation, or a stack.
 
     gimbal, body: EulerAngles, or (..., 3) arrays of wrapped yaw, pitch,
-    roll in radians. With world-referenced gimbal angles this is the
-    plain gimbal chain; with body-referenced angles the body attitude is
-    composed first.
+    roll in radians. The gimbal angles (composed after the body attitude
+    when they are body-referenced) orient a forward/right/down frame whose
+    x axis is the optical axis; CAM_FROM_FORWARD permutes it into {C}.
     """
     gimbal = as_angles(gimbal)
     if rig.gimbal_pitch_sign != 1:
         gimbal = gimbal.copy()
         gimbal[..., 1] = wrap_angle(rig.gimbal_pitch_sign * gimbal[..., 1])
-    return gimbal_to_camera_rotation(gimbal, body if rig.gimbal_frame == "body" else None)
+    r_world_fwd = yaw_pitch_roll_matrix(gimbal)
+    if rig.gimbal_frame == "body":
+        r_world_fwd = yaw_pitch_roll_matrix(body) @ r_world_fwd
+    return CAM_FROM_FORWARD @ np.swapaxes(r_world_fwd, -1, -2)
 
 
-def _hit_depth_plane(u, v, a_uav, d_uuv, gimbal, body, intr, dist, rig):
-    """Camera-frame recovery for stacked rows of validated readings.
+def plane_depth(a_uav, d_uuv, rig: RigConfig):
+    """Depth-plane distance below the camera: a_uav + cam_offset_z + d_uuv."""
+    return a_uav + float(rig.cam_offset[2]) + d_uuv
 
-    The pixel is undistorted into a unit-plane ray l = (x, y, 1). The
-    camera sits a_uav + cam_offset_z above the surface and the target
-    d_uuv below it, so the depth plane lies h = a_uav + cam_offset_z +
-    d_uuv below the camera. In {C} the plane's normal is R e_z and the
-    hit is l * s with s = -h / (R e_z) . l.
 
-    Returns (p_c, r_cw, codes): camera-frame points (n, 3), world-to-
-    camera rotations and a reason code per row (RECOVERED where the fix
-    is usable).
+def cast(u, v, depth, r_cw, intr, dist):
+    """Cast stacked pixels onto the planes `depth` below the camera.
+
+    Each pixel is undistorted into a unit-plane ray l = (x, y, 1); in {C}
+    the plane's normal is R e_z, so the hit is l * s, s = -depth / (R e_z) . l.
+    Returns (p_c, codes): camera-frame points (n, 3) and a reason code per
+    row (RECOVERED where the fix is usable).
     """
     (x, y), converged = undistort(pixel_to_normalized(PixelCoord(u, v), intr), dist)
-    depth = a_uav + float(rig.cam_offset[2]) + d_uuv
-    r_cw = camera_rotation(gimbal, body, rig)
     ray = np.stack([x, y, np.ones_like(x)], axis=-1)
     s, conditioning = ray_plane_hits(ray, r_cw[..., :, 2], -depth)
     codes = np.select(
@@ -166,14 +176,24 @@ def _hit_depth_plane(u, v, a_uav, d_uuv, gimbal, body, intr, dist, rig):
         RECOVERED,
     )
     with np.errstate(invalid="ignore"):  # parallel rays: 0 * inf
-        return ray * s[:, None], r_cw, codes
+        return ray * s[:, None], codes
 
 
-def _camera_to_body_enu(p_c, r_cw, body, rig: RigConfig):
-    """Rotate stacked camera-frame points back to ENU and move the
-    origin from the optical center to the body: p_D = R^T p_C + R_body o.
+def project(p_g, r_cw, intr, dist):
+    """The inverse of `cast`: (n, 3) points in {G} to pixels (u, v) and
+    camera-frame depths z, by rotation, perspective division, distortion
+    and scaling. A point at or behind the camera gets a non-finite pixel;
+    callers reject it by z.
     """
-    p_g = (np.swapaxes(r_cw, -1, -2) @ p_c[..., None])[..., 0]
+    p_c = (r_cw @ p_g[..., None])[..., 0]
+    x, y, z = p_c[:, 0], p_c[:, 1], p_c[:, 2]
+    with np.errstate(all="ignore"):
+        u, v = normalized_to_pixel(distort(NormalizedCoord(x / z, y / z), dist), intr)
+    return u, v, z
+
+
+def camera_to_body(p_g, body, rig: RigConfig):
+    """Stacked points from {G} to {D}: p_D = p_G + R_body o, o the camera offset."""
     return p_g + yaw_pitch_roll_matrix(body) @ rig.cam_offset
 
 
@@ -210,15 +230,15 @@ def recover_batch(columns, config) -> tuple[Table, np.ndarray]:
     valid &= np.max(np.abs([a_uav, columns["d_uuv"], columns["ref_alt_m"]]), axis=0) <= 1e5
     rows = np.flatnonzero(valid)
     u, v, body = columns["u"][rows], columns["v"][rows], _degrees_to_angles(columns, "body")[rows]
-    p_c, r_cw, hit_codes = _hit_depth_plane(
-        u, v, a_uav[rows], columns["d_uuv"][rows], _degrees_to_angles(columns, "gimbal")[rows],
-        body, intr, config.distortion, config.rig,
-    )
+    r_cw = camera_rotation(_degrees_to_angles(columns, "gimbal")[rows], body, config.rig)
+    depth = plane_depth(a_uav[rows], columns["d_uuv"][rows], config.rig)
+    p_c, hit_codes = cast(u, v, depth, r_cw, intr, config.distortion)
     codes = np.full(len(valid), DEGENERATE, dtype=np.int8)
     codes[rows] = hit_codes
     ok = hit_codes == RECOVERED
     rows, u, v, p_c = rows[ok], u[ok], v[ok], p_c[ok]
-    p_d = _camera_to_body_enu(p_c, r_cw[ok], body[ok], config.rig)
+    p_g = (np.swapaxes(r_cw[ok], -1, -2) @ p_c[..., None])[..., 0]
+    p_d = camera_to_body(p_g, body[ok], config.rig)
     ref = GeodeticCoord(lat[rows], np.radians(columns["ref_lon_deg"][rows]), columns["ref_alt_m"][rows])
     geo = ecef_to_geodetic(enu_to_ecef(p_d, ref, config.ellipsoid), config.ellipsoid)
     return Table({

@@ -1,8 +1,8 @@
-"""Forward-model scene generator with known ground truth.
+"""Scene generator with known ground truth: scenarios, noise and paths.
 
-Projects true target trajectories through the exact camera and attitude
-chain into pixel observations, optionally perturbed by seeded Gaussian
-noise, and emits log rows in the same shapes the batch pipeline ingests.
+Projects true target trajectories through the camera model that
+`recovery` inverts into pixel observations, optionally perturbed by seeded
+Gaussian noise, and emits log rows in the shapes the pipeline ingests.
 Replaces field experiments for verification at desk scale.
 """
 
@@ -11,18 +11,18 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .camera import (
-    CameraIntrinsics,
-    DistortionCoeffs,
-    NormalizedCoord,
-    PixelCoord,
-    distort,
-    normalized_to_pixel,
-)
+from .camera import CameraIntrinsics, DistortionCoeffs, PixelCoord
 from .errors import InfeasibleScene
 from .geodesy import GeodeticCoord
-from .geometry import EulerAngles, wrap_angle, yaw_pitch_roll_matrix
-from .recovery import OBSERVATION_COLUMNS, RigConfig, camera_rotation
+from .geometry import EulerAngles, wrap_angle
+from .recovery import (
+    OBSERVATION_COLUMNS,
+    RigConfig,
+    camera_rotation,
+    camera_to_body,
+    plane_depth,
+    project,
+)
 from .table import Table
 
 MIN_CAMERA_Z = 1e-9
@@ -87,23 +87,6 @@ class Scenario:
         return len(self.t)
 
 
-def project(p_g, gimbal, body, intr, dist, rig):
-    """Stacked forward projection: (n, 3) points in {G} and (n, 3)
-    wrapped gimbal and body angles to pixels (u, v) and the camera-frame
-    depth z of each point.
-
-    Exact forward composition of the recovery chain: rotate into the
-    camera frame, perspective-divide, distort, scale to pixels. A point
-    at or behind the camera (z <= MIN_CAMERA_Z) has no pixel.
-    """
-    p_c = (camera_rotation(gimbal, body, rig) @ p_g[..., None])[..., 0]
-    x, y, z = p_c[:, 0], p_c[:, 1], p_c[:, 2]
-    # points at or behind the camera give non-finite pixels; callers reject them by z
-    with np.errstate(all="ignore"):
-        u, v = normalized_to_pixel(distort(NormalizedCoord(x / z, y / z), dist), intr)
-    return u, v, z
-
-
 def generate_logs(scenario: Scenario) -> tuple[Table, Table]:
     """Produce the observation log and the exact ground truth as tables.
 
@@ -120,10 +103,8 @@ def generate_logs(scenario: Scenario) -> tuple[Table, Table]:
             or behind the camera (reported with its sample index).
     """
     intr, body = scenario.intrinsics, wrap_angle(scenario.body)
-    u, v, z = project(
-        scenario.positions, wrap_angle(scenario.gimbal), body,
-        intr, scenario.distortion, scenario.rig,
-    )
+    r_cw = camera_rotation(wrap_angle(scenario.gimbal), body, scenario.rig)
+    u, v, z = project(scenario.positions, r_cw, intr, scenario.distortion)
     behind = z <= MIN_CAMERA_Z
     infeasible = np.flatnonzero(behind | ~intr.contains(PixelCoord(u, v)))
     if infeasible.size:
@@ -160,7 +141,7 @@ def generate_logs(scenario: Scenario) -> tuple[Table, Table]:
         np.full(n, math.degrees(ref.lat)), np.full(n, math.degrees(ref.lon)),
         np.full(n, float(ref.h)),
     ]))
-    p_d = scenario.positions + yaw_pitch_roll_matrix(body) @ scenario.rig.cam_offset
+    p_d = camera_to_body(scenario.positions, body, scenario.rig)
     truth = dict(zip(["t", "x", "y", "z"], [scenario.t.copy(), *p_d.T]))
     return Table(obs), Table(truth)
 
@@ -215,8 +196,7 @@ def build_scenario(
     n = len(path_xy)
     t = np.linspace(0.0, duration, n, endpoint=False) if n > 1 else np.array([0.0])
     depth = np.linspace(depth_min, depth_max, n)
-    a_cam = altitude + float(rig.cam_offset[2])
-    z = -(a_cam + depth)
+    z = -plane_depth(altitude, depth, rig)
     positions = np.column_stack([path_xy[:, 0], path_xy[:, 1], z])
     return Scenario(
         t=t,

@@ -24,9 +24,9 @@ from depthray.camera import (
 from depthray.cli import main
 from depthray.evaluate import rescale_grid_point, trajectory_errors
 from depthray.geodesy import ecef_to_geodetic, geodetic_to_ecef
-from depthray.geometry import EulerAngles, gimbal_to_camera_rotation
+from depthray.geometry import EulerAngles
 from depthray.io import RunConfig
-from depthray.recovery import recover_batch
+from depthray.recovery import RigConfig, camera_rotation, recover_batch
 from depthray.synth import NoiseSpec, build_scenario, generate_logs, lawnmower_path
 
 from conftest import bowring_oracle, random_geodetic, sample_invertible_distortion
@@ -201,13 +201,13 @@ def test_6_rotation_chain_properties():
         rng = np.random.default_rng(6)
         eye = np.eye(3)
         for _ in range(10000):
-            r = gimbal_to_camera_rotation(EulerAngles(*rng.uniform(-np.pi, np.pi, 3)))
+            r = camera_rotation(EulerAngles(*rng.uniform(-np.pi, np.pi, 3)), None, RigConfig())
             assert np.max(np.abs(r.T @ r - eye)) < 1e-12
             assert abs(np.linalg.det(r) - 1.0) < 1e-12
         h = 25.0
-        r = gimbal_to_camera_rotation(EulerAngles(pitch=-np.pi / 2))
+        r = camera_rotation(EulerAngles(pitch=-np.pi / 2), None, RigConfig())
         assert_allclose(r @ [0.0, 0.0, -h], [0.0, 0.0, h], atol=1e-12)
-        r0 = gimbal_to_camera_rotation(EulerAngles())
+        r0 = camera_rotation(EulerAngles(), None, RigConfig())
         assert_allclose(r0 @ [h, 0.0, 0.0], [0.0, 0.0, h], atol=1e-12)
 
 

@@ -85,14 +85,26 @@ class TestPipeline:
         assert report["n_samples"] == 120
         assert report["n_excluded"] == 0
 
-    def test_camera_offset_identity(self, workdir, capsys):
-        # truth and trajectory are both in the body-fixed ENU frame, so an
-        # offset camera on a yawed body still evaluates to zero error
-        rig = "cam_offset: [0.3, 0.0, -0.2]\n"
-        (workdir / "offset.yaml").write_text(SCENARIO + rig + "body_yaw_deg: 30.0\n",
-                                             encoding="utf-8")
-        (workdir / "run.yaml").write_text("calibration: cal.yaml\n" + rig, encoding="utf-8")
-        simulate(workdir, scenario="offset.yaml")
+    # lines appended to each config file; what both configs hold is the rig.
+    # Body tilts much past 1 deg push this 10 x 6 m survey out of the frame.
+    @pytest.mark.parametrize("extra", [
+        {"scenario.yaml": "cam_offset: [0.3, 0.0, -0.2]\nbody_yaw_deg: 30.0\n",
+         "run.yaml": "cam_offset: [0.3, 0.0, -0.2]\n"},
+        {"scenario.yaml": "gimbal_frame: body\nbody_pitch_deg: 1.0\nbody_roll_deg: -1.0\n",
+         "run.yaml": "gimbal_frame: body\n"},
+        {"scenario.yaml": "gimbal_pitch_sign: -1\ngimbal_pitch_deg: 90.0\n",
+         "run.yaml": "gimbal_pitch_sign: -1\n"},
+        {"cal.yaml": "k1: -0.1\nk2: 0.05\nk3: 0.0\np1: 0.001\np2: -0.002\n"},
+        {"run.yaml": "ellipsoid: [3396190.0, 3376200.0]\n"},
+    ], ids=["offset_yawed_body", "body_gimbal_tilted_body", "pitch_sign", "lens", "ellipsoid"])
+    def test_camera_offset_identity(self, workdir, capsys, extra):
+        # truth and trajectory are both in the body-fixed ENU frame, so every
+        # rig the configs accept, an offset camera on a yawed body included,
+        # still evaluates to zero error
+        for name, text in extra.items():
+            path = workdir / name
+            path.write_text(path.read_text(encoding="utf-8") + text, encoding="utf-8")
+        simulate(workdir)
         assert run(
             workdir, "recover",
             "--config", workdir / "run.yaml",
@@ -481,6 +493,23 @@ class TestSimulateErrors:
         assert code == 1
         err = capsys.readouterr().err
         assert message in err and f"{workdir / gt}" in err
+        assert (workdir / "obs.csv").read_bytes() == b"old observations\n"
+        assert not list(workdir.rglob("*.tmp"))
+
+    # both outputs name one file: its two temporary files would share a name,
+    # so the second rename would fail after the first had replaced the file
+    @pytest.mark.parametrize("gt", ["obs.csv", "./obs.csv"])
+    def test_one_file_for_both_outputs_is_refused(self, workdir, capsys, monkeypatch, gt):
+        (workdir / "obs.csv").write_text("old observations\n", encoding="utf-8")
+        monkeypatch.chdir(workdir)
+        code = run(
+            workdir, "simulate",
+            "--config", "scenario.yaml",
+            "--output", "obs.csv",
+            "--gt", gt,
+        )
+        assert code == 1
+        assert "error: obs.csv: the same file" in capsys.readouterr().err
         assert (workdir / "obs.csv").read_bytes() == b"old observations\n"
         assert not list(workdir.rglob("*.tmp"))
 

@@ -7,12 +7,12 @@ from numpy.testing import assert_allclose
 from depthray.geometry import (
     PARALLEL_EPS,
     EulerAngles,
-    gimbal_to_camera_rotation,
     ray_plane_hits,
     rot_x,
     rot_y,
     rot_z,
 )
+from depthray.recovery import RigConfig, camera_rotation
 
 
 def assert_special_orthogonal(r, atol=1e-12):
@@ -66,13 +66,13 @@ class TestGimbalChain:
     def test_nadir_points_camera_straight_down(self):
         # pitch -90 deg: a point h below the camera sits h ahead on the
         # optical axis
-        r = gimbal_to_camera_rotation(EulerAngles(pitch=-np.pi / 2))
+        r = camera_rotation(EulerAngles(pitch=-np.pi / 2), None, RigConfig())
         h = 25.0
         assert_allclose(r @ [0.0, 0.0, -h], [0.0, 0.0, h], atol=1e-12)
 
     def test_zero_angles_look_east(self):
         # zero gimbal: optical axis along world +x
-        r = gimbal_to_camera_rotation(EulerAngles())
+        r = camera_rotation(EulerAngles(), None, RigConfig())
         h = 7.5
         assert_allclose(r @ [h, 0.0, 0.0], [0.0, 0.0, h], atol=1e-12)
 
@@ -80,7 +80,8 @@ class TestGimbalChain:
         rng = np.random.default_rng(5)
         for _ in range(1000):
             yaw, pitch, roll = rng.uniform(-np.pi, np.pi, 3)
-            assert_special_orthogonal(gimbal_to_camera_rotation(EulerAngles(yaw, pitch, roll)))
+            r = camera_rotation(EulerAngles(yaw, pitch, roll), None, RigConfig())
+            assert_special_orthogonal(r)
 
     def test_matches_hand_composed_chain(self):
         # oracle: compose the passive elementary matrices and the fixed
@@ -90,9 +91,8 @@ class TestGimbalChain:
         for _ in range(50):
             yaw, pitch, roll = rng.uniform(-np.pi, np.pi, 3)
             expected = perm @ (rot_z(yaw) @ rot_y(pitch) @ rot_x(roll)).T
-            assert_allclose(
-                gimbal_to_camera_rotation(EulerAngles(yaw, pitch, roll)), expected, atol=1e-15
-            )
+            r = camera_rotation(EulerAngles(yaw, pitch, roll), None, RigConfig())
+            assert_allclose(r, expected, atol=1e-15)
 
 
 class TestRayPlane:

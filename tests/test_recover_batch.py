@@ -1,14 +1,16 @@
 """recover_batch against references that share none of its code: the
 simulator's {D} truth, the row-level validity checks spelled out, and
-the same rows recovered one at a time."""
+the same rows recovered one at a time; and the camera model's forward
+and inverse rays against each other."""
 
 import math
 
 import numpy as np
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from depthray.camera import CameraIntrinsics, DistortionCoeffs
+from depthray.camera import CameraIntrinsics, DistortionCoeffs, PixelCoord
 from depthray.errors import InfeasibleScene
 from depthray.geodesy import WGS84, Ellipsoid, GeodeticCoord, geodetic_to_ecef
 from depthray.geometry import EulerAngles
@@ -16,8 +18,13 @@ from depthray.io import RunConfig
 from depthray.recovery import (
     OBSERVATION_COLUMNS,
     REASONS,
+    RECOVERED,
     TRAJECTORY_COLUMNS,
     RigConfig,
+    camera_rotation,
+    cast,
+    plane_depth,
+    project,
     recover_batch,
 )
 from depthray.synth import NoiseSpec, build_scenario, generate_logs, line_path
@@ -112,6 +119,44 @@ def test_noiseless_logs_recover_the_body_frame_truth(
                                rtol=0.0, atol=1e-6)
 
 
+# the distortion sampled below is invertible out to this normalized radius
+LENS_R_MAX = 0.85
+
+
+@given(
+    rig=rigs(),
+    lens_seed=st.one_of(st.none(), st.integers(0, 2**32 - 1)),
+    gimbal=st.tuples(st.floats(-math.pi, math.pi, **finite), angle, angle),
+    body=st.tuples(st.floats(-math.pi, math.pi, **finite), angle, angle),
+    altitude=st.floats(15.0, 40.0, **finite),
+    depth=st.floats(0.0, 3.0, **finite),
+    xy=st.tuples(st.floats(-0.5, 0.5, **finite), st.floats(-0.5, 0.5, **finite)),
+)
+def test_cast_and_project_invert_each_other(rig, lens_seed, gimbal, body, altitude, depth, xy):
+    if lens_seed is None:
+        dist = DistortionCoeffs.zero()
+    else:
+        dist = sample_invertible_distortion(
+            np.random.default_rng(lens_seed), k_max=0.3, p_max=0.01, r_max=LENS_R_MAX
+        )
+    yaw, tilt, roll = gimbal
+    gimbal = EulerAngles(yaw, rig.gimbal_pitch_sign * (-math.pi / 2 + tilt), roll)
+    r_cw = camera_rotation(gimbal, EulerAngles(*body), rig)[None]
+    h = plane_depth(altitude, depth, rig)
+    p = np.array([[xy[0] * h, xy[1] * h, -h]])  # a point on the depth plane, in {G}
+    u, v, z = project(p, r_cw, INTRINSICS, dist)
+    ray = r_cw[0] @ p[0]
+    assume(z[0] > 0 and INTRINSICS.contains(PixelCoord(u, v))[0])
+    assume(math.hypot(ray[0] / ray[2], ray[1] / ray[2]) <= LENS_R_MAX)
+
+    p_c, codes = cast(u, v, np.array([h]), r_cw, INTRINSICS, dist)
+    assert codes[0] == RECOVERED
+    back = p_c @ r_cw[0]  # R^T p_c, row-wise
+    assert np.max(np.abs(back - p)) <= 1e-9 * h
+    u2, v2, _ = project(back, r_cw, INTRINSICS, dist)
+    assert max(abs(u2[0] - u[0]), abs(v2[0] - v[0])) <= 1e-6
+
+
 rows = st.fixed_dictionaries({
     "t": st.floats(0.0, 1e4, **finite),
     "u": st.floats(-200.0, 2120.0, **finite),
@@ -167,6 +212,9 @@ def as_text(trajectory):
     }
 
 
+# rows just inside the 1e5-m bounds are recovered, and their fixes can lie
+# more than 100 km off the ellipsoid, where EcefCoord warns
+@pytest.mark.filterwarnings("ignore:ECEF point more than 100 km:RuntimeWarning")
 @settings(max_examples=60, deadline=None)
 @given(configs(), st.lists(st.one_of(rows, nadir_rows, edge_rows), min_size=1, max_size=12))
 def test_rows_one_at_a_time_match_the_batch(config, drawn):

@@ -8,7 +8,6 @@ from depthray.camera import CameraIntrinsics, DistortionCoeffs
 from depthray.geometry import (
     CAM_FROM_FORWARD,
     EulerAngles,
-    as_angles,
     ray_plane_hits,
     yaw_pitch_roll_matrix,
 )
@@ -21,9 +20,9 @@ from depthray.recovery import (
     RECOVERED,
     RigConfig,
     camera_rotation,
+    project,
     recover_batch,
 )
-from depthray.synth import project
 
 REF_DEG = (42.87, 17.7, 25.0)
 NADIR = EulerAngles(pitch=-np.pi / 2)
@@ -90,8 +89,8 @@ class TestRecoverCameraFrame:
         rig = RigConfig()
         dist = DistortionCoeffs(k1=-0.1, k2=0.05, p1=0.001, p2=-0.002)
         truth = np.array([3.0, -2.0, -25.63])
-        u, v, _ = project(truth[None], as_angles(NADIR)[None], as_angles(LEVEL)[None],
-                          intrinsics, dist, rig)
+        u, v, _ = project(truth[None], camera_rotation(NADIR, LEVEL, rig)[None],
+                          intrinsics, dist)
         traj, _ = recover_batch(make_columns((u, v)), RunConfig(intrinsics, dist, rig))
         expected_c = camera_rotation(NADIR, LEVEL, rig) @ truth
         assert_allclose([traj[c][0] for c in CAM], expected_c, atol=1e-9)
@@ -119,8 +118,8 @@ class TestRecoverCameraFrame:
             r = camera_rotation(gimbal, body, rig)
             if (r @ truth)[2] < 0.2 * depth:
                 continue  # scene behind or grazing the camera
-            u, v, _ = project(truth[None], as_angles(gimbal)[None], as_angles(body)[None],
-                              intrinsics, dist, rig)
+            u, v, _ = project(truth[None], camera_rotation(gimbal, body, rig)[None],
+                              intrinsics, dist)
             traj, codes = recover_batch(
                 make_columns((u, v), a_uav=a_uav, d_uuv=d_uuv, gimbal=gimbal, body=body),
                 RunConfig(intrinsics, dist, rig),
@@ -149,8 +148,8 @@ class TestRecoverCameraFrame:
         sigma_px, z = 2.0, 25.63
         predicted = sigma_px / 2000.0 * z
         truth = np.array([0.0, 0.0, -z])
-        u, v, _ = project(truth[None], as_angles(NADIR)[None], as_angles(LEVEL)[None],
-                          intr, DistortionCoeffs.zero(), rig)
+        u, v, _ = project(truth[None], camera_rotation(NADIR, LEVEL, rig)[None],
+                          intr, DistortionCoeffs.zero())
         rng = np.random.default_rng(67)
         noise = rng.normal(0, sigma_px, (1000, 2))  # u then v, row by row
         columns = {k: np.repeat(c, 1000) for k, c in make_columns((u, v)).items()}
@@ -245,8 +244,8 @@ class TestCameraToUavEnu:
                                 rng.uniform(-0.25, 0.25) * depth, -depth])
             if (camera_rotation(gimbal, body, rig) @ truth_g)[2] < 0.2 * depth:
                 continue
-            u, v, _ = project(truth_g[None], as_angles(gimbal)[None], as_angles(body)[None],
-                              intrinsics, DistortionCoeffs.zero(), rig)
+            u, v, _ = project(truth_g[None], camera_rotation(gimbal, body, rig)[None],
+                              intrinsics, DistortionCoeffs.zero())
             traj, _ = recover_batch(
                 make_columns((u, v), a_uav=a_uav, d_uuv=d_uuv, gimbal=gimbal, body=body),
                 RunConfig(intrinsics, DistortionCoeffs.zero(), rig),

@@ -7,7 +7,7 @@ from depthray.errors import InfeasibleScene
 from depthray.geodesy import GeodeticCoord
 from depthray.geometry import EulerAngles, as_angles
 from depthray.io import RunConfig
-from depthray.recovery import RigConfig, camera_rotation, recover_batch
+from depthray.recovery import RigConfig, camera_rotation, project, recover_batch
 from depthray.synth import (
     MIN_CAMERA_Z,
     NoiseSpec,
@@ -17,7 +17,6 @@ from depthray.synth import (
     generate_logs,
     lawnmower_path,
     line_path,
-    project,
 )
 
 REF = GeodeticCoord.from_degrees(42.87, 17.7, 25.0)
@@ -44,23 +43,23 @@ def make_scenario(n=50, noise=NoiseSpec(), depth_min=0.63, depth_max=0.63,
 class TestProjectPoint:
     """project, the forward model generate_logs uses."""
 
-    nadir, level = as_angles(NADIR)[None], np.zeros((1, 3))
+    r_nadir = camera_rotation(NADIR, EulerAngles(), RigConfig())[None]
 
     def test_optical_axis_hits_principal_point(self, intrinsics):
-        u, v, _ = project(np.array([[0.0, 0.0, -17.0]]), self.nadir, self.level, intrinsics,
-                          DistortionCoeffs.zero(), RigConfig())
+        u, v, _ = project(np.array([[0.0, 0.0, -17.0]]), self.r_nadir, intrinsics,
+                          DistortionCoeffs.zero())
         assert (u[0], v[0]) == pytest.approx((960.0, 540.0), abs=1e-12)
 
     def test_north_displacement_moves_u(self, intrinsics):
         # at nadir with zero gimbal yaw, world north maps to image x
         h = 20.0
-        u, v, _ = project(np.array([[0.0, 0.1 * h, -h]]), self.nadir, self.level, intrinsics,
-                          DistortionCoeffs.zero(), RigConfig())
+        u, v, _ = project(np.array([[0.0, 0.1 * h, -h]]), self.r_nadir, intrinsics,
+                          DistortionCoeffs.zero())
         assert (u[0], v[0]) == pytest.approx((1060.0, 540.0), abs=1e-9)
 
     def test_point_behind_camera_raises(self, intrinsics):
-        _, _, z = project(np.array([[0.0, 0.0, 5.0]]), self.nadir, self.level, intrinsics,
-                          DistortionCoeffs.zero(), RigConfig())
+        _, _, z = project(np.array([[0.0, 0.0, 5.0]]), self.r_nadir, intrinsics,
+                          DistortionCoeffs.zero())
         assert z[0] <= MIN_CAMERA_Z
 
     def test_project_then_recover_is_identity(self, intrinsics):
@@ -74,7 +73,7 @@ class TestProjectPoint:
             depth = a_uav[i] + d_uuv[i]
             truth[i] = [rng.uniform(-0.3, 0.3) * depth, rng.uniform(-0.3, 0.3) * depth, -depth]
         gimbal, body = np.tile(as_angles(NADIR), (100, 1)), np.zeros((100, 3))
-        u, v, _ = project(truth, gimbal, body, intrinsics, dist, rig)
+        u, v, _ = project(truth, camera_rotation(gimbal, body, rig), intrinsics, dist)
         zeros = np.zeros(100)
         columns = {
             "t": zeros, "u": u, "v": v, "a_uav": a_uav, "d_uuv": d_uuv,
