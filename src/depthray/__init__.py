@@ -32,7 +32,7 @@ from .geodesy import (
 )
 from .geometry import EulerAngles, rot_x, rot_y, rot_z
 from .recovery import RigConfig, camera_rotation, recover_batch
-from .synth import NoiseSpec, Scenario, build_scenario, generate_logs
+from .synth import NoiseSpec, Scenario, generate_logs
 from .table import Table
 
 __all__ = [
@@ -67,7 +67,6 @@ __all__ = [
     "recover_batch",
     "NoiseSpec",
     "Scenario",
-    "build_scenario",
     "generate_logs",
     "Table",
 ]

@@ -48,7 +48,6 @@ from .recovery import OBSERVATION_COLUMNS, TRAJECTORY_COLUMNS, RigConfig
 from .synth import (
     NoiseSpec,
     Scenario,
-    build_scenario,
     circle_path,
     lawnmower_path,
     line_path,
@@ -618,7 +617,7 @@ def load_scenario_config(path, seed=None) -> Scenario:
             sigma_gimbal=math.radians(_number(data, "sigma_gimbal_deg", path, 0.0)),
             seed=seed,
         )
-        return build_scenario(
+        return Scenario(
             path_xy=path_xy,
             duration=_number(data, "duration", path, 100.0),
             altitude=_number(data, "altitude", path),

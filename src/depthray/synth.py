@@ -1,20 +1,23 @@
 """Scene generator with known ground truth: scenarios, noise and paths.
 
-Projects true target trajectories through the camera model that
-`recovery` inverts into pixel observations, optionally perturbed by seeded
-Gaussian noise, and emits log rows in the shapes the pipeline ingests.
-Replaces field experiments for verification at desk scale.
+A `Scenario` describes one flight: a planar path, a duration, an
+altitude, a depth sweep and one gimbal and one body attitude.
+`generate_logs` derives the per-row columns from it and projects the
+target through the camera model that `recovery` inverts, with one
+camera rotation for the whole flight, into pixel observations,
+optionally perturbed by seeded Gaussian noise. Replaces field
+experiments for verification at desk scale.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .camera import CameraIntrinsics, DistortionCoeffs, PixelCoord
 from .errors import InfeasibleScene
 from .geodesy import GeodeticCoord
-from .geometry import EulerAngles, wrap_angle
+from .geometry import EulerAngles, as_angles
 from .recovery import (
     OBSERVATION_COLUMNS,
     RigConfig,
@@ -42,49 +45,49 @@ class NoiseSpec:
         for name in ("sigma_px", "sigma_alt", "sigma_depth", "sigma_gimbal"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be non-negative")
+        if self.seed < 0:
+            raise ValueError("seed must be non-negative")
 
 
 @dataclass(frozen=True)
 class Scenario:
-    """True trajectory plus sensor channels for one simulated flight.
+    """One simulated flight: a hovering camera over a planar path.
 
-    positions are in the camera-centered ENU frame {G}; altitude, depth
-    and attitude arrays run parallel to the timestamps.
+    The target follows path_xy (n, 2) in the camera-centered ENU frame
+    {G} over `duration` seconds, while its depth sweeps linearly from
+    depth_min to depth_max; altitude and both attitudes stay constant.
+    Its height in {G} follows from altitude, camera offset and depth, so
+    the depth channel and the geometry agree exactly.
     """
 
-    t: np.ndarray
-    positions: np.ndarray  # (n, 3) in {G}
-    a_uav: np.ndarray
-    d_uuv: np.ndarray
-    gimbal: np.ndarray  # (n, 3) yaw/pitch/roll, radians
-    body: np.ndarray  # (n, 3) yaw/pitch/roll, radians
+    path_xy: np.ndarray
+    duration: float
+    altitude: float
+    depth_min: float
+    depth_max: float
     ref_geo: GeodeticCoord
     intrinsics: CameraIntrinsics
-    distortion: DistortionCoeffs = field(default_factory=DistortionCoeffs)
-    rig: RigConfig = field(default_factory=RigConfig)
-    noise: NoiseSpec = field(default_factory=NoiseSpec)
+    distortion: DistortionCoeffs = DistortionCoeffs()
+    rig: RigConfig = RigConfig()
+    noise: NoiseSpec = NoiseSpec()
+    gimbal: EulerAngles = EulerAngles(pitch=-math.pi / 2)
+    body: EulerAngles = EulerAngles()
 
     def __post_init__(self):
-        t = np.asarray(self.t, dtype=float)
-        if t.ndim != 1 or len(t) == 0:
-            raise ValueError("need at least one timestamp")
-        if np.any(np.diff(t) <= 0):
+        path_xy = np.asarray(self.path_xy, dtype=float)
+        if path_xy.ndim != 2 or path_xy.shape[1] != 2 or len(path_xy) == 0:
+            raise ValueError("path_xy must have shape (n, 2) with n >= 1")
+        if len(path_xy) > 1 and not self.duration > 0:
             raise ValueError("timestamps must be strictly increasing")
-        n = len(t)
-        for name, cols in (("positions", 3), ("gimbal", 3), ("body", 3)):
-            arr = np.asarray(getattr(self, name), dtype=float)
-            if arr.shape != (n, cols):
-                raise ValueError(f"{name} must have shape ({n}, {cols})")
-            object.__setattr__(self, name, arr)
-        for name in ("a_uav", "d_uuv"):
-            arr = np.asarray(getattr(self, name), dtype=float)
-            if arr.shape != (n,):
-                raise ValueError(f"{name} must have shape ({n},)")
-            object.__setattr__(self, name, arr)
-        object.__setattr__(self, "t", t)
+        # recover_batch reads a row without altitude or with a negative depth as degenerate
+        if not self.altitude > 0:
+            raise ValueError("altitude must be positive")
+        if not (self.depth_min >= 0 and self.depth_max >= 0):
+            raise ValueError("depth_min and depth_max must be non-negative")
+        object.__setattr__(self, "path_xy", path_xy)
 
     def __len__(self):
-        return len(self.t)
+        return len(self.path_xy)
 
 
 def generate_logs(scenario: Scenario) -> tuple[Table, Table]:
@@ -102,9 +105,12 @@ def generate_logs(scenario: Scenario) -> tuple[Table, Table]:
         InfeasibleScene: a noiseless projection falls outside the image
             or behind the camera (reported with its sample index).
     """
-    intr, body = scenario.intrinsics, wrap_angle(scenario.body)
-    r_cw = camera_rotation(wrap_angle(scenario.gimbal), body, scenario.rig)
-    u, v, z = project(scenario.positions, r_cw, intr, scenario.distortion)
+    n, rig, intr = len(scenario), scenario.rig, scenario.intrinsics
+    t = np.linspace(0.0, scenario.duration, n, endpoint=False) if n > 1 else np.array([0.0])
+    d_uuv = np.linspace(scenario.depth_min, scenario.depth_max, n)
+    positions = np.column_stack([scenario.path_xy, -plane_depth(scenario.altitude, d_uuv, rig)])
+    r_cw = camera_rotation(scenario.gimbal, scenario.body, rig)
+    u, v, z = project(positions, r_cw, intr, scenario.distortion)
     behind = z <= MIN_CAMERA_Z
     infeasible = np.flatnonzero(behind | ~intr.contains(PixelCoord(u, v)))
     if infeasible.size:
@@ -118,7 +124,7 @@ def generate_logs(scenario: Scenario) -> tuple[Table, Table]:
         )
 
     noise = scenario.noise
-    a_uav, d_uuv, gimbal = scenario.a_uav.copy(), scenario.d_uuv.copy(), scenario.gimbal.copy()
+    a_uav, gimbal = np.full(n, float(scenario.altitude)), np.tile(as_angles(scenario.gimbal), (n, 1))
     channels = [
         (u, noise.sigma_px),
         (v, noise.sigma_px),
@@ -129,20 +135,19 @@ def generate_logs(scenario: Scenario) -> tuple[Table, Table]:
     noisy = [(values, sigma) for values, sigma in channels if sigma > 0]
     if noisy:
         rng = np.random.default_rng(noise.seed)
-        draws = rng.normal(0.0, [sigma for _, sigma in noisy], size=(len(scenario), len(noisy)))
+        draws = rng.normal(0.0, [sigma for _, sigma in noisy], size=(n, len(noisy)))
         for (values, _), column in zip(noisy, draws.T):
             values += column
 
-    n = len(scenario)
     ref = scenario.ref_geo
     obs = dict(zip(OBSERVATION_COLUMNS, [
-        scenario.t.copy(), u, v, a_uav, d_uuv,
-        *np.degrees(gimbal).T, *np.degrees(scenario.body).T,
+        t, u, v, a_uav, d_uuv,
+        *np.degrees(gimbal).T, *np.degrees(np.tile(as_angles(scenario.body), (n, 1))).T,
         np.full(n, math.degrees(ref.lat)), np.full(n, math.degrees(ref.lon)),
         np.full(n, float(ref.h)),
     ]))
-    p_d = camera_to_body(scenario.positions, body, scenario.rig)
-    truth = dict(zip(["t", "x", "y", "z"], [scenario.t.copy(), *p_d.T]))
+    p_d = camera_to_body(positions, scenario.body, rig)
+    truth = dict(zip(["t", "x", "y", "z"], [t.copy(), *p_d.T]))
     return Table(obs), Table(truth)
 
 
@@ -169,45 +174,4 @@ def line_path(n: int, start, end) -> np.ndarray:
     s = np.linspace(0.0, 1.0, n)[:, None]
     return np.asarray(start, dtype=float) + s * (
         np.asarray(end, dtype=float) - np.asarray(start, dtype=float)
-    )
-
-
-def build_scenario(
-    path_xy: np.ndarray,
-    duration: float,
-    altitude: float,
-    depth_min: float,
-    depth_max: float,
-    ref_geo: GeodeticCoord,
-    intrinsics: CameraIntrinsics,
-    distortion: DistortionCoeffs = DistortionCoeffs(),
-    rig: RigConfig = RigConfig(),
-    noise: NoiseSpec = NoiseSpec(),
-    gimbal: EulerAngles = EulerAngles(pitch=-math.pi / 2),
-    body: EulerAngles = EulerAngles(),
-) -> Scenario:
-    """Assemble a hovering-camera scenario from a planar path.
-
-    Depth sweeps linearly from depth_min to depth_max along the path and
-    the vertical coordinate is derived from altitude, camera offset and
-    depth so the depth channel and the geometry agree exactly.
-    """
-    path_xy = np.asarray(path_xy, dtype=float)
-    n = len(path_xy)
-    t = np.linspace(0.0, duration, n, endpoint=False) if n > 1 else np.array([0.0])
-    depth = np.linspace(depth_min, depth_max, n)
-    z = -plane_depth(altitude, depth, rig)
-    positions = np.column_stack([path_xy[:, 0], path_xy[:, 1], z])
-    return Scenario(
-        t=t,
-        positions=positions,
-        a_uav=np.full(n, float(altitude)),
-        d_uuv=depth,
-        gimbal=np.tile([gimbal.yaw, gimbal.pitch, gimbal.roll], (n, 1)),
-        body=np.tile([body.yaw, body.pitch, body.roll], (n, 1)),
-        ref_geo=ref_geo,
-        intrinsics=intrinsics,
-        distortion=distortion,
-        rig=rig,
-        noise=noise,
     )

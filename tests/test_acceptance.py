@@ -27,7 +27,7 @@ from depthray.geodesy import ecef_to_geodetic, geodetic_to_ecef
 from depthray.geometry import EulerAngles
 from depthray.io import RunConfig
 from depthray.recovery import RigConfig, camera_rotation, recover_batch
-from depthray.synth import NoiseSpec, build_scenario, generate_logs, lawnmower_path
+from depthray.synth import NoiseSpec, Scenario, generate_logs, lawnmower_path
 
 from conftest import bowring_oracle, random_geodetic, sample_invertible_distortion
 
@@ -62,7 +62,7 @@ def survey_scenario(n, sigma_px=0.0, sigma_alt=0.0, sigma_gimbal_deg=0.0,
                     depth_min=0.63, depth_max=0.63, seed=0):
     from depthray.geodesy import GeodeticCoord
 
-    return build_scenario(
+    return Scenario(
         path_xy=lawnmower_path(n, width=8.0, height=5.0, legs=5),
         duration=200.0,
         altitude=25.0,

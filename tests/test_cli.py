@@ -476,6 +476,43 @@ class TestSimulateErrors:
         assert "sample" in capsys.readouterr().err
 
 
+    def refuse(self, workdir, capsys, text, *flags):
+        (workdir / "bad.yaml").write_text(text, encoding="utf-8")
+        code = run(
+            workdir, "simulate",
+            "--config", workdir / "bad.yaml",
+            "--output", workdir / "obs.csv",
+            "--gt", workdir / "gt.csv",
+            *flags,
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert not (workdir / "obs.csv").exists() and not (workdir / "gt.csv").exists()
+        assert not list(workdir.rglob("*.tmp"))
+        return err
+
+    # numpy's generator takes no negative seed; with every sigma at zero it was never asked
+    @pytest.mark.parametrize("text, flags", [
+        (SCENARIO + "sigma_px: 2.0\nseed: -5\n", ()),
+        (SCENARIO + "sigma_px: 2.0\n", ("--seed", "-1")),
+        (SCENARIO + "seed: -5\n", ()),
+    ], ids=["file", "flag", "noiseless"])
+    def test_negative_seed_exits_2(self, workdir, capsys, text, flags):
+        assert "seed must be non-negative" in self.refuse(workdir, capsys, text, *flags)
+
+    # recover reads a row without altitude or with a negative depth as degenerate, so
+    # such a log would lose every row; the small area keeps the scene in frame
+    @pytest.mark.parametrize("old, new, message", [
+        ("altitude: 25.0", "altitude: 0.0", "altitude must be positive"),
+        ("altitude: 25.0", "altitude: -0.2", "altitude must be positive"),
+        ("depth_min: 0.63", "depth_min: -0.5", "must be non-negative"),
+        ("depth_max: 0.63", "depth_max: -0.5", "must be non-negative"),
+    ], ids=["altitude_zero", "altitude_negative", "depth_min", "depth_max"])
+    def test_scene_recover_would_drop_exits_2(self, workdir, capsys, old, new, message):
+        text = SCENARIO.replace("area: [10.0, 6.0]", "area: [0.4, 0.2]").replace(old, new)
+        assert message in self.refuse(workdir, capsys, text)
+
     # the truth file fails to open in a missing directory, or to be renamed onto a directory
     @pytest.mark.parametrize("gt, message", [
         ("missing_dir/gt.csv", "No such file or directory"),

@@ -113,7 +113,7 @@ calibration: {fx: 1000.0, fy: 1000.0, cx: 960.0, cy: 540.0, width: 1920, height:
 """
         scenario = io.load_scenario_config(write(tmp_path / "scn.yaml", text))
         assert len(scenario) == 64
-        assert np.allclose(np.hypot(scenario.positions[:, 0], scenario.positions[:, 1]), 4.0)
+        assert np.allclose(np.hypot(scenario.path_xy[:, 0], scenario.path_xy[:, 1]), 4.0)
 
     def test_seed_override(self, tmp_path):
         text = """\

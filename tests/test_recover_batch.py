@@ -1,7 +1,8 @@
 """recover_batch against references that share none of its code: the
 simulator's {D} truth, the row-level validity checks spelled out, and
-the same rows recovered one at a time; and the camera model's forward
-and inverse rays against each other."""
+the same rows recovered one at a time; the camera model's forward and
+inverse rays against each other; and the simulator's one rotation per
+flight against the camera model run on per-row stacks."""
 
 import math
 
@@ -13,7 +14,7 @@ from hypothesis import strategies as st
 from depthray.camera import CameraIntrinsics, DistortionCoeffs, PixelCoord
 from depthray.errors import InfeasibleScene
 from depthray.geodesy import WGS84, Ellipsoid, GeodeticCoord, geodetic_to_ecef
-from depthray.geometry import EulerAngles
+from depthray.geometry import EulerAngles, as_angles
 from depthray.io import RunConfig
 from depthray.recovery import (
     OBSERVATION_COLUMNS,
@@ -22,12 +23,13 @@ from depthray.recovery import (
     TRAJECTORY_COLUMNS,
     RigConfig,
     camera_rotation,
+    camera_to_body,
     cast,
     plane_depth,
     project,
     recover_batch,
 )
-from depthray.synth import NoiseSpec, build_scenario, generate_logs, line_path
+from depthray.synth import NoiseSpec, Scenario, generate_logs, line_path
 
 from conftest import sample_invertible_distortion
 
@@ -96,7 +98,7 @@ def test_noiseless_logs_recover_the_body_frame_truth(
     yaw, tilt, roll = gimbal
     gimbal = EulerAngles(yaw, rig.gimbal_pitch_sign * (-math.pi / 2 + tilt), roll)
     ref_geo = GeodeticCoord.from_degrees(*ref)
-    scenario = build_scenario(
+    scenario = Scenario(
         path_xy=line_path(25, [0.0, 0.0], end), duration=10.0, altitude=altitude,
         depth_min=depths[0], depth_max=depths[1], ref_geo=ref_geo,
         intrinsics=INTRINSICS, distortion=dist, rig=rig, noise=NoiseSpec(),
@@ -117,6 +119,60 @@ def test_noiseless_logs_recover_the_body_frame_truth(
     ), ell)
     np.testing.assert_allclose(ecef_to_enu(fix.x, fix.y, fix.z, ref_geo, ell), expected,
                                rtol=0.0, atol=1e-6)
+
+
+def same_bits(a, b):
+    return np.array_equal(np.asarray(a, dtype=float).view(np.uint64),
+                          np.asarray(b, dtype=float).view(np.uint64))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    rig=rigs(),
+    lens_seed=st.one_of(st.none(), st.integers(0, 2**32 - 1)),
+    gimbal=st.tuples(st.floats(-math.pi, math.pi, **finite), angle, angle),
+    body=st.tuples(st.floats(-math.pi, math.pi, **finite), angle, angle),
+    n=st.integers(1, 300),
+    altitude=st.floats(15.0, 40.0, **finite),
+    depths=st.tuples(st.floats(0.0, 3.0, **finite), st.floats(0.0, 3.0, **finite)),
+    end=st.tuples(st.floats(-3.0, 3.0, **finite), st.floats(-3.0, 3.0, **finite)),
+)
+def test_noiseless_logs_match_the_stacked_reference(
+    rig, lens_seed, gimbal, body, n, altitude, depths, end,
+):
+    """generate_logs builds one rotation per scenario; the reference tiles
+    the angles to (n, 3) and runs the camera model on the stacks, row by
+    row. Both must give the same bits."""
+    if lens_seed is None:
+        dist = DistortionCoeffs.zero()
+    else:
+        dist = sample_invertible_distortion(
+            np.random.default_rng(lens_seed), k_max=0.3, p_max=0.01, r_max=0.85
+        )
+    yaw, tilt, roll = gimbal
+    gimbal = EulerAngles(yaw, rig.gimbal_pitch_sign * (-math.pi / 2 + tilt), roll)
+    body = EulerAngles(*body)
+    path_xy = line_path(n, [0.0, 0.0], end)
+    scenario = Scenario(
+        path_xy=path_xy, duration=10.0, altitude=altitude, depth_min=depths[0],
+        depth_max=depths[1], ref_geo=GeodeticCoord.from_degrees(42.87, 17.7, 25.0),
+        intrinsics=INTRINSICS, distortion=dist, rig=rig, gimbal=gimbal, body=body,
+    )
+    try:
+        obs, truth = generate_logs(scenario)
+    except InfeasibleScene:
+        assume(False)
+
+    gimbal_n, body_n = np.tile(as_angles(gimbal), (n, 1)), np.tile(as_angles(body), (n, 1))
+    z = -plane_depth(altitude, np.linspace(depths[0], depths[1], n), rig)
+    p_g = np.column_stack([path_xy[:, 0], path_xy[:, 1], z])
+    r_cw = camera_rotation(gimbal_n, body_n, rig)
+    assert r_cw.shape == (n, 3, 3)
+    u, v, _ = project(p_g, r_cw, INTRINSICS, dist)
+    p_d = camera_to_body(p_g, body_n, rig)
+    assert same_bits(obs["u"], u) and same_bits(obs["v"], v)
+    for axis, name in enumerate("xyz"):
+        assert same_bits(truth[name], p_d[:, axis])
 
 
 # the distortion sampled below is invertible out to this normalized radius

@@ -12,7 +12,6 @@ from depthray.synth import (
     MIN_CAMERA_Z,
     NoiseSpec,
     Scenario,
-    build_scenario,
     circle_path,
     generate_logs,
     lawnmower_path,
@@ -25,11 +24,12 @@ NADIR = EulerAngles(pitch=-np.pi / 2)
 
 
 def make_scenario(n=50, noise=NoiseSpec(), depth_min=0.63, depth_max=0.63,
-                  altitude=25.0, intr=None, dist=DistortionCoeffs()):
+                  altitude=25.0, intr=None, dist=DistortionCoeffs(), duration=60.0,
+                  path_xy=None):
     intr = intr or CameraIntrinsics(1000.0, 1000.0, 960.0, 540.0, 1920, 1080)
-    return build_scenario(
-        path_xy=lawnmower_path(n, width=10.0, height=6.0, legs=4),
-        duration=60.0,
+    return Scenario(
+        path_xy=lawnmower_path(n, width=10.0, height=6.0, legs=4) if path_xy is None else path_xy,
+        duration=duration,
         altitude=altitude,
         depth_min=depth_min,
         depth_max=depth_max,
@@ -143,11 +143,11 @@ class TestGenerateLogs:
 
     def test_depth_profile_sweeps_linearly(self):
         scenario = make_scenario(n=11, depth_min=0.21, depth_max=1.95)
-        assert_allclose(scenario.d_uuv, np.linspace(0.21, 1.95, 11))
+        obs, truth = generate_logs(scenario)
+        assert_allclose(obs["d_uuv"], np.linspace(0.21, 1.95, 11))
         # the vertical coordinate stays consistent with the channels
         assert_allclose(
-            scenario.positions[:, 2],
-            -(scenario.a_uav + scenario.rig.cam_offset[2] + scenario.d_uuv),
+            truth["z"], -(obs["a_uav"] + scenario.rig.cam_offset[2] + obs["d_uuv"]),
         )
 
 
@@ -171,13 +171,31 @@ class TestPaths:
 
 class TestScenarioValidation:
     def test_timestamps_must_increase(self):
-        s = make_scenario(n=5)
-        with pytest.raises(ValueError):
-            Scenario(
-                t=np.zeros(5), positions=s.positions, a_uav=s.a_uav, d_uuv=s.d_uuv,
-                gimbal=s.gimbal, body=s.body, ref_geo=s.ref_geo,
-                intrinsics=s.intrinsics,
-            )
+        for duration in (0.0, -3.0):
+            with pytest.raises(ValueError, match="timestamps must be strictly increasing"):
+                make_scenario(n=5, duration=duration)
+        # one sample needs no duration
+        obs, _ = generate_logs(make_scenario(n=1, duration=0.0))
+        assert obs["t"].tolist() == [0.0]
+
+    def test_path_must_be_planar_points(self):
+        for path_xy in (np.zeros((0, 2)), np.zeros((5, 3)), np.zeros(5)):
+            with pytest.raises(ValueError, match="path_xy"):
+                make_scenario(path_xy=path_xy)
+
+    # recover_batch reads such rows as degenerate, so every row would be dropped
+    @pytest.mark.parametrize("altitude", [0.0, -0.2, float("nan")])
+    def test_altitude_must_be_positive(self, altitude):
+        with pytest.raises(ValueError, match="altitude must be positive"):
+            make_scenario(altitude=altitude)
+
+    @pytest.mark.parametrize("depth_min, depth_max", [(-0.5, 0.5), (0.5, -0.5)])
+    def test_depths_must_be_nonnegative(self, depth_min, depth_max):
+        with pytest.raises(ValueError, match="must be non-negative"):
+            make_scenario(depth_min=depth_min, depth_max=depth_max)
+
+    def test_target_at_the_surface_is_accepted(self):
+        assert len(make_scenario(depth_min=0.0, depth_max=0.0)) == 50
 
     def test_noise_sigmas_nonnegative(self):
         with pytest.raises(ValueError):
