@@ -14,7 +14,6 @@ from .camera import (
 )
 from .evaluate import (
     GroundTruthFrame,
-    TrajectoryErrorReport,
     enu_to_ground_truth,
     rescale_grid_point,
     time_sync,
@@ -22,7 +21,6 @@ from .evaluate import (
 )
 from .geodesy import (
     WGS84,
-    EcefCoord,
     Ellipsoid,
     GeodeticCoord,
     ecef_to_geodetic,
@@ -45,13 +43,11 @@ __all__ = [
     "pixel_to_normalized",
     "undistort",
     "GroundTruthFrame",
-    "TrajectoryErrorReport",
     "enu_to_ground_truth",
     "rescale_grid_point",
     "time_sync",
     "trajectory_errors",
     "WGS84",
-    "EcefCoord",
     "Ellipsoid",
     "GeodeticCoord",
     "ecef_to_geodetic",

@@ -116,8 +116,8 @@ def cmd_evaluate(args) -> int:
 
     if config.gt_frame is not None:
         est = enu_to_ground_truth(est, config.gt_frame)
-    if config.gt_rescale:
-        a_cam = config.gt_rescale_a_cam
+    a_cam = config.gt_rescale_a_cam
+    if a_cam is not None:
         depth = np.maximum(-gt[:, 2] - a_cam, 0.0)
         gt[:, :2] = rescale_grid_point(gt[:, :2], config.gt_rescale_nadir, a_cam, depth)
 
@@ -125,15 +125,10 @@ def cmd_evaluate(args) -> int:
     sidecar = _exclusions_path(args.input)
     if sidecar.exists():
         n_dropped += len(io.read_exclusions(sidecar))
-    report = trajectory_errors(est[:, :2], gt[:, :2], n_excluded=n_dropped)
-    payload = {
-        "mae": report.mae,
-        "rmse": report.rmse,
-        "n_samples": report.n_samples,
-        "n_excluded": report.n_excluded,
-        "z_mae": float(np.mean(np.abs(est[:, 2] - gt[:, 2]))),
-    }
-    text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    report = trajectory_errors(est[:, :2], gt[:, :2])
+    report["n_excluded"] = n_dropped
+    report["z_mae"] = float(np.mean(np.abs(est[:, 2] - gt[:, 2])))
+    text = json.dumps(report, sort_keys=True, indent=2) + "\n"
     if args.output:
         with io.staged(args.output) as (output,):
             output.write_text(text, encoding="utf-8")

@@ -30,22 +30,6 @@ class GroundTruthFrame:
         object.__setattr__(self, "translation", t)
 
 
-@dataclass(frozen=True)
-class TrajectoryErrorReport:
-    """Planar MAE/RMSE over matched samples, with exclusion bookkeeping."""
-
-    mae: float
-    rmse: float
-    n_samples: int
-    n_excluded: int = 0
-
-    def __post_init__(self):
-        if self.rmse < self.mae - 1e-12:
-            raise ValueError(f"rmse {self.rmse} below mae {self.mae}")
-        if self.mae < 0:
-            raise ValueError("errors cannot be negative")
-
-
 def enu_to_ground_truth(p, frame: GroundTruthFrame) -> np.ndarray:
     """Rigidly transform ENU points, (3,) or (n, 3), into the survey frame."""
     return np.asarray(p, dtype=float) @ rot_z(frame.yaw).T + frame.translation
@@ -67,10 +51,12 @@ def rescale_grid_point(grid_xy, nadir_xy, a_cam: float, d_uuv: float) -> np.ndar
     return nadir_xy + (grid_xy - nadir_xy) * scale[..., None]
 
 
-def trajectory_errors(est, gt, n_excluded: int = 0) -> TrajectoryErrorReport:
+def trajectory_errors(est, gt) -> dict:
     """Planar MAE and RMSE between time-aligned position sequences.
 
     est, gt: (n, 2) arrays (extra columns are ignored) of x-y positions.
+    Returns the planar part of the evaluation report: {"mae", "rmse",
+    "n_samples"}.
 
     Raises:
         EmptyTrajectory: no samples.
@@ -83,9 +69,11 @@ def trajectory_errors(est, gt, n_excluded: int = 0) -> TrajectoryErrorReport:
     if len(est) == 0 or est.size == 0:
         raise EmptyTrajectory("no samples to evaluate")
     residuals = np.linalg.norm(est[:, :2] - gt[:, :2], axis=1)
-    mae = float(np.mean(residuals))
-    rmse = float(np.sqrt(np.mean(residuals**2)))
-    return TrajectoryErrorReport(mae=mae, rmse=rmse, n_samples=len(est), n_excluded=n_excluded)
+    return {
+        "mae": float(np.mean(residuals)),
+        "rmse": float(np.sqrt(np.mean(residuals**2))),
+        "n_samples": len(est),
+    }
 
 
 def time_sync(t_est, t_gt, max_gap: float):

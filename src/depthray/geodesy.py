@@ -1,13 +1,13 @@
 """Geodetic, ECEF and local-ENU coordinate conversions.
 
 Latitude and longitude are radians internally; file I/O converts from
-decimal degrees at the boundary. All operations accept scalars or
-equal-shaped numpy arrays in the coordinate fields and vectorize
-elementwise.
+decimal degrees at the boundary. GeodeticCoord fields hold scalars or
+equal-shaped arrays; ECEF and ENU points are (..., 3) float arrays. All
+operations vectorize elementwise.
 """
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -72,36 +72,21 @@ class GeodeticCoord:
         return cls(np.radians(lat_deg), np.radians(lon_deg), h)
 
 
-@dataclass(frozen=True)
-class EcefCoord:
-    """Earth-centered, earth-fixed Cartesian coordinates, meters.
-
-    `ellipsoid` is the reference surface the coordinates belong to; a
-    point more than 100 km from it draws a RuntimeWarning.
-    """
-
-    x: float
-    y: float
-    z: float
-    ellipsoid: "Ellipsoid" = field(default=WGS84, repr=False, compare=False)
-
-    def __post_init__(self):
-        x = np.asarray(self.x, dtype=float)
-        y = np.asarray(self.y, dtype=float)
-        z = np.asarray(self.z, dtype=float)
-        if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y)) and np.all(np.isfinite(z))):
-            raise ValueError("ECEF coordinates must be finite")
-        r = np.sqrt(x * x + y * y + z * z)
-        ell = self.ellipsoid
-        if np.any(r < ell.r_p - 1e5) or np.any(r > ell.r_e + 1e5):
-            warnings.warn(
-                "ECEF point more than 100 km from the reference surface",
-                RuntimeWarning,
-                stacklevel=3,
-            )
-        object.__setattr__(self, "x", _scalar_or_array(x))
-        object.__setattr__(self, "y", _scalar_or_array(y))
-        object.__setattr__(self, "z", _scalar_or_array(z))
+def _checked_ecef(xyz, ell: Ellipsoid) -> np.ndarray:
+    """ECEF points (..., 3) as a float array; a non-finite one raises
+    ValueError, one more than 100 km from `ell` draws a RuntimeWarning."""
+    xyz = np.asarray(xyz, dtype=float)
+    if not np.all(np.isfinite(xyz)):
+        raise ValueError("ECEF coordinates must be finite")
+    x, y, z = np.moveaxis(xyz, -1, 0)
+    r = np.sqrt(x * x + y * y + z * z)
+    if np.any(r < ell.r_p - 1e5) or np.any(r > ell.r_e + 1e5):
+        warnings.warn(
+            "ECEF point more than 100 km from the reference surface",
+            RuntimeWarning,
+            stacklevel=3,
+        )
+    return xyz
 
 
 def prime_vertical_radius(lat, ell: Ellipsoid = WGS84):
@@ -114,14 +99,14 @@ def prime_vertical_radius(lat, ell: Ellipsoid = WGS84):
     return _scalar_or_array(ell.r_e**2 / np.sqrt((ell.r_e * c) ** 2 + (ell.r_p * s) ** 2))
 
 
-def geodetic_to_ecef(g: GeodeticCoord, ell: Ellipsoid = WGS84) -> EcefCoord:
-    """Closed-form geodetic to ECEF conversion."""
+def geodetic_to_ecef(g: GeodeticCoord, ell: Ellipsoid = WGS84) -> np.ndarray:
+    """Closed-form geodetic to ECEF conversion, to (..., 3) points."""
     n = prime_vertical_radius(g.lat, ell)
     clat, slat = np.cos(g.lat), np.sin(g.lat)
     x = (n + g.h) * clat * np.cos(g.lon)
     y = (n + g.h) * clat * np.sin(g.lon)
     z = ((ell.r_p / ell.r_e) ** 2 * n + g.h) * slat
-    return EcefCoord(x, y, z, ell)
+    return _checked_ecef(np.stack([x, y, z], axis=-1), ell)
 
 
 def enu_to_ecef_rotation(ref: GeodeticCoord) -> np.ndarray:
@@ -138,24 +123,23 @@ def enu_to_ecef_rotation(ref: GeodeticCoord) -> np.ndarray:
     return np.stack(entries, axis=-1).reshape(lat.shape + (3, 3))
 
 
-def enu_to_ecef(p, ref: GeodeticCoord, ell: Ellipsoid = WGS84) -> EcefCoord:
-    """Transform local ENU points (meters) anchored at `ref`.
+def enu_to_ecef(p, ref: GeodeticCoord, ell: Ellipsoid = WGS84) -> np.ndarray:
+    """Transform local ENU points (meters) anchored at `ref` to ECEF (..., 3).
 
     `p` is a 3-vector, or an (n, 3) array with `ref` holding n anchors.
     """
     p = np.asarray(p, dtype=float)
     origin = geodetic_to_ecef(ref, ell)
     offset = (enu_to_ecef_rotation(ref) @ p[..., None])[..., 0]
-    x, y, z = np.moveaxis(offset, -1, 0)
-    return EcefCoord(x + origin.x, y + origin.y, z + origin.z, ell)
+    return _checked_ecef(offset + origin, ell)
 
 
-def ecef_to_geodetic(e: EcefCoord, ell: Ellipsoid = WGS84) -> GeodeticCoord:
-    """Convert ECEF to geodetic coordinates in closed form (Heikkinen 1982,
-    Zhu 1994). The solution holds on and near the rotation axis too; it
-    breaks down only within tens of km of the earth's centre.
+def ecef_to_geodetic(xyz, ell: Ellipsoid = WGS84) -> GeodeticCoord:
+    """Convert ECEF points (..., 3) to geodetic coordinates in closed form
+    (Heikkinen 1982, Zhu 1994). The solution holds on and near the rotation
+    axis too; it breaks down only within tens of km of the earth's centre.
     """
-    x, y, z = (np.asarray(c, dtype=float) for c in (e.x, e.y, e.z))
+    x, y, z = np.moveaxis(_checked_ecef(xyz, ell), -1, 0)
     a, b = ell.r_e, ell.r_p
     e2, ep2 = ell.e2, ell.ep2
     p = np.hypot(x, y)

@@ -446,8 +446,9 @@ def _vector(data, key, path, length, default):
         not isinstance(value, (list, tuple))
         or len(value) != length
         or any(isinstance(v, bool) or not isinstance(v, (int, float)) for v in value)
+        or not all(math.isfinite(v) for v in value)
     ):
-        raise ConfigError(f"{path}: key {key} must be a list of {length} numbers")
+        raise ConfigError(f"{path}: key {key} must be a list of {length} finite numbers")
     return np.asarray(value, dtype=float)
 
 
@@ -463,6 +464,9 @@ def _calibration(data, path):
             image_width=int(_number(data, "width", path)),
             image_height=int(_number(data, "height", path)),
         )
+        size = (data["width"], data["height"])
+        if (intr.image_width, intr.image_height) != size:
+            raise ConfigError(f"{path}: width and height must be integers, got {size}")
         dist = DistortionCoeffs(
             k1=_number(data, "k1", path, 0.0),
             k2=_number(data, "k2", path, 0.0),
@@ -520,8 +524,7 @@ class RunConfig:
     altitude_datum_offset: float = 0.0
     sync_max_gap: float = 0.05
     gt_frame: GroundTruthFrame | None = None
-    gt_rescale: bool = False
-    gt_rescale_a_cam: float | None = None
+    gt_rescale_a_cam: float | None = None  # set when the truth is rescaled
     gt_rescale_nadir: np.ndarray = field(default_factory=lambda: np.zeros(2))
 
 
@@ -561,7 +564,6 @@ def load_run_config(path) -> RunConfig:
         altitude_datum_offset=_number(data, "altitude_datum_offset", path, 0.0),
         sync_max_gap=sync_max_gap,
         gt_frame=gt_frame,
-        gt_rescale=gt_rescale,
         gt_rescale_a_cam=rescale_a_cam,
         gt_rescale_nadir=_vector(data, "gt_rescale_nadir", path, 2, [0.0, 0.0]),
     )

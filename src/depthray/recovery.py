@@ -223,7 +223,7 @@ def recover_batch(columns, config) -> tuple[Table, np.ndarray]:
     lat = np.radians(columns["ref_lat_deg"])
     # a row with a non-finite reading, no altitude above the datum, a
     # negative depth, a latitude beyond the poles, or an altitude, depth or
-    # reference height over 100 km (where EcefCoord warns) is degenerate
+    # reference height over 100 km (where geodesy warns) is degenerate
     valid = np.all([np.isfinite(columns[k]) for k in OBSERVATION_COLUMNS[1:]], axis=0)
     valid &= np.isfinite(a_uav) & (a_uav > 0) & (columns["d_uuv"] >= 0)
     valid &= np.abs(lat) <= np.pi / 2 + 1e-12

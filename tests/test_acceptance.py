@@ -166,12 +166,13 @@ def test_4_geodetic_round_trip_and_oracle_agreement():
         e = geodetic_to_ecef(g)
         back = ecef_to_geodetic(e)
         e2 = geodetic_to_ecef(back)
-        err = np.sqrt((e.x - e2.x) ** 2 + (e.y - e2.y) ** 2 + (e.z - e2.z) ** 2)
+        d = e - e2
+        err = np.sqrt(d[..., 0] ** 2 + d[..., 1] ** 2 + d[..., 2] ** 2)
         assert float(np.max(err)) < 1e-6
 
         surface = random_geodetic(rng, 1000, h_low=0.0, h_high=0.0)
         es = geodetic_to_ecef(surface)
-        lat_oracle, _, _ = bowring_oracle(es.x, es.y, es.z, iterations=20)
+        lat_oracle, _, _ = bowring_oracle(es[..., 0], es[..., 1], es[..., 2], iterations=20)
         lat_closed = ecef_to_geodetic(es).lat
         assert float(np.max(np.abs(lat_closed - lat_oracle))) < 1e-9
         elapsed = time.perf_counter() - start
@@ -215,16 +216,16 @@ def test_7_error_metric_definitions():
     with criterion(7, "planar MAE/RMSE definitions match the worked examples"):
         xy = np.array([[1.0, 2.0], [3.0, 4.0], [-5.0, 0.5]])
         exact = trajectory_errors(xy, xy)
-        assert exact.mae == 0.0 and exact.rmse == 0.0
+        assert exact["mae"] == 0.0 and exact["rmse"] == 0.0
 
         offset = trajectory_errors(xy + np.array([0.3, 0.4]), xy)
-        assert offset.mae == pytest.approx(0.5, abs=1e-12)
-        assert offset.rmse == pytest.approx(0.5, abs=1e-12)
+        assert offset["mae"] == pytest.approx(0.5, abs=1e-12)
+        assert offset["rmse"] == pytest.approx(0.5, abs=1e-12)
 
         two = trajectory_errors(np.array([[0.0, 0.0], [1.0, 0.0]]), np.zeros((2, 2)))
-        assert two.mae == pytest.approx(0.5, abs=1e-15)
-        assert two.rmse == pytest.approx(math.sqrt(0.5), abs=1e-15)
-        assert two.rmse >= two.mae
+        assert two["mae"] == pytest.approx(0.5, abs=1e-15)
+        assert two["rmse"] == pytest.approx(math.sqrt(0.5), abs=1e-15)
+        assert two["rmse"] >= two["mae"]
 
         rng = np.random.default_rng(7)
         for _ in range(1000):
@@ -232,7 +233,7 @@ def test_7_error_metric_definitions():
             report = trajectory_errors(
                 rng.normal(0.0, 3.0, (count, 2)), rng.normal(0.0, 3.0, (count, 2))
             )
-            assert report.rmse >= report.mae - 1e-12
+            assert report["rmse"] >= report["mae"] - 1e-12
 
 
 def test_8_grid_rescaling():

@@ -50,6 +50,13 @@ def run(workdir, *argv):
     return main([str(a) for a in argv])
 
 
+def load_report(text):
+    """An evaluation report, refusing the NaN and Infinity that json.loads takes."""
+    def refuse(constant):
+        raise ValueError(f"report is not JSON: {constant}")
+    return json.loads(text, parse_constant=refuse)
+
+
 def simulate(workdir, scenario="scenario.yaml", seed=None):
     args = [
         "simulate",
@@ -78,7 +85,7 @@ class TestPipeline:
             "--gt", workdir / "gt.csv",
             "--output", workdir / "report.json",
         ) == 0
-        report = json.loads((workdir / "report.json").read_text())
+        report = load_report((workdir / "report.json").read_text())
         assert report["mae"] <= 1e-9
         assert report["rmse"] <= 1e-9
         assert report["z_mae"] <= 1e-9
@@ -118,7 +125,7 @@ class TestPipeline:
             "--input", workdir / "traj.csv",
             "--gt", workdir / "gt.csv",
         ) == 0
-        report = json.loads(capsys.readouterr().out)
+        report = load_report(capsys.readouterr().out)
         assert report["n_samples"] == 120
         assert report["mae"] <= 1e-9
         assert report["z_mae"] <= 1e-9
@@ -274,7 +281,7 @@ class TestEvaluateCommand:
             "--input", workdir / "traj.csv",
             "--gt", workdir / "gt.csv",
         ) == 0
-        report = json.loads(capsys.readouterr().out)
+        report = load_report(capsys.readouterr().out)
         assert report["mae"] <= 1e-9 and report["rmse"] <= 1e-9
 
     def test_constant_offset_345(self, workdir, capsys):
@@ -291,7 +298,7 @@ class TestEvaluateCommand:
             "--input", workdir / "traj.csv",
             "--gt", workdir / "gt.csv",
         )
-        report = json.loads(capsys.readouterr().out)
+        report = load_report(capsys.readouterr().out)
         assert report["mae"] == pytest.approx(0.5, abs=1e-9)
         assert report["rmse"] == pytest.approx(0.5, abs=1e-9)
 
@@ -335,7 +342,7 @@ class TestEvaluateCommand:
             "--input", workdir / "traj.csv",
             "--gt", workdir / "gt.csv",
         )
-        report = json.loads(capsys.readouterr().out)
+        report = load_report(capsys.readouterr().out)
         assert report["mae"] <= 1e-9
 
     def test_grid_rescaling_recovers_depth_scaled_truth(self, workdir, capsys):
@@ -361,7 +368,7 @@ class TestEvaluateCommand:
             "--input", workdir / "traj.csv",
             "--gt", workdir / "gt.csv",
         )
-        report = json.loads(capsys.readouterr().out)
+        report = load_report(capsys.readouterr().out)
         assert report["mae"] <= 1e-9
 
     def test_counts_recover_exclusions(self, workdir, capsys):
@@ -377,9 +384,49 @@ class TestEvaluateCommand:
             "--input", workdir / "traj.csv",
             "--gt", workdir / "gt.csv",
         ) == 0
-        report = json.loads(capsys.readouterr().out)
+        report = load_report(capsys.readouterr().out)
         assert report["n_samples"] == 117
         assert report["n_excluded"] == 3
+
+    def test_constant_large_residual(self, workdir, capsys):
+        # RMSE rounds a few ulps below the equal MAE; both are reported
+        t = np.arange(6.0)
+        zeros = np.zeros(6)
+        io.write_trajectory(workdir / "traj.csv", [Table({
+            "t": t, **dict.fromkeys(["cam_x", "cam_y", "cam_z"], zeros),
+            "enu_x": np.full(6, 99999.9), "enu_y": zeros, "enu_z": zeros,
+            **dict.fromkeys(["lat_deg", "lon_deg", "alt_m"], zeros),
+            "flags": np.full(6, "", dtype=object),
+        })])
+        io.write_ground_truth(workdir / "gt.csv", [Table({"t": t, **dict.fromkeys("xyz", zeros)})])
+        assert run(
+            workdir, "evaluate",
+            "--config", workdir / "run.yaml",
+            "--input", workdir / "traj.csv",
+            "--gt", workdir / "gt.csv",
+        ) == 0
+        out = capsys.readouterr().out
+        assert '"mae": 99999.90000000001' in out
+        assert load_report(out)["n_samples"] == 6
+
+    def test_non_finite_nadir_exits_2(self, workdir, capsys):
+        simulate(workdir)
+        self._recover(workdir)
+        (workdir / "run_nan.yaml").write_text(
+            "calibration: cal.yaml\ngt_rescale: true\ngt_rescale_a_cam: 25.0\n"
+            "gt_rescale_nadir: [.nan, 0.0]\n",
+            encoding="utf-8",
+        )
+        capsys.readouterr()
+        assert run(
+            workdir, "evaluate",
+            "--config", workdir / "run_nan.yaml",
+            "--input", workdir / "traj.csv",
+            "--gt", workdir / "gt.csv",
+            "--output", workdir / "report.json",
+        ) == 2
+        assert "gt_rescale_nadir" in capsys.readouterr().err
+        assert not (workdir / "report.json").exists()
 
     def test_bad_exclusions_header_exits_1(self, workdir, capsys):
         simulate(workdir)
@@ -491,6 +538,14 @@ class TestSimulateErrors:
         assert not (workdir / "obs.csv").exists() and not (workdir / "gt.csv").exists()
         assert not list(workdir.rglob("*.tmp"))
         return err
+
+    @pytest.mark.parametrize("old, new, key", [
+        ("area: [10.0, 6.0]", "area: [.inf, 2.0]", "area"),
+        ("pattern: lawnmower", "pattern: line\nstart: [0.0, .nan]", "start"),
+    ], ids=["area", "start"])
+    def test_non_finite_vector_exits_2(self, workdir, capsys, old, new, key):
+        err = self.refuse(workdir, capsys, SCENARIO.replace(old, new))
+        assert f"key {key} must be" in err
 
     # numpy's generator takes no negative seed; with every sigma at zero it was never asked
     @pytest.mark.parametrize("text, flags", [

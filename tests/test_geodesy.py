@@ -6,7 +6,6 @@ from numpy.testing import assert_allclose
 
 from depthray.geodesy import (
     WGS84,
-    EcefCoord,
     Ellipsoid,
     GeodeticCoord,
     ecef_to_geodetic,
@@ -42,16 +41,16 @@ class TestPrimeVerticalRadius:
 class TestGeodeticToEcef:
     def test_equator_prime_meridian(self):
         e = geodetic_to_ecef(GeodeticCoord(0.0, 0.0, 0.0))
-        assert (e.x, e.y, e.z) == pytest.approx((6378137.0, 0.0, 0.0), abs=1e-9)
+        assert tuple(e) == pytest.approx((6378137.0, 0.0, 0.0), abs=1e-9)
 
     def test_north_pole_lands_on_polar_radius(self):
         e = geodetic_to_ecef(GeodeticCoord(np.pi / 2, 0.0, 0.0))
-        assert e.z == pytest.approx(6356752.314245, abs=1e-6)
-        assert np.hypot(e.x, e.y) < 1e-6
+        assert e[2] == pytest.approx(6356752.314245, abs=1e-6)
+        assert np.hypot(e[0], e[1]) < 1e-6
 
     def test_height_offsets_along_normal_at_equator(self):
         e = geodetic_to_ecef(GeodeticCoord(0.0, 0.0, 100.0))
-        assert (e.x, e.y, e.z) == pytest.approx((6378237.0, 0.0, 0.0), abs=1e-9)
+        assert tuple(e) == pytest.approx((6378237.0, 0.0, 0.0), abs=1e-9)
 
 
 class TestEnuToEcef:
@@ -59,15 +58,15 @@ class TestEnuToEcef:
         ref = GeodeticCoord.from_degrees(42.8, 17.7, 30.0)
         e = enu_to_ecef([0.0, 0.0, 0.0], ref)
         e0 = geodetic_to_ecef(ref)
-        assert (e.x, e.y, e.z) == pytest.approx((e0.x, e0.y, e0.z), abs=1e-9)
+        assert tuple(e) == pytest.approx(tuple(e0), abs=1e-9)
 
     def test_up_is_plus_x_at_equator(self):
         e = enu_to_ecef([0.0, 0.0, 1.0], GeodeticCoord(0.0, 0.0, 0.0))
-        assert (e.x, e.y, e.z) == pytest.approx((6378138.0, 0.0, 0.0), abs=1e-9)
+        assert tuple(e) == pytest.approx((6378138.0, 0.0, 0.0), abs=1e-9)
 
     def test_east_is_plus_y_at_equator(self):
         e = enu_to_ecef([1.0, 0.0, 0.0], GeodeticCoord(0.0, 0.0, 0.0))
-        assert (e.x, e.y, e.z) == pytest.approx((6378137.0, 1.0, 0.0), abs=1e-9)
+        assert tuple(e) == pytest.approx((6378137.0, 1.0, 0.0), abs=1e-9)
 
     def test_rotation_block_orthonormal(self):
         rng = np.random.default_rng(37)
@@ -84,8 +83,7 @@ class TestEnuToEcef:
             pa, pb = rng.uniform(-500.0, 500.0, (2, 3))
             ea = enu_to_ecef(pa, ref)
             eb = enu_to_ecef(pb, ref)
-            diff = np.array([ea.x - eb.x, ea.y - eb.y, ea.z - eb.z])
-            assert_allclose(diff, r @ (pa - pb), atol=1e-9)
+            assert_allclose(ea - eb, r @ (pa - pb), atol=1e-9)
 
     def test_longitude_shift_rotates_about_z(self):
         rng = np.random.default_rng(43)
@@ -98,14 +96,14 @@ class TestEnuToEcef:
             e2 = enu_to_ecef(p, GeodeticCoord(lat, lon + dlon, 0.0))
             c, s = np.cos(dlon), np.sin(dlon)
             rotated = np.array(
-                [c * e1.x - s * e1.y, s * e1.x + c * e1.y, e1.z]
+                [c * e1[0] - s * e1[1], s * e1[0] + c * e1[1], e1[2]]
             )
-            assert_allclose([e2.x, e2.y, e2.z], rotated, atol=1e-8)
+            assert_allclose(e2, rotated, atol=1e-8)
 
 
 class TestEcefToGeodetic:
     def test_equator_inverse(self):
-        g = ecef_to_geodetic(EcefCoord(6378137.0, 0.0, 0.0))
+        g = ecef_to_geodetic([6378137.0, 0.0, 0.0])
         assert (g.lat, g.lon) == pytest.approx((0.0, 0.0), abs=1e-12)
         assert g.h == pytest.approx(0.0, abs=1e-6)
 
@@ -115,14 +113,15 @@ class TestEcefToGeodetic:
         e = geodetic_to_ecef(g)
         back = ecef_to_geodetic(e)
         e2 = geodetic_to_ecef(back)
-        err = np.sqrt((e.x - e2.x) ** 2 + (e.y - e2.y) ** 2 + (e.z - e2.z) ** 2)
+        d = e - e2
+        err = np.sqrt(d[..., 0] ** 2 + d[..., 1] ** 2 + d[..., 2] ** 2)
         assert np.max(err) < 1e-6
 
     def test_matches_iterative_oracle(self):
         rng = np.random.default_rng(53)
         g = random_geodetic(rng, 1000, h_low=0.0, h_high=0.0)
         e = geodetic_to_ecef(g)
-        lat_o, lon_o, h_o = bowring_oracle(e.x, e.y, e.z)
+        lat_o, lon_o, h_o = bowring_oracle(e[..., 0], e[..., 1], e[..., 2])
         back = ecef_to_geodetic(e)
         assert np.max(np.abs(back.lat - lat_o)) < 1e-9
         assert np.max(np.abs(back.lon - lon_o)) < 1e-12
@@ -130,10 +129,10 @@ class TestEcefToGeodetic:
 
     def test_near_axis_fallback(self):
         # 0.7 m off the rotation axis, 500 m above the pole
-        e = EcefCoord(0.5, -0.5, WGS84.r_p + 500.0)
+        e = np.array([0.5, -0.5, WGS84.r_p + 500.0])
         g = ecef_to_geodetic(e)
         back = geodetic_to_ecef(g)
-        assert (back.x, back.y, back.z) == pytest.approx((e.x, e.y, e.z), abs=1e-6)
+        assert tuple(back) == pytest.approx(tuple(e), abs=1e-6)
         assert g.lat == pytest.approx(np.pi / 2, abs=1e-3)
 
     @pytest.mark.parametrize("ell", [WGS84, Ellipsoid(r_e=3396190.0, r_p=3376200.0)])
@@ -145,12 +144,12 @@ class TestEcefToGeodetic:
         x[:4] = y[:4] = 0.0
         h = np.concatenate([[-1e4, 1e5, -1e4, 1e5], rng.uniform(-1e4, 1e5, 19_996)])
         z = np.tile([1.0, -1.0], 10_000) * (ell.r_p + h)
-        back = geodetic_to_ecef(ecef_to_geodetic(EcefCoord(x, y, z, ell), ell), ell)
-        err = np.sqrt((back.x - x) ** 2 + (back.y - y) ** 2 + (back.z - z) ** 2)
+        back = geodetic_to_ecef(ecef_to_geodetic(np.stack([x, y, z], axis=-1), ell), ell)
+        err = np.sqrt((back[..., 0] - x) ** 2 + (back[..., 1] - y) ** 2 + (back[..., 2] - z) ** 2)
         assert np.max(err) <= 1e-8
 
     def test_exactly_on_axis(self):
-        g = ecef_to_geodetic(EcefCoord(0.0, 0.0, WGS84.r_p + 100.0))
+        g = ecef_to_geodetic([0.0, 0.0, WGS84.r_p + 100.0])
         assert g.lat == pytest.approx(np.pi / 2, abs=1e-12)
         assert g.h == pytest.approx(100.0, abs=1e-6)
 
@@ -176,8 +175,20 @@ class TestTypes:
         assert g.lon == pytest.approx(-np.pi / 2)
 
     def test_far_point_warns(self):
-        with pytest.warns(RuntimeWarning):
-            EcefCoord(2 * WGS84.r_e, 0.0, 0.0)
+        with pytest.warns(RuntimeWarning, match="100 km"):
+            far = geodetic_to_ecef(GeodeticCoord(0.0, 0.0, WGS84.r_e))
+        with pytest.warns(RuntimeWarning, match="100 km"):
+            ecef_to_geodetic(far)
+
+    # produced from a longitude GeodeticCoord does not check, or an ENU point
+    @pytest.mark.parametrize("convert", [
+        lambda: geodetic_to_ecef(GeodeticCoord(0.0, np.nan, 0.0)),
+        lambda: enu_to_ecef([np.nan, 0.0, 0.0], GeodeticCoord(0.0, 0.0, 0.0)),
+        lambda: ecef_to_geodetic([[WGS84.r_e, 0.0, 0.0], [0.0, np.inf, 0.0]]),
+    ], ids=["geodetic_to_ecef", "enu_to_ecef", "ecef_to_geodetic"])
+    def test_non_finite_point_refused(self, convert):
+        with pytest.raises(ValueError, match="ECEF coordinates must be finite"):
+            convert()
 
 
 class TestRangeWarning:

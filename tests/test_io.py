@@ -49,6 +49,12 @@ class TestCalibration:
         with pytest.raises(ConfigError, match="unknown keys"):
             io.load_calibration(write(tmp_path / "cal.yaml", CALIB + "skew: 0.1\n"))
 
+    def test_size_must_be_integral(self, tmp_path):
+        path = write(tmp_path / "cal.yaml", CALIB.replace("width: 1920", "width: 1920.0"))
+        assert io.load_calibration(path)[0].image_width == 1920
+        with pytest.raises(ConfigError, match="width and height must be integers"):
+            io.load_calibration(write(path, CALIB.replace("width: 1920", "width: 1920.9")))
+
     def test_missing_required_key(self, tmp_path):
         with pytest.raises(ConfigError, match="fx"):
             io.load_calibration(write(tmp_path / "cal.yaml", "fy: 1000.0\n"))
@@ -61,7 +67,7 @@ class TestRunConfig:
         assert config.ellipsoid.r_e == 6378137.0
         assert config.sync_max_gap == 0.05
         assert config.gt_frame is None
-        assert not config.gt_rescale
+        assert config.gt_rescale_a_cam is None
 
     def test_full_config(self, tmp_path):
         write(tmp_path / "cal.yaml", CALIB)

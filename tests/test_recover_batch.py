@@ -41,7 +41,7 @@ finite = dict(allow_nan=False, allow_infinity=False)
 def ecef_to_enu(x, y, z, ref: GeodeticCoord, ell):
     """ENU offsets of ECEF points from `ref`, from the textbook rotation."""
     o = geodetic_to_ecef(ref, ell)
-    dx, dy, dz = x - o.x, y - o.y, z - o.z
+    dx, dy, dz = x - o[0], y - o[1], z - o[2]
     sl, cl = math.sin(ref.lat), math.cos(ref.lat)
     so, co = math.sin(ref.lon), math.cos(ref.lon)
     return np.column_stack([
@@ -117,7 +117,7 @@ def test_noiseless_logs_recover_the_body_frame_truth(
     fix = geodetic_to_ecef(GeodeticCoord.from_degrees(
         trajectory["lat_deg"], trajectory["lon_deg"], trajectory["alt_m"]
     ), ell)
-    np.testing.assert_allclose(ecef_to_enu(fix.x, fix.y, fix.z, ref_geo, ell), expected,
+    np.testing.assert_allclose(ecef_to_enu(*fix.T, ref_geo, ell), expected,
                                rtol=0.0, atol=1e-6)
 
 
@@ -269,7 +269,7 @@ def as_text(trajectory):
 
 
 # rows just inside the 1e5-m bounds are recovered, and their fixes can lie
-# more than 100 km off the ellipsoid, where EcefCoord warns
+# more than 100 km off the ellipsoid, where geodesy warns
 @pytest.mark.filterwarnings("ignore:ECEF point more than 100 km:RuntimeWarning")
 @settings(max_examples=60, deadline=None)
 @given(configs(), st.lists(st.one_of(rows, nadir_rows, edge_rows), min_size=1, max_size=12))
