@@ -5,8 +5,6 @@ aerial pixel tracks fused with altitude, attitude and depth readings.
 from .camera import (
     CameraIntrinsics,
     DistortionCoeffs,
-    NormalizedCoord,
-    PixelCoord,
     distort,
     normalized_to_pixel,
     pixel_to_normalized,
@@ -22,13 +20,12 @@ from .evaluate import (
 from .geodesy import (
     WGS84,
     Ellipsoid,
-    GeodeticCoord,
     ecef_to_geodetic,
     enu_to_ecef,
     geodetic_to_ecef,
     prime_vertical_radius,
 )
-from .geometry import EulerAngles, rot_x, rot_y, rot_z
+from .geometry import rot_x, rot_y, rot_z
 from .recovery import RigConfig, camera_rotation, recover_batch
 from .synth import NoiseSpec, Scenario, generate_logs
 from .table import Table
@@ -36,8 +33,6 @@ from .table import Table
 __all__ = [
     "CameraIntrinsics",
     "DistortionCoeffs",
-    "NormalizedCoord",
-    "PixelCoord",
     "distort",
     "normalized_to_pixel",
     "pixel_to_normalized",
@@ -49,12 +44,10 @@ __all__ = [
     "trajectory_errors",
     "WGS84",
     "Ellipsoid",
-    "GeodeticCoord",
     "ecef_to_geodetic",
     "enu_to_ecef",
     "geodetic_to_ecef",
     "prime_vertical_radius",
-    "EulerAngles",
     "rot_x",
     "rot_y",
     "rot_z",

@@ -1,43 +1,27 @@
 """Pinhole projection and radial-tangential lens distortion.
 
-Pixel coordinates (u, v) relate to normalized camera coordinates
-(x, y) = (X/Z, Y/Z) through the focal lengths and principal point:
+Pixel coordinates (u, v), u rightward and v downward, relate to
+normalized camera coordinates (x, y) = (X/Z, Y/Z) through the focal
+lengths and principal point:
 
     u = fx * x + cx
     v = fy * y + cy
 
 Lens distortion follows the standard five-coefficient Brown-Conrady
 model (three radial terms k1..k3, two tangential terms p1, p2) applied
-in normalized coordinates.
+in normalized coordinates. Every function takes a point as two
+arguments, (u, v) or (x, y), each a scalar or an equal-shaped array,
+acts elementwise and returns a plain tuple. A pixel may lie outside the
+image bounds: trackers report near-edge or overshooting boxes.
 """
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
 UNDISTORT_MAX_ITER = 50
 UNDISTORT_TOL = 1e-10
-
-
-class PixelCoord(NamedTuple):
-    """Image position in pixels: u rightward, v downward.
-
-    May lie outside the image bounds; trackers legitimately report
-    near-edge or overshooting boxes. Like NormalizedCoord, the fields
-    may be equal-shaped arrays, and the functions below act elementwise.
-    """
-
-    u: float
-    v: float
-
-
-class NormalizedCoord(NamedTuple):
-    """Dimensionless image-plane coordinates after perspective division."""
-
-    x: float
-    y: float
 
 
 @dataclass(frozen=True)
@@ -60,9 +44,8 @@ class CameraIntrinsics:
                 f"{self.image_width}x{self.image_height}"
             )
 
-    def contains(self, px: PixelCoord):
-        """True where the pixel falls inside the image bounds."""
-        u, v = px
+    def contains(self, u, v):
+        """True where the pixel (u, v) falls inside the image bounds."""
         return (0 <= u) & (u < self.image_width) & (0 <= v) & (v < self.image_height)
 
 
@@ -81,37 +64,29 @@ class DistortionCoeffs:
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"distortion coefficient {name} must be finite")
 
-    @classmethod
-    def zero(cls) -> "DistortionCoeffs":
-        """Identity distortion."""
-        return cls()
-
     def is_zero(self) -> bool:
         return self.k1 == self.k2 == self.k3 == self.p1 == self.p2 == 0.0
 
 
-def normalized_to_pixel(n: NormalizedCoord, intr: CameraIntrinsics) -> PixelCoord:
-    """Scale normalized coordinates into pixels."""
-    x, y = n
-    return PixelCoord(intr.fx * x + intr.cx, intr.fy * y + intr.cy)
+def normalized_to_pixel(x, y, intr: CameraIntrinsics):
+    """Scale normalized coordinates (x, y) into pixels (u, v)."""
+    return intr.fx * x + intr.cx, intr.fy * y + intr.cy
 
 
-def pixel_to_normalized(px: PixelCoord, intr: CameraIntrinsics) -> NormalizedCoord:
-    """Invert the intrinsic scaling, pixels to normalized coordinates."""
-    u, v = px
+def pixel_to_normalized(u, v, intr: CameraIntrinsics):
+    """Invert the intrinsic scaling, pixels (u, v) to normalized (x, y)."""
     if not (np.all(np.isfinite(u)) and np.all(np.isfinite(v))):
         raise ValueError(f"non-finite pixel coordinate ({u}, {v})")
-    return NormalizedCoord((u - intr.cx) / intr.fx, (v - intr.cy) / intr.fy)
+    return (u - intr.cx) / intr.fx, (v - intr.cy) / intr.fy
 
 
-def distort(n: NormalizedCoord, d: DistortionCoeffs) -> NormalizedCoord:
-    """Apply Brown-Conrady distortion to an ideal normalized point."""
-    x, y = n
+def distort(x, y, d: DistortionCoeffs):
+    """Apply Brown-Conrady distortion to ideal normalized points (x, y)."""
     r2 = x * x + y * y
     radial = 1.0 + r2 * (d.k1 + r2 * (d.k2 + r2 * d.k3))
     xd = x * radial + 2.0 * d.p1 * x * y + d.p2 * (r2 + 2.0 * x * x)
     yd = y * radial + d.p1 * (r2 + 2.0 * y * y) + 2.0 * d.p2 * x * y
-    return NormalizedCoord(xd, yd)
+    return xd, yd
 
 
 def _distortion_jacobian(x, y, d):
@@ -126,31 +101,31 @@ def _distortion_jacobian(x, y, d):
     return jxx, jxy, jxy, jyy
 
 
-def undistort(n_d: NormalizedCoord, d: DistortionCoeffs) -> tuple[NormalizedCoord, np.ndarray]:
-    """Invert the distortion model for distorted points, elementwise.
+def undistort(x_d, y_d, d: DistortionCoeffs):
+    """Invert the distortion model for distorted points (x_d, y_d), elementwise.
 
     Starts at the distorted point and iterates a damped Newton update on
-    the residual distort(x) - n_d until its max-norm drops below
-    UNDISTORT_TOL. A plain fixed-point update is not contractive for
+    the residual distort(x, y) - (x_d, y_d) until its max-norm drops
+    below UNDISTORT_TOL. A plain fixed-point update is not contractive for
     strong distortion near the edge of the field, so each step solves the
     2x2 distortion Jacobian and backtracks when the residual would grow.
     Each point is frozen once its residual is below UNDISTORT_TOL, so it
     follows the same iterates as it would alone.
 
-    Returns the undistorted points and a boolean array that is False
-    where a point did not converge: its residual was still above
-    UNDISTORT_TOL after UNDISTORT_MAX_ITER iterations, or its iterate
-    escaped the model's invertible region around the input. Those points
-    hold their last iterate.
+    Returns ((x, y), converged): the undistorted points and a boolean
+    array that is False where a point did not converge: its residual was
+    still above UNDISTORT_TOL after UNDISTORT_MAX_ITER iterations, or its
+    iterate escaped the model's invertible region around the input. Those
+    points hold their last iterate.
     """
-    shape = np.shape(n_d.x)
-    xd = np.asarray(n_d.x, dtype=float).reshape(-1)
-    yd = np.asarray(n_d.y, dtype=float).reshape(-1)
+    shape = np.shape(x_d)
+    xd = np.asarray(x_d, dtype=float).reshape(-1)
+    yd = np.asarray(y_d, dtype=float).reshape(-1)
     if d.is_zero():
-        return NormalizedCoord(xd.reshape(shape), yd.reshape(shape)), np.ones(shape, dtype=bool)
+        return (xd.reshape(shape), yd.reshape(shape)), np.ones(shape, dtype=bool)
 
     x, y = xd.copy(), yd.copy()
-    fx, fy = distort(NormalizedCoord(x, y), d)
+    fx, fy = distort(x, y, d)
     rx, ry = fx - xd, fy - yd
     res = np.maximum(np.abs(rx), np.abs(ry))
     escaped = np.zeros(xd.shape, dtype=bool)
@@ -176,7 +151,7 @@ def undistort(n_d: NormalizedCoord, d: DistortionCoeffs) -> tuple[NormalizedCoor
             k = live[search]
             x[k] = xl[search] - lam * sx[search]
             y[k] = yl[search] - lam * sy[search]
-            fx, fy = distort(NormalizedCoord(x[k], y[k]), d)
+            fx, fy = distort(x[k], y[k], d)
             rx[k], ry[k] = fx - xd[k], fy - yd[k]
             res[k] = np.maximum(np.abs(rx[k]), np.abs(ry[k]))
             if lam < 1.0 / 64.0:
@@ -185,5 +160,5 @@ def undistort(n_d: NormalizedCoord, d: DistortionCoeffs) -> tuple[NormalizedCoor
             lam *= 0.5
         escaped[live] = np.hypot(x[live], y[live]) > bound[live]
     converged = (res < UNDISTORT_TOL) & ~escaped
-    return NormalizedCoord(x.reshape(shape), y.reshape(shape)), converged.reshape(shape)
+    return (x.reshape(shape), y.reshape(shape)), converged.reshape(shape)
 

@@ -1,8 +1,9 @@
 """Geodetic, ECEF and local-ENU coordinate conversions.
 
 Latitude and longitude are radians internally; file I/O converts from
-decimal degrees at the boundary. GeodeticCoord fields hold scalars or
-equal-shaped arrays; ECEF and ENU points are (..., 3) float arrays. All
+decimal degrees at the boundary. Geodetic points are (..., 3) float
+arrays of latitude (rad), longitude (rad) and height above the ellipsoid
+(m); ECEF and ENU points are (..., 3) float arrays of meters. All
 operations vectorize elementwise.
 """
 
@@ -44,32 +45,18 @@ def _wrap_lon(lon):
     return np.where(wrapped == -np.pi, np.pi, wrapped)
 
 
-def _scalar_or_array(x):
-    x = np.asarray(x, dtype=float)
-    return float(x) if x.ndim == 0 else x
-
-
-@dataclass(frozen=True)
-class GeodeticCoord:
-    """Latitude (rad), longitude (rad), height above the ellipsoid (m)."""
-
-    lat: float
-    lon: float
-    h: float
-
-    def __post_init__(self):
-        lat = np.asarray(self.lat, dtype=float)
-        if not np.all(np.isfinite(lat)) or np.any(np.abs(lat) > np.pi / 2 + 1e-12):
-            raise ValueError("latitude must be finite and within [-pi/2, pi/2]")
-        if not np.all(np.isfinite(np.asarray(self.h, dtype=float))):
-            raise ValueError("height must be finite")
-        object.__setattr__(self, "lat", _scalar_or_array(lat))
-        object.__setattr__(self, "lon", _scalar_or_array(_wrap_lon(self.lon)))
-        object.__setattr__(self, "h", _scalar_or_array(self.h))
-
-    @classmethod
-    def from_degrees(cls, lat_deg, lon_deg, h) -> "GeodeticCoord":
-        return cls(np.radians(lat_deg), np.radians(lon_deg), h)
+def _checked_geodetic(geo) -> np.ndarray:
+    """Geodetic points (..., 3) as a float array, longitude wrapped into
+    (-pi, pi]; a non-finite coordinate or a latitude beyond the poles
+    raises ValueError."""
+    lat, lon, h = np.moveaxis(np.asarray(geo, dtype=float), -1, 0)
+    if not np.all(np.isfinite(lat)) or np.any(np.abs(lat) > np.pi / 2 + 1e-12):
+        raise ValueError("latitude must be finite and within [-pi/2, pi/2]")
+    if not np.all(np.isfinite(lon)):
+        raise ValueError("longitude must be finite")
+    if not np.all(np.isfinite(h)):
+        raise ValueError("height must be finite")
+    return np.stack([lat, _wrap_lon(lon), h], axis=-1)
 
 
 def _checked_ecef(xyz, ell: Ellipsoid) -> np.ndarray:
@@ -96,23 +83,24 @@ def prime_vertical_radius(lat, ell: Ellipsoid = WGS84):
     """
     lat = np.asarray(lat, dtype=float)
     c, s = np.cos(lat), np.sin(lat)
-    return _scalar_or_array(ell.r_e**2 / np.sqrt((ell.r_e * c) ** 2 + (ell.r_p * s) ** 2))
+    return ell.r_e**2 / np.sqrt((ell.r_e * c) ** 2 + (ell.r_p * s) ** 2)
 
 
-def geodetic_to_ecef(g: GeodeticCoord, ell: Ellipsoid = WGS84) -> np.ndarray:
-    """Closed-form geodetic to ECEF conversion, to (..., 3) points."""
-    n = prime_vertical_radius(g.lat, ell)
-    clat, slat = np.cos(g.lat), np.sin(g.lat)
-    x = (n + g.h) * clat * np.cos(g.lon)
-    y = (n + g.h) * clat * np.sin(g.lon)
-    z = ((ell.r_p / ell.r_e) ** 2 * n + g.h) * slat
+def geodetic_to_ecef(geo, ell: Ellipsoid = WGS84) -> np.ndarray:
+    """Closed-form geodetic to ECEF conversion, (..., 3) to (..., 3) points."""
+    lat, lon, h = np.moveaxis(_checked_geodetic(geo), -1, 0)
+    n = prime_vertical_radius(lat, ell)
+    clat, slat = np.cos(lat), np.sin(lat)
+    x = (n + h) * clat * np.cos(lon)
+    y = (n + h) * clat * np.sin(lon)
+    z = ((ell.r_p / ell.r_e) ** 2 * n + h) * slat
     return _checked_ecef(np.stack([x, y, z], axis=-1), ell)
 
 
-def enu_to_ecef_rotation(ref: GeodeticCoord) -> np.ndarray:
-    """Rotation block taking local ENU offsets at `ref` into ECEF axes;
-    a stack of shape (n, 3, 3) when `ref` holds arrays."""
-    lat, lon = np.asarray(ref.lat), np.asarray(ref.lon)
+def enu_to_ecef_rotation(ref) -> np.ndarray:
+    """Rotation block taking local ENU offsets at the geodetic point `ref`
+    into ECEF axes; a stack of shape (n, 3, 3) for (n, 3) points."""
+    lat, lon, _ = np.moveaxis(_checked_geodetic(ref), -1, 0)
     clat, slat = np.cos(lat), np.sin(lat)
     clon, slon = np.cos(lon), np.sin(lon)
     entries = [
@@ -123,8 +111,9 @@ def enu_to_ecef_rotation(ref: GeodeticCoord) -> np.ndarray:
     return np.stack(entries, axis=-1).reshape(lat.shape + (3, 3))
 
 
-def enu_to_ecef(p, ref: GeodeticCoord, ell: Ellipsoid = WGS84) -> np.ndarray:
-    """Transform local ENU points (meters) anchored at `ref` to ECEF (..., 3).
+def enu_to_ecef(p, ref, ell: Ellipsoid = WGS84) -> np.ndarray:
+    """Transform local ENU points (meters) anchored at the geodetic point
+    `ref` to ECEF (..., 3).
 
     `p` is a 3-vector, or an (n, 3) array with `ref` holding n anchors.
     """
@@ -134,8 +123,8 @@ def enu_to_ecef(p, ref: GeodeticCoord, ell: Ellipsoid = WGS84) -> np.ndarray:
     return _checked_ecef(offset + origin, ell)
 
 
-def ecef_to_geodetic(xyz, ell: Ellipsoid = WGS84) -> GeodeticCoord:
-    """Convert ECEF points (..., 3) to geodetic coordinates in closed form
+def ecef_to_geodetic(xyz, ell: Ellipsoid = WGS84) -> np.ndarray:
+    """Convert ECEF points (..., 3) to geodetic points (..., 3) in closed form
     (Heikkinen 1982, Zhu 1994). The solution holds on and near the rotation
     axis too; it breaks down only within tens of km of the earth's centre.
     """
@@ -163,4 +152,4 @@ def ecef_to_geodetic(xyz, ell: Ellipsoid = WGS84) -> GeodeticCoord:
     v = np.sqrt(t * t + (1.0 - e2) * z * z)
     z0 = b * b * z / (a * v)
     h = u * (1.0 - b * b / (a * v))
-    return GeodeticCoord(np.arctan2(z + ep2 * z0, p), np.arctan2(y, x), h)
+    return _checked_geodetic(np.stack([np.arctan2(z + ep2 * z0, p), np.arctan2(y, x), h], axis=-1))

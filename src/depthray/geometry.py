@@ -7,7 +7,6 @@ array of angles and returns one matrix or a stack of shape (..., 3, 3).
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -65,44 +64,14 @@ def rot_z(angle) -> np.ndarray:
     return _rotation(angle, 2)
 
 
-@dataclass(frozen=True)
-class EulerAngles:
-    """Yaw-pitch-roll triple in radians, wrapped into (-pi, pi].
-
-    Used both for the camera gimbal and for the vehicle body attitude.
-    """
-
-    yaw: float = 0.0
-    pitch: float = 0.0
-    roll: float = 0.0
-
-    def __post_init__(self):
-        for name in ("yaw", "pitch", "roll"):
-            v = getattr(self, name)
-            if not math.isfinite(v):
-                raise ValueError(f"{name} must be finite, got {v}")
-            object.__setattr__(self, name, float(wrap_angle(v)))
-
-    @classmethod
-    def from_degrees(cls, yaw: float, pitch: float, roll: float) -> "EulerAngles":
-        return cls(math.radians(yaw), math.radians(pitch), math.radians(roll))
-
-
-def as_angles(angles) -> np.ndarray:
-    """Yaw, pitch, roll of an EulerAngles, or an (..., 3) array, as an array."""
-    if isinstance(angles, EulerAngles):
-        return np.array([angles.yaw, angles.pitch, angles.roll])
-    return np.asarray(angles, dtype=float)
-
-
 def yaw_pitch_roll_matrix(angles) -> np.ndarray:
     """Compose Rz(yaw) Ry(pitch) Rx(roll) from passive elementary rotations.
 
-    `angles` is an EulerAngles or an (..., 3) array of yaw, pitch, roll.
-    Maps coordinates from the rotated frame back to the reference frame;
-    the same composition serves gimbal-to-world and body-to-world.
+    `angles` is an (..., 3) array of yaw, pitch, roll in radians. Maps
+    coordinates from the rotated frame back to the reference frame; the
+    same composition serves gimbal-to-world and body-to-world.
     """
-    yaw, pitch, roll = np.moveaxis(as_angles(angles), -1, 0)
+    yaw, pitch, roll = np.moveaxis(np.asarray(angles, dtype=float), -1, 0)
     return rot_z(yaw) @ rot_y(pitch) @ rot_x(roll)
 
 

@@ -42,8 +42,7 @@ import yaml
 from .camera import CameraIntrinsics, DistortionCoeffs
 from .errors import ConfigError, SchemaError
 from .evaluate import GroundTruthFrame
-from .geodesy import ELLIPSOIDS, WGS84, Ellipsoid, GeodeticCoord
-from .geometry import EulerAngles
+from .geodesy import ELLIPSOIDS, WGS84, Ellipsoid
 from .recovery import OBSERVATION_COLUMNS, TRAJECTORY_COLUMNS, RigConfig
 from .synth import (
     NoiseSpec,
@@ -429,27 +428,36 @@ def _check_keys(data, allowed, path):
         raise ConfigError(f"{path}: unknown keys: {', '.join(unknown)}")
 
 
+def _finite(value):
+    """A YAML number as a finite float; None for a bool, a non-number, or a
+    value no finite float holds (an integer beyond the float range too)."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return None
+    try:
+        number = float(value)
+    except OverflowError:
+        return None
+    return number if math.isfinite(number) else None
+
+
 def _number(data, key, path, default=None):
     value = data.get(key, default)
     if value is None:
         raise ConfigError(f"{path}: missing required key {key}")
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{path}: key {key} must be a number, got {value!r}")
-    if not math.isfinite(float(value)):
+    number = _finite(value)
+    if number is None:
         raise ConfigError(f"{path}: key {key} must be finite")
-    return float(value)
+    return number
 
 
 def _vector(data, key, path, length, default):
     value = data.get(key, default)
-    if (
-        not isinstance(value, (list, tuple))
-        or len(value) != length
-        or any(isinstance(v, bool) or not isinstance(v, (int, float)) for v in value)
-        or not all(math.isfinite(v) for v in value)
-    ):
+    numbers = [_finite(v) for v in value] if isinstance(value, (list, tuple)) else []
+    if len(numbers) != length or None in numbers:
         raise ConfigError(f"{path}: key {key} must be a list of {length} finite numbers")
-    return np.asarray(value, dtype=float)
+    return np.array(numbers)
 
 
 def _calibration(data, path):
@@ -625,25 +633,25 @@ def load_scenario_config(path, seed=None) -> Scenario:
             altitude=_number(data, "altitude", path),
             depth_min=_number(data, "depth_min", path, 0.0),
             depth_max=_number(data, "depth_max", path, data.get("depth_min", 0.0)),
-            ref_geo=GeodeticCoord.from_degrees(
-                _number(data, "ref_lat_deg", path, 0.0),
-                _number(data, "ref_lon_deg", path, 0.0),
+            ref_geo=np.array([
+                math.radians(_number(data, "ref_lat_deg", path, 0.0)),
+                math.radians(_number(data, "ref_lon_deg", path, 0.0)),
                 _number(data, "ref_alt_m", path, 0.0),
-            ),
+            ]),
             intrinsics=intr,
             distortion=dist,
             rig=_rig(data, path),
             noise=noise,
-            gimbal=EulerAngles.from_degrees(
+            gimbal=np.radians([
                 _number(data, "gimbal_yaw_deg", path, 0.0),
                 _number(data, "gimbal_pitch_deg", path, -90.0),
                 _number(data, "gimbal_roll_deg", path, 0.0),
-            ),
-            body=EulerAngles.from_degrees(
+            ]),
+            body=np.radians([
                 _number(data, "body_yaw_deg", path, 0.0),
                 _number(data, "body_pitch_deg", path, 0.0),
                 _number(data, "body_roll_deg", path, 0.0),
-            ),
+            ]),
         )
     except ValueError as exc:
         raise ConfigError(f"{path}: {exc}") from exc

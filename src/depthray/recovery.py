@@ -22,19 +22,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .camera import (
-    NormalizedCoord,
-    PixelCoord,
-    distort,
-    normalized_to_pixel,
-    pixel_to_normalized,
-    undistort,
-)
-from .geodesy import GeodeticCoord, ecef_to_geodetic, enu_to_ecef
+from .camera import distort, normalized_to_pixel, pixel_to_normalized, undistort
+from .geodesy import ecef_to_geodetic, enu_to_ecef
 from .geometry import (
     CAM_FROM_FORWARD,
     PARALLEL_EPS,
-    as_angles,
     ray_plane_hits,
     wrap_angle,
     yaw_pitch_roll_matrix,
@@ -133,12 +125,12 @@ class RigConfig:
 def camera_rotation(gimbal, body, rig: RigConfig) -> np.ndarray:
     """Rotation from {G} into {C} for one observation, or a stack.
 
-    gimbal, body: EulerAngles, or (..., 3) arrays of wrapped yaw, pitch,
-    roll in radians. The gimbal angles (composed after the body attitude
-    when they are body-referenced) orient a forward/right/down frame whose
-    x axis is the optical axis; CAM_FROM_FORWARD permutes it into {C}.
+    gimbal, body: (..., 3) arrays of wrapped yaw, pitch, roll in radians.
+    The gimbal angles (composed after the body attitude when they are
+    body-referenced) orient a forward/right/down frame whose x axis is
+    the optical axis; CAM_FROM_FORWARD permutes it into {C}.
     """
-    gimbal = as_angles(gimbal)
+    gimbal = np.asarray(gimbal, dtype=float)
     if rig.gimbal_pitch_sign != 1:
         gimbal = gimbal.copy()
         gimbal[..., 1] = wrap_angle(rig.gimbal_pitch_sign * gimbal[..., 1])
@@ -161,7 +153,7 @@ def cast(u, v, depth, r_cw, intr, dist):
     Returns (p_c, codes): camera-frame points (n, 3) and a reason code per
     row (RECOVERED where the fix is usable).
     """
-    (x, y), converged = undistort(pixel_to_normalized(PixelCoord(u, v), intr), dist)
+    (x, y), converged = undistort(*pixel_to_normalized(u, v, intr), dist)
     ray = np.stack([x, y, np.ones_like(x)], axis=-1)
     s, conditioning = ray_plane_hits(ray, r_cw[..., :, 2], -depth)
     codes = np.select(
@@ -188,7 +180,7 @@ def project(p_g, r_cw, intr, dist):
     p_c = (r_cw @ p_g[..., None])[..., 0]
     x, y, z = p_c[:, 0], p_c[:, 1], p_c[:, 2]
     with np.errstate(all="ignore"):
-        u, v = normalized_to_pixel(distort(NormalizedCoord(x / z, y / z), dist), intr)
+        u, v = normalized_to_pixel(*distort(x / z, y / z, dist), intr)
     return u, v, z
 
 
@@ -239,12 +231,13 @@ def recover_batch(columns, config) -> tuple[Table, np.ndarray]:
     rows, u, v, p_c = rows[ok], u[ok], v[ok], p_c[ok]
     p_g = (np.swapaxes(r_cw[ok], -1, -2) @ p_c[..., None])[..., 0]
     p_d = camera_to_body(p_g, body[ok], config.rig)
-    ref = GeodeticCoord(lat[rows], np.radians(columns["ref_lon_deg"][rows]), columns["ref_alt_m"][rows])
+    lon = np.radians(columns["ref_lon_deg"][rows])
+    ref = np.column_stack([lat[rows], lon, columns["ref_alt_m"][rows]])
     geo = ecef_to_geodetic(enu_to_ecef(p_d, ref, config.ellipsoid), config.ellipsoid)
     return Table({
         "t": columns["t"][rows],
         "cam_x": p_c[:, 0], "cam_y": p_c[:, 1], "cam_z": p_c[:, 2],
         "enu_x": p_d[:, 0], "enu_y": p_d[:, 1], "enu_z": p_d[:, 2],
-        "lat_deg": np.degrees(geo.lat), "lon_deg": np.degrees(geo.lon), "alt_m": geo.h,
-        "flags": np.where(intr.contains(PixelCoord(u, v)), "", "out_of_frame"),
+        "lat_deg": np.degrees(geo[:, 0]), "lon_deg": np.degrees(geo[:, 1]), "alt_m": geo[:, 2],
+        "flags": np.where(intr.contains(u, v), "", "out_of_frame"),
     }), codes

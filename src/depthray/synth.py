@@ -10,14 +10,14 @@ experiments for verification at desk scale.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .camera import CameraIntrinsics, DistortionCoeffs, PixelCoord
+from .camera import CameraIntrinsics, DistortionCoeffs
 from .errors import InfeasibleScene
-from .geodesy import GeodeticCoord
-from .geometry import EulerAngles, as_angles
+from .geodesy import _checked_geodetic
+from .geometry import wrap_angle
 from .recovery import (
     OBSERVATION_COLUMNS,
     RigConfig,
@@ -58,6 +58,10 @@ class Scenario:
     depth_min to depth_max; altitude and both attitudes stay constant.
     Its height in {G} follows from altitude, camera offset and depth, so
     the depth channel and the geometry agree exactly.
+
+    ref_geo is the reference fix, a (3,) array of latitude and longitude
+    in radians and height in meters; gimbal and body are (3,) arrays of
+    yaw, pitch and roll in radians, wrapped into (-pi, pi].
     """
 
     path_xy: np.ndarray
@@ -65,13 +69,13 @@ class Scenario:
     altitude: float
     depth_min: float
     depth_max: float
-    ref_geo: GeodeticCoord
+    ref_geo: np.ndarray
     intrinsics: CameraIntrinsics
     distortion: DistortionCoeffs = DistortionCoeffs()
     rig: RigConfig = RigConfig()
     noise: NoiseSpec = NoiseSpec()
-    gimbal: EulerAngles = EulerAngles(pitch=-math.pi / 2)
-    body: EulerAngles = EulerAngles()
+    gimbal: np.ndarray = field(default_factory=lambda: np.array([0.0, -math.pi / 2, 0.0]))
+    body: np.ndarray = field(default_factory=lambda: np.zeros(3))
 
     def __post_init__(self):
         path_xy = np.asarray(self.path_xy, dtype=float)
@@ -84,7 +88,13 @@ class Scenario:
             raise ValueError("altitude must be positive")
         if not (self.depth_min >= 0 and self.depth_max >= 0):
             raise ValueError("depth_min and depth_max must be non-negative")
+        for name in ("gimbal", "body"):
+            angles = np.asarray(getattr(self, name), dtype=float)
+            if angles.shape != (3,) or not np.all(np.isfinite(angles)):
+                raise ValueError(f"{name} must be 3 finite angles (yaw, pitch, roll)")
+            object.__setattr__(self, name, wrap_angle(angles))
         object.__setattr__(self, "path_xy", path_xy)
+        object.__setattr__(self, "ref_geo", _checked_geodetic(self.ref_geo).reshape(3))
 
     def __len__(self):
         return len(self.path_xy)
@@ -112,7 +122,7 @@ def generate_logs(scenario: Scenario) -> tuple[Table, Table]:
     r_cw = camera_rotation(scenario.gimbal, scenario.body, rig)
     u, v, z = project(positions, r_cw, intr, scenario.distortion)
     behind = z <= MIN_CAMERA_Z
-    infeasible = np.flatnonzero(behind | ~intr.contains(PixelCoord(u, v)))
+    infeasible = np.flatnonzero(behind | ~intr.contains(u, v))
     if infeasible.size:
         i = int(infeasible[0])
         if behind[i]:
@@ -124,7 +134,7 @@ def generate_logs(scenario: Scenario) -> tuple[Table, Table]:
         )
 
     noise = scenario.noise
-    a_uav, gimbal = np.full(n, float(scenario.altitude)), np.tile(as_angles(scenario.gimbal), (n, 1))
+    a_uav, gimbal = np.full(n, float(scenario.altitude)), np.tile(scenario.gimbal, (n, 1))
     channels = [
         (u, noise.sigma_px),
         (v, noise.sigma_px),
@@ -139,12 +149,11 @@ def generate_logs(scenario: Scenario) -> tuple[Table, Table]:
         for (values, _), column in zip(noisy, draws.T):
             values += column
 
-    ref = scenario.ref_geo
+    lat, lon, h = scenario.ref_geo
     obs = dict(zip(OBSERVATION_COLUMNS, [
         t, u, v, a_uav, d_uuv,
-        *np.degrees(gimbal).T, *np.degrees(np.tile(as_angles(scenario.body), (n, 1))).T,
-        np.full(n, math.degrees(ref.lat)), np.full(n, math.degrees(ref.lon)),
-        np.full(n, float(ref.h)),
+        *np.degrees(gimbal).T, *np.degrees(np.tile(scenario.body, (n, 1))).T,
+        np.full(n, math.degrees(lat)), np.full(n, math.degrees(lon)), np.full(n, h),
     ]))
     p_d = camera_to_body(positions, scenario.body, rig)
     truth = dict(zip(["t", "x", "y", "z"], [t.copy(), *p_d.T]))

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import settings
 
 from depthray.camera import CameraIntrinsics, DistortionCoeffs
-from depthray.geodesy import WGS84, GeodeticCoord
+from depthray.geodesy import WGS84
 
 # CI runs `pytest --hypothesis-profile=ci`: the same examples on every run,
 # and more of them for the properties that leave max_examples unset
@@ -41,11 +41,16 @@ def bowring_oracle(x, y, z, ell=WGS84, iterations=20):
     return lat, np.arctan2(y, x), h
 
 
+def geodetic_deg(lat_deg, lon_deg, h):
+    """Geodetic points (..., 3) from latitudes and longitudes in degrees."""
+    return np.stack([np.radians(lat_deg), np.radians(lon_deg), np.asarray(h, dtype=float)], axis=-1)
+
+
 def random_geodetic(rng, n, h_low=-100.0, h_high=10000.0):
     lat = np.arcsin(rng.uniform(-1.0, 1.0, n))  # area-uniform on the sphere
     lon = rng.uniform(-np.pi, np.pi, n)
     h = rng.uniform(h_low, h_high, n)
-    return GeodeticCoord(lat, lon, h)
+    return np.stack([lat, lon, h], axis=-1)
 
 
 def radial_slope(d: DistortionCoeffs, rho: np.ndarray) -> np.ndarray:

@@ -17,19 +17,17 @@ from numpy.testing import assert_allclose
 from depthray.camera import (
     CameraIntrinsics,
     DistortionCoeffs,
-    NormalizedCoord,
     distort,
     undistort,
 )
 from depthray.cli import main
 from depthray.evaluate import rescale_grid_point, trajectory_errors
 from depthray.geodesy import ecef_to_geodetic, geodetic_to_ecef
-from depthray.geometry import EulerAngles
 from depthray.io import RunConfig
 from depthray.recovery import RigConfig, camera_rotation, recover_batch
 from depthray.synth import NoiseSpec, Scenario, generate_logs, lawnmower_path
 
-from conftest import bowring_oracle, random_geodetic, sample_invertible_distortion
+from conftest import bowring_oracle, geodetic_deg, random_geodetic, sample_invertible_distortion
 
 REF_DEG = (42.87, 17.7, 25.0)
 
@@ -60,15 +58,13 @@ def write(path, text):
 
 def survey_scenario(n, sigma_px=0.0, sigma_alt=0.0, sigma_gimbal_deg=0.0,
                     depth_min=0.63, depth_max=0.63, seed=0):
-    from depthray.geodesy import GeodeticCoord
-
     return Scenario(
         path_xy=lawnmower_path(n, width=8.0, height=5.0, legs=5),
         duration=200.0,
         altitude=25.0,
         depth_min=depth_min,
         depth_max=depth_max,
-        ref_geo=GeodeticCoord.from_degrees(*REF_DEG),
+        ref_geo=geodetic_deg(*REF_DEG),
         intrinsics=CameraIntrinsics(2000.0, 2000.0, 960.0, 540.0, 1920, 1080),
         noise=NoiseSpec(sigma_px=sigma_px, sigma_alt=sigma_alt,
                         sigma_gimbal=math.radians(sigma_gimbal_deg), seed=seed),
@@ -173,7 +169,7 @@ def test_4_geodetic_round_trip_and_oracle_agreement():
         surface = random_geodetic(rng, 1000, h_low=0.0, h_high=0.0)
         es = geodetic_to_ecef(surface)
         lat_oracle, _, _ = bowring_oracle(es[..., 0], es[..., 1], es[..., 2], iterations=20)
-        lat_closed = ecef_to_geodetic(es).lat
+        lat_closed = ecef_to_geodetic(es)[:, 0]
         assert float(np.max(np.abs(lat_closed - lat_oracle))) < 1e-9
         elapsed = time.perf_counter() - start
         assert elapsed < 1.0, f"geodesy checks took {elapsed:.2f} s"
@@ -181,8 +177,8 @@ def test_4_geodetic_round_trip_and_oracle_agreement():
 
 def test_5_distortion_inversion():
     with criterion(5, "10k invertible-model distortion round trips < 1e-9; zero case exact"):
-        n = NormalizedCoord(0.4, -0.3)
-        assert undistort(n, DistortionCoeffs.zero())[0] == n  # bitwise
+        n = (0.4, -0.3)
+        assert undistort(*n, DistortionCoeffs())[0] == n  # bitwise
 
         rng = np.random.default_rng(5)
         worst = 0.0
@@ -190,10 +186,10 @@ def test_5_distortion_inversion():
             d = sample_invertible_distortion(rng, k_max=0.3, p_max=0.01, r_max=0.85)
             r = 0.8 * math.sqrt(rng.uniform())
             ang = rng.uniform(0.0, 2.0 * math.pi)
-            point = NormalizedCoord(r * math.cos(ang), r * math.sin(ang))
-            back, converged = undistort(distort(point, d), d)
+            point = (r * math.cos(ang), r * math.sin(ang))
+            back, converged = undistort(*distort(*point, d), d)
             assert converged
-            worst = max(worst, abs(back.x - point.x), abs(back.y - point.y))
+            worst = max(worst, abs(back[0] - point[0]), abs(back[1] - point[1]))
         assert worst < 1e-9, f"worst round-trip error {worst:.2e}"
 
 
@@ -202,13 +198,13 @@ def test_6_rotation_chain_properties():
         rng = np.random.default_rng(6)
         eye = np.eye(3)
         for _ in range(10000):
-            r = camera_rotation(EulerAngles(*rng.uniform(-np.pi, np.pi, 3)), None, RigConfig())
+            r = camera_rotation(rng.uniform(-np.pi, np.pi, 3), None, RigConfig())
             assert np.max(np.abs(r.T @ r - eye)) < 1e-12
             assert abs(np.linalg.det(r) - 1.0) < 1e-12
         h = 25.0
-        r = camera_rotation(EulerAngles(pitch=-np.pi / 2), None, RigConfig())
+        r = camera_rotation(np.array([0.0, -np.pi / 2, 0.0]), None, RigConfig())
         assert_allclose(r @ [0.0, 0.0, -h], [0.0, 0.0, h], atol=1e-12)
-        r0 = camera_rotation(EulerAngles(), None, RigConfig())
+        r0 = camera_rotation(np.zeros(3), None, RigConfig())
         assert_allclose(r0 @ [h, 0.0, 0.0], [0.0, 0.0, h], atol=1e-12)
 
 

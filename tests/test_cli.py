@@ -428,6 +428,27 @@ class TestEvaluateCommand:
         assert "gt_rescale_nadir" in capsys.readouterr().err
         assert not (workdir / "report.json").exists()
 
+    # YAML reads a run of 400 digits as an integer that no float holds
+    @pytest.mark.parametrize("name, text, key", [
+        ("cal.yaml", CALIB.replace("width: 1920", "width: 1" + "0" * 400), "width"),
+        ("run.yaml", "calibration: cal.yaml\ncam_offset: [0.0, 0.0, 1" + "0" * 400 + "]\n",
+         "cam_offset"),
+    ], ids=["number", "vector"])
+    def test_integer_beyond_float_range_exits_2(self, workdir, capsys, name, text, key):
+        simulate(workdir)
+        self._recover(workdir)
+        (workdir / name).write_text(text, encoding="utf-8")
+        capsys.readouterr()
+        assert run(
+            workdir, "evaluate",
+            "--config", workdir / "run.yaml",
+            "--input", workdir / "traj.csv",
+            "--gt", workdir / "gt.csv",
+            "--output", workdir / "report.json",
+        ) == 2
+        assert f"key {key} must be" in capsys.readouterr().err
+        assert not (workdir / "report.json").exists()
+
     def test_bad_exclusions_header_exits_1(self, workdir, capsys):
         simulate(workdir)
         self._recover(workdir)
@@ -546,6 +567,10 @@ class TestSimulateErrors:
     def test_non_finite_vector_exits_2(self, workdir, capsys, old, new, key):
         err = self.refuse(workdir, capsys, SCENARIO.replace(old, new))
         assert f"key {key} must be" in err
+
+    def test_latitude_beyond_the_pole_exits_2(self, workdir, capsys):
+        err = self.refuse(workdir, capsys, SCENARIO.replace("ref_lat_deg: 42.87", "ref_lat_deg: 95"))
+        assert "latitude must be finite and within" in err
 
     # numpy's generator takes no negative seed; with every sigma at zero it was never asked
     @pytest.mark.parametrize("text, flags", [

@@ -7,7 +7,7 @@ from numpy.testing import assert_allclose
 from depthray.geodesy import (
     WGS84,
     Ellipsoid,
-    GeodeticCoord,
+    _checked_geodetic,
     ecef_to_geodetic,
     enu_to_ecef,
     enu_to_ecef_rotation,
@@ -15,7 +15,7 @@ from depthray.geodesy import (
     prime_vertical_radius,
 )
 
-from conftest import bowring_oracle, random_geodetic
+from conftest import bowring_oracle, geodetic_deg, random_geodetic
 
 
 class TestPrimeVerticalRadius:
@@ -40,44 +40,44 @@ class TestPrimeVerticalRadius:
 
 class TestGeodeticToEcef:
     def test_equator_prime_meridian(self):
-        e = geodetic_to_ecef(GeodeticCoord(0.0, 0.0, 0.0))
+        e = geodetic_to_ecef(np.array([0.0, 0.0, 0.0]))
         assert tuple(e) == pytest.approx((6378137.0, 0.0, 0.0), abs=1e-9)
 
     def test_north_pole_lands_on_polar_radius(self):
-        e = geodetic_to_ecef(GeodeticCoord(np.pi / 2, 0.0, 0.0))
+        e = geodetic_to_ecef(np.array([np.pi / 2, 0.0, 0.0]))
         assert e[2] == pytest.approx(6356752.314245, abs=1e-6)
         assert np.hypot(e[0], e[1]) < 1e-6
 
     def test_height_offsets_along_normal_at_equator(self):
-        e = geodetic_to_ecef(GeodeticCoord(0.0, 0.0, 100.0))
+        e = geodetic_to_ecef(np.array([0.0, 0.0, 100.0]))
         assert tuple(e) == pytest.approx((6378237.0, 0.0, 0.0), abs=1e-9)
 
 
 class TestEnuToEcef:
     def test_origin_maps_to_reference(self):
-        ref = GeodeticCoord.from_degrees(42.8, 17.7, 30.0)
+        ref = geodetic_deg(42.8, 17.7, 30.0)
         e = enu_to_ecef([0.0, 0.0, 0.0], ref)
         e0 = geodetic_to_ecef(ref)
         assert tuple(e) == pytest.approx(tuple(e0), abs=1e-9)
 
     def test_up_is_plus_x_at_equator(self):
-        e = enu_to_ecef([0.0, 0.0, 1.0], GeodeticCoord(0.0, 0.0, 0.0))
+        e = enu_to_ecef([0.0, 0.0, 1.0], np.array([0.0, 0.0, 0.0]))
         assert tuple(e) == pytest.approx((6378138.0, 0.0, 0.0), abs=1e-9)
 
     def test_east_is_plus_y_at_equator(self):
-        e = enu_to_ecef([1.0, 0.0, 0.0], GeodeticCoord(0.0, 0.0, 0.0))
+        e = enu_to_ecef([1.0, 0.0, 0.0], np.array([0.0, 0.0, 0.0]))
         assert tuple(e) == pytest.approx((6378137.0, 1.0, 0.0), abs=1e-9)
 
     def test_rotation_block_orthonormal(self):
         rng = np.random.default_rng(37)
         for _ in range(200):
-            ref = GeodeticCoord(rng.uniform(-np.pi / 2, np.pi / 2), rng.uniform(-np.pi, np.pi), 0.0)
+            ref = np.array([rng.uniform(-np.pi / 2, np.pi / 2), rng.uniform(-np.pi, np.pi), 0.0])
             r = enu_to_ecef_rotation(ref)
             assert_allclose(r.T @ r, np.eye(3), atol=1e-14)
 
     def test_affine_in_the_enu_point(self):
         rng = np.random.default_rng(41)
-        ref = GeodeticCoord.from_degrees(-33.9, 18.4, 52.0)
+        ref = geodetic_deg(-33.9, 18.4, 52.0)
         r = enu_to_ecef_rotation(ref)
         for _ in range(50):
             pa, pb = rng.uniform(-500.0, 500.0, (2, 3))
@@ -92,8 +92,8 @@ class TestEnuToEcef:
             lat = rng.uniform(-1.2, 1.2)
             lon = rng.uniform(-np.pi, np.pi)
             dlon = rng.uniform(-1.0, 1.0)
-            e1 = enu_to_ecef(p, GeodeticCoord(lat, lon, 0.0))
-            e2 = enu_to_ecef(p, GeodeticCoord(lat, lon + dlon, 0.0))
+            e1 = enu_to_ecef(p, np.array([lat, lon, 0.0]))
+            e2 = enu_to_ecef(p, np.array([lat, lon + dlon, 0.0]))
             c, s = np.cos(dlon), np.sin(dlon)
             rotated = np.array(
                 [c * e1[0] - s * e1[1], s * e1[0] + c * e1[1], e1[2]]
@@ -104,8 +104,8 @@ class TestEnuToEcef:
 class TestEcefToGeodetic:
     def test_equator_inverse(self):
         g = ecef_to_geodetic([6378137.0, 0.0, 0.0])
-        assert (g.lat, g.lon) == pytest.approx((0.0, 0.0), abs=1e-12)
-        assert g.h == pytest.approx(0.0, abs=1e-6)
+        assert (g[0], g[1]) == pytest.approx((0.0, 0.0), abs=1e-12)
+        assert g[2] == pytest.approx(0.0, abs=1e-6)
 
     def test_round_trip_random_points(self):
         rng = np.random.default_rng(47)
@@ -123,9 +123,9 @@ class TestEcefToGeodetic:
         e = geodetic_to_ecef(g)
         lat_o, lon_o, h_o = bowring_oracle(e[..., 0], e[..., 1], e[..., 2])
         back = ecef_to_geodetic(e)
-        assert np.max(np.abs(back.lat - lat_o)) < 1e-9
-        assert np.max(np.abs(back.lon - lon_o)) < 1e-12
-        assert np.max(np.abs(back.h - h_o)) < 1e-6
+        assert np.max(np.abs(back[:, 0] - lat_o)) < 1e-9
+        assert np.max(np.abs(back[:, 1] - lon_o)) < 1e-12
+        assert np.max(np.abs(back[:, 2] - h_o)) < 1e-6
 
     def test_near_axis_fallback(self):
         # 0.7 m off the rotation axis, 500 m above the pole
@@ -133,7 +133,7 @@ class TestEcefToGeodetic:
         g = ecef_to_geodetic(e)
         back = geodetic_to_ecef(g)
         assert tuple(back) == pytest.approx(tuple(e), abs=1e-6)
-        assert g.lat == pytest.approx(np.pi / 2, abs=1e-3)
+        assert g[0] == pytest.approx(np.pi / 2, abs=1e-3)
 
     @pytest.mark.parametrize("ell", [WGS84, Ellipsoid(r_e=3396190.0, r_p=3376200.0)])
     def test_near_axis_round_trip(self, ell):
@@ -150,15 +150,15 @@ class TestEcefToGeodetic:
 
     def test_exactly_on_axis(self):
         g = ecef_to_geodetic([0.0, 0.0, WGS84.r_p + 100.0])
-        assert g.lat == pytest.approx(np.pi / 2, abs=1e-12)
-        assert g.h == pytest.approx(100.0, abs=1e-6)
+        assert g[0] == pytest.approx(np.pi / 2, abs=1e-12)
+        assert g[2] == pytest.approx(100.0, abs=1e-6)
 
     def test_southern_hemisphere(self):
-        g0 = GeodeticCoord.from_degrees(-45.5, 170.2, 1234.0)
+        g0 = geodetic_deg(-45.5, 170.2, 1234.0)
         g = ecef_to_geodetic(geodetic_to_ecef(g0))
-        assert g.lat == pytest.approx(g0.lat, abs=1e-12)
-        assert g.lon == pytest.approx(g0.lon, abs=1e-12)
-        assert g.h == pytest.approx(g0.h, abs=1e-6)
+        assert g[0] == pytest.approx(g0[0], abs=1e-12)
+        assert g[1] == pytest.approx(g0[1], abs=1e-12)
+        assert g[2] == pytest.approx(g0[2], abs=1e-6)
 
 
 class TestTypes:
@@ -167,27 +167,30 @@ class TestTypes:
             Ellipsoid(r_e=100.0, r_p=200.0)
 
     def test_latitude_bounds_enforced(self):
-        with pytest.raises(ValueError):
-            GeodeticCoord(2.0, 0.0, 0.0)
+        with pytest.raises(ValueError, match="latitude"):
+            geodetic_to_ecef(np.array([2.0, 0.0, 0.0]))
 
     def test_longitude_wrapped(self):
-        g = GeodeticCoord(0.0, 3 * np.pi / 2, 0.0)
-        assert g.lon == pytest.approx(-np.pi / 2)
+        g = _checked_geodetic(np.array([0.0, 3 * np.pi / 2, 0.0]))
+        assert g[1] == pytest.approx(-np.pi / 2)
 
     def test_far_point_warns(self):
         with pytest.warns(RuntimeWarning, match="100 km"):
-            far = geodetic_to_ecef(GeodeticCoord(0.0, 0.0, WGS84.r_e))
+            far = geodetic_to_ecef(np.array([0.0, 0.0, WGS84.r_e]))
         with pytest.warns(RuntimeWarning, match="100 km"):
             ecef_to_geodetic(far)
 
-    # produced from a longitude GeodeticCoord does not check, or an ENU point
-    @pytest.mark.parametrize("convert", [
-        lambda: geodetic_to_ecef(GeodeticCoord(0.0, np.nan, 0.0)),
-        lambda: enu_to_ecef([np.nan, 0.0, 0.0], GeodeticCoord(0.0, 0.0, 0.0)),
-        lambda: ecef_to_geodetic([[WGS84.r_e, 0.0, 0.0], [0.0, np.inf, 0.0]]),
-    ], ids=["geodetic_to_ecef", "enu_to_ecef", "ecef_to_geodetic"])
-    def test_non_finite_point_refused(self, convert):
-        with pytest.raises(ValueError, match="ECEF coordinates must be finite"):
+    # a non-finite geodetic point is refused on input, before it yields a
+    # non-finite ECEF point; an ENU or ECEF one where it becomes ECEF
+    @pytest.mark.parametrize("convert, message", [
+        (lambda: geodetic_to_ecef(np.array([0.0, np.nan, 0.0])), "longitude must be finite"),
+        (lambda: enu_to_ecef_rotation(np.array([0.0, np.nan, 0.0])), "longitude must be finite"),
+        (lambda: enu_to_ecef([np.nan, 0.0, 0.0], np.zeros(3)), "ECEF coordinates must be finite"),
+        (lambda: ecef_to_geodetic([[WGS84.r_e, 0.0, 0.0], [0.0, np.inf, 0.0]]),
+         "ECEF coordinates must be finite"),
+    ], ids=["geodetic_to_ecef", "enu_to_ecef_rotation", "enu_to_ecef", "ecef_to_geodetic"])
+    def test_non_finite_point_refused(self, convert, message):
+        with pytest.raises(ValueError, match=message):
             convert()
 
 
@@ -195,15 +198,14 @@ class TestRangeWarning:
     MARS = Ellipsoid(r_e=3396190.0, r_p=3376200.0)
 
     def test_no_warning_near_another_ellipsoid(self):
-        ref = GeodeticCoord.from_degrees(18.4, 77.5, -2500.0)
+        ref = geodetic_deg(18.4, 77.5, -2500.0)
         points = np.array([[10.0, -20.0, -25.0], [0.0, 0.0, 0.0]])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            e = enu_to_ecef(points, GeodeticCoord(np.full(2, ref.lat), np.full(2, ref.lon),
-                                                  np.full(2, ref.h)), self.MARS)
+            e = enu_to_ecef(points, np.tile(ref, (2, 1)), self.MARS)
             g = ecef_to_geodetic(e, self.MARS)
-        assert_allclose(g.h, [-2525.0, -2500.0], atol=1e-3)
+        assert_allclose(g[:, 2], [-2525.0, -2500.0], atol=1e-3)
 
     def test_wgs84_point_200_km_up_warns(self):
         with pytest.warns(RuntimeWarning, match="100 km"):
-            enu_to_ecef([0.0, 0.0, 200e3], GeodeticCoord.from_degrees(42.87, 17.7, 0.0))
+            enu_to_ecef([0.0, 0.0, 200e3], geodetic_deg(42.87, 17.7, 0.0))

@@ -1,12 +1,9 @@
-import math
-
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 from depthray.geometry import (
     PARALLEL_EPS,
-    EulerAngles,
     ray_plane_hits,
     rot_x,
     rot_y,
@@ -43,36 +40,17 @@ class TestElementaryRotations:
                 assert_special_orthogonal(rot(angle))
 
 
-class TestEulerAngles:
-    def test_wraps_into_half_open_pi_interval(self):
-        a = EulerAngles(yaw=3 * math.pi / 2, pitch=-3 * math.pi, roll=math.pi)
-        assert a.yaw == pytest.approx(-math.pi / 2)
-        assert a.pitch == pytest.approx(math.pi)
-        assert a.roll == pytest.approx(math.pi)
-        assert -math.pi < a.pitch <= math.pi
-
-    def test_rejects_non_finite(self):
-        with pytest.raises(ValueError):
-            EulerAngles(yaw=float("inf"))
-
-    def test_degrees_constructor(self):
-        a = EulerAngles.from_degrees(90.0, -90.0, 45.0)
-        assert (a.yaw, a.pitch, a.roll) == pytest.approx(
-            (math.pi / 2, -math.pi / 2, math.pi / 4)
-        )
-
-
 class TestGimbalChain:
     def test_nadir_points_camera_straight_down(self):
         # pitch -90 deg: a point h below the camera sits h ahead on the
         # optical axis
-        r = camera_rotation(EulerAngles(pitch=-np.pi / 2), None, RigConfig())
+        r = camera_rotation(np.array([0.0, -np.pi / 2, 0.0]), None, RigConfig())
         h = 25.0
         assert_allclose(r @ [0.0, 0.0, -h], [0.0, 0.0, h], atol=1e-12)
 
     def test_zero_angles_look_east(self):
         # zero gimbal: optical axis along world +x
-        r = camera_rotation(EulerAngles(), None, RigConfig())
+        r = camera_rotation(np.zeros(3), None, RigConfig())
         h = 7.5
         assert_allclose(r @ [h, 0.0, 0.0], [0.0, 0.0, h], atol=1e-12)
 
@@ -80,7 +58,7 @@ class TestGimbalChain:
         rng = np.random.default_rng(5)
         for _ in range(1000):
             yaw, pitch, roll = rng.uniform(-np.pi, np.pi, 3)
-            r = camera_rotation(EulerAngles(yaw, pitch, roll), None, RigConfig())
+            r = camera_rotation(np.array([yaw, pitch, roll]), None, RigConfig())
             assert_special_orthogonal(r)
 
     def test_matches_hand_composed_chain(self):
@@ -91,7 +69,7 @@ class TestGimbalChain:
         for _ in range(50):
             yaw, pitch, roll = rng.uniform(-np.pi, np.pi, 3)
             expected = perm @ (rot_z(yaw) @ rot_y(pitch) @ rot_x(roll)).T
-            r = camera_rotation(EulerAngles(yaw, pitch, roll), None, RigConfig())
+            r = camera_rotation(np.array([yaw, pitch, roll]), None, RigConfig())
             assert_allclose(r, expected, atol=1e-15)
 
 

@@ -132,6 +132,25 @@ calibration: {fx: 1000.0, fy: 1000.0, cx: 960.0, cy: 540.0, width: 1920, height:
         assert io.load_scenario_config(path).noise.seed == 3
         assert io.load_scenario_config(path, seed=9).noise.seed == 9
 
+    def test_angles_read_in_degrees(self, tmp_path):
+        text = """\
+altitude: 25.0
+gimbal_yaw_deg: 90.0
+gimbal_pitch_deg: -90.0
+gimbal_roll_deg: 45.0
+body_yaw_deg: 400.0
+ref_lat_deg: -45.5
+ref_lon_deg: 190.0
+ref_alt_m: 12.0
+calibration: {fx: 1000.0, fy: 1000.0, cx: 960.0, cy: 540.0, width: 1920, height: 1080}
+"""
+        scenario = io.load_scenario_config(write(tmp_path / "scn.yaml", text))
+        assert tuple(scenario.gimbal) == pytest.approx((np.pi / 2, -np.pi / 2, np.pi / 4))
+        assert tuple(scenario.body) == pytest.approx((np.radians(40.0), 0.0, 0.0))
+        assert tuple(scenario.ref_geo) == pytest.approx(
+            (np.radians(-45.5), np.radians(-170.0), 12.0)
+        )
+
     def test_unknown_pattern_rejected(self, tmp_path):
         text = """\
 pattern: spiral

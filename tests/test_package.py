@@ -1,7 +1,37 @@
+from pathlib import Path
+
 import depthray
+from depthray import io
+from depthray.cli import main
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def test_every_exported_name_resolves():
     missing = [name for name in depthray.__all__ if not hasattr(depthray, name)]
     assert missing == []
     assert len(set(depthray.__all__)) == len(depthray.__all__)
+
+
+def readme_block(heading):
+    """The first python block after a README heading."""
+    section = README.read_text(encoding="utf-8").split(f"\n{heading}\n", 1)[1]
+    return section.split("```python\n", 1)[1].split("\n```", 1)[0]
+
+
+def test_readme_batch_api_block_runs(tmp_path, monkeypatch):
+    (tmp_path / "cal.yaml").write_text(
+        "fx: 1000.0\nfy: 1000.0\ncx: 960.0\ncy: 540.0\nwidth: 1920\nheight: 1080\nk1: -0.1\n",
+        encoding="utf-8",
+    )
+    (tmp_path / "run.yaml").write_text("calibration: cal.yaml\n", encoding="utf-8")
+    (tmp_path / "scenario.yaml").write_text(
+        "n_samples: 20\naltitude: 25.0\ndepth_min: 0.63\nref_lat_deg: 42.87\n"
+        "ref_lon_deg: 17.7\nsigma_px: 1.0\ncalibration: cal.yaml\n",
+        encoding="utf-8",
+    )
+    monkeypatch.chdir(tmp_path)
+    assert main(["simulate", "--config", "scenario.yaml", "--output", "obs.csv",
+                 "--gt", "gt.csv"]) == 0
+    exec(compile(readme_block("### Batch API"), str(README), "exec"), {})
+    assert len(io.read_trajectory("traj.csv")) == 20

@@ -11,10 +11,9 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from depthray.camera import CameraIntrinsics, DistortionCoeffs, PixelCoord
+from depthray.camera import CameraIntrinsics, DistortionCoeffs
 from depthray.errors import InfeasibleScene
-from depthray.geodesy import WGS84, Ellipsoid, GeodeticCoord, geodetic_to_ecef
-from depthray.geometry import EulerAngles, as_angles
+from depthray.geodesy import WGS84, Ellipsoid, geodetic_to_ecef
 from depthray.io import RunConfig
 from depthray.recovery import (
     OBSERVATION_COLUMNS,
@@ -31,19 +30,20 @@ from depthray.recovery import (
 )
 from depthray.synth import NoiseSpec, Scenario, generate_logs, line_path
 
-from conftest import sample_invertible_distortion
+from conftest import geodetic_deg, sample_invertible_distortion
 
 INTRINSICS = CameraIntrinsics(1000.0, 1000.0, 960.0, 540.0, 1920, 1080)
 
 finite = dict(allow_nan=False, allow_infinity=False)
 
 
-def ecef_to_enu(x, y, z, ref: GeodeticCoord, ell):
-    """ENU offsets of ECEF points from `ref`, from the textbook rotation."""
+def ecef_to_enu(x, y, z, ref, ell):
+    """ENU offsets of ECEF points from the geodetic point `ref`, from the
+    textbook rotation."""
     o = geodetic_to_ecef(ref, ell)
     dx, dy, dz = x - o[0], y - o[1], z - o[2]
-    sl, cl = math.sin(ref.lat), math.cos(ref.lat)
-    so, co = math.sin(ref.lon), math.cos(ref.lon)
+    sl, cl = math.sin(ref[0]), math.cos(ref[0])
+    so, co = math.sin(ref[1]), math.cos(ref[1])
     return np.column_stack([
         -so * dx + co * dy,
         -sl * co * dx - sl * so * dy + cl * dz,
@@ -89,20 +89,20 @@ def test_noiseless_logs_recover_the_body_frame_truth(
     rig, ell, lens_seed, gimbal, body, altitude, depths, end, ref,
 ):
     if lens_seed is None:
-        dist = DistortionCoeffs.zero()
+        dist = DistortionCoeffs()
     else:
         dist = sample_invertible_distortion(
             np.random.default_rng(lens_seed), k_max=0.3, p_max=0.01, r_max=0.85
         )
     # nadir as the vendor reports it: -90 deg, or +90 deg with pitch sign -1
     yaw, tilt, roll = gimbal
-    gimbal = EulerAngles(yaw, rig.gimbal_pitch_sign * (-math.pi / 2 + tilt), roll)
-    ref_geo = GeodeticCoord.from_degrees(*ref)
+    gimbal = np.array([yaw, rig.gimbal_pitch_sign * (-math.pi / 2 + tilt), roll])
+    ref_geo = geodetic_deg(*ref)
     scenario = Scenario(
         path_xy=line_path(25, [0.0, 0.0], end), duration=10.0, altitude=altitude,
         depth_min=depths[0], depth_max=depths[1], ref_geo=ref_geo,
         intrinsics=INTRINSICS, distortion=dist, rig=rig, noise=NoiseSpec(),
-        gimbal=gimbal, body=EulerAngles(*body),
+        gimbal=gimbal, body=body,
     )
     try:
         obs, truth = generate_logs(scenario)
@@ -114,7 +114,7 @@ def test_noiseless_logs_recover_the_body_frame_truth(
     enu = np.column_stack([trajectory["enu_x"], trajectory["enu_y"], trajectory["enu_z"]])
     np.testing.assert_allclose(enu, expected, rtol=0.0, atol=1e-8)
     # the geodetic fix lands on the same point of the chosen ellipsoid
-    fix = geodetic_to_ecef(GeodeticCoord.from_degrees(
+    fix = geodetic_to_ecef(geodetic_deg(
         trajectory["lat_deg"], trajectory["lon_deg"], trajectory["alt_m"]
     ), ell)
     np.testing.assert_allclose(ecef_to_enu(*fix.T, ref_geo, ell), expected,
@@ -144,18 +144,17 @@ def test_noiseless_logs_match_the_stacked_reference(
     the angles to (n, 3) and runs the camera model on the stacks, row by
     row. Both must give the same bits."""
     if lens_seed is None:
-        dist = DistortionCoeffs.zero()
+        dist = DistortionCoeffs()
     else:
         dist = sample_invertible_distortion(
             np.random.default_rng(lens_seed), k_max=0.3, p_max=0.01, r_max=0.85
         )
     yaw, tilt, roll = gimbal
-    gimbal = EulerAngles(yaw, rig.gimbal_pitch_sign * (-math.pi / 2 + tilt), roll)
-    body = EulerAngles(*body)
+    gimbal = np.array([yaw, rig.gimbal_pitch_sign * (-math.pi / 2 + tilt), roll])
     path_xy = line_path(n, [0.0, 0.0], end)
     scenario = Scenario(
         path_xy=path_xy, duration=10.0, altitude=altitude, depth_min=depths[0],
-        depth_max=depths[1], ref_geo=GeodeticCoord.from_degrees(42.87, 17.7, 25.0),
+        depth_max=depths[1], ref_geo=geodetic_deg(42.87, 17.7, 25.0),
         intrinsics=INTRINSICS, distortion=dist, rig=rig, gimbal=gimbal, body=body,
     )
     try:
@@ -163,7 +162,7 @@ def test_noiseless_logs_match_the_stacked_reference(
     except InfeasibleScene:
         assume(False)
 
-    gimbal_n, body_n = np.tile(as_angles(gimbal), (n, 1)), np.tile(as_angles(body), (n, 1))
+    gimbal_n, body_n = np.tile(scenario.gimbal, (n, 1)), np.tile(scenario.body, (n, 1))
     z = -plane_depth(altitude, np.linspace(depths[0], depths[1], n), rig)
     p_g = np.column_stack([path_xy[:, 0], path_xy[:, 1], z])
     r_cw = camera_rotation(gimbal_n, body_n, rig)
@@ -190,19 +189,19 @@ LENS_R_MAX = 0.85
 )
 def test_cast_and_project_invert_each_other(rig, lens_seed, gimbal, body, altitude, depth, xy):
     if lens_seed is None:
-        dist = DistortionCoeffs.zero()
+        dist = DistortionCoeffs()
     else:
         dist = sample_invertible_distortion(
             np.random.default_rng(lens_seed), k_max=0.3, p_max=0.01, r_max=LENS_R_MAX
         )
     yaw, tilt, roll = gimbal
-    gimbal = EulerAngles(yaw, rig.gimbal_pitch_sign * (-math.pi / 2 + tilt), roll)
-    r_cw = camera_rotation(gimbal, EulerAngles(*body), rig)[None]
+    gimbal = np.array([yaw, rig.gimbal_pitch_sign * (-math.pi / 2 + tilt), roll])
+    r_cw = camera_rotation(gimbal, body, rig)[None]
     h = plane_depth(altitude, depth, rig)
     p = np.array([[xy[0] * h, xy[1] * h, -h]])  # a point on the depth plane, in {G}
     u, v, z = project(p, r_cw, INTRINSICS, dist)
     ray = r_cw[0] @ p[0]
-    assume(z[0] > 0 and INTRINSICS.contains(PixelCoord(u, v))[0])
+    assume(z[0] > 0 and INTRINSICS.contains(u, v)[0])
     assume(math.hypot(ray[0] / ray[2], ray[1] / ray[2]) <= LENS_R_MAX)
 
     p_c, codes = cast(u, v, np.array([h]), r_cw, INTRINSICS, dist)
@@ -251,7 +250,7 @@ def configs(draw):
         rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
         dist = sample_invertible_distortion(rng, k_max=0.3, p_max=0.01, r_max=0.85)
     elif lens == "none":
-        dist = DistortionCoeffs.zero()
+        dist = DistortionCoeffs()
     else:  # pixels beyond ~0.54 focal lengths off axis have no preimage
         dist = DistortionCoeffs(k1=-0.5)
     return RunConfig(

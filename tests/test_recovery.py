@@ -7,7 +7,6 @@ from numpy.testing import assert_allclose
 from depthray.camera import CameraIntrinsics, DistortionCoeffs
 from depthray.geometry import (
     CAM_FROM_FORWARD,
-    EulerAngles,
     ray_plane_hits,
     yaw_pitch_roll_matrix,
 )
@@ -25,8 +24,8 @@ from depthray.recovery import (
 )
 
 REF_DEG = (42.87, 17.7, 25.0)
-NADIR = EulerAngles(pitch=-np.pi / 2)
-LEVEL = EulerAngles()
+NADIR = np.array([0.0, -np.pi / 2, 0.0])
+LEVEL = np.zeros(3)
 CAM = ("cam_x", "cam_y", "cam_z")
 ENU = ("enu_x", "enu_y", "enu_z")
 
@@ -35,12 +34,12 @@ def make_columns(px, a_uav=25.0, d_uuv=0.63, gimbal=NADIR, body=LEVEL, t=0.0):
     """One observation row as recover_batch input columns."""
     values = {
         "t": t, "u": px[0], "v": px[1], "a_uav": a_uav, "d_uuv": d_uuv,
-        "gimbal_yaw_deg": math.degrees(gimbal.yaw),
-        "gimbal_pitch_deg": math.degrees(gimbal.pitch),
-        "gimbal_roll_deg": math.degrees(gimbal.roll),
-        "body_yaw_deg": math.degrees(body.yaw),
-        "body_pitch_deg": math.degrees(body.pitch),
-        "body_roll_deg": math.degrees(body.roll),
+        "gimbal_yaw_deg": math.degrees(gimbal[0]),
+        "gimbal_pitch_deg": math.degrees(gimbal[1]),
+        "gimbal_roll_deg": math.degrees(gimbal[2]),
+        "body_yaw_deg": math.degrees(body[0]),
+        "body_pitch_deg": math.degrees(body[1]),
+        "body_roll_deg": math.degrees(body[2]),
         "ref_lat_deg": REF_DEG[0], "ref_lon_deg": REF_DEG[1], "ref_alt_m": REF_DEG[2],
     }
     return {name: np.atleast_1d(np.asarray(v, dtype=float)) for name, v in values.items()}
@@ -51,7 +50,7 @@ class TestBuildPlane:
 
     def test_offsets_and_depth_sum(self, intrinsics):
         rig = RigConfig(cam_offset=np.array([0.0, 0.0, -0.2]))
-        config = RunConfig(intrinsics, DistortionCoeffs.zero(), rig)
+        config = RunConfig(intrinsics, DistortionCoeffs(), rig)
         r = camera_rotation(NADIR, LEVEL, rig)
         traj, _ = recover_batch(make_columns((960.0, 540.0)), config)
         assert_allclose(r.T @ [traj[c][0] for c in CAM], [0.0, 0.0, -25.43], atol=1e-12)
@@ -62,7 +61,7 @@ class TestBuildPlane:
     def test_surface_target(self, intrinsics):
         traj, _ = recover_batch(
             make_columns((960.0, 540.0), a_uav=10.0, d_uuv=0.0),
-            RunConfig(intrinsics, DistortionCoeffs.zero(), RigConfig()),
+            RunConfig(intrinsics, DistortionCoeffs(), RigConfig()),
         )
         p_g = camera_rotation(NADIR, LEVEL, RigConfig()).T @ [traj[c][0] for c in CAM]
         assert_allclose(p_g, [0.0, 0.0, -10.0], atol=1e-12)
@@ -71,7 +70,7 @@ class TestBuildPlane:
         rig = RigConfig(cam_offset=np.array([0.0, 0.0, -0.2]))
         _, codes = recover_batch(
             make_columns((960.0, 540.0), a_uav=0.1, d_uuv=0.0),
-            RunConfig(intrinsics, DistortionCoeffs.zero(), rig),
+            RunConfig(intrinsics, DistortionCoeffs(), rig),
         )
         assert codes[0] == DEGENERATE
 
@@ -80,7 +79,7 @@ class TestRecoverCameraFrame:
     def test_nadir_principal_point(self, intrinsics):
         # ray along the optical axis: range is the full vertical distance
         traj, codes = recover_batch(
-            make_columns((960.0, 540.0)), RunConfig(intrinsics, DistortionCoeffs.zero(), RigConfig())
+            make_columns((960.0, 540.0)), RunConfig(intrinsics, DistortionCoeffs(), RigConfig())
         )
         assert codes[0] == RECOVERED
         assert [traj[c][0] for c in CAM] == pytest.approx((0.0, 0.0, 25.63), abs=1e-12)
@@ -100,12 +99,12 @@ class TestRecoverCameraFrame:
         rig = RigConfig(cam_offset=np.array([0.1, -0.05, -0.2]))
         count = 0
         while count < 100:
-            gimbal = EulerAngles(
-                yaw=rng.uniform(-np.pi, np.pi),
-                pitch=-np.pi / 2 + rng.uniform(-0.4, 0.4),
-                roll=rng.uniform(-0.3, 0.3),
-            )
-            body = EulerAngles(*rng.uniform(-0.2, 0.2, 3))
+            gimbal = np.array([
+                rng.uniform(-np.pi, np.pi),
+                -np.pi / 2 + rng.uniform(-0.4, 0.4),
+                rng.uniform(-0.3, 0.3),
+            ])
+            body = rng.uniform(-0.2, 0.2, 3)
             a_uav = rng.uniform(10.0, 40.0)
             d_uuv = rng.uniform(0.0, 3.0)
             depth = a_uav + rig.cam_offset[2] + d_uuv
@@ -130,10 +129,10 @@ class TestRecoverCameraFrame:
 
     def test_recovered_point_lies_on_rotated_plane(self, intrinsics):
         rig = RigConfig()
-        gimbal = EulerAngles(yaw=0.4, pitch=-1.2, roll=0.1)
+        gimbal = np.array([0.4, -1.2, 0.1])
         traj, _ = recover_batch(
             make_columns((1200.0, 300.0), gimbal=gimbal),
-            RunConfig(intrinsics, DistortionCoeffs.zero(), rig),
+            RunConfig(intrinsics, DistortionCoeffs(), rig),
         )
         p_c = np.array([traj[c][0] for c in CAM])
         plane_point, plane_normal = np.array([0.0, 0.0, -25.63]), np.array([0.0, 0.0, 1.0])
@@ -149,13 +148,13 @@ class TestRecoverCameraFrame:
         predicted = sigma_px / 2000.0 * z
         truth = np.array([0.0, 0.0, -z])
         u, v, _ = project(truth[None], camera_rotation(NADIR, LEVEL, rig)[None],
-                          intr, DistortionCoeffs.zero())
+                          intr, DistortionCoeffs())
         rng = np.random.default_rng(67)
         noise = rng.normal(0, sigma_px, (1000, 2))  # u then v, row by row
         columns = {k: np.repeat(c, 1000) for k, c in make_columns((u, v)).items()}
         columns["u"] += noise[:, 0]
         columns["v"] += noise[:, 1]
-        traj, _ = recover_batch(columns, RunConfig(intr, DistortionCoeffs.zero(), rig))
+        traj, _ = recover_batch(columns, RunConfig(intr, DistortionCoeffs(), rig))
         p_c = np.column_stack([traj[c] for c in CAM])
         p_g = p_c @ camera_rotation(NADIR, LEVEL, rig)
         errors = p_g[:, :2] - truth[:2]
@@ -167,28 +166,28 @@ class TestRecoverCameraFrame:
 
     def test_grazing_ray_ill_conditioned(self, intrinsics):
         _, codes = recover_batch(
-            make_columns((960.0, 540.0), gimbal=EulerAngles(pitch=-1e-4)),
-            RunConfig(intrinsics, DistortionCoeffs.zero(), RigConfig()),
+            make_columns((960.0, 540.0), gimbal=np.array([0.0, -1e-4, 0.0])),
+            RunConfig(intrinsics, DistortionCoeffs(), RigConfig()),
         )
         assert codes[0] == ILL_CONDITIONED
 
     def test_horizontal_ray_parallel(self, intrinsics):
         _, codes = recover_batch(
-            make_columns((960.0, 540.0), gimbal=EulerAngles(pitch=0.0)),
-            RunConfig(intrinsics, DistortionCoeffs.zero(), RigConfig()),
+            make_columns((960.0, 540.0), gimbal=np.zeros(3)),
+            RunConfig(intrinsics, DistortionCoeffs(), RigConfig()),
         )
         assert codes[0] == PARALLEL_RAY
 
     def test_upward_camera_behind(self, intrinsics):
         _, codes = recover_batch(
-            make_columns((960.0, 540.0), gimbal=EulerAngles(pitch=np.pi / 2)),
-            RunConfig(intrinsics, DistortionCoeffs.zero(), RigConfig()),
+            make_columns((960.0, 540.0), gimbal=np.array([0.0, np.pi / 2, 0.0])),
+            RunConfig(intrinsics, DistortionCoeffs(), RigConfig()),
         )
         assert codes[0] == BEHIND_CAMERA
 
     def test_depth_monotonicity_along_fixed_ray(self, intrinsics):
         # deeper target on the same pixel ray is strictly farther
-        config = RunConfig(intrinsics, DistortionCoeffs.zero(), RigConfig())
+        config = RunConfig(intrinsics, DistortionCoeffs(), RigConfig())
         last = 0.0
         for depth in np.linspace(0.0, 5.0, 11):
             traj, _ = recover_batch(make_columns((1100.0, 650.0), d_uuv=depth), config)
@@ -212,7 +211,7 @@ class TestCameraToUavEnu:
 
     def test_straight_down_inverse(self, intrinsics):
         traj, _ = recover_batch(
-            make_columns((960.0, 540.0)), RunConfig(intrinsics, DistortionCoeffs.zero(), RigConfig())
+            make_columns((960.0, 540.0)), RunConfig(intrinsics, DistortionCoeffs(), RigConfig())
         )
         assert [traj[c][0] for c in CAM] == pytest.approx((0.0, 0.0, 25.63), abs=1e-12)
         assert [traj[c][0] for c in ENU] == pytest.approx((0.0, 0.0, -25.63), abs=1e-12)
@@ -221,7 +220,7 @@ class TestCameraToUavEnu:
         # the body 25.2 m up puts the camera 25.63 m above the target
         rig = RigConfig(cam_offset=np.array([0.0, 0.0, -0.2]))
         traj, _ = recover_batch(
-            make_columns((960.0, 540.0), a_uav=25.2), RunConfig(intrinsics, DistortionCoeffs.zero(), rig)
+            make_columns((960.0, 540.0), a_uav=25.2), RunConfig(intrinsics, DistortionCoeffs(), rig)
         )
         assert [traj[c][0] for c in CAM] == pytest.approx((0.0, 0.0, 25.63), abs=1e-12)
         assert [traj[c][0] for c in ENU] == pytest.approx((0.0, 0.0, -25.83), abs=1e-12)
@@ -231,12 +230,12 @@ class TestCameraToUavEnu:
         count = 0
         while count < 100:
             rig = RigConfig(cam_offset=rng.uniform(-0.3, 0.3, 3))
-            gimbal = EulerAngles(
-                yaw=rng.uniform(-np.pi, np.pi),
-                pitch=-np.pi / 2 + rng.uniform(-0.35, 0.35),
-                roll=rng.uniform(-0.25, 0.25),
-            )
-            body = EulerAngles(*rng.uniform(-0.15, 0.15, 3))
+            gimbal = np.array([
+                rng.uniform(-np.pi, np.pi),
+                -np.pi / 2 + rng.uniform(-0.35, 0.35),
+                rng.uniform(-0.25, 0.25),
+            ])
+            body = rng.uniform(-0.15, 0.15, 3)
             a_uav = rng.uniform(15.0, 35.0)
             d_uuv = rng.uniform(0.0, 2.0)
             depth = a_uav + rig.cam_offset[2] + d_uuv
@@ -245,10 +244,10 @@ class TestCameraToUavEnu:
             if (camera_rotation(gimbal, body, rig) @ truth_g)[2] < 0.2 * depth:
                 continue
             u, v, _ = project(truth_g[None], camera_rotation(gimbal, body, rig)[None],
-                              intrinsics, DistortionCoeffs.zero())
+                              intrinsics, DistortionCoeffs())
             traj, _ = recover_batch(
                 make_columns((u, v), a_uav=a_uav, d_uuv=d_uuv, gimbal=gimbal, body=body),
-                RunConfig(intrinsics, DistortionCoeffs.zero(), rig),
+                RunConfig(intrinsics, DistortionCoeffs(), rig),
             )
             expected = truth_g + yaw_pitch_roll_matrix(body) @ rig.cam_offset
             assert_allclose([traj[c][0] for c in ENU], expected, atol=1e-9)
@@ -260,14 +259,14 @@ class TestGimbalConventions:
         # vendors reporting nadir as +90 recover identically with sign -1
         rig_flip = RigConfig(gimbal_pitch_sign=-1)
         traj, _ = recover_batch(
-            make_columns((960.0, 540.0), gimbal=EulerAngles(pitch=np.pi / 2)),
-            RunConfig(intrinsics, DistortionCoeffs.zero(), rig_flip),
+            make_columns((960.0, 540.0), gimbal=np.array([0.0, np.pi / 2, 0.0])),
+            RunConfig(intrinsics, DistortionCoeffs(), rig_flip),
         )
         assert [traj[c][0] for c in CAM] == pytest.approx((0.0, 0.0, 25.63), abs=1e-12)
 
     def test_body_referenced_gimbal(self, intrinsics):
         # nadir gimbal relative to a yawed body equals the composed chain
-        body = EulerAngles(yaw=0.8)
+        body = np.array([0.8, 0.0, 0.0])
         rig_body = RigConfig(gimbal_frame="body")
         rig_world = RigConfig()
         r_body = camera_rotation(NADIR, body, rig_body)
@@ -285,14 +284,14 @@ class TestValidation:
     def test_rejects_nonpositive_altitude(self, intrinsics):
         _, codes = recover_batch(
             make_columns((0.0, 0.0), a_uav=0.0),
-            RunConfig(intrinsics, DistortionCoeffs.zero(), RigConfig()),
+            RunConfig(intrinsics, DistortionCoeffs(), RigConfig()),
         )
         assert codes[0] == DEGENERATE
 
     def test_rejects_negative_depth(self, intrinsics):
         _, codes = recover_batch(
             make_columns((0.0, 0.0), d_uuv=-0.1),
-            RunConfig(intrinsics, DistortionCoeffs.zero(), RigConfig()),
+            RunConfig(intrinsics, DistortionCoeffs(), RigConfig()),
         )
         assert codes[0] == DEGENERATE
 

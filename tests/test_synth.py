@@ -1,11 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 from depthray.camera import CameraIntrinsics, DistortionCoeffs
 from depthray.errors import InfeasibleScene
-from depthray.geodesy import GeodeticCoord
-from depthray.geometry import EulerAngles, as_angles
 from depthray.io import RunConfig
 from depthray.recovery import RigConfig, camera_rotation, project, recover_batch
 from depthray.synth import (
@@ -18,14 +18,16 @@ from depthray.synth import (
     line_path,
 )
 
-REF = GeodeticCoord.from_degrees(42.87, 17.7, 25.0)
-NADIR = EulerAngles(pitch=-np.pi / 2)
+from conftest import geodetic_deg
+
+REF = geodetic_deg(42.87, 17.7, 25.0)
+NADIR = np.array([0.0, -np.pi / 2, 0.0])
 
 
 
 def make_scenario(n=50, noise=NoiseSpec(), depth_min=0.63, depth_max=0.63,
                   altitude=25.0, intr=None, dist=DistortionCoeffs(), duration=60.0,
-                  path_xy=None):
+                  path_xy=None, ref_geo=REF, **attitudes):
     intr = intr or CameraIntrinsics(1000.0, 1000.0, 960.0, 540.0, 1920, 1080)
     return Scenario(
         path_xy=lawnmower_path(n, width=10.0, height=6.0, legs=4) if path_xy is None else path_xy,
@@ -33,33 +35,34 @@ def make_scenario(n=50, noise=NoiseSpec(), depth_min=0.63, depth_max=0.63,
         altitude=altitude,
         depth_min=depth_min,
         depth_max=depth_max,
-        ref_geo=REF,
+        ref_geo=ref_geo,
         intrinsics=intr,
         distortion=dist,
         noise=noise,
+        **attitudes,
     )
 
 
 class TestProjectPoint:
     """project, the forward model generate_logs uses."""
 
-    r_nadir = camera_rotation(NADIR, EulerAngles(), RigConfig())[None]
+    r_nadir = camera_rotation(NADIR, np.zeros(3), RigConfig())[None]
 
     def test_optical_axis_hits_principal_point(self, intrinsics):
         u, v, _ = project(np.array([[0.0, 0.0, -17.0]]), self.r_nadir, intrinsics,
-                          DistortionCoeffs.zero())
+                          DistortionCoeffs())
         assert (u[0], v[0]) == pytest.approx((960.0, 540.0), abs=1e-12)
 
     def test_north_displacement_moves_u(self, intrinsics):
         # at nadir with zero gimbal yaw, world north maps to image x
         h = 20.0
         u, v, _ = project(np.array([[0.0, 0.1 * h, -h]]), self.r_nadir, intrinsics,
-                          DistortionCoeffs.zero())
+                          DistortionCoeffs())
         assert (u[0], v[0]) == pytest.approx((1060.0, 540.0), abs=1e-9)
 
     def test_point_behind_camera_raises(self, intrinsics):
         _, _, z = project(np.array([[0.0, 0.0, 5.0]]), self.r_nadir, intrinsics,
-                          DistortionCoeffs.zero())
+                          DistortionCoeffs())
         assert z[0] <= MIN_CAMERA_Z
 
     def test_project_then_recover_is_identity(self, intrinsics):
@@ -72,7 +75,7 @@ class TestProjectPoint:
             d_uuv[i] = rng.uniform(0.0, 2.0)
             depth = a_uav[i] + d_uuv[i]
             truth[i] = [rng.uniform(-0.3, 0.3) * depth, rng.uniform(-0.3, 0.3) * depth, -depth]
-        gimbal, body = np.tile(as_angles(NADIR), (100, 1)), np.zeros((100, 3))
+        gimbal, body = np.tile(NADIR, (100, 1)), np.zeros((100, 3))
         u, v, _ = project(truth, camera_rotation(gimbal, body, rig), intrinsics, dist)
         zeros = np.zeros(100)
         columns = {
@@ -85,7 +88,7 @@ class TestProjectPoint:
         traj, _ = recover_batch(columns, RunConfig(intrinsics, dist, rig))
         # compare in {G}: rotate the recovery back out of the camera
         p_c = np.column_stack([traj["cam_x"], traj["cam_y"], traj["cam_z"]])
-        p_g = p_c @ camera_rotation(NADIR, EulerAngles(), rig)
+        p_g = p_c @ camera_rotation(NADIR, np.zeros(3), rig)
         assert_allclose(p_g, truth, atol=1e-9)
 
 
@@ -193,6 +196,26 @@ class TestScenarioValidation:
     def test_depths_must_be_nonnegative(self, depth_min, depth_max):
         with pytest.raises(ValueError, match="must be non-negative"):
             make_scenario(depth_min=depth_min, depth_max=depth_max)
+
+    def test_attitudes_wrap_into_half_open_pi_interval(self):
+        scenario = make_scenario(gimbal=[3 * math.pi / 2, -3 * math.pi, math.pi],
+                                 body=[0.0, 0.0, -math.pi])
+        assert tuple(scenario.gimbal) == pytest.approx((-math.pi / 2, math.pi, math.pi))
+        assert -math.pi < scenario.gimbal[1] <= math.pi
+        assert scenario.body[2] == math.pi
+
+    def test_attitudes_must_be_finite_3_vectors(self):
+        for name, angles in [("gimbal", [float("inf"), -math.pi / 2, 0.0]),
+                             ("body", [0.0, float("nan"), 0.0]),
+                             ("body", [0.0, 0.0])]:
+            with pytest.raises(ValueError, match=f"{name} must be 3 finite angles"):
+                make_scenario(**{name: angles})
+
+    def test_reference_fix_checked_and_longitude_wrapped(self):
+        with pytest.raises(ValueError, match="latitude"):
+            make_scenario(ref_geo=geodetic_deg(95.0, 17.7, 25.0))
+        scenario = make_scenario(ref_geo=geodetic_deg(42.87, 190.0, 25.0))
+        assert math.degrees(scenario.ref_geo[1]) == pytest.approx(-170.0)
 
     def test_target_at_the_surface_is_accepted(self):
         assert len(make_scenario(depth_min=0.0, depth_max=0.0)) == 50
