@@ -28,7 +28,6 @@ from .geodesy import (
 from .geometry import rot_x, rot_y, rot_z
 from .recovery import RigConfig, camera_rotation, recover_batch
 from .synth import NoiseSpec, Scenario, generate_logs
-from .table import Table
 
 __all__ = [
     "CameraIntrinsics",
@@ -57,7 +56,6 @@ __all__ = [
     "NoiseSpec",
     "Scenario",
     "generate_logs",
-    "Table",
 ]
 
 __version__ = "0.1.0"

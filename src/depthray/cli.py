@@ -24,7 +24,6 @@ from .evaluate import _match_sorted
 from .evaluate import enu_to_ground_truth, rescale_grid_point, time_sync, trajectory_errors
 from .recovery import NO_ORIGIN_MATCH, OBSERVATION_COLUMNS, RECOVERED, REASONS, recover_batch
 from .synth import generate_logs
-from .table import Table
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -37,7 +36,8 @@ def _exclusions_path(trajectory) -> Path:
 
 
 def _recover_blocks(blocks, track, config, outcomes):
-    """Recover observation blocks one at a time, yielding their trajectories.
+    """Recover observation blocks (column dicts) one at a time, yielding
+    their trajectory columns.
 
     With an origin track (stably sorted by time), each pixel is replaced by
     its offset from the time-matched origin sample, re-anchored at the
@@ -49,7 +49,7 @@ def _recover_blocks(blocks, track, config, outcomes):
     intr, first_row = config.intrinsics, 0
     for obs in blocks:
         t, matched = obs["t"], slice(None)
-        codes = np.full(len(obs), NO_ORIGIN_MATCH, dtype=np.int8)
+        codes = np.full(len(t), NO_ORIGIN_MATCH, dtype=np.int8)
         if track is not None:
             matched, track_idx, _ = _match_sorted(t, track["t"], config.sync_max_gap)
             obs = {name: obs[name][matched] for name in OBSERVATION_COLUMNS}
@@ -72,11 +72,11 @@ def cmd_recover(args) -> int:
     track = None
     if args.origin_track:
         track = io.read_track(args.origin_track)
-        if not len(track):
+        if not len(track["t"]):
             raise EmptyTrajectory(f"{args.origin_track}: no track rows")
         order = np.argsort(track["t"], kind="stable")  # once, not per block
         # each column is sorted in turn and its unsorted copy dropped
-        track = {name: track.columns.pop(name)[order] for name in io.TRACK_COLUMNS}
+        track = {name: track.pop(name)[order] for name in io.TRACK_COLUMNS}
     outcomes = []
     # the trajectory replaces --output only once its sidecar is in place
     with io.staged(args.output, _exclusions_path(args.output)) as (output, sidecar):
@@ -85,11 +85,11 @@ def cmd_recover(args) -> int:
         rows, t, codes = np.concatenate(rows), np.concatenate(t), np.concatenate(codes)
         # rows without an origin match come first, then the others in row order
         order = np.argsort(codes != NO_ORIGIN_MATCH, kind="stable")
-        io.write_exclusions(sidecar, [Table({
+        io.write_exclusions(sidecar, [{
             "row": rows[order] + 2,  # 1 header line precedes the data
             "t": t[order],
             "reason": np.array(REASONS, dtype=object)[codes[order]],
-        })])
+        }])
     n_input = sum(sizes)
     print(f"recovered {n_input - len(rows)} of {n_input} samples ({len(rows)} excluded)")
     return EXIT_OK
@@ -99,16 +99,16 @@ def cmd_evaluate(args) -> int:
     config = io.load_run_config(args.config)
     est_rows = io.read_trajectory(args.input)
     gt_rows = io.read_ground_truth(args.gt)
-    if not len(est_rows):
+    if not len(est_rows["t"]):
         raise EmptyTrajectory(f"{args.input}: no trajectory rows")
-    if not len(gt_rows):
+    if not len(gt_rows["t"]):
         raise EmptyTrajectory(f"{args.gt}: no ground-truth rows")
 
     est_idx, gt_idx, n_dropped = time_sync(est_rows["t"], gt_rows["t"], config.sync_max_gap)
     if len(est_idx) == 0:
         raise LengthMismatch(
             f"no timestamps match within {config.sync_max_gap} s "
-            f"({len(est_rows)} estimates, {len(gt_rows)} ground-truth samples)"
+            f"({len(est_rows['t'])} estimates, {len(gt_rows['t'])} ground-truth samples)"
         )
 
     est = np.column_stack([est_rows[c][est_idx] for c in ("enu_x", "enu_y", "enu_z")])
@@ -124,7 +124,7 @@ def cmd_evaluate(args) -> int:
     # rows recover wrote to its exclusions sidecar never reached the trajectory
     sidecar = _exclusions_path(args.input)
     if sidecar.exists():
-        n_dropped += len(io.read_exclusions(sidecar))
+        n_dropped += len(io.read_exclusions(sidecar)["row"])
     report = trajectory_errors(est[:, :2], gt[:, :2])
     report["n_excluded"] = n_dropped
     report["z_mae"] = float(np.mean(np.abs(est[:, 2] - gt[:, 2])))
@@ -142,7 +142,7 @@ def cmd_simulate(args) -> int:
     with io.staged(args.output, args.gt) as (output, gt):
         io.write_observations(output, [obs_rows])
         io.write_ground_truth(gt, [gt_rows])
-    print(f"simulated {len(obs_rows)} samples")
+    print(f"simulated {len(obs_rows['t'])} samples")
     return EXIT_OK
 
 

@@ -10,20 +10,22 @@ it writes with an exponent (nonzero |x| < 1e-4 or |x| >= 1e16) and
 non-finite ones: they go to orjson as NaN, written null, and each null
 is replaced by the repr of its value.
 
-Logs are read into and written from column tables (depthray.table),
-a block of rows at a time. The numeric fields of a block are read as
-one JSON array by orjson, with the text columns cut off each line: JSON
-numbers are a subset of what float() reads, and orjson rounds them as
-float() does. A block goes through csv.reader + float() instead, so
-that values and errors are the csv module's, when it holds a quote or
-a NUL, when a line has too few or too many fields, when its numeric
-fields hold [ ] { } or the letters t, f or n (of true, false and null)
-or a bare -0 (an integer to JSON, which loses its sign), or when orjson
-cannot parse them or a value is not finite. A block is written as one
-joined string, text fields quoted so that csv.reader reads them back.
-A log can be read block by block; a file is written from a sequence of
-tables to a temporary file, renamed onto the target once complete (see
-staged, which also lets a command replace two files together).
+Logs are read into dicts that map each column name to a 1-D numpy
+array, in schema order, text columns as object arrays, and written
+from any such mappings, a block of rows at a time. The numeric fields
+of a block are read as one JSON array by orjson, with the text columns
+cut off each line: JSON numbers are a subset of what float() reads,
+and orjson rounds them as float() does. A block goes through
+csv.reader + float() instead, so that values and errors are the csv
+module's, when it holds a quote or a NUL, when a line has too few or
+too many fields, when its numeric fields hold [ ] { } or the letters
+t, f or n (of true, false and null) or a bare -0 (an integer to JSON,
+which loses its sign), or when orjson cannot parse them or a value is
+not finite. A block is written as one joined string, text fields
+quoted so that csv.reader reads them back. A log can be read block by
+block; a file is written from a sequence of column mappings to a
+temporary file, renamed onto the target once complete (see staged,
+which also lets a command replace two files together).
 """
 
 import contextlib
@@ -32,6 +34,7 @@ import itertools
 import math
 import os
 import re
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -51,7 +54,6 @@ from .synth import (
     lawnmower_path,
     line_path,
 )
-from .table import Table
 
 GROUND_TRUTH_COLUMNS = ["t", "x", "y", "z"]
 
@@ -216,7 +218,7 @@ def _parse_records(path, columns, text_columns, lines, handle, first_line):
 
 
 def _read_blocks(path, columns, text_columns=()):
-    """Yield a strict-schema CSV as column tables of up to CSV_BLOCK_ROWS rows.
+    """Yield a strict-schema CSV as column dicts of up to CSV_BLOCK_ROWS rows.
 
     The header must match `columns` exactly; any non-numeric or
     non-finite value in a numeric column is a SchemaError carrying the
@@ -253,7 +255,7 @@ def _read_blocks(path, columns, text_columns=()):
                         parsed, n_records = _parse_records(
                             path, columns, text_columns, lines, handle, first_line
                         )
-                    yield Table(dict(zip(columns, parsed)))
+                    yield dict(zip(columns, parsed))
                 first_line += n_records
         except UnicodeDecodeError as exc:
             # exc.object is the chunk being decoded, which ends where the file is read to
@@ -261,8 +263,8 @@ def _read_blocks(path, columns, text_columns=()):
             raise SchemaError(f"{path}: not UTF-8: {exc.reason} at byte {offset}") from None
 
 
-def _read_rows(path, columns, text_columns=()) -> Table:
-    """Read a whole strict-schema CSV into one column table (see _read_blocks)."""
+def _read_rows(path, columns, text_columns=()) -> dict:
+    """Read a whole strict-schema CSV into one column dict (see _read_blocks)."""
     # the empty first part types the columns of a log without rows
     parts = {name: [np.array([], dtype=object if name in text_columns else float)]
              for name in columns}
@@ -270,7 +272,7 @@ def _read_rows(path, columns, text_columns=()) -> Table:
         for name in columns:
             parts[name].append(block[name])
     # each column's parts are dropped as it is joined, so no column is held twice
-    return Table({name: np.concatenate(parts.pop(name)) for name in columns})
+    return {name: np.concatenate(parts.pop(name)) for name in columns}
 
 
 def _number_rows(block) -> list:
@@ -332,34 +334,41 @@ def staged(*paths):
         raise
 
 
-def _write_rows(path, columns, tables, text_columns=()):
-    """Write the `columns` of a sequence of tables as one staged CSV.
+def _write_rows(path, columns, blocks, text_columns=()):
+    """Write the `columns` of a sequence of column mappings as one staged CSV.
 
-    The numeric columns sit together between any text columns; in each
-    block of rows they are stacked into one array for _number_rows, and
-    the text fields joined on at either end. The header and each block
-    are written as one string.
+    Each mapping's columns must be of one length: a ValueError otherwise,
+    and nothing is written. The numeric columns sit together between any
+    text columns; in each block of rows they are stacked into one array
+    for _number_rows, and the text fields joined on at either end. The
+    header and each block are written as one string.
     """
+    if isinstance(blocks, Mapping):  # iterating it would yield its column names
+        raise TypeError(f"{path}: one column mapping is not iterable as a sequence of them")
     numeric = [name for name in columns if name not in text_columns]
     first, stop = columns.index(numeric[0]), columns.index(numeric[-1]) + 1
     with staged(path) as (temp,), temp.open("w", newline="", encoding="utf-8") as handle:
         handle.write(",".join(columns) + "\n")
-        for table in tables:
-            for start in range(0, len(table), CSV_BLOCK_ROWS):
+        for block in blocks:
+            block = {name: np.asarray(block[name]) for name in columns}
+            lengths = {name: len(column) for name, column in block.items()}
+            if len(set(lengths.values())) > 1:
+                raise ValueError(f"{path}: columns differ in length: {lengths}")
+            for start in range(0, lengths[columns[0]], CSV_BLOCK_ROWS):
                 rows = slice(start, start + CSV_BLOCK_ROWS)
                 lines = _number_rows(np.stack(
-                    [np.asarray(table[name][rows], dtype=float) for name in numeric], axis=1
+                    [np.asarray(block[name][rows], dtype=float) for name in numeric], axis=1
                 ))
                 if text_columns:
                     lines = map(",".join, zip(
-                        *(_text_fields(table[name][rows]) for name in columns[:first]),
+                        *(_text_fields(block[name][rows]) for name in columns[:first]),
                         lines,
-                        *(_text_fields(table[name][rows]) for name in columns[stop:]),
+                        *(_text_fields(block[name][rows]) for name in columns[stop:]),
                     ))
                 handle.write("\n".join(lines) + "\n")
 
 
-def read_observations(path) -> Table:
+def read_observations(path) -> dict:
     return _read_rows(path, OBSERVATION_COLUMNS)
 
 
@@ -367,37 +376,37 @@ def read_observation_blocks(path):
     return _read_blocks(path, OBSERVATION_COLUMNS)
 
 
-def write_observations(path, tables):
-    _write_rows(path, OBSERVATION_COLUMNS, tables)
+def write_observations(path, blocks):
+    _write_rows(path, OBSERVATION_COLUMNS, blocks)
 
 
-def read_ground_truth(path) -> Table:
+def read_ground_truth(path) -> dict:
     return _read_rows(path, GROUND_TRUTH_COLUMNS)
 
 
-def write_ground_truth(path, tables):
-    _write_rows(path, GROUND_TRUTH_COLUMNS, tables)
+def write_ground_truth(path, blocks):
+    _write_rows(path, GROUND_TRUTH_COLUMNS, blocks)
 
 
-def read_trajectory(path) -> Table:
+def read_trajectory(path) -> dict:
     return _read_rows(path, TRAJECTORY_COLUMNS, text_columns=("flags",))
 
 
-def write_trajectory(path, tables):
-    _write_rows(path, TRAJECTORY_COLUMNS, tables, text_columns=("flags",))
+def write_trajectory(path, blocks):
+    _write_rows(path, TRAJECTORY_COLUMNS, blocks, text_columns=("flags",))
 
 
-def read_track(path) -> Table:
+def read_track(path) -> dict:
     return _read_rows(path, TRACK_COLUMNS)
 
 
 # row is an integer line reference, not a measurement
-def read_exclusions(path) -> Table:
+def read_exclusions(path) -> dict:
     return _read_rows(path, EXCLUSION_COLUMNS, text_columns=("row", "reason"))
 
 
-def write_exclusions(path, tables):
-    _write_rows(path, EXCLUSION_COLUMNS, tables, text_columns=("row", "reason"))
+def write_exclusions(path, blocks):
+    _write_rows(path, EXCLUSION_COLUMNS, blocks, text_columns=("row", "reason"))
 
 
 # --- YAML configuration ---
@@ -561,6 +570,10 @@ def load_run_config(path) -> RunConfig:
         rescale_a_cam = _number(data, "gt_rescale_a_cam", path)
         if rescale_a_cam <= 0:
             raise ConfigError(f"{path}: gt_rescale_a_cam must be positive")
+    else:
+        for key in ("gt_rescale_a_cam", "gt_rescale_nadir"):
+            if key in data:
+                raise ConfigError(f"{path}: key {key} is used only with gt_rescale: true")
     sync_max_gap = _number(data, "sync_max_gap", path, 0.05)
     if sync_max_gap < 0:
         raise ConfigError(f"{path}: sync_max_gap must be non-negative")

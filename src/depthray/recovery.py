@@ -31,7 +31,6 @@ from .geometry import (
     wrap_angle,
     yaw_pitch_roll_matrix,
 )
-from .table import Table
 
 # Rays meeting the depth plane shallower than this (normalized inner
 # product) produce fixes too noisy to aggregate.
@@ -196,16 +195,16 @@ def _degrees_to_angles(columns, prefix):
     )))
 
 
-def recover_batch(columns, config) -> tuple[Table, np.ndarray]:
+def recover_batch(columns, config) -> tuple[dict, np.ndarray]:
     """Recover every observation row, column by column.
 
     columns: mapping from OBSERVATION_COLUMNS (angles in degrees) to
-    equal-length arrays, such as the table io.read_observations returns.
+    equal-length arrays, such as the dict io.read_observations returns.
     config: a run configuration with intrinsics, distortion, rig,
     ellipsoid and altitude_datum_offset.
 
-    Returns the trajectory table (TRAJECTORY_COLUMNS) of the recovered
-    rows, in input order, and an int8 reason code per input row:
+    Returns a dict from TRAJECTORY_COLUMNS to the columns of the
+    recovered rows, in input order, and an int8 reason code per input row:
     RECOVERED, or why the row was excluded (REASONS names the codes).
     The intermediate arrays grow with the rows passed in; `recover`
     passes one CSV block at a time.
@@ -234,10 +233,10 @@ def recover_batch(columns, config) -> tuple[Table, np.ndarray]:
     lon = np.radians(columns["ref_lon_deg"][rows])
     ref = np.column_stack([lat[rows], lon, columns["ref_alt_m"][rows]])
     geo = ecef_to_geodetic(enu_to_ecef(p_d, ref, config.ellipsoid), config.ellipsoid)
-    return Table({
+    return {
         "t": columns["t"][rows],
         "cam_x": p_c[:, 0], "cam_y": p_c[:, 1], "cam_z": p_c[:, 2],
         "enu_x": p_d[:, 0], "enu_y": p_d[:, 1], "enu_z": p_d[:, 2],
         "lat_deg": np.degrees(geo[:, 0]), "lon_deg": np.degrees(geo[:, 1]), "alt_m": geo[:, 2],
         "flags": np.where(intr.contains(u, v), "", "out_of_frame"),
-    }), codes
+    }, codes

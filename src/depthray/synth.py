@@ -26,7 +26,6 @@ from .recovery import (
     plane_depth,
     project,
 )
-from .table import Table
 
 MIN_CAMERA_Z = 1e-9
 
@@ -100,12 +99,12 @@ class Scenario:
         return len(self.path_xy)
 
 
-def generate_logs(scenario: Scenario) -> tuple[Table, Table]:
-    """Produce the observation log and the exact ground truth as tables.
+def generate_logs(scenario: Scenario) -> tuple[dict, dict]:
+    """Produce the observation log and the exact ground truth as column dicts.
 
-    The observation table has the batch-pipeline input columns (pixel
+    The observation dict has the batch-pipeline input columns (pixel
     track, altitude, depth, attitudes, reference fix) with noise applied
-    per channel; the truth table (t, x, y, z) holds the exact positions
+    per channel; the truth dict (t, x, y, z) holds the exact positions
     in {D}, the body-fixed ENU frame of the recovered trajectory, as
     p_G + R_body o for the camera offset o. The same seed always yields
     the same rows: noise is drawn row by row, in channel order, for the
@@ -157,7 +156,7 @@ def generate_logs(scenario: Scenario) -> tuple[Table, Table]:
     ]))
     p_d = camera_to_body(positions, scenario.body, rig)
     truth = dict(zip(["t", "x", "y", "z"], [t.copy(), *p_d.T]))
-    return Table(obs), Table(truth)
+    return obs, truth
 
 
 def lawnmower_path(n: int, width: float, height: float, legs: int) -> np.ndarray:

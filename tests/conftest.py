@@ -41,6 +41,13 @@ def bowring_oracle(x, y, z, ell=WGS84, iterations=20):
     return lat, np.arctan2(y, x), h
 
 
+def assert_columns_equal(a, b):
+    """Two column mappings hold the same names, in the same order, and equal columns."""
+    assert list(a) == list(b)
+    for name in a:
+        assert np.array_equal(a[name], b[name]), name
+
+
 def geodetic_deg(lat_deg, lon_deg, h):
     """Geodetic points (..., 3) from latitudes and longitudes in degrees."""
     return np.stack([np.radians(lat_deg), np.radians(lon_deg), np.asarray(h, dtype=float)], axis=-1)

@@ -11,7 +11,6 @@ import pytest
 import depthray
 from depthray import io
 from depthray.cli import main
-from depthray.table import Table
 
 CALIB = """\
 fx: 1000.0
@@ -139,7 +138,7 @@ class TestPipeline:
             "--output", workdir / "traj.csv",
         )
         rows = io.read_trajectory(workdir / "traj.csv")
-        assert len(rows) == 120
+        assert len(rows["t"]) == 120
         # geodetic fix stays near the reference for a 10 m survey
         assert abs(rows["lat_deg"][0] - 42.87) < 0.01
         assert abs(rows["lon_deg"][0] - 17.7) < 0.01
@@ -196,7 +195,7 @@ class TestRecoverErrors:
             "--input", workdir / "obs.csv",
             "--output", workdir / "traj.csv",
         ) == 0
-        assert len(io.read_trajectory(workdir / "traj.csv")) == 119
+        assert len(io.read_trajectory(workdir / "traj.csv")["t"]) == 119
         excl = (workdir / "traj.csv.exclusions.csv").read_text().splitlines()
         assert excl[0] == "row,t,reason"
         assert excl[1].endswith("degenerate")
@@ -392,13 +391,13 @@ class TestEvaluateCommand:
         # RMSE rounds a few ulps below the equal MAE; both are reported
         t = np.arange(6.0)
         zeros = np.zeros(6)
-        io.write_trajectory(workdir / "traj.csv", [Table({
+        io.write_trajectory(workdir / "traj.csv", [{
             "t": t, **dict.fromkeys(["cam_x", "cam_y", "cam_z"], zeros),
             "enu_x": np.full(6, 99999.9), "enu_y": zeros, "enu_z": zeros,
             **dict.fromkeys(["lat_deg", "lon_deg", "alt_m"], zeros),
             "flags": np.full(6, "", dtype=object),
-        })])
-        io.write_ground_truth(workdir / "gt.csv", [Table({"t": t, **dict.fromkeys("xyz", zeros)})])
+        }])
+        io.write_ground_truth(workdir / "gt.csv", [{"t": t, **dict.fromkeys("xyz", zeros)}])
         assert run(
             workdir, "evaluate",
             "--config", workdir / "run.yaml",
@@ -426,6 +425,24 @@ class TestEvaluateCommand:
             "--output", workdir / "report.json",
         ) == 2
         assert "gt_rescale_nadir" in capsys.readouterr().err
+        assert not (workdir / "report.json").exists()
+
+    def test_rescale_keys_without_gt_rescale_exit_2(self, workdir, capsys):
+        simulate(workdir)
+        self._recover(workdir)
+        (workdir / "run_rescale.yaml").write_text(
+            "calibration: cal.yaml\ngt_rescale_a_cam: 25.0\ngt_rescale_nadir: [3.0, 1.0]\n",
+            encoding="utf-8",
+        )
+        capsys.readouterr()
+        assert run(
+            workdir, "evaluate",
+            "--config", workdir / "run_rescale.yaml",
+            "--input", workdir / "traj.csv",
+            "--gt", workdir / "gt.csv",
+            "--output", workdir / "report.json",
+        ) == 2
+        assert "gt_rescale_a_cam" in capsys.readouterr().err
         assert not (workdir / "report.json").exists()
 
     # YAML reads a run of 400 digits as an integer that no float holds
@@ -487,8 +504,8 @@ class TestOriginTrack:
         rows = io.read_observations(workdir / "obs.csv")
         rows["u"][:] += 17.0
         rows["v"][:] -= 9.0
-        n = len(rows)
-        track = Table({"t": rows["t"], "u": np.full(n, 960.0 + 17.0), "v": np.full(n, 540.0 - 9.0)})
+        n = len(rows["t"])
+        track = {"t": rows["t"], "u": np.full(n, 960.0 + 17.0), "v": np.full(n, 540.0 - 9.0)}
         io.write_observations(workdir / "obs.csv", [rows])
         io._write_rows(workdir / "origin.csv", io.TRACK_COLUMNS, [track])
         assert run(
@@ -516,7 +533,7 @@ class TestOriginTrack:
         t = io.read_observations(workdir / "obs.csv")["t"]
         order = np.random.default_rng(2).permutation(2 * len(t))
         n = len(order)
-        track = Table({"t": np.tile(t, 2)[order], "u": np.full(n, 960.0), "v": np.full(n, 540.0)})
+        track = {"t": np.tile(t, 2)[order], "u": np.full(n, 960.0), "v": np.full(n, 540.0)}
         io._write_rows(workdir / "origin.csv", io.TRACK_COLUMNS, [track])
         monkeypatch.setattr(io, "CSV_BLOCK_ROWS", 7)
         assert run(
@@ -645,7 +662,7 @@ class TestModuleEntry:
         result = self.run_module(workdir, "run.yaml")
         assert result.returncode == 0, result.stderr
         assert "recovered 120 of 120 samples" in result.stdout
-        assert len(io.read_trajectory(workdir / "traj.csv")) == 120
+        assert len(io.read_trajectory(workdir / "traj.csv")["t"]) == 120
 
     def test_python_m_missing_config_exits_2(self, workdir):
         simulate(workdir)

@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 
 from depthray import io
 from depthray.errors import ConfigError, SchemaError
-from depthray.table import Table
+
+from conftest import assert_columns_equal
 
 CALIB = """\
 fx: 1000.0
@@ -92,6 +93,17 @@ gt_rescale_nadir: [0.5, 0.5]
         assert config.gt_frame.yaw == pytest.approx(np.radians(-67.3))
         assert config.gt_rescale_a_cam == 25.0
 
+    @pytest.mark.parametrize("key, value", [
+        ("gt_rescale_a_cam", "25.0"), ("gt_rescale_nadir", "[3.0, 1.0]"),
+    ], ids=["a_cam", "nadir"])
+    @pytest.mark.parametrize("switch", ["", "gt_rescale: false\n"], ids=["unset", "false"])
+    def test_rescale_keys_need_gt_rescale(self, tmp_path, key, value, switch):
+        # without gt_rescale: true they would be ignored, and the truth scored unrescaled
+        write(tmp_path / "cal.yaml", CALIB)
+        text = f"calibration: cal.yaml\n{switch}{key}: {value}\n"
+        with pytest.raises(ConfigError, match=f"key {key} is used only with gt_rescale: true"):
+            io.load_run_config(write(tmp_path / "run.yaml", text))
+
     def test_unknown_key_rejected(self, tmp_path):
         write(tmp_path / "cal.yaml", CALIB)
         with pytest.raises(ConfigError, match="gimbal_mode"):
@@ -166,12 +178,12 @@ class TestCsv:
         values = np.random.default_rng(5).uniform(0.1, 100.0, (5, 14))
         # -0.0, and values written with an exponent
         values[1:] *= [[-0.0], [1e-9], [1e17], [-5e-324 / 0.1]]
-        rows = Table(dict(zip(io.OBSERVATION_COLUMNS, values.T)))
+        rows = dict(zip(io.OBSERVATION_COLUMNS, values.T))
         path = tmp_path / "obs.csv"
         io.write_observations(path, [rows])
         assert "-0.0," in path.read_text() and "e-" in path.read_text()
         back = io.read_observations(path)
-        assert list(back.columns) == list(rows.columns)
+        assert list(back) == list(rows)
         for name in io.OBSERVATION_COLUMNS:
             assert np.array_equal(back[name].view(np.uint64), rows[name].view(np.uint64))
 
@@ -202,7 +214,7 @@ GT_HEADER = "t,x,y,z\n"
 
 
 def gt_table(*rows):
-    return Table({c: np.array(v, dtype=float) for c, v in zip(io.GROUND_TRUTH_COLUMNS, zip(*rows))})
+    return {c: np.array(v, dtype=float) for c, v in zip(io.GROUND_TRUTH_COLUMNS, zip(*rows))}
 
 
 def read_gt(tmp_path, text):
@@ -222,11 +234,11 @@ class TestCsvReader:
 
     def test_crlf_line_endings(self, tmp_path):
         text = "t,x,y,z\r\n0.0,1.0,2.0,3.0\r\n1.0,4.0,5.0,6.0\r\n"
-        assert read_gt(tmp_path, text) == gt_table([0, 1, 2, 3], [1, 4, 5, 6])
+        assert_columns_equal(read_gt(tmp_path, text), gt_table([0, 1, 2, 3], [1, 4, 5, 6]))
 
     def test_blank_lines_skipped(self, tmp_path):
         text = GT_HEADER + "\n0.0,1.0,2.0,3.0\n\r\n\n1.0,4.0,5.0,6.0\n\n"
-        assert read_gt(tmp_path, text) == gt_table([0, 1, 2, 3], [1, 4, 5, 6])
+        assert_columns_equal(read_gt(tmp_path, text), gt_table([0, 1, 2, 3], [1, 4, 5, 6]))
         # blank lines still count in the line numbers
         assert schema_error(tmp_path, GT_HEADER + "\n\r\n0.0,a,2.0,3.0\n") == (
             "line 4: gt.csv: column x: not a number: 'a'", 4
@@ -239,7 +251,7 @@ class TestCsvReader:
 
     def test_number_spellings_read_as_float_does(self, tmp_path):
         text = GT_HEADER + '"1.5",1_0,+1, 1.0 \n'
-        assert read_gt(tmp_path, text) == gt_table([1.5, 10.0, 1.0, 1.0])
+        assert_columns_equal(read_gt(tmp_path, text), gt_table([1.5, 10.0, 1.0, 1.0]))
 
     def test_unit_separator_is_not_space(self, tmp_path):
         # float() does not strip \x1c-\x1f as it strips spaces
@@ -283,8 +295,8 @@ class TestCsvReader:
 
     def test_empty_file_after_header(self, tmp_path):
         table = read_gt(tmp_path, GT_HEADER)
-        assert len(table) == 0
-        assert list(table.columns) == io.GROUND_TRUTH_COLUMNS
+        assert len(table["t"]) == 0
+        assert list(table) == io.GROUND_TRUTH_COLUMNS
         assert all(table[c].dtype == float for c in io.GROUND_TRUTH_COLUMNS)
 
     @pytest.mark.parametrize("offset", [3, 8190, 8191, 8192, 8195, 20000])
@@ -487,7 +499,7 @@ def trajectories(draw):
     columns = {c: draw(number_columns(n)) for c in io.TRAJECTORY_COLUMNS[:-1]}
     texts = st.sampled_from(["", "out_of_frame", "a,b", 'q"x', "two\nlines"])
     columns["flags"] = np.array(draw(st.lists(texts, min_size=n, max_size=n)), dtype=object)
-    return Table(columns)
+    return columns
 
 
 ODD_VALUES = [
@@ -524,17 +536,17 @@ def any_column(draw, n, text):
 def schema_tables(draw):
     writer, columns, text_columns = draw(st.sampled_from(WRITERS))
     tables = [
-        Table({c: draw(any_column(n, c in text_columns)) for c in columns})
+        {c: draw(any_column(n, c in text_columns)) for c in columns}
         for n in draw(st.lists(st.integers(0, 20), min_size=1, max_size=3))
     ]
     return writer, columns, text_columns, tables
 
 
 # values whose shortest repr is easy to get wrong
-SHORTEST_REPR = Table({
+SHORTEST_REPR = {
     **{c: [0.1, 1.0 / 3.0, 25.630000000000003, -1e-17] for c in io.TRAJECTORY_COLUMNS[:-1]},
     "flags": np.array([""] * 4, dtype=object),
-})
+}
 
 
 class TestCsvWriter:
@@ -576,24 +588,25 @@ class TestCsvWriter:
 
     def test_carriage_return_in_a_text_field_round_trips(self, tmp_path):
         flags = ["a\rb", "\r", "\r\n", "ok"]
-        table = Table({
+        table = {
             **{c: np.arange(4.0) for c in io.TRAJECTORY_COLUMNS[:-1]},
             "flags": np.array(flags, dtype=object),
-        })
+        }
         path = tmp_path / "traj.csv"
         io.write_trajectory(path, [table])
         assert list(io.read_trajectory(path)["flags"]) == flags
 
     def test_none_text_value_is_an_empty_field(self, tmp_path):
-        table = Table({"row": np.array([None, 4], dtype=object), "t": [0.5, 1.0],
-                       "reason": np.array(["degenerate", None], dtype=object)})
+        table = {"row": np.array([None, 4], dtype=object), "t": [0.5, 1.0],
+                 "reason": np.array(["degenerate", None], dtype=object)}
         path = tmp_path / "excl.csv"
         io.write_exclusions(path, [table])
         assert path.read_bytes() == reference_csv(io.EXCLUSION_COLUMNS, table, ("row", "reason"))
         assert path.read_text().splitlines()[1:] == [",0.5,degenerate", "4,1.0,"]
 
     def test_integer_text_column(self, tmp_path):
-        table = Table({"row": np.array([2, 17]), "t": [0.5, -0.0], "reason": ["degenerate"] * 2})
+        table = {"row": np.array([2, 17]), "t": [0.5, -0.0],
+                 "reason": np.array(["degenerate"] * 2, dtype=object)}
         path = tmp_path / "excl.csv"
         io.write_exclusions(path, [table])
         assert path.read_bytes() == reference_csv(io.EXCLUSION_COLUMNS, table, ("row", "reason"))
@@ -601,15 +614,32 @@ class TestCsvWriter:
 
     def test_blocks_written_in_order(self, tmp_path):
         n = 2 * io.CSV_BLOCK_ROWS + 3
-        table = Table({c: np.arange(n) + k for k, c in enumerate(io.GROUND_TRUTH_COLUMNS)})
+        table = {c: np.arange(n) + k for k, c in enumerate(io.GROUND_TRUTH_COLUMNS)}
         path = tmp_path / "gt.csv"
         io.write_ground_truth(path, [table])
         assert path.read_bytes() == reference_csv(io.GROUND_TRUTH_COLUMNS, table, ())
-        assert io.read_ground_truth(path) == Table({c: table[c].astype(float) for c in table.columns})
+        assert_columns_equal(io.read_ground_truth(path), {c: table[c].astype(float) for c in table})
 
+    def test_a_plain_dict_writes_every_row(self, tmp_path):
+        # rows are counted from the columns, not from the mapping's keys
+        n = 5000
+        assert n > io.CSV_BLOCK_ROWS
+        block = {c: np.arange(n) + k for k, c in enumerate(io.GROUND_TRUTH_COLUMNS)}
+        path = tmp_path / "gt.csv"
+        io.write_ground_truth(path, [block])
+        assert len(io.read_ground_truth(path)["t"]) == n
+
+    def test_columns_of_unequal_length_are_refused_and_leave_no_file(self, tmp_path):
+        block = {"row": np.array([2, 3, 4]), "t": [0.5, 1.0, 1.5],
+                 "reason": np.array(["degenerate"] * 2, dtype=object)}
+        path = tmp_path / "excl.csv"
+        with pytest.raises(ValueError, match="columns differ in length") as info:
+            io.write_exclusions(path, [block])
+        assert str(path) in str(info.value) and "'reason': 2" in str(info.value)
+        assert list(tmp_path.iterdir()) == []
 
     def test_a_bare_table_is_refused_and_leaves_no_file(self, tmp_path):
-        # writers take a sequence of tables; a Table is not a sequence of rows
+        # writers take a sequence of column mappings, not one mapping
         with pytest.raises(TypeError, match="not iterable"):
             io.write_ground_truth(tmp_path / "gt.csv", gt_table((0.0, 1.0, 2.0, 3.0)))
         assert list(tmp_path.iterdir()) == []
@@ -621,7 +651,7 @@ class TestCsvWriter:
         path = tmp_path_factory.mktemp("csv") / "out.csv"
         with mock.patch.object(io, "CSV_BLOCK_ROWS", block_rows):
             writer(path, tables)
-        whole = Table({c: np.concatenate([t[c] for t in tables]) for c in columns})
+        whole = {c: np.concatenate([t[c] for t in tables]) for c in columns}
         assert path.read_bytes() == reference_csv(columns, whole, text_columns)
 
 

@@ -1,3 +1,5 @@
+import importlib
+import re
 from pathlib import Path
 
 import depthray
@@ -11,6 +13,17 @@ def test_every_exported_name_resolves():
     missing = [name for name in depthray.__all__ if not hasattr(depthray, name)]
     assert missing == []
     assert len(set(depthray.__all__)) == len(depthray.__all__)
+
+
+def test_readme_library_names_every_module():
+    # each module of the package is documented, and each documented one exists
+    text = README.read_text(encoding="utf-8")
+    section = text.split("\n## Library\n", 1)[1].split("\n## ", 1)[0]
+    named = set(re.findall(r"`depthray\.(\w+)`", section))
+    for name in sorted(named):
+        importlib.import_module(f"depthray.{name}")
+    package = Path(depthray.__file__).parent
+    assert named == {path.stem for path in package.glob("*.py")} - {"__init__"}
 
 
 def readme_block(heading):
@@ -34,4 +47,4 @@ def test_readme_batch_api_block_runs(tmp_path, monkeypatch):
     assert main(["simulate", "--config", "scenario.yaml", "--output", "obs.csv",
                  "--gt", "gt.csv"]) == 0
     exec(compile(readme_block("### Batch API"), str(README), "exec"), {})
-    assert len(io.read_trajectory("traj.csv")) == 20
+    assert len(io.read_trajectory("traj.csv")["t"]) == 20

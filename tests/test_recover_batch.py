@@ -109,7 +109,7 @@ def test_noiseless_logs_recover_the_body_frame_truth(
     except InfeasibleScene:
         assume(False)
     trajectory, codes = recover_batch(obs, RunConfig(INTRINSICS, dist, rig, ell))
-    assert [REASONS[c] for c in codes] == [""] * len(obs)
+    assert [REASONS[c] for c in codes] == [""] * len(obs["t"])
     expected = np.column_stack([truth["x"], truth["y"], truth["z"]])
     enu = np.column_stack([trajectory["enu_x"], trajectory["enu_y"], trajectory["enu_z"]])
     np.testing.assert_allclose(enu, expected, rtol=0.0, atol=1e-8)

@@ -130,6 +130,6 @@ def test_whole_read_holds_each_column_once(tmp_path, monkeypatch):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    column_bytes = sum(table[name].nbytes for name in table.columns)
+    column_bytes = sum(column.nbytes for column in table.values())
     # 2.0x when every block is kept until all columns are joined
     assert peak <= 1.3 * column_bytes
