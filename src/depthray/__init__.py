@@ -11,10 +11,9 @@ from .camera import (
     undistort,
 )
 from .evaluate import (
-    GroundTruthFrame,
     enu_to_ground_truth,
+    match_sorted,
     rescale_grid_point,
-    time_sync,
     trajectory_errors,
 )
 from .geodesy import (
@@ -36,10 +35,9 @@ __all__ = [
     "normalized_to_pixel",
     "pixel_to_normalized",
     "undistort",
-    "GroundTruthFrame",
     "enu_to_ground_truth",
+    "match_sorted",
     "rescale_grid_point",
-    "time_sync",
     "trajectory_errors",
     "WGS84",
     "Ellipsoid",

@@ -20,8 +20,7 @@ from .errors import (
     LengthMismatch,
     SchemaError,
 )
-from .evaluate import _match_sorted
-from .evaluate import enu_to_ground_truth, rescale_grid_point, time_sync, trajectory_errors
+from .evaluate import enu_to_ground_truth, match_sorted, rescale_grid_point, trajectory_errors
 from .recovery import NO_ORIGIN_MATCH, OBSERVATION_COLUMNS, RECOVERED, REASONS, recover_batch
 from .synth import generate_logs
 
@@ -35,11 +34,22 @@ def _exclusions_path(trajectory) -> Path:
     return Path(str(trajectory) + ".exclusions.csv")
 
 
+def _read_sorted(read, path, what) -> dict:
+    """A time-keyed log read whole by `read` and stably sorted by time, once
+    for all the matching against it; an empty log is an EmptyTrajectory."""
+    rows = read(path)
+    if not len(rows["t"]):
+        raise EmptyTrajectory(f"{path}: no {what} rows")
+    order = np.argsort(rows["t"], kind="stable")
+    # each column is sorted in turn and its unsorted copy dropped
+    return {name: rows.pop(name)[order] for name in list(rows)}
+
+
 def _recover_blocks(blocks, track, config, outcomes):
     """Recover observation blocks (column dicts) one at a time, yielding
     their trajectory columns.
 
-    With an origin track (stably sorted by time), each pixel is replaced by
+    With an origin track (see _read_sorted), each pixel is replaced by
     its offset from the time-matched origin sample, re-anchored at the
     principal point, which cancels hover drift; rows without a match are
     excluded. Appends to `outcomes`, per block, its row count and copies
@@ -51,7 +61,7 @@ def _recover_blocks(blocks, track, config, outcomes):
         t, matched = obs["t"], slice(None)
         codes = np.full(len(t), NO_ORIGIN_MATCH, dtype=np.int8)
         if track is not None:
-            matched, track_idx, _ = _match_sorted(t, track["t"], config.sync_max_gap)
+            matched, track_idx, _ = match_sorted(t, track["t"], config.sync_max_gap)
             obs = {name: obs[name][matched] for name in OBSERVATION_COLUMNS}
             obs["u"] = intr.cx + (obs["u"] - track["u"][track_idx])
             obs["v"] = intr.cy + (obs["v"] - track["v"][track_idx])
@@ -71,12 +81,7 @@ def cmd_recover(args) -> int:
         raise EmptyTrajectory(f"{args.input}: no observation rows") from None
     track = None
     if args.origin_track:
-        track = io.read_track(args.origin_track)
-        if not len(track["t"]):
-            raise EmptyTrajectory(f"{args.origin_track}: no track rows")
-        order = np.argsort(track["t"], kind="stable")  # once, not per block
-        # each column is sorted in turn and its unsorted copy dropped
-        track = {name: track.pop(name)[order] for name in io.TRACK_COLUMNS}
+        track = _read_sorted(io.read_track, args.origin_track, "track")
     outcomes = []
     # the trajectory replaces --output only once its sidecar is in place
     with io.staged(args.output, _exclusions_path(args.output)) as (output, sidecar):
@@ -98,13 +103,11 @@ def cmd_recover(args) -> int:
 def cmd_evaluate(args) -> int:
     config = io.load_run_config(args.config)
     est_rows = io.read_trajectory(args.input)
-    gt_rows = io.read_ground_truth(args.gt)
     if not len(est_rows["t"]):
         raise EmptyTrajectory(f"{args.input}: no trajectory rows")
-    if not len(gt_rows["t"]):
-        raise EmptyTrajectory(f"{args.gt}: no ground-truth rows")
+    gt_rows = _read_sorted(io.read_ground_truth, args.gt, "ground-truth")
 
-    est_idx, gt_idx, n_dropped = time_sync(est_rows["t"], gt_rows["t"], config.sync_max_gap)
+    est_idx, gt_idx, n_dropped = match_sorted(est_rows["t"], gt_rows["t"], config.sync_max_gap)
     if len(est_idx) == 0:
         raise LengthMismatch(
             f"no timestamps match within {config.sync_max_gap} s "
@@ -114,8 +117,8 @@ def cmd_evaluate(args) -> int:
     est = np.column_stack([est_rows[c][est_idx] for c in ("enu_x", "enu_y", "enu_z")])
     gt = np.column_stack([gt_rows[c][gt_idx] for c in ("x", "y", "z")])
 
-    if config.gt_frame is not None:
-        est = enu_to_ground_truth(est, config.gt_frame)
+    if config.gt_frame_yaw is not None:
+        est = enu_to_ground_truth(est, config.gt_frame_yaw, config.gt_frame_translation)
     a_cam = config.gt_rescale_a_cam
     if a_cam is not None:
         depth = np.maximum(-gt[:, 2] - a_cam, 0.0)

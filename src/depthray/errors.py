@@ -22,10 +22,6 @@ class SchemaError(DepthrayError):
         self.line = line
 
 
-class DegenerateGeometry(DepthrayError):
-    """Sensor readings place the camera at or below the target plane."""
-
-
 class EmptyTrajectory(DepthrayError):
     """No samples left to evaluate."""
 

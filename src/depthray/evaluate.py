@@ -6,33 +6,23 @@ diagnostic rather than folded into the headline numbers.
 """
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegenerateGeometry, EmptyTrajectory, LengthMismatch
+from .errors import EmptyTrajectory, LengthMismatch
 from .geometry import rot_z
 
 
-@dataclass(frozen=True)
-class GroundTruthFrame:
-    """Survey frame: yawed about z relative to ENU, then translated."""
-
-    yaw: float  # radians
-    translation: np.ndarray = field(default_factory=lambda: np.zeros(3))
-
-    def __post_init__(self):
-        if not (math.isfinite(self.yaw) and abs(self.yaw) <= math.pi):
-            raise ValueError(f"yaw must be finite and within [-pi, pi], got {self.yaw}")
-        t = np.asarray(self.translation, dtype=float)
-        if t.shape != (3,) or not np.all(np.isfinite(t)):
-            raise ValueError("translation must be a finite 3-vector")
-        object.__setattr__(self, "translation", t)
-
-
-def enu_to_ground_truth(p, frame: GroundTruthFrame) -> np.ndarray:
-    """Rigidly transform ENU points, (3,) or (n, 3), into the survey frame."""
-    return np.asarray(p, dtype=float) @ rot_z(frame.yaw).T + frame.translation
+def enu_to_ground_truth(p, yaw: float, translation) -> np.ndarray:
+    """Rigidly transform ENU points, (3,) or (n, 3), into a survey frame:
+    yawed by `yaw` radians about z relative to ENU, then translated by
+    the 3-vector `translation`."""
+    translation = np.asarray(translation, dtype=float)
+    if not math.isfinite(yaw):
+        raise ValueError(f"yaw must be finite, got {yaw}")
+    if translation.shape != (3,) or not np.all(np.isfinite(translation)):
+        raise ValueError("translation must be a finite 3-vector")
+    return np.asarray(p, dtype=float) @ rot_z(yaw).T + translation
 
 
 def rescale_grid_point(grid_xy, nadir_xy, a_cam: float, d_uuv: float) -> np.ndarray:
@@ -44,7 +34,7 @@ def rescale_grid_point(grid_xy, nadir_xy, a_cam: float, d_uuv: float) -> np.ndar
     with a scalar depth, or (n, 2) with n depths.
     """
     if not a_cam > 0:
-        raise DegenerateGeometry(f"camera height above surface must be positive, got {a_cam}")
+        raise ValueError(f"camera height above surface must be positive, got {a_cam}")
     grid_xy = np.asarray(grid_xy, dtype=float)
     nadir_xy = np.asarray(nadir_xy, dtype=float)
     scale = np.asarray((a_cam + np.asarray(d_uuv, dtype=float)) / a_cam)
@@ -76,29 +66,26 @@ def trajectory_errors(est, gt) -> dict:
     }
 
 
-def time_sync(t_est, t_gt, max_gap: float):
-    """Match each estimate timestamp to the nearest ground-truth one.
+def match_sorted(t, sorted_ref, max_gap: float):
+    """Match each timestamp of `t` to the nearest of `sorted_ref`.
 
-    Returns (est_idx, gt_idx, n_dropped): paired index arrays for samples
-    whose nearest neighbor lies within max_gap seconds, and the count of
-    estimates dropped for lack of a close-enough match.
+    `sorted_ref` must be sorted ascending. Returns (idx, ref_idx,
+    n_dropped): paired indices into `t` and `sorted_ref` for the
+    timestamps whose nearest lies within max_gap seconds, and the count
+    of timestamps left without such a match.
+
+    Raises:
+        EmptyTrajectory: `sorted_ref` is empty.
     """
-    t_est = np.asarray(t_est, dtype=float)
-    t_gt = np.asarray(t_gt, dtype=float)
-    if len(t_gt) == 0 or len(t_est) == 0:
-        raise EmptyTrajectory("cannot sync empty timestamp sequences")
-    order = np.argsort(t_gt, kind="stable")
-    est_idx, nearest, n_dropped = _match_sorted(t_est, t_gt[order], max_gap)
-    return est_idx, order[nearest], n_dropped
-
-
-def _match_sorted(t_est, sorted_gt, max_gap: float):
-    """time_sync against stably sorted timestamps, its gt_idx indexing `sorted_gt`."""
-    pos = np.searchsorted(sorted_gt, t_est)
-    pos = np.clip(pos, 1, len(sorted_gt) - 1) if len(sorted_gt) > 1 else np.zeros_like(pos)
-    left = np.abs(t_est - sorted_gt[np.maximum(pos - 1, 0)])
-    right = np.abs(sorted_gt[pos] - t_est)
+    t = np.asarray(t, dtype=float)
+    sorted_ref = np.asarray(sorted_ref, dtype=float)
+    if len(sorted_ref) == 0:
+        raise EmptyTrajectory("no reference timestamps to match against")
+    pos = np.searchsorted(sorted_ref, t)
+    pos = np.clip(pos, 1, len(sorted_ref) - 1) if len(sorted_ref) > 1 else np.zeros_like(pos)
+    left = np.abs(t - sorted_ref[np.maximum(pos - 1, 0)])
+    right = np.abs(sorted_ref[pos] - t)
     nearest = np.where(left <= right, np.maximum(pos - 1, 0), pos)
-    gap = np.abs(sorted_gt[nearest] - t_est)
+    gap = np.abs(sorted_ref[nearest] - t)
     keep = gap <= max_gap
     return np.nonzero(keep)[0], nearest[keep], int(np.sum(~keep))

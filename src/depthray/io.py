@@ -21,7 +21,9 @@ module's, when it holds a quote or a NUL, when a line has too few or
 too many fields, when its numeric fields hold [ ] { } or the letters
 t, f or n (of true, false and null) or a bare -0 (an integer to JSON,
 which loses its sign), or when orjson cannot parse them or a value is
-not finite. A block is written as one joined string, text fields
+not finite. What csv.reader refuses (a field over its size limit, a
+NUL before Python 3.11) is a SchemaError naming the line, as a bad
+value is. A block is written as one joined string, text fields
 quoted so that csv.reader reads them back. A log can be read block by
 block; a file is written from a sequence of column mappings to a
 temporary file, renamed onto the target once complete (see staged,
@@ -44,7 +46,6 @@ import yaml
 
 from .camera import CameraIntrinsics, DistortionCoeffs
 from .errors import ConfigError, SchemaError
-from .evaluate import GroundTruthFrame
 from .geodesy import ELLIPSOIDS, WGS84, Ellipsoid
 from .recovery import OBSERVATION_COLUMNS, TRAJECTORY_COLUMNS, RigConfig
 from .synth import (
@@ -167,15 +168,12 @@ def _parse_lines(columns, text_columns, records):
         return None
     numeric = [name for name in columns if name not in text_columns]
     texts = {}
-    if text_columns:
-        body = map(str.rstrip, records, itertools.repeat("\r\n"))
-        for name in columns[:columns.index(numeric[0])]:
-            texts[name], _, body = zip(*map(str.partition, body, itertools.repeat(",")))
-        for name in reversed(columns[columns.index(numeric[-1]) + 1:]):
-            body, _, texts[name] = zip(*map(str.rpartition, body, itertools.repeat(",")))
-        body = ",".join(body)
-    else:
-        body = text.rstrip("\r\n").replace("\n", ",")
+    body = map(str.rstrip, records, itertools.repeat("\r\n"))
+    for name in columns[:columns.index(numeric[0])]:
+        texts[name], _, body = zip(*map(str.partition, body, itertools.repeat(",")))
+    for name in reversed(columns[columns.index(numeric[-1]) + 1:]):
+        body, _, texts[name] = zip(*map(str.rpartition, body, itertools.repeat(",")))
+    body = ",".join(body)
     if any(c in body for c in _JSON_ONLY_CHARS) or _NEGATIVE_ZERO.search(body):
         return None
     try:
@@ -201,10 +199,13 @@ def _parse_records(path, columns, text_columns, lines, handle, first_line):
     """
     reader = csv.reader(itertools.chain(lines, handle))
     records = []
-    for raw in reader:
-        records.append(raw)
-        if reader.line_num >= len(lines):
-            break
+    try:
+        for raw in reader:
+            records.append(raw)
+            if reader.line_num >= len(lines):
+                break
+    except csv.Error as exc:  # a field over csv.field_size_limit, or a NUL before 3.11
+        raise SchemaError(f"{path}: {exc}", line=first_line + len(records)) from None
     checked = []
     for lineno, raw in enumerate(records, start=first_line):
         if raw:
@@ -227,8 +228,8 @@ def _read_blocks(path, columns, text_columns=()):
     Each block of lines is parsed by _parse_lines. A block it cannot
     take as csv.reader would (quotes, bad or unusual fields) is read by
     csv.reader + float() instead, so the values and the error are the
-    same either way. Bytes that are not UTF-8 are a SchemaError naming
-    the offset of the first bad byte.
+    same either way; a csv.Error is a SchemaError too. Bytes that are
+    not UTF-8 are a SchemaError naming the offset of the first bad byte.
     """
     path = Path(path)
     try:
@@ -237,7 +238,11 @@ def _read_blocks(path, columns, text_columns=()):
         raise SchemaError(f"cannot open {path}: {exc}") from exc
     with handle:
         try:
-            header = next(csv.reader(handle), None)
+            reader = csv.reader(handle)
+            try:
+                header = next(reader, None)
+            except csv.Error as exc:
+                raise SchemaError(f"{path}: {exc}", line=reader.line_num) from None
             if header is None:
                 raise SchemaError(f"{path}: missing header", line=1)
             if header != list(columns):
@@ -461,6 +466,14 @@ def _number(data, key, path, default=None):
     return number
 
 
+def _count(data, key, path, default):
+    """A YAML integer from 1 to the int64 maximum, as numpy takes a count."""
+    value = data.get(key, default)
+    if isinstance(value, bool) or not isinstance(value, int) or not 1 <= value < 2**63:
+        raise ConfigError(f"{path}: {key} must be a positive integer below 2**63")
+    return value
+
+
 def _vector(data, key, path, length, default):
     value = data.get(key, default)
     numbers = [_finite(v) for v in value] if isinstance(value, (list, tuple)) else []
@@ -540,7 +553,8 @@ class RunConfig:
     ellipsoid: Ellipsoid = WGS84
     altitude_datum_offset: float = 0.0
     sync_max_gap: float = 0.05
-    gt_frame: GroundTruthFrame | None = None
+    gt_frame_yaw: float | None = None  # radians; set when the truth is in a survey frame
+    gt_frame_translation: np.ndarray = field(default_factory=lambda: np.zeros(3))
     gt_rescale_a_cam: float | None = None  # set when the truth is rescaled
     gt_rescale_nadir: np.ndarray = field(default_factory=lambda: np.zeros(2))
 
@@ -553,15 +567,9 @@ def load_run_config(path) -> RunConfig:
     if not isinstance(calib, str):
         raise ConfigError(f"{path}: key calibration must be a file path")
     intr, dist = load_calibration(path.parent / calib)
-    gt_frame = None
+    gt_frame_yaw = None
     if "gt_frame_yaw_deg" in data or "gt_frame_translation" in data:
-        try:
-            gt_frame = GroundTruthFrame(
-                yaw=math.radians(_number(data, "gt_frame_yaw_deg", path, 0.0)),
-                translation=_vector(data, "gt_frame_translation", path, 3, [0.0, 0.0, 0.0]),
-            )
-        except ValueError as exc:
-            raise ConfigError(f"{path}: {exc}") from exc
+        gt_frame_yaw = math.radians(_number(data, "gt_frame_yaw_deg", path, 0.0))
     gt_rescale = data.get("gt_rescale", False)
     if not isinstance(gt_rescale, bool):
         raise ConfigError(f"{path}: key gt_rescale must be true or false")
@@ -584,7 +592,8 @@ def load_run_config(path) -> RunConfig:
         ellipsoid=_ellipsoid(data, path),
         altitude_datum_offset=_number(data, "altitude_datum_offset", path, 0.0),
         sync_max_gap=sync_max_gap,
-        gt_frame=gt_frame,
+        gt_frame_yaw=gt_frame_yaw,
+        gt_frame_translation=_vector(data, "gt_frame_translation", path, 3, [0.0, 0.0, 0.0]),
         gt_rescale_a_cam=rescale_a_cam,
         gt_rescale_nadir=_vector(data, "gt_rescale_nadir", path, 2, [0.0, 0.0]),
     )
@@ -607,16 +616,11 @@ def load_scenario_config(path, seed=None) -> Scenario:
     else:
         raise ConfigError(f"{path}: key calibration must be a path or a mapping")
 
-    n = data.get("n_samples", 500)
-    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
-        raise ConfigError(f"{path}: n_samples must be a positive integer")
+    n = _count(data, "n_samples", path, 500)
     pattern = data.get("pattern", "lawnmower")
     if pattern == "lawnmower":
         area = _vector(data, "area", path, 2, [16.0, 8.0])
-        legs = data.get("legs", 6)
-        if isinstance(legs, bool) or not isinstance(legs, int) or legs < 1:
-            raise ConfigError(f"{path}: legs must be a positive integer")
-        path_xy = lawnmower_path(n, area[0], area[1], legs)
+        path_xy = lawnmower_path(n, area[0], area[1], _count(data, "legs", path, 6))
     elif pattern == "circle":
         path_xy = circle_path(n, _number(data, "radius", path, 5.0))
     elif pattern == "line":

@@ -215,6 +215,27 @@ class TestRecoverErrors:
         assert code == 1
         assert "line 3" in capsys.readouterr().err
 
+    def test_field_over_the_csv_size_limit_exits_1(self, workdir, capsys, monkeypatch):
+        # the bad row lies in the third block, after the outputs are begun
+        simulate(workdir)
+        lines = (workdir / "obs.csv").read_text().splitlines()
+        fields = lines[20].split(",")
+        fields[3] = "1" * 200_000
+        lines[20] = ",".join(fields)
+        (workdir / "obs.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+        monkeypatch.setattr(io, "CSV_BLOCK_ROWS", 7)
+        code = run(
+            workdir, "recover",
+            "--config", workdir / "run.yaml",
+            "--input", workdir / "obs.csv",
+            "--output", workdir / "traj.csv",
+        )
+        assert code == 1
+        assert f"line 21: {workdir / 'obs.csv'}: field larger than" in capsys.readouterr().err
+        assert sorted(p.name for p in workdir.iterdir()) == [
+            "cal.yaml", "gt.csv", "obs.csv", "run.yaml", "scenario.yaml"
+        ]
+
     def test_config_not_utf8_exits_2(self, workdir, capsys):
         simulate(workdir)
         (workdir / "run.yaml").write_bytes(b"calibration: cal.yaml\n# \xff\n")
@@ -344,6 +365,35 @@ class TestEvaluateCommand:
         report = load_report(capsys.readouterr().out)
         assert report["mae"] <= 1e-9
 
+    def test_survey_yaw_beyond_180_deg(self, workdir, capsys):
+        # 200 deg and -160 deg are one survey frame
+        simulate(workdir)
+        self._recover(workdir)
+        yaw = math.radians(200.0)
+        c, s = math.cos(yaw), math.sin(yaw)
+        gt = io.read_ground_truth(workdir / "gt.csv")
+        x, y = gt["x"].copy(), gt["y"].copy()
+        gt["x"][:] = c * x + s * y
+        gt["y"][:] = -s * x + c * y
+        io.write_ground_truth(workdir / "gt.csv", [gt])
+        reports = []
+        for deg in (200, -160):
+            (workdir / "run_gt.yaml").write_text(
+                f"calibration: cal.yaml\ngt_frame_yaw_deg: {deg}\n", encoding="utf-8"
+            )
+            capsys.readouterr()
+            assert run(
+                workdir, "evaluate",
+                "--config", workdir / "run_gt.yaml",
+                "--input", workdir / "traj.csv",
+                "--gt", workdir / "gt.csv",
+            ) == 0
+            reports.append(load_report(capsys.readouterr().out))
+        assert reports[0]["mae"] <= 1e-9
+        assert reports[0].keys() == reports[1].keys()
+        for key in reports[0]:
+            assert reports[0][key] == pytest.approx(reports[1][key], abs=1e-9)
+
     def test_grid_rescaling_recovers_depth_scaled_truth(self, workdir, capsys):
         simulate(workdir)
         self._recover(workdir)
@@ -369,6 +419,26 @@ class TestEvaluateCommand:
         )
         report = load_report(capsys.readouterr().out)
         assert report["mae"] <= 1e-9
+
+    def test_shuffled_ground_truth_gives_the_same_report(self, workdir):
+        simulate(workdir)
+        self._recover(workdir)
+
+        def report():
+            assert run(
+                workdir, "evaluate",
+                "--config", workdir / "run.yaml",
+                "--input", workdir / "traj.csv",
+                "--gt", workdir / "gt.csv",
+                "--output", workdir / "report.json",
+            ) == 0
+            return (workdir / "report.json").read_bytes()
+
+        first = report()
+        gt = io.read_ground_truth(workdir / "gt.csv")
+        order = np.random.default_rng(5).permutation(len(gt["t"]))
+        io.write_ground_truth(workdir / "gt.csv", [{c: gt[c][order] for c in gt}])
+        assert report() == first
 
     def test_counts_recover_exclusions(self, workdir, capsys):
         simulate(workdir)
@@ -584,6 +654,13 @@ class TestSimulateErrors:
     def test_non_finite_vector_exits_2(self, workdir, capsys, old, new, key):
         err = self.refuse(workdir, capsys, SCENARIO.replace(old, new))
         assert f"key {key} must be" in err
+
+    # no int64 holds the count; numpy is never asked for an array that size
+    @pytest.mark.parametrize("old, key", [("n_samples: 120", "n_samples"), ("legs: 4", "legs")],
+                             ids=["n_samples", "legs"])
+    def test_count_beyond_int64_exits_2(self, workdir, capsys, old, key):
+        text = SCENARIO.replace(old, f"{key}: 1" + "0" * 30)
+        assert f"{key} must be a positive integer" in self.refuse(workdir, capsys, text)
 
     def test_latitude_beyond_the_pole_exits_2(self, workdir, capsys):
         err = self.refuse(workdir, capsys, SCENARIO.replace("ref_lat_deg: 42.87", "ref_lat_deg: 95"))

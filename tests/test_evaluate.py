@@ -4,39 +4,38 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from depthray.errors import DegenerateGeometry, EmptyTrajectory, LengthMismatch
+from depthray.errors import EmptyTrajectory, LengthMismatch
 from depthray.evaluate import (
-    GroundTruthFrame,
-    _match_sorted,
     enu_to_ground_truth,
+    match_sorted,
     rescale_grid_point,
-    time_sync,
     trajectory_errors,
 )
 
 
 class TestGroundTruthTransform:
     def test_identity_frame(self):
-        frame = GroundTruthFrame(yaw=0.0)
-        assert_allclose(enu_to_ground_truth([1.2, -3.4, 5.6], frame), [1.2, -3.4, 5.6])
+        assert_allclose(enu_to_ground_truth([1.2, -3.4, 5.6], 0.0, np.zeros(3)), [1.2, -3.4, 5.6])
 
     def test_survey_yaw(self):
         # passive z-rotation evaluated long-hand at the survey angle
         yaw = math.radians(-67.3)
-        frame = GroundTruthFrame(yaw=yaw)
         expected = [math.cos(yaw), -math.sin(yaw), 0.0]
-        result = enu_to_ground_truth([1.0, 0.0, 0.0], frame)
+        result = enu_to_ground_truth([1.0, 0.0, 0.0], yaw, np.zeros(3))
         assert_allclose(result, expected, atol=1e-15)
         assert result[0] == pytest.approx(0.386, abs=1e-3)
         assert result[1] == pytest.approx(0.922, abs=1e-3)
 
     def test_pure_translation(self):
-        frame = GroundTruthFrame(yaw=0.0, translation=np.array([2.0, 3.0, 0.0]))
-        assert_allclose(enu_to_ground_truth([1.0, 1.0, 0.0], frame), [3.0, 4.0, 0.0])
+        assert_allclose(enu_to_ground_truth([1.0, 1.0, 0.0], 0.0, [2.0, 3.0, 0.0]), [3.0, 4.0, 0.0])
 
-    def test_yaw_bounds(self):
-        with pytest.raises(ValueError):
-            GroundTruthFrame(yaw=4.0)
+    @pytest.mark.parametrize("yaw, translation", [
+        (math.nan, [0.0, 0.0, 0.0]), (math.inf, [0.0, 0.0, 0.0]),
+        (0.0, [0.0, math.nan, 0.0]), (0.0, [0.0, 0.0]),
+    ], ids=["nan_yaw", "inf_yaw", "nan_translation", "short_translation"])
+    def test_non_finite_frame_refused(self, yaw, translation):
+        with pytest.raises(ValueError, match="finite"):
+            enu_to_ground_truth([1.0, 1.0, 0.0], yaw, translation)
 
 
 class TestGridRescaling:
@@ -64,7 +63,7 @@ class TestGridRescaling:
         assert_allclose(staged, once, atol=1e-12)
 
     def test_zero_camera_height_degenerate(self):
-        with pytest.raises(DegenerateGeometry):
+        with pytest.raises(ValueError, match="must be positive"):
             rescale_grid_point([1.0, 1.0], [0.0, 0.0], 0.0, 1.0)
 
 
@@ -128,43 +127,37 @@ class TestTrajectoryErrors:
         assert report == {"mae": 99999.90000000001, "rmse": 99999.89999999998, "n_samples": 6}
 
 
-class TestTimeSync:
+class TestMatchSorted:
     def test_exact_match(self):
         t = np.arange(10.0)
-        est_idx, gt_idx, dropped = time_sync(t, t, max_gap=0.05)
-        assert_allclose(est_idx, np.arange(10))
-        assert_allclose(gt_idx, np.arange(10))
+        idx, ref_idx, dropped = match_sorted(t, t, max_gap=0.05)
+        assert_allclose(idx, np.arange(10))
+        assert_allclose(ref_idx, np.arange(10))
         assert dropped == 0
 
     def test_nearest_neighbor_within_gap(self):
-        est_idx, gt_idx, dropped = time_sync([0.0, 1.02, 5.0], [0.0, 1.0, 2.0], max_gap=0.05)
-        assert est_idx.tolist() == [0, 1]
-        assert gt_idx.tolist() == [0, 1]
+        idx, ref_idx, dropped = match_sorted([0.0, 1.02, 5.0], [0.0, 1.0, 2.0], max_gap=0.05)
+        assert idx.tolist() == [0, 1]
+        assert ref_idx.tolist() == [0, 1]
         assert dropped == 1
-
-    def test_unsorted_ground_truth(self):
-        est_idx, gt_idx, dropped = time_sync([1.0, 2.0], [2.0, 0.0, 1.0], max_gap=0.1)
-        assert gt_idx.tolist() == [2, 0]
-        assert dropped == 0
 
     def test_empty_raises(self):
         with pytest.raises(EmptyTrajectory):
-            time_sync([], [1.0], max_gap=0.1)
+            match_sorted([1.0], [], max_gap=0.1)
 
     def test_per_block_matching_of_a_track_sorted_once(self):
         # recover sorts the origin track once and matches each block of
-        # estimates against it; the pairs must be time_sync's, ties included
+        # estimates against it; the pairs must be those of one whole call,
+        # ties included
         rng = np.random.default_rng(11)
-        t_gt = rng.permutation(np.concatenate([np.round(rng.uniform(0, 50, 300), 1)] * 2))
+        t_ref = np.sort(np.concatenate([np.round(rng.uniform(0, 50, 300), 1)] * 2))
         t_est = np.sort(rng.uniform(-1, 51, 1000))
-        est_idx, gt_idx, dropped = time_sync(t_est, t_gt, max_gap=0.04)
+        idx, ref_idx, dropped = match_sorted(t_est, t_ref, max_gap=0.04)
         assert 0 < dropped < len(t_est)
-        order = np.argsort(t_gt, kind="stable")
         blocks = [
-            _match_sorted(t_est[start:start + 64], t_gt[order], max_gap=0.04)
+            match_sorted(t_est[start:start + 64], t_ref, max_gap=0.04)
             for start in range(0, len(t_est), 64)
         ]
-        est_blocks = [b[0] + k * 64 for k, b in enumerate(blocks)]
-        assert np.concatenate(est_blocks).tolist() == est_idx.tolist()
-        assert np.concatenate([order[b[1]] for b in blocks]).tolist() == gt_idx.tolist()
+        assert np.concatenate([b[0] + k * 64 for k, b in enumerate(blocks)]).tolist() == idx.tolist()
+        assert np.concatenate([b[1] for b in blocks]).tolist() == ref_idx.tolist()
         assert sum(b[2] for b in blocks) == dropped

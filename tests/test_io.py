@@ -67,7 +67,7 @@ class TestRunConfig:
         config = io.load_run_config(write(tmp_path / "run.yaml", "calibration: cal.yaml\n"))
         assert config.ellipsoid.r_e == 6378137.0
         assert config.sync_max_gap == 0.05
-        assert config.gt_frame is None
+        assert config.gt_frame_yaw is None
         assert config.gt_rescale_a_cam is None
 
     def test_full_config(self, tmp_path):
@@ -90,7 +90,8 @@ gt_rescale_nadir: [0.5, 0.5]
         assert config.rig.gimbal_frame == "body"
         assert config.rig.gimbal_pitch_sign == -1
         assert config.altitude_datum_offset == 1.5
-        assert config.gt_frame.yaw == pytest.approx(np.radians(-67.3))
+        assert config.gt_frame_yaw == pytest.approx(np.radians(-67.3))
+        assert config.gt_frame_translation.tolist() == [1.0, 2.0, 0.0]
         assert config.gt_rescale_a_cam == 25.0
 
     @pytest.mark.parametrize("key, value", [
@@ -274,6 +275,17 @@ class TestCsvReader:
             f"line 3: gt.csv: column z: non-finite value {value}", 3
         )
 
+    # csv.reader refuses a field over csv.field_size_limit (131072 characters
+    # unless raised), and before Python 3.11 a NUL
+    @pytest.mark.parametrize("text, line", [
+        (GT_HEADER + "0.0,1.0,2.0,3.0\n1.0," + "1" * 140_000 + ",2.0,3.0\n", 3),
+        ("t,x,y," + "z" * 200_000 + "\n0.0,1.0,2.0,3.0\n", 1),
+        (GT_HEADER + "0.0,1.0,2.0,3.0\n1.0,\x002.0,2.0,3.0\n", 3),
+    ], ids=["long_value", "long_header", "nul"])
+    def test_csv_module_errors_name_the_line(self, tmp_path, text, line):
+        message, got = schema_error(tmp_path, text)
+        assert got == line and message.startswith(f"line {line}: gt.csv: ")
+
     def test_extra_field_on_first_data_row(self, tmp_path):
         text = GT_HEADER + "0.0,1.0,2.0,3.0,4.0\n1.0,2.0,3.0,4.0\n"
         assert schema_error(tmp_path, text) == ("line 2: gt.csv: expected 4 fields, got 5", 2)
@@ -385,7 +397,7 @@ def csv_blocks(draw):
         del row[k]
     if "long" in fault:
         other.insert(k, other[k - 1])
-    ends = st.sampled_from(["\n", "\r\n", "\n\n", "\r\n\r\n"])
+    ends = st.sampled_from(["\n", "\r\n", "\n\n", "\r\n\r\n", "\r", "\r\r"])
     text = "".join(",".join(fields) + draw(ends) for fields in rows)
     if draw(st.booleans()):
         text = text.rstrip("\r\n")
