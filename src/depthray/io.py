@@ -12,22 +12,26 @@ is replaced by the repr of its value.
 
 Logs are read into dicts that map each column name to a 1-D numpy
 array, in schema order, text columns as object arrays, and written
-from any such mappings, a block of rows at a time. The numeric fields
-of a block are read as one JSON array by orjson, with the text columns
-cut off each line: JSON numbers are a subset of what float() reads,
-and orjson rounds them as float() does. A block goes through
-csv.reader + float() instead, so that values and errors are the csv
-module's, when it holds a quote or a NUL, when a line has too few or
-too many fields, when its numeric fields hold [ ] { } or the letters
-t, f or n (of true, false and null) or a bare -0 (an integer to JSON,
-which loses its sign), or when orjson cannot parse them or a value is
-not finite. What csv.reader refuses (a field over its size limit, a
-NUL before Python 3.11) is a SchemaError naming the line, as a bad
-value is. A block is written as one joined string, text fields
-quoted so that csv.reader reads them back. A log can be read block by
-block; a file is written from a sequence of column mappings to a
-temporary file, renamed onto the target once complete (see staged,
-which also lets a command replace two files together).
+from any such mappings, a block of rows at a time. A log is read as
+bytes, a block of lines at a time: numpy finds each comma and line
+end, orjson parses the numeric fields as one JSON array, and the text
+columns are cut out by position. JSON numbers are a subset of what
+float() reads, and orjson rounds them as float() does. A block goes
+through csv.reader + float() instead, so that values and errors are
+the csv module's, when it holds a byte that is not ASCII or a NUL, a
+blank line or a lone CR, a line with too few or too many fields or
+longer than the csv field size limit, numeric fields with [ ] { } or
+the letters t, f or n (of true, false and null) or a bare -0 (an
+integer to JSON, which loses its sign), or when orjson cannot parse
+them or a value is not finite. A quote, or a header that is not the
+column names alone, hands the rest of the file to csv.reader, which
+reads quoted fields across lines; so does a pipe, from its start. What csv.reader refuses (a field
+over its size limit, a NUL before Python 3.11) is a SchemaError naming
+the line, as a bad value is. A block is written as one joined string,
+text fields quoted so that csv.reader reads them back. A log can be
+read block by block; a file is written from a sequence of column
+mappings to a temporary file, renamed onto the target once complete
+(see staged, which also lets a command replace two files together).
 """
 
 import contextlib
@@ -117,18 +121,17 @@ SCENARIO_KEYS = {
 # rows parsed or formatted per block, which bounds the text held at once
 CSV_BLOCK_ROWS = 4096
 
-_BLANK_LINES = ("\n", "\r\n", "\r")
-
-# Characters for which csv.reader does not take a line as plain comma-split
-# fields: quotes, and NULs (which it rejects before Python 3.11).
-_CSV_ONLY_CHARS = '"\0'
+# bytes per line assumed for the first read of a file's lines, and the
+# most read at once, which bounds how far the file is read ahead of a block
+_FIRST_READ_LINE_BYTES = 16
+_MAX_READ_BYTES = 1 << 22
 
 # In numeric fields, JSON structure and the letters of true, false and null:
 # orjson would read these where float() refuses them.
-_JSON_ONLY_CHARS = "[]{}tfn"
+_JSON_ONLY_BYTES = (b"[", b"]", b"{", b"}", b"t", b"f", b"n")
 
-# A bare -0 is a JSON integer, which orjson reads as 0 without its sign.
-_NEGATIVE_ZERO = re.compile(r"-0(?![.0-9eE])")
+# a line as a file opened with newline="" yields it, ended by CRLF, CR or LF
+_LINE = r"[^\r\n]*(?:\r\n?|\n)|[^\r\n]+"
 
 # a text field holding any of these is written quoted, as csv.reader reads it back
 _QUOTED_CHARS = ',"\r\n'
@@ -151,43 +154,88 @@ def _check_record(path, columns, text_columns, raw, lineno):
             raise SchemaError(f"{path}: column {name}: non-finite value {value}", line=lineno)
 
 
-def _parse_lines(columns, text_columns, records):
-    """Columns of a block of non-blank lines, the numbers parsed by orjson.
+def _span_index(starts, stops):
+    """The positions of each span [start, stop), the spans one after another."""
+    lengths = stops - starts
+    ends = np.cumsum(lengths)
+    return np.arange(ends[-1]) + np.repeat(starts - ends + lengths, lengths)
 
-    Once every line is seen to hold one field per column, the numeric
-    fields of the block are parsed as one flat JSON array, so a number
-    reads as float() reads it. Text columns sit at either end of the
-    schema and are cut off each line at its first or last commas.
-    Returns None where a line may read differently from csv.reader and
-    float(), or is bad; the caller then reads the block record by record.
+
+def _text_column(a, starts, stops):
+    """The bytes of `a` in each span [start, stop), as an object array of str."""
+    cut = a[_span_index(starts, stops + 1)]  # each span with the separator after it
+    cut[np.cumsum(stops + 1 - starts) - 1] = 10  # made a line end, to split at
+    return np.array(cut.tobytes().decode().split("\n")[:-1], dtype=object)
+
+
+def _parse_block(columns, text_columns, block, ends):
+    """Columns of a block of whole lines (bytes-like), parsed in one vectorized pass.
+
+    `ends` holds the positions of its LF bytes, as _line_blocks finds
+    them; its last line may be unended. numpy finds every comma. Once
+    each line is seen to hold one field per column, the block is copied
+    with each line end made a comma and the text fields blanked out, and
+    orjson parses that as one flat JSON array of the numeric fields, so a
+    number reads as float() reads it. The text fields, which sit at
+    either end of the schema, are cut out at once. Returns None where a
+    line may read differently from csv.reader and float(), or is bad;
+    the caller then reads the block record by record.
     """
-    text = "".join(records)
-    if any(c in text for c in _CSV_ONLY_CHARS):
+    if not block.endswith(b"\n"):
+        block, ends = block + b"\n", np.append(ends, len(block))
+    if not block.isascii() or b'"' in block or b"\0" in block:
         return None
-    if set(map(str.count, records, itertools.repeat(","))) != {len(columns) - 1}:
+    a = np.frombuffer(block, np.uint8)
+    crlf = a[ends - 1] == 13
+    if b"\r" in block and np.count_nonzero(a == 13) != np.count_nonzero(crlf):
+        return None  # a lone CR, a line end to csv.reader
+    n, k = len(ends), len(columns) - 1
+    commas = np.flatnonzero(a == 44)
+    if len(commas) != n * k:
         return None
-    numeric = [name for name in columns if name not in text_columns]
-    texts = {}
-    body = map(str.rstrip, records, itertools.repeat("\r\n"))
-    for name in columns[:columns.index(numeric[0])]:
-        texts[name], _, body = zip(*map(str.partition, body, itertools.repeat(",")))
-    for name in reversed(columns[columns.index(numeric[-1]) + 1:]):
-        body, _, texts[name] = zip(*map(str.rpartition, body, itertools.repeat(",")))
-    body = ",".join(body)
-    if any(c in body for c in _JSON_ONLY_CHARS) or _NEGATIVE_ZERO.search(body):
+    commas = commas.reshape(n, k)
+    starts = np.concatenate(([0], ends[:-1] + 1))
+    if (commas[:, 0] < starts).any() or (commas[:, -1] > ends).any():
+        return None  # a line with too few or too many fields
+    if (ends - starts).max() > csv.field_size_limit():
+        return None  # a field csv.reader may refuse
+    numeric = [j for j, name in enumerate(columns) if name not in text_columns]
+    lead, stop = numeric[0], numeric[-1] + 1
+
+    js = bytearray(len(block) + 1)
+    view = np.frombuffer(js, np.uint8)
+    view[1:] = a
+    view[ends + 1] = 44
+    if lead:  # leading text fields and the comma after them
+        view[_span_index(starts, commas[:, lead - 1] + 1) + 1] = 32
+    if stop <= k:  # the comma before trailing text fields, and them
+        view[_span_index(commas[:, stop - 1], ends) + 1] = 32
+    if any(js.find(c) != -1 for c in _JSON_ONLY_BYTES):
         return None
+    js[0], js[-1] = 91, 93  # [ and ]
     try:
-        numbers = np.array(orjson.loads("[" + body + "]"), dtype=float)
-        numbers = numbers.reshape(len(records), len(numeric))
+        values = orjson.loads(js)
     except ValueError:  # orjson's decode error: a field that is not a JSON number
         return None
+    size = n * len(numeric)
+    if len(values) != size:
+        return None
+    numbers = np.fromiter(values, float, size).reshape(n, len(numeric))
     if not np.isfinite(numbers).all():
         return None
+    # field j of each line spans [firsts[j], stops[j]); the last stops at CR or LF
+    firsts = np.vstack([starts, commas.T + 1])
+    stops = np.vstack([commas.T, ends - crlf])
+    # orjson reads a bare -0 as the integer 0, without its sign: an unsigned
+    # zero whose field does not start with 0 may be one
+    rows, cols = np.nonzero((numbers == 0) & ~np.signbit(numbers))
+    if (a[firsts[lead + cols, rows]] != 48).any():
+        return None
     # owned columns, so a whole read frees each block's column once it is joined
-    parts = dict(zip(numeric, (c.copy() for c in numbers.T)))
     return [
-        np.array(texts[name], dtype=object) if name in text_columns else parts[name]
-        for name in columns
+        numbers[:, j - lead].copy() if lead <= j < stop
+        else _text_column(a, firsts[j], stops[j])
+        for j in range(k + 1)
     ]
 
 
@@ -218,26 +266,67 @@ def _parse_records(path, columns, text_columns, lines, handle, first_line):
     ], len(records)
 
 
-def _read_blocks(path, columns, text_columns=()):
-    """Yield a strict-schema CSV as column dicts of up to CSV_BLOCK_ROWS rows.
+def _line_blocks(raw, rows):
+    """Yield the rest of a binary file as blocks of `rows` lines, each with
+    its byte offset and the positions of its LF bytes; the last block may
+    hold fewer lines, and an unended one.
 
-    The header must match `columns` exactly; any non-numeric or
-    non-finite value in a numeric column is a SchemaError carrying the
-    1-based line number (the record number, for fields spanning lines).
-
-    Each block of lines is parsed by _parse_lines. A block it cannot
-    take as csv.reader would (quotes, bad or unusual fields) is read by
-    csv.reader + float() instead, so the values and the error are the
-    same either way; a csv.Error is a SchemaError too. Bytes that are
-    not UTF-8 are a SchemaError naming the offset of the first bad byte.
+    Each read asks for the lines the block still needs at the mean line
+    length seen so far, up to _MAX_READ_BYTES, so a read rarely runs far
+    past the block's end.
     """
-    path = Path(path)
+    offset, data, ends = raw.tell(), bytearray(), np.empty(0, np.intp)
+    width = _FIRST_READ_LINE_BYTES
+    while True:
+        while len(ends) < rows and (
+            chunk := raw.read(min((rows - len(ends)) * width, _MAX_READ_BYTES))
+        ):
+            found = np.flatnonzero(np.frombuffer(chunk, np.uint8) == 10) + len(data)
+            ends = np.concatenate([ends, found])
+            data += chunk
+            width = -(-len(data) // max(len(ends), 1))
+        if len(ends) < rows:
+            if data:
+                yield offset, data, ends
+            return
+        cut = ends[rows - 1] + 1
+        yield offset, data[:cut], ends[:rows]
+        del data[:cut]
+        offset, ends = offset + cut, ends[rows:] - cut
+
+
+def _vectorized_blocks(path, columns, text_columns, raw):
+    """Yield the lines after a plain header as column dicts, each block
+    parsed by _parse_block or, where it declines, by csv.reader + float().
+
+    Returns where a block holds a quote, as the byte offset and line
+    number of that block, for csv.reader to read on from: a quoted field
+    may run on past the block's end.
+    """
+    first_line = 2
+    for offset, block, ends in _line_blocks(raw, CSV_BLOCK_ROWS):
+        parsed = _parse_block(columns, text_columns, block, ends)
+        if parsed is not None:
+            n_lines = len(parsed[0])
+        elif b'"' in block:
+            return offset, first_line
+        else:
+            try:
+                lines = re.findall(_LINE, block.decode("utf-8"))
+            except UnicodeDecodeError as exc:
+                offset += exc.start
+                raise SchemaError(f"{path}: not UTF-8: {exc.reason} at byte {offset}") from None
+            parsed, n_lines = _parse_records(path, columns, text_columns, lines, (), first_line)
+        if parsed:
+            yield dict(zip(columns, parsed))
+        first_line += n_lines
+
+
+def _csv_blocks(path, columns, text_columns, handle, first_line):
+    """Yield the rest of a text file as column dicts read by csv.reader +
+    float(), with its header first when `first_line` is 1."""
     try:
-        handle = path.open(newline="", encoding="utf-8")
-    except OSError as exc:
-        raise SchemaError(f"cannot open {path}: {exc}") from exc
-    with handle:
-        try:
+        if first_line == 1:
             reader = csv.reader(handle)
             try:
                 header = next(reader, None)
@@ -251,21 +340,53 @@ def _read_blocks(path, columns, text_columns=()):
                     line=1,
                 )
             first_line = 2
-            while lines := list(itertools.islice(handle, CSV_BLOCK_ROWS)):
-                records = [line for line in lines if line not in _BLANK_LINES]
-                n_records = len(lines)
-                if records:
-                    parsed = _parse_lines(columns, text_columns, records)
-                    if parsed is None:
-                        parsed, n_records = _parse_records(
-                            path, columns, text_columns, lines, handle, first_line
-                        )
-                    yield dict(zip(columns, parsed))
-                first_line += n_records
-        except UnicodeDecodeError as exc:
-            # exc.object is the chunk being decoded, which ends where the file is read to
-            offset = handle.buffer.tell() - len(exc.object) + exc.start
-            raise SchemaError(f"{path}: not UTF-8: {exc.reason} at byte {offset}") from None
+        while lines := list(itertools.islice(handle, CSV_BLOCK_ROWS)):
+            parsed, n_records = _parse_records(
+                path, columns, text_columns, lines, handle, first_line
+            )
+            if parsed:
+                yield dict(zip(columns, parsed))
+            first_line += n_records
+    except UnicodeDecodeError as exc:
+        # exc.object is the chunk being decoded, which ends where the file is read to
+        offset = handle.buffer.tell() - len(exc.object) + exc.start
+        raise SchemaError(f"{path}: not UTF-8: {exc.reason} at byte {offset}") from None
+
+
+def _read_blocks(path, columns, text_columns=()):
+    """Yield a strict-schema CSV as column dicts of up to CSV_BLOCK_ROWS rows.
+
+    The header must match `columns` exactly; any non-numeric or
+    non-finite value in a numeric column is a SchemaError carrying the
+    1-based line number (the record number, for fields spanning lines).
+
+    After a header of the column names alone, the file is read as bytes
+    and each block of lines parsed by _parse_block. A block it declines
+    is decoded and read by csv.reader + float() instead, so the values
+    and the error are the same either way; a csv.Error is a SchemaError
+    too. From a block holding a quote on, or from the start after any
+    other header or in a pipe, the file is read as text by csv.reader +
+    float(). Bytes that are not UTF-8 are a SchemaError naming the
+    offset of the first bad byte.
+    """
+    path = Path(path)
+    try:
+        handle = path.open(newline="", encoding="utf-8")
+    except OSError as exc:
+        raise SchemaError(f"cannot open {path}: {exc}") from exc
+    header = ",".join(columns).encode()
+    with handle:
+        raw = handle.buffer
+        resume = 0, 1  # where csv.reader takes over: byte offset, line number (1: the header)
+        # csv.reader rereads from a block's offset, and a pipe cannot be
+        # reread: a pipe goes to csv.reader whole
+        if raw.seekable():
+            if raw.readline() in (header, header + b"\n", header + b"\r\n"):
+                resume = yield from _vectorized_blocks(path, columns, text_columns, raw)
+            if resume is None:
+                return
+            raw.seek(resume[0])
+        yield from _csv_blocks(path, columns, text_columns, handle, resume[1])
 
 
 def _read_rows(path, columns, text_columns=()) -> dict:
@@ -303,11 +424,14 @@ def _text_fields(column) -> list:
     """The CSV fields of a text column: None as empty, str() of anything
     else, quoted with inner quotes doubled where it holds _QUOTED_CHARS."""
     fields = ["" if value is None else str(value) for value in column.tolist()]
+    joined = "".join(fields)
+    if not any(c in joined for c in _QUOTED_CHARS):
+        return fields
     quoted = {
         field: '"' + field.replace('"', '""') + '"'
         for field in set(fields) if any(c in field for c in _QUOTED_CHARS)
     }
-    return [quoted.get(field, field) for field in fields] if quoted else fields
+    return [quoted.get(field, field) for field in fields]
 
 
 @contextlib.contextmanager
@@ -618,19 +742,22 @@ def load_scenario_config(path, seed=None) -> Scenario:
 
     n = _count(data, "n_samples", path, 500)
     pattern = data.get("pattern", "lawnmower")
-    if pattern == "lawnmower":
-        area = _vector(data, "area", path, 2, [16.0, 8.0])
-        path_xy = lawnmower_path(n, area[0], area[1], _count(data, "legs", path, 6))
-    elif pattern == "circle":
-        path_xy = circle_path(n, _number(data, "radius", path, 5.0))
-    elif pattern == "line":
-        path_xy = line_path(
-            n,
-            _vector(data, "start", path, 2, [0.0, 0.0]),
-            _vector(data, "end", path, 2, [5.0, 0.0]),
-        )
-    else:
-        raise ConfigError(f"{path}: unknown pattern {pattern!r}")
+    try:
+        if pattern == "lawnmower":
+            area = _vector(data, "area", path, 2, [16.0, 8.0])
+            path_xy = lawnmower_path(n, area[0], area[1], _count(data, "legs", path, 6))
+        elif pattern == "circle":
+            path_xy = circle_path(n, _number(data, "radius", path, 5.0))
+        elif pattern == "line":
+            path_xy = line_path(
+                n,
+                _vector(data, "start", path, 2, [0.0, 0.0]),
+                _vector(data, "end", path, 2, [5.0, 0.0]),
+            )
+        else:
+            raise ConfigError(f"{path}: unknown pattern {pattern!r}")
+    except ValueError as exc:  # numpy's refusal of an array of n points
+        raise ConfigError(f"{path}: n_samples {n}: {exc}") from None
 
     if seed is None:
         seed = data.get("seed", 0)

@@ -655,12 +655,17 @@ class TestSimulateErrors:
         err = self.refuse(workdir, capsys, SCENARIO.replace(old, new))
         assert f"key {key} must be" in err
 
-    # no int64 holds the count; numpy is never asked for an array that size
-    @pytest.mark.parametrize("old, key", [("n_samples: 120", "n_samples"), ("legs: 4", "legs")],
-                             ids=["n_samples", "legs"])
-    def test_count_beyond_int64_exits_2(self, workdir, capsys, old, key):
-        text = SCENARIO.replace(old, f"{key}: 1" + "0" * 30)
-        assert f"{key} must be a positive integer" in self.refuse(workdir, capsys, text)
+    # no int64 holds the first two counts, and numpy refuses an array of 2**62
+    # points before it allocates one: it is never asked for an array that size
+    @pytest.mark.parametrize("old, new, message", [
+        ("n_samples: 120", "n_samples: 1" + "0" * 30, "n_samples must be a positive integer"),
+        ("legs: 4", "legs: 1" + "0" * 30, "legs must be a positive integer"),
+        ("n_samples: 120", f"n_samples: {2**62}", f"n_samples {2**62}: "),
+        ("pattern: lawnmower\nn_samples: 120", f"pattern: line\nn_samples: {2**62}",
+         f"n_samples {2**62}: "),
+    ], ids=["n_samples", "legs", "2**62_lawnmower", "2**62_line"])
+    def test_count_beyond_int64_exits_2(self, workdir, capsys, old, new, message):
+        assert message in self.refuse(workdir, capsys, SCENARIO.replace(old, new))
 
     def test_latitude_beyond_the_pole_exits_2(self, workdir, capsys):
         err = self.refuse(workdir, capsys, SCENARIO.replace("ref_lat_deg: 42.87", "ref_lat_deg: 95"))

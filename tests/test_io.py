@@ -1,11 +1,13 @@
 import csv
 import io as textio
+import os
+import threading
 from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from depthray import io
@@ -286,6 +288,13 @@ class TestCsvReader:
         message, got = schema_error(tmp_path, text)
         assert got == line and message.startswith(f"line {line}: gt.csv: ")
 
+    def test_text_field_over_the_size_limit_names_the_line(self, tmp_path):
+        path = tmp_path / "traj.csv"
+        lines = ["1.0," * 10 + "ok\n", "1.0," * 10 + "a" * 140_000 + "\n"]
+        path.write_text(",".join(io.TRAJECTORY_COLUMNS) + "\n" + "".join(lines))
+        with pytest.raises(SchemaError, match="^line 3: .*field larger than field limit"):
+            io.read_trajectory(path)
+
     def test_extra_field_on_first_data_row(self, tmp_path):
         text = GT_HEADER + "0.0,1.0,2.0,3.0,4.0\n1.0,2.0,3.0,4.0\n"
         assert schema_error(tmp_path, text) == ("line 2: gt.csv: expected 4 fields, got 5", 2)
@@ -321,6 +330,27 @@ class TestCsvReader:
         with pytest.raises(SchemaError) as info:
             io.read_ground_truth(path)
         assert str(info.value) == f"{path}: not UTF-8: invalid start byte at byte {offset}"
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
+    @pytest.mark.parametrize("flags", ["ok", '"a,b"'])
+    def test_a_pipe_is_read(self, tmp_path, flags):
+        # a pipe cannot be read again from a block's offset, as the bytes path would
+        path = tmp_path / "traj.pipe"
+        os.mkfifo(path)
+        text = ",".join(io.TRAJECTORY_COLUMNS) + "\n" + ("1.0," * 10 + flags + "\n") * 3
+
+        def write():
+            with path.open("w", encoding="utf-8") as pipe:
+                pipe.write(text)
+
+        writer = threading.Thread(target=write, daemon=True)
+        writer.start()
+        try:
+            table = io.read_trajectory(path)
+        finally:
+            writer.join(timeout=10)
+        assert not writer.is_alive()
+        assert table["flags"].tolist() == [flags.strip('"')] * 3
 
     def test_quoted_field_across_block_end(self, tmp_path):
         # a record spanning lines is one record: the line numbers of later
@@ -378,8 +408,12 @@ SCHEMAS = [
 ]
 
 
+# line ends, blank lines among them; csv.reader reads a lone CR as a line end
+ANY_LINE_ENDS = ["\n", "\r\n", "\n\n", "\r\n\r\n", "\r", "\r\r"]
+
+
 @st.composite
-def csv_blocks(draw):
+def csv_blocks(draw, line_ends=ANY_LINE_ENDS):
     """A schema and the lines of a block of its rows, as a file yields them:
     rows of JSON numbers and plain text, with at most one odd field, or
     a row a field short, a row a field long, or both."""
@@ -397,7 +431,7 @@ def csv_blocks(draw):
         del row[k]
     if "long" in fault:
         other.insert(k, other[k - 1])
-    ends = st.sampled_from(["\n", "\r\n", "\n\n", "\r\n\r\n", "\r", "\r\r"])
+    ends = st.sampled_from(line_ends)
     text = "".join(",".join(fields) + draw(ends) for fields in rows)
     if draw(st.booleans()):
         text = text.rstrip("\r\n")
@@ -414,16 +448,56 @@ def bits_equal(columns, text_columns, got, want):
             assert np.array_equal(a.view(np.uint64), b.view(np.uint64))
 
 
-class TestFastParser:
-    """_parse_lines reads a block as csv.reader + float() does, or declines."""
+def parse_block(columns, text_columns, lines):
+    block = "".join(lines).encode("utf-8")
+    ends = np.flatnonzero(np.frombuffer(block, np.uint8) == 10)
+    return io._parse_block(columns, text_columns, block, ends)
 
+
+def declined(*args):
+    return None
+
+
+def read_both_ways(reader, path, columns):
+    """What `reader` makes of `path`, the columns or the error, read as it
+    is and with every block read by csv.reader + float()."""
+    results = []
+    for parse in (io._parse_block, declined):
+        with mock.patch.object(io, "_parse_block", parse):
+            try:
+                table = reader(path)
+                results.append([table[name] for name in columns])
+            except SchemaError as exc:
+                results.append((str(exc), exc.line))
+    return results
+
+
+def traj_line(t):
+    return f"{t}.0," + "1.0," * 9 + "ok\n"
+
+
+# a line of the second block that _parse_block declines
+MIDDLE_BLOCK_FAULTS = {
+    "blank_line": "\n",
+    "lone_cr": "1.0," * 10 + "a\r",  # a record's end, but not a line's end in the block
+    "non_ascii_flag": "1.0," * 10 + "\u00e9\n",
+    "quoted_field": "1.0," * 10 + '"a,b"\n',
+}
+
+
+class TestFastParser:
+    """_parse_block reads a block as csv.reader + float() does, or declines."""
+
+    # _parse_block declines blank lines and lone CRs, so its blocks end each line in LF or CRLF
     @settings(deadline=None)
-    @given(csv_blocks())
+    @given(csv_blocks(line_ends=["\n", "\r\n"]))
+    @example(block=(io.GROUND_TRUTH_COLUMNS, (), None, ["0.0,1.0,2.0,-0\n"]))
+    @example(block=(io.GROUND_TRUTH_COLUMNS, (), None, ["0.0,1.0,2.0, -0\r\n"]))
+    @example(block=(io.GROUND_TRUTH_COLUMNS, (), None, ["0.0,true,2.0,3.0\n"]))
+    @example(block=(io.EXCLUSION_COLUMNS, ("row", "reason"), None, ["-0,1.5,[t]\n"]))
     def test_block_matches_csv_reader_bit_for_bit(self, block):
         columns, text_columns, _, lines = block
-        records = [line for line in lines if line not in io._BLANK_LINES]
-        assume(records)
-        parsed = io._parse_lines(columns, text_columns, records)
+        parsed = parse_block(columns, text_columns, lines)
         if parsed is not None:
             want, _ = io._parse_records("gt.csv", columns, text_columns, lines, iter(()), 2)
             bits_equal(columns, text_columns, parsed, want)
@@ -434,15 +508,7 @@ class TestFastParser:
         columns, text_columns, reader, lines = block
         path = tmp_path_factory.mktemp("csv") / "log.csv"
         path.write_bytes((",".join(columns) + "\n" + "".join(lines)).encode("utf-8"))
-        results = []
-        for parse in (io._parse_lines, lambda *args: None):
-            with mock.patch.object(io, "_parse_lines", parse):
-                try:
-                    table = reader(path)
-                    results.append([table[name] for name in columns])
-                except SchemaError as exc:
-                    results.append((str(exc), exc.line))
-        got, want = results
+        got, want = read_both_ways(reader, path, columns)
         if isinstance(want, tuple):
             assert got == want
         else:
@@ -466,9 +532,54 @@ class TestFastParser:
         want = np.array(list(map(float, spellings))).reshape(-1, 4)
         for start in range(0, len(lines), io.CSV_BLOCK_ROWS):
             block = slice(start, start + io.CSV_BLOCK_ROWS)
-            parsed = io._parse_lines(io.GROUND_TRUTH_COLUMNS, (), lines[block])
+            parsed = parse_block(io.GROUND_TRUTH_COLUMNS, (), lines[block])
             assert parsed is not None
             bits_equal(io.GROUND_TRUTH_COLUMNS, (), parsed, want[block].T)
+
+    @pytest.mark.parametrize("fault", MIDDLE_BLOCK_FAULTS)
+    @pytest.mark.parametrize("bad_last_line", [False, True])
+    def test_a_declined_block_leaves_the_next_to_the_parser(
+        self, tmp_path, monkeypatch, fault, bad_last_line
+    ):
+        monkeypatch.setattr(io, "CSV_BLOCK_ROWS", 4)
+        rows = [traj_line(t) for t in range(11)]
+        rows.insert(4, MIDDLE_BLOCK_FAULTS[fault])
+        if bad_last_line:  # line 13, in the third block
+            rows[-1] = "1.0," * 9 + "bad,ok\n"
+        path = tmp_path / "traj.csv"
+        path.write_bytes((",".join(io.TRAJECTORY_COLUMNS) + "\n" + "".join(rows)).encode())
+        parse, results = io._parse_block, []
+
+        def recorded(*args):
+            results.append(parse(*args))
+            return results[-1]
+
+        with mock.patch.object(io, "_parse_block", recorded):
+            got, want = read_both_ways(io.read_trajectory, path, io.TRAJECTORY_COLUMNS)
+        if bad_last_line:
+            assert got == want and got[1] == 13
+            return
+        bits_equal(io.TRAJECTORY_COLUMNS, ("flags",), got, want)
+        assert len(got[0]) == 11 + (fault != "blank_line")
+        # a quote sends the rest of the file to csv.reader, as a quoted field may run on
+        parsed = [result is not None for result in results]
+        assert parsed == ([True, False] if fault == "quoted_field" else [True, False, True])
+
+    # text fields at either end of the line, with letters and signs in them
+    @pytest.mark.parametrize("columns, reader, line", [
+        (io.TRAJECTORY_COLUMNS, io.read_trajectory, "{t}.0," + "1.0," * 9 + "{text}"),
+        (io.EXCLUSION_COLUMNS, io.read_exclusions, "{text},{t}.0,{text}"),
+    ], ids=["trajectory", "sidecar"])
+    def test_crlf_lines_are_parsed_as_they_stand(self, tmp_path, monkeypatch, columns, reader, line):
+        monkeypatch.setattr(io, "CSV_BLOCK_ROWS", 4)
+        texts = ["", "a", "out_of_frame", "", "b c", "-0", "1e5", "[t]"] * 2
+        rows = [line.format(t=t, text=text) + "\r\n" for t, text in enumerate(texts)]
+        path = tmp_path / "log.csv"
+        path.write_bytes((",".join(columns) + "\r\n" + "".join(rows)).encode())
+        with mock.patch.object(io, "_parse_records", side_effect=AssertionError):
+            table = reader(path)
+        assert table["t"].tolist() == [float(t) for t in range(16)]
+        assert table[columns[-1]].tolist() == texts
 
 
 def reference_csv(columns, table, text_columns):
