@@ -66,55 +66,6 @@ EXCLUSION_COLUMNS = ["row", "t", "reason"]
 
 TRACK_COLUMNS = ["t", "u", "v"]
 
-CALIBRATION_KEYS = {"fx", "fy", "cx", "cy", "width", "height", "k1", "k2", "k3", "p1", "p2"}
-
-RUN_CONFIG_KEYS = {
-    "calibration",
-    "cam_offset",
-    "gimbal_frame",
-    "gimbal_pitch_sign",
-    "altitude_datum_offset",
-    "ellipsoid",
-    "sync_max_gap",
-    "gt_frame_yaw_deg",
-    "gt_frame_translation",
-    "gt_rescale",
-    "gt_rescale_a_cam",
-    "gt_rescale_nadir",
-}
-
-SCENARIO_KEYS = {
-    "pattern",
-    "n_samples",
-    "duration",
-    "area",
-    "legs",
-    "radius",
-    "start",
-    "end",
-    "altitude",
-    "depth_min",
-    "depth_max",
-    "gimbal_yaw_deg",
-    "gimbal_pitch_deg",
-    "gimbal_roll_deg",
-    "body_yaw_deg",
-    "body_pitch_deg",
-    "body_roll_deg",
-    "ref_lat_deg",
-    "ref_lon_deg",
-    "ref_alt_m",
-    "sigma_px",
-    "sigma_alt",
-    "sigma_depth",
-    "sigma_gimbal_deg",
-    "seed",
-    "calibration",
-    "cam_offset",
-    "gimbal_frame",
-    "gimbal_pitch_sign",
-}
-
 
 # --- CSV ---
 
@@ -540,6 +491,85 @@ def write_exclusions(path, blocks):
 
 # --- YAML configuration ---
 
+# The keys of each config file, each with its default. The default's type
+# gives the key's kind: a float is a finite number, an int a count, a list
+# of n floats a list of n finite numbers, and REQUIRED a number without a
+# default. A key named *_deg is read in degrees and returned in radians
+# under its name without the suffix. A key marked None is read by its
+# loader's own code.
+REQUIRED = ...
+
+CALIBRATION_TABLE = {
+    "fx": REQUIRED, "fy": REQUIRED, "cx": REQUIRED, "cy": REQUIRED,
+    "width": REQUIRED, "height": REQUIRED,
+    "k1": 0.0, "k2": 0.0, "k3": 0.0, "p1": 0.0, "p2": 0.0,
+}
+
+RUN_CONFIG_TABLE = {
+    "calibration": None,
+    "cam_offset": [0.0, 0.0, 0.0],
+    "gimbal_frame": None,
+    "gimbal_pitch_sign": None,
+    "altitude_datum_offset": 0.0,
+    "ellipsoid": None,
+    "sync_max_gap": 0.05,
+    "gt_frame_yaw_deg": 0.0,
+    "gt_frame_translation": [0.0, 0.0, 0.0],
+    "gt_rescale": None,
+    "gt_rescale_a_cam": None,  # a number, required with gt_rescale: true
+    "gt_rescale_nadir": [0.0, 0.0],
+}
+
+SCENARIO_TABLE = {
+    "pattern": None,
+    "n_samples": 500,
+    "duration": 100.0,
+    "area": [16.0, 8.0],
+    "legs": 6,
+    "radius": 5.0,
+    "start": [0.0, 0.0],
+    "end": [5.0, 0.0],
+    "altitude": REQUIRED,
+    "depth_min": 0.0,
+    "depth_max": 0.0,  # depth_min when absent
+    "gimbal_yaw_deg": 0.0,
+    "gimbal_pitch_deg": -90.0,
+    "gimbal_roll_deg": 0.0,
+    "body_yaw_deg": 0.0,
+    "body_pitch_deg": 0.0,
+    "body_roll_deg": 0.0,
+    "ref_lat_deg": 0.0,
+    "ref_lon_deg": 0.0,
+    "ref_alt_m": 0.0,
+    "sigma_px": 0.0,
+    "sigma_alt": 0.0,
+    "sigma_depth": 0.0,
+    "sigma_gimbal_deg": 0.0,
+    "seed": None,
+    "calibration": None,
+    "cam_offset": [0.0, 0.0, 0.0],
+    "gimbal_frame": None,
+    "gimbal_pitch_sign": None,
+}
+
+
+class _UniqueKeyLoader(yaml.SafeLoader):
+    """A SafeLoader that refuses a mapping naming one key twice, where
+    PyYAML would keep the last value. A key merged in with << may still
+    be overridden."""
+
+    def construct_mapping(self, node, deep=False):
+        seen = set()
+        for key_node, _ in node.value:
+            if isinstance(key_node, yaml.ScalarNode) and key_node.tag != "tag:yaml.org,2002:merge":
+                key = self.construct_object(key_node)
+                if key in seen:
+                    raise yaml.constructor.ConstructorError(
+                        None, None, f"found duplicate key {key!r}", key_node.start_mark
+                    )
+                seen.add(key)
+        return super().construct_mapping(node, deep)
+
 
 def _load_mapping(path) -> dict:
     path = Path(path)
@@ -550,7 +580,7 @@ def _load_mapping(path) -> dict:
     except UnicodeDecodeError as exc:
         raise ConfigError(f"{path}: not UTF-8: {exc.reason} at byte {exc.start}") from None
     try:
-        data = yaml.safe_load(text)
+        data = yaml.load(text, Loader=_UniqueKeyLoader)
     except yaml.YAMLError as exc:
         raise ConfigError(f"{path}: invalid YAML: {exc}") from exc
     if data is None:
@@ -560,74 +590,58 @@ def _load_mapping(path) -> dict:
     return data
 
 
-def _check_keys(data, allowed, path):
-    unknown = sorted(set(data) - allowed)
-    if unknown:
-        raise ConfigError(f"{path}: unknown keys: {', '.join(unknown)}")
-
-
-def _finite(value):
-    """A YAML number as a finite float; None for a bool, a non-number, or a
-    value no finite float holds (an integer beyond the float range too)."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        return None
-    try:
-        number = float(value)
-    except OverflowError:
-        return None
-    return number if math.isfinite(number) else None
-
-
-def _number(data, key, path, default=None):
-    value = data.get(key, default)
-    if value is None:
+def _value(path, key, value, default):
+    """The value of config key `key`, read as the kind of its table default."""
+    if isinstance(default, list):
+        if isinstance(value, (list, tuple)) and len(value) == len(default):
+            with contextlib.suppress(ConfigError):
+                return np.array([_value(path, key, v, 0.0) for v in value])
+        raise ConfigError(f"{path}: key {key} must be a list of {len(default)} finite numbers")
+    if isinstance(default, int):  # a count from 1 to the int64 maximum, as numpy takes one
+        if isinstance(value, bool) or not isinstance(value, int) or not 1 <= value < 2**63:
+            raise ConfigError(f"{path}: {key} must be a positive integer below 2**63")
+        return value
+    if value is None or value is REQUIRED:
         raise ConfigError(f"{path}: missing required key {key}")
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{path}: key {key} must be a number, got {value!r}")
-    number = _finite(value)
-    if number is None:
+    try:
+        number = float(value)
+    except OverflowError:  # an integer beyond the float range
+        number = math.inf
+    if not math.isfinite(number):
         raise ConfigError(f"{path}: key {key} must be finite")
     return number
 
 
-def _count(data, key, path, default):
-    """A YAML integer from 1 to the int64 maximum, as numpy takes a count."""
-    value = data.get(key, default)
-    if isinstance(value, bool) or not isinstance(value, int) or not 1 <= value < 2**63:
-        raise ConfigError(f"{path}: {key} must be a positive integer below 2**63")
-    return value
-
-
-def _vector(data, key, path, length, default):
-    value = data.get(key, default)
-    numbers = [_finite(v) for v in value] if isinstance(value, (list, tuple)) else []
-    if len(numbers) != length or None in numbers:
-        raise ConfigError(f"{path}: key {key} must be a list of {length} finite numbers")
-    return np.array(numbers)
+def _read(data, table, path) -> dict:
+    """The values of a config mapping by its key table, a default for each
+    absent key; keys that are not in the table are refused."""
+    unknown = sorted(map(str, set(data) - set(table)))
+    if unknown:
+        raise ConfigError(f"{path}: unknown keys: {', '.join(unknown)}")
+    values = {}
+    for key, default in table.items():
+        if default is not None:
+            value = _value(path, key, data.get(key, default), default)
+            if key.endswith("_deg"):
+                key, value = key[:-4], math.radians(value)
+            values[key] = value
+    return values
 
 
 def _calibration(data, path):
     """Intrinsics and distortion from a calibration mapping."""
-    _check_keys(data, CALIBRATION_KEYS, path)
+    v = _read(data, CALIBRATION_TABLE, path)
     try:
         intr = CameraIntrinsics(
-            fx=_number(data, "fx", path),
-            fy=_number(data, "fy", path),
-            cx=_number(data, "cx", path),
-            cy=_number(data, "cy", path),
-            image_width=int(_number(data, "width", path)),
-            image_height=int(_number(data, "height", path)),
+            fx=v["fx"], fy=v["fy"], cx=v["cx"], cy=v["cy"],
+            image_width=int(v["width"]), image_height=int(v["height"]),
         )
         size = (data["width"], data["height"])
         if (intr.image_width, intr.image_height) != size:
             raise ConfigError(f"{path}: width and height must be integers, got {size}")
-        dist = DistortionCoeffs(
-            k1=_number(data, "k1", path, 0.0),
-            k2=_number(data, "k2", path, 0.0),
-            k3=_number(data, "k3", path, 0.0),
-            p1=_number(data, "p1", path, 0.0),
-            p2=_number(data, "p2", path, 0.0),
-        )
+        dist = DistortionCoeffs(k1=v["k1"], k2=v["k2"], k3=v["k3"], p1=v["p1"], p2=v["p2"])
     except ValueError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
     return intr, dist
@@ -649,17 +663,17 @@ def _ellipsoid(data, path) -> Ellipsoid:
                 f"{path}: unknown ellipsoid {value!r}; use one of "
                 f"{sorted(ELLIPSOIDS)} or [r_e, r_p]"
             ) from None
-    radii = _vector({"ellipsoid": value}, "ellipsoid", path, 2, value)
+    radii = _value(path, "ellipsoid", value, [0.0, 0.0])
     try:
         return Ellipsoid(r_e=radii[0], r_p=radii[1])
     except ValueError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
 
 
-def _rig(data, path) -> RigConfig:
+def _rig(data, cam_offset, path) -> RigConfig:
     try:
         return RigConfig(
-            cam_offset=_vector(data, "cam_offset", path, 3, [0.0, 0.0, 0.0]),
+            cam_offset=cam_offset,
             gimbal_pitch_sign=data.get("gimbal_pitch_sign", 1),
             gimbal_frame=data.get("gimbal_frame", "world"),
         )
@@ -686,40 +700,37 @@ class RunConfig:
 def load_run_config(path) -> RunConfig:
     path = Path(path)
     data = _load_mapping(path)
-    _check_keys(data, RUN_CONFIG_KEYS, path)
+    v = _read(data, RUN_CONFIG_TABLE, path)
     calib = data.get("calibration")
     if not isinstance(calib, str):
         raise ConfigError(f"{path}: key calibration must be a file path")
     intr, dist = load_calibration(path.parent / calib)
-    gt_frame_yaw = None
-    if "gt_frame_yaw_deg" in data or "gt_frame_translation" in data:
-        gt_frame_yaw = math.radians(_number(data, "gt_frame_yaw_deg", path, 0.0))
     gt_rescale = data.get("gt_rescale", False)
     if not isinstance(gt_rescale, bool):
         raise ConfigError(f"{path}: key gt_rescale must be true or false")
     rescale_a_cam = None
     if gt_rescale:
-        rescale_a_cam = _number(data, "gt_rescale_a_cam", path)
+        rescale_a_cam = _value(path, "gt_rescale_a_cam", data.get("gt_rescale_a_cam"), REQUIRED)
         if rescale_a_cam <= 0:
             raise ConfigError(f"{path}: gt_rescale_a_cam must be positive")
     else:
         for key in ("gt_rescale_a_cam", "gt_rescale_nadir"):
             if key in data:
                 raise ConfigError(f"{path}: key {key} is used only with gt_rescale: true")
-    sync_max_gap = _number(data, "sync_max_gap", path, 0.05)
-    if sync_max_gap < 0:
+    if v["sync_max_gap"] < 0:
         raise ConfigError(f"{path}: sync_max_gap must be non-negative")
+    framed = "gt_frame_yaw_deg" in data or "gt_frame_translation" in data
     return RunConfig(
         intrinsics=intr,
         distortion=dist,
-        rig=_rig(data, path),
+        rig=_rig(data, v["cam_offset"], path),
         ellipsoid=_ellipsoid(data, path),
-        altitude_datum_offset=_number(data, "altitude_datum_offset", path, 0.0),
-        sync_max_gap=sync_max_gap,
-        gt_frame_yaw=gt_frame_yaw,
-        gt_frame_translation=_vector(data, "gt_frame_translation", path, 3, [0.0, 0.0, 0.0]),
+        altitude_datum_offset=v["altitude_datum_offset"],
+        sync_max_gap=v["sync_max_gap"],
+        gt_frame_yaw=v["gt_frame_yaw"] if framed else None,
+        gt_frame_translation=v["gt_frame_translation"],
         gt_rescale_a_cam=rescale_a_cam,
-        gt_rescale_nadir=_vector(data, "gt_rescale_nadir", path, 2, [0.0, 0.0]),
+        gt_rescale_nadir=v["gt_rescale_nadir"],
     )
 
 
@@ -730,7 +741,7 @@ def load_scenario_config(path, seed=None) -> Scenario:
     """
     path = Path(path)
     data = _load_mapping(path)
-    _check_keys(data, SCENARIO_KEYS, path)
+    v = _read(data, SCENARIO_TABLE, path)
 
     calib = data.get("calibration")
     if isinstance(calib, str):
@@ -740,20 +751,15 @@ def load_scenario_config(path, seed=None) -> Scenario:
     else:
         raise ConfigError(f"{path}: key calibration must be a path or a mapping")
 
-    n = _count(data, "n_samples", path, 500)
+    n = v["n_samples"]
     pattern = data.get("pattern", "lawnmower")
     try:
         if pattern == "lawnmower":
-            area = _vector(data, "area", path, 2, [16.0, 8.0])
-            path_xy = lawnmower_path(n, area[0], area[1], _count(data, "legs", path, 6))
+            path_xy = lawnmower_path(n, *v["area"], v["legs"])
         elif pattern == "circle":
-            path_xy = circle_path(n, _number(data, "radius", path, 5.0))
+            path_xy = circle_path(n, v["radius"])
         elif pattern == "line":
-            path_xy = line_path(
-                n,
-                _vector(data, "start", path, 2, [0.0, 0.0]),
-                _vector(data, "end", path, 2, [5.0, 0.0]),
-            )
+            path_xy = line_path(n, v["start"], v["end"])
         else:
             raise ConfigError(f"{path}: unknown pattern {pattern!r}")
     except ValueError as exc:  # numpy's refusal of an array of n points
@@ -764,38 +770,21 @@ def load_scenario_config(path, seed=None) -> Scenario:
     if isinstance(seed, bool) or not isinstance(seed, int):
         raise ConfigError(f"{path}: seed must be an integer")
     try:
-        noise = NoiseSpec(
-            sigma_px=_number(data, "sigma_px", path, 0.0),
-            sigma_alt=_number(data, "sigma_alt", path, 0.0),
-            sigma_depth=_number(data, "sigma_depth", path, 0.0),
-            sigma_gimbal=math.radians(_number(data, "sigma_gimbal_deg", path, 0.0)),
-            seed=seed,
-        )
+        noise = NoiseSpec(sigma_px=v["sigma_px"], sigma_alt=v["sigma_alt"],
+                          sigma_depth=v["sigma_depth"], sigma_gimbal=v["sigma_gimbal"], seed=seed)
         return Scenario(
             path_xy=path_xy,
-            duration=_number(data, "duration", path, 100.0),
-            altitude=_number(data, "altitude", path),
-            depth_min=_number(data, "depth_min", path, 0.0),
-            depth_max=_number(data, "depth_max", path, data.get("depth_min", 0.0)),
-            ref_geo=np.array([
-                math.radians(_number(data, "ref_lat_deg", path, 0.0)),
-                math.radians(_number(data, "ref_lon_deg", path, 0.0)),
-                _number(data, "ref_alt_m", path, 0.0),
-            ]),
+            duration=v["duration"],
+            altitude=v["altitude"],
+            depth_min=v["depth_min"],
+            depth_max=v["depth_max"] if "depth_max" in data else v["depth_min"],
+            ref_geo=np.array([v["ref_lat"], v["ref_lon"], v["ref_alt_m"]]),
             intrinsics=intr,
             distortion=dist,
-            rig=_rig(data, path),
+            rig=_rig(data, v["cam_offset"], path),
             noise=noise,
-            gimbal=np.radians([
-                _number(data, "gimbal_yaw_deg", path, 0.0),
-                _number(data, "gimbal_pitch_deg", path, -90.0),
-                _number(data, "gimbal_roll_deg", path, 0.0),
-            ]),
-            body=np.radians([
-                _number(data, "body_yaw_deg", path, 0.0),
-                _number(data, "body_pitch_deg", path, 0.0),
-                _number(data, "body_roll_deg", path, 0.0),
-            ]),
+            gimbal=np.array([v["gimbal_yaw"], v["gimbal_pitch"], v["gimbal_roll"]]),
+            body=np.array([v["body_yaw"], v["body_pitch"], v["body_roll"]]),
         )
     except ValueError as exc:
         raise ConfigError(f"{path}: {exc}") from exc

@@ -176,6 +176,30 @@ calibration: {fx: 1000.0, fy: 1000.0, cx: 960.0, cy: 540.0, width: 1920, height:
             io.load_scenario_config(write(tmp_path / "scn.yaml", text))
 
 
+INLINE = "calibration: {fx: 1000.0, fy: 1000.0, cx: 960.0, cy: 540.0, width: 1920, height: 1080}\n"
+
+
+# PyYAML keeps the last of two values for one key; each mapping of a config refuses that
+@pytest.mark.parametrize("load, text, key", [
+    (io.load_run_config, "calibration: cal.yaml\nsync_max_gap: 0.05\nsync_max_gap: 50.0\n",
+     "sync_max_gap"),
+    (io.load_scenario_config, "altitude: 25.0\n" + INLINE + "altitude: 30.0\n", "altitude"),
+    (io.load_scenario_config,
+     "altitude: 25.0\n" + INLINE.replace("fx: 1000.0", "fx: 1.0, fx: 2.0"), "fx"),
+    (io.load_calibration, CALIB + "k1: 0.2\n", "k1"),
+], ids=["run", "scenario", "inline_calibration", "calibration"])
+def test_duplicate_key_refused(tmp_path, load, text, key):
+    write(tmp_path / "cal.yaml", CALIB)
+    with pytest.raises(ConfigError, match=f"duplicate key '{key}'"):
+        load(write(tmp_path / "config.yaml", text))
+
+
+def test_merged_key_may_be_overridden(tmp_path):
+    text = ("calibration:\n  <<: {fx: 1.0, fy: 1000.0, cx: 960.0, cy: 540.0, width: 1920, "
+            "height: 1080}\n  fx: 1000.0\naltitude: 25.0\n")
+    assert io.load_scenario_config(write(tmp_path / "scn.yaml", text)).intrinsics.fx == 1000.0
+
+
 class TestCsv:
     def test_observation_round_trip_bit_exact(self, tmp_path):
         values = np.random.default_rng(5).uniform(0.1, 100.0, (5, 14))
@@ -408,15 +432,20 @@ SCHEMAS = [
 ]
 
 
-# line ends, blank lines among them; csv.reader reads a lone CR as a line end
-ANY_LINE_ENDS = ["\n", "\r\n", "\n\n", "\r\n\r\n", "\r", "\r\r"]
+# the line ends _parse_block reads; it declines blank lines and lone CRs,
+# which csv.reader reads as line ends
+PARSED_LINE_ENDS = ["\n", "\r\n"]
+ANY_LINE_ENDS = PARSED_LINE_ENDS + ["\n\n", "\r\n\r\n", "\r", "\r\r"]
 
 
 @st.composite
-def csv_blocks(draw, line_ends=ANY_LINE_ENDS):
+def csv_blocks(draw, line_ends=None):
     """A schema and the lines of a block of its rows, as a file yields them:
-    rows of JSON numbers and plain text, with at most one odd field, or
-    a row a field short, a row a field long, or both."""
+    rows of JSON numbers and plain text. Half the blocks hold one odd
+    field; the others none, or a row a field short, a row a field long,
+    or both. Each line ends in one of `line_ends`; without them, one of
+    the two sets above is drawn for the whole block, so that half the
+    blocks end every line as _parse_block reads it."""
     columns, text_columns, reader = draw(st.sampled_from(SCHEMAS))
     rows = [
         [draw(texts if c in text_columns else numbers) for c in columns]
@@ -424,13 +453,16 @@ def csv_blocks(draw, line_ends=ANY_LINE_ENDS):
     ]
     row, other = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
     k = draw(st.integers(0, len(columns) - 1))
-    fault = draw(st.sampled_from(["none", "odd", "short", "long", "short and long"]))
+    fault = "odd" if draw(st.booleans()) else draw(
+        st.sampled_from(["none", "short", "long", "short and long"])
+    )
     if fault == "odd":
         row[k] = draw(odd_texts if columns[k] in text_columns else odd_numbers)
     if "short" in fault:
         del row[k]
     if "long" in fault:
         other.insert(k, other[k - 1])
+    line_ends = line_ends or draw(st.sampled_from([PARSED_LINE_ENDS, ANY_LINE_ENDS]))
     ends = st.sampled_from(line_ends)
     text = "".join(",".join(fields) + draw(ends) for fields in rows)
     if draw(st.booleans()):
@@ -488,9 +520,8 @@ MIDDLE_BLOCK_FAULTS = {
 class TestFastParser:
     """_parse_block reads a block as csv.reader + float() does, or declines."""
 
-    # _parse_block declines blank lines and lone CRs, so its blocks end each line in LF or CRLF
     @settings(deadline=None)
-    @given(csv_blocks(line_ends=["\n", "\r\n"]))
+    @given(csv_blocks(line_ends=PARSED_LINE_ENDS))
     @example(block=(io.GROUND_TRUTH_COLUMNS, (), None, ["0.0,1.0,2.0,-0\n"]))
     @example(block=(io.GROUND_TRUTH_COLUMNS, (), None, ["0.0,1.0,2.0, -0\r\n"]))
     @example(block=(io.GROUND_TRUTH_COLUMNS, (), None, ["0.0,true,2.0,3.0\n"]))

@@ -26,10 +26,10 @@ def test_readme_library_names_every_module():
     assert named == {path.stem for path in package.glob("*.py")} - {"__init__"}
 
 
-def readme_block(heading):
-    """The first python block after a README heading."""
+def readme_block(heading, language="python"):
+    """The first block of `language` after a README heading."""
     section = README.read_text(encoding="utf-8").split(f"\n{heading}\n", 1)[1]
-    return section.split("```python\n", 1)[1].split("\n```", 1)[0]
+    return section.split(f"```{language}\n", 1)[1].split("\n```", 1)[0]
 
 
 def test_readme_batch_api_block_runs(tmp_path, monkeypatch):
@@ -48,3 +48,26 @@ def test_readme_batch_api_block_runs(tmp_path, monkeypatch):
                  "--gt", "gt.csv"]) == 0
     exec(compile(readme_block("### Batch API"), str(README), "exec"), {})
     assert len(io.read_trajectory("traj.csv")["t"]) == 20
+
+
+CONFIG_BLOCKS = {
+    "cal.yaml": ("### Calibration file", io.CALIBRATION_TABLE),
+    "run.yaml": ("### Run configuration (`recover`, `evaluate`)", io.RUN_CONFIG_TABLE),
+    "scenario.yaml": ("### Scenario description (`simulate`)", io.SCENARIO_TABLE),
+}
+
+
+def test_readme_config_blocks_name_every_key_and_run(tmp_path, monkeypatch):
+    # each block names each key of its table once, an optional one maybe commented out
+    for name, (heading, table) in CONFIG_BLOCKS.items():
+        block = readme_block(heading, "yaml")
+        keys = re.findall(r"^(?:# ?)?(\w+):", block, re.MULTILINE)
+        assert sorted(keys) == sorted(table), name
+        (tmp_path / name).write_text(block + "\n", encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    assert main(["simulate", "--config", "scenario.yaml", "--output", "obs.csv",
+                 "--gt", "gt.csv"]) == 0
+    assert main(["recover", "--config", "run.yaml", "--input", "obs.csv",
+                 "--output", "traj.csv"]) == 0
+    assert main(["evaluate", "--config", "run.yaml", "--input", "traj.csv", "--gt", "gt.csv",
+                 "--output", "report.json"]) == 0
