@@ -16,22 +16,23 @@ from any such mappings, a block of rows at a time. A log is read as
 bytes, a block of lines at a time: numpy finds each comma and line
 end, orjson parses the numeric fields as one JSON array, and the text
 columns are cut out by position. JSON numbers are a subset of what
-float() reads, and orjson rounds them as float() does. A block goes
-through csv.reader + float() instead, so that values and errors are
-the csv module's, when it holds a byte that is not ASCII or a NUL, a
-blank line or a lone CR, a line with too few or too many fields or
-longer than the csv field size limit, numeric fields with [ ] { } or
-the letters t, f or n (of true, false and null) or a bare -0 (an
-integer to JSON, which loses its sign), or when orjson cannot parse
-them or a value is not finite. A quote, or a header that is not the
-column names alone, hands the rest of the file to csv.reader, which
-reads quoted fields across lines; so does a pipe, from its start. What csv.reader refuses (a field
-over its size limit, a NUL before Python 3.11) is a SchemaError naming
-the line, as a bad value is. A block is written as one joined string,
-text fields quoted so that csv.reader reads them back. A log can be
-read block by block; a file is written from a sequence of column
-mappings to a temporary file, renamed onto the target once complete
-(see staged, which also lets a command replace two files together).
+float() reads, and orjson rounds them as float() does. A block is
+declined, so that values and errors are the csv module's, when it
+holds a quote, a byte that is not ASCII or a NUL, a blank line or a
+lone CR, a line with too few or too many fields or longer than the csv
+field size limit, numeric fields with [ ] { } or the letters t, f or n
+(of true, false and null) or a bare -0 (an integer to JSON, which
+loses its sign), or when orjson cannot parse them or a value is not
+finite. A declined block hands the rest of the file to one csv.reader
++ float(), which reads quoted fields across lines; so does a header
+that is not the column names alone, or a pipe, from its start. What
+csv.reader refuses (a field over its size limit, a NUL before Python
+3.11) is a SchemaError naming the line, as a bad value is. A block is
+written as one joined string, text fields quoted so that csv.reader
+reads them back. A log can be read block by block; a file is written
+from a sequence of column mappings to a temporary file, renamed onto
+the target once complete (see staged, which also lets a command
+replace two files together).
 """
 
 import contextlib
@@ -39,7 +40,6 @@ import csv
 import itertools
 import math
 import os
-import re
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -80,9 +80,6 @@ _MAX_READ_BYTES = 1 << 22
 # In numeric fields, JSON structure and the letters of true, false and null:
 # orjson would read these where float() refuses them.
 _JSON_ONLY_BYTES = (b"[", b"]", b"{", b"}", b"t", b"f", b"n")
-
-# a line as a file opened with newline="" yields it, ended by CRLF, CR or LF
-_LINE = r"[^\r\n]*(?:\r\n?|\n)|[^\r\n]+"
 
 # a text field holding any of these is written quoted, as csv.reader reads it back
 _QUOTED_CHARS = ',"\r\n'
@@ -130,7 +127,7 @@ def _parse_block(columns, text_columns, block, ends):
     number reads as float() reads it. The text fields, which sit at
     either end of the schema, are cut out at once. Returns None where a
     line may read differently from csv.reader and float(), or is bad;
-    the caller then reads the block record by record.
+    the caller then reads the rest of the file by csv.reader.
     """
     if not block.endswith(b"\n"):
         block, ends = block + b"\n", np.append(ends, len(block))
@@ -190,33 +187,6 @@ def _parse_block(columns, text_columns, block, ends):
     ]
 
 
-def _parse_records(path, columns, text_columns, lines, handle, first_line):
-    """Columns of a block read by csv.reader + float(), and its record count.
-
-    Each record is checked by _check_record. A quoted field still open
-    at the block's last line runs on into `handle`.
-    """
-    reader = csv.reader(itertools.chain(lines, handle))
-    records = []
-    try:
-        for raw in reader:
-            records.append(raw)
-            if reader.line_num >= len(lines):
-                break
-    except csv.Error as exc:  # a field over csv.field_size_limit, or a NUL before 3.11
-        raise SchemaError(f"{path}: {exc}", line=first_line + len(records)) from None
-    checked = []
-    for lineno, raw in enumerate(records, start=first_line):
-        if raw:
-            _check_record(path, columns, text_columns, raw, lineno)
-            checked.append(raw)
-    return [
-        np.array(values, dtype=object) if name in text_columns
-        else np.fromiter(map(float, values), dtype=float, count=len(values))
-        for name, values in zip(columns, zip(*checked))
-    ], len(records)
-
-
 def _line_blocks(raw, rows):
     """Yield the rest of a binary file as blocks of `rows` lines, each with
     its byte offset and the positions of its LF bytes; the last block may
@@ -246,62 +216,50 @@ def _line_blocks(raw, rows):
         offset, ends = offset + cut, ends[rows:] - cut
 
 
-def _vectorized_blocks(path, columns, text_columns, raw):
-    """Yield the lines after a plain header as column dicts, each block
-    parsed by _parse_block or, where it declines, by csv.reader + float().
-
-    Returns where a block holds a quote, as the byte offset and line
-    number of that block, for csv.reader to read on from: a quoted field
-    may run on past the block's end.
-    """
-    first_line = 2
-    for offset, block, ends in _line_blocks(raw, CSV_BLOCK_ROWS):
-        parsed = _parse_block(columns, text_columns, block, ends)
-        if parsed is not None:
-            n_lines = len(parsed[0])
-        elif b'"' in block:
-            return offset, first_line
-        else:
-            try:
-                lines = re.findall(_LINE, block.decode("utf-8"))
-            except UnicodeDecodeError as exc:
-                offset += exc.start
-                raise SchemaError(f"{path}: not UTF-8: {exc.reason} at byte {offset}") from None
-            parsed, n_lines = _parse_records(path, columns, text_columns, lines, (), first_line)
-        if parsed:
-            yield dict(zip(columns, parsed))
-        first_line += n_lines
+def _record_columns(columns, text_columns, records):
+    """The column dict of a list of checked records."""
+    return {
+        name: np.array(values, dtype=object) if name in text_columns
+        else np.fromiter(map(float, values), dtype=float, count=len(values))
+        for name, values in zip(columns, zip(*records))
+    }
 
 
 def _csv_blocks(path, columns, text_columns, handle, first_line):
-    """Yield the rest of a text file as column dicts read by csv.reader +
-    float(), with its header first when `first_line` is 1."""
+    """Yield the rest of a text file as column dicts of up to CSV_BLOCK_ROWS
+    rows, read by one csv.reader + float(), with its header first when
+    `first_line` is 1.
+
+    Each record is checked by _check_record as the reader yields it, so
+    the first fault in the file is the one raised; a line number counts
+    records, as a quoted field may run on across lines.
+    """
+    lineno, records = first_line, []
     try:
-        if first_line == 1:
-            reader = csv.reader(handle)
-            try:
-                header = next(reader, None)
-            except csv.Error as exc:
-                raise SchemaError(f"{path}: {exc}", line=reader.line_num) from None
-            if header is None:
-                raise SchemaError(f"{path}: missing header", line=1)
-            if header != list(columns):
-                raise SchemaError(
-                    f"{path}: expected columns {','.join(columns)}, got {','.join(header)}",
-                    line=1,
-                )
-            first_line = 2
-        while lines := list(itertools.islice(handle, CSV_BLOCK_ROWS)):
-            parsed, n_records = _parse_records(
-                path, columns, text_columns, lines, handle, first_line
-            )
-            if parsed:
-                yield dict(zip(columns, parsed))
-            first_line += n_records
+        for raw in csv.reader(handle):
+            if lineno == 1:
+                if raw != list(columns):
+                    raise SchemaError(
+                        f"{path}: expected columns {','.join(columns)}, got {','.join(raw)}",
+                        line=1,
+                    )
+            elif raw:
+                _check_record(path, columns, text_columns, raw, lineno)
+                records.append(raw)
+                if len(records) == CSV_BLOCK_ROWS:
+                    yield _record_columns(columns, text_columns, records)
+                    records = []
+            lineno += 1
+    except csv.Error as exc:  # a field over csv.field_size_limit, or a NUL before 3.11
+        raise SchemaError(f"{path}: {exc}", line=lineno) from None
     except UnicodeDecodeError as exc:
         # exc.object is the chunk being decoded, which ends where the file is read to
         offset = handle.buffer.tell() - len(exc.object) + exc.start
         raise SchemaError(f"{path}: not UTF-8: {exc.reason} at byte {offset}") from None
+    if lineno == 1:
+        raise SchemaError(f"{path}: missing header", line=1)
+    if records:
+        yield _record_columns(columns, text_columns, records)
 
 
 def _read_blocks(path, columns, text_columns=()):
@@ -312,13 +270,12 @@ def _read_blocks(path, columns, text_columns=()):
     1-based line number (the record number, for fields spanning lines).
 
     After a header of the column names alone, the file is read as bytes
-    and each block of lines parsed by _parse_block. A block it declines
-    is decoded and read by csv.reader + float() instead, so the values
-    and the error are the same either way; a csv.Error is a SchemaError
-    too. From a block holding a quote on, or from the start after any
-    other header or in a pipe, the file is read as text by csv.reader +
-    float(). Bytes that are not UTF-8 are a SchemaError naming the
-    offset of the first bad byte.
+    and each block of lines parsed by _parse_block. From the first block
+    it declines on, or from the start after any other header or in a
+    pipe, the file is read as text by _csv_blocks, so the values and the
+    first error are the same either way; a csv.Error is a SchemaError
+    too. Bytes that are not UTF-8 are a SchemaError naming the offset of
+    the first bad byte.
     """
     path = Path(path)
     try:
@@ -328,16 +285,22 @@ def _read_blocks(path, columns, text_columns=()):
     header = ",".join(columns).encode()
     with handle:
         raw = handle.buffer
-        resume = 0, 1  # where csv.reader takes over: byte offset, line number (1: the header)
+        offset, first_line = 0, 1  # where csv.reader takes over (line 1: the header)
         # csv.reader rereads from a block's offset, and a pipe cannot be
         # reread: a pipe goes to csv.reader whole
         if raw.seekable():
             if raw.readline() in (header, header + b"\n", header + b"\r\n"):
-                resume = yield from _vectorized_blocks(path, columns, text_columns, raw)
-            if resume is None:
-                return
-            raw.seek(resume[0])
-        yield from _csv_blocks(path, columns, text_columns, handle, resume[1])
+                first_line = 2
+                for offset, block, ends in _line_blocks(raw, CSV_BLOCK_ROWS):
+                    parsed = _parse_block(columns, text_columns, block, ends)
+                    if parsed is None:
+                        break
+                    yield dict(zip(columns, parsed))
+                    first_line += len(parsed[0])
+                else:
+                    return
+            raw.seek(offset)
+        yield from _csv_blocks(path, columns, text_columns, handle, first_line)
 
 
 def _read_rows(path, columns, text_columns=()) -> dict:

@@ -615,6 +615,41 @@ class TestOriginTrack:
         ) == 0
         assert (workdir / "tracked.csv").read_bytes() == (workdir / "clean.csv").read_bytes()
 
+    def test_written_logs_are_read_without_csv_reader(self, workdir, monkeypatch):
+        # every log the pipeline writes is parsed a block at a time: none
+        # falls back to csv.reader, the path for files written by hand
+        def refuse(path, *args):
+            raise AssertionError(f"{path} read by csv.reader")
+
+        monkeypatch.setattr(io, "_csv_blocks", refuse)
+        with (workdir / "cal.yaml").open("a", encoding="utf-8") as cal:
+            cal.write("k1: -0.1\nk2: 0.05\np1: 0.001\np2: -0.002\n")
+        simulate(workdir)
+        # every fourth origin sample dropped, and one far off the vehicle
+        t, u = (io.read_observations(workdir / "obs.csv")[c] for c in ("t", "u"))
+        track = {"t": t, "u": np.full(len(t), 960.0), "v": np.full(len(t), 540.0)}
+        track["u"][1] = u[1] - 1000.0
+        keep = np.arange(len(t)) % 4 != 3
+        io._write_rows(workdir / "origin.csv", io.TRACK_COLUMNS,
+                       [{name: column[keep] for name, column in track.items()}])
+        assert run(
+            workdir, "recover",
+            "--config", workdir / "run.yaml",
+            "--input", workdir / "obs.csv",
+            "--output", workdir / "traj.csv",
+            "--origin-track", workdir / "origin.csv",
+        ) == 0
+        assert "out_of_frame" in io.read_trajectory(workdir / "traj.csv")["flags"]
+        sidecar = io.read_exclusions(workdir / "traj.csv.exclusions.csv")
+        assert list(sidecar["reason"]) == ["no_origin_match"] * 30
+        assert run(
+            workdir, "evaluate",
+            "--config", workdir / "run.yaml",
+            "--input", workdir / "traj.csv",
+            "--gt", workdir / "gt.csv",
+            "--output", workdir / "report.json",
+        ) == 0
+
 
 class TestSimulateErrors:
     def test_infeasible_scene_exits_2(self, workdir, capsys):
