@@ -4,7 +4,8 @@ Latitude and longitude are radians internally; file I/O converts from
 decimal degrees at the boundary. Geodetic points are (..., 3) float
 arrays of latitude (rad), longitude (rad) and height above the ellipsoid
 (m); ECEF and ENU points are (..., 3) float arrays of meters. All
-operations vectorize elementwise.
+operations vectorize elementwise; enu_to_ecef checks its anchor once and
+applies the ENU axes to the coordinate columns without a matrix stack.
 """
 
 import warnings
@@ -82,33 +83,25 @@ def prime_vertical_radius(lat, ell: Ellipsoid = WGS84):
         N = r_e^2 / sqrt(r_e^2 cos^2(lat) + r_p^2 sin^2(lat))
     """
     lat = np.asarray(lat, dtype=float)
-    c, s = np.cos(lat), np.sin(lat)
-    return ell.r_e**2 / np.sqrt((ell.r_e * c) ** 2 + (ell.r_p * s) ** 2)
+    return _prime_vertical_radius(np.cos(lat), np.sin(lat), ell)
+
+
+def _prime_vertical_radius(clat, slat, ell: Ellipsoid):
+    return ell.r_e**2 / np.sqrt((ell.r_e * clat) ** 2 + (ell.r_p * slat) ** 2)
+
+
+def _ecef(geo, ell: Ellipsoid):
+    """ECEF columns of checked geodetic points, and cos/sin of lat and lon."""
+    lat, lon, h = np.moveaxis(_checked_geodetic(geo), -1, 0)
+    clat, slat, clon, slon = np.cos(lat), np.sin(lat), np.cos(lon), np.sin(lon)
+    n = _prime_vertical_radius(clat, slat, ell)
+    xyz = (n + h) * clat * clon, (n + h) * clat * slon, ((ell.r_p / ell.r_e) ** 2 * n + h) * slat
+    return xyz, (clat, slat, clon, slon)
 
 
 def geodetic_to_ecef(geo, ell: Ellipsoid = WGS84) -> np.ndarray:
     """Closed-form geodetic to ECEF conversion, (..., 3) to (..., 3) points."""
-    lat, lon, h = np.moveaxis(_checked_geodetic(geo), -1, 0)
-    n = prime_vertical_radius(lat, ell)
-    clat, slat = np.cos(lat), np.sin(lat)
-    x = (n + h) * clat * np.cos(lon)
-    y = (n + h) * clat * np.sin(lon)
-    z = ((ell.r_p / ell.r_e) ** 2 * n + h) * slat
-    return _checked_ecef(np.stack([x, y, z], axis=-1), ell)
-
-
-def enu_to_ecef_rotation(ref) -> np.ndarray:
-    """Rotation block taking local ENU offsets at the geodetic point `ref`
-    into ECEF axes; a stack of shape (n, 3, 3) for (n, 3) points."""
-    lat, lon, _ = np.moveaxis(_checked_geodetic(ref), -1, 0)
-    clat, slat = np.cos(lat), np.sin(lat)
-    clon, slon = np.cos(lon), np.sin(lon)
-    entries = [
-        -slon, -slat * clon, clat * clon,
-        clon, -slat * slon, clat * slon,
-        np.zeros_like(clat), clat, slat,
-    ]
-    return np.stack(entries, axis=-1).reshape(lat.shape + (3, 3))
+    return _checked_ecef(np.stack(_ecef(geo, ell)[0], axis=-1), ell)
 
 
 def enu_to_ecef(p, ref, ell: Ellipsoid = WGS84) -> np.ndarray:
@@ -116,11 +109,16 @@ def enu_to_ecef(p, ref, ell: Ellipsoid = WGS84) -> np.ndarray:
     `ref` to ECEF (..., 3).
 
     `p` is a 3-vector, or an (n, 3) array with `ref` holding n anchors.
+    The sines and cosines of `ref` place the origin and the ENU axes both.
     """
-    p = np.asarray(p, dtype=float)
-    origin = geodetic_to_ecef(ref, ell)
-    offset = (enu_to_ecef_rotation(ref) @ p[..., None])[..., 0]
-    return _checked_ecef(offset + origin, ell)
+    e, n, u = np.moveaxis(np.asarray(p, dtype=float), -1, 0)
+    (x, y, z), (clat, slat, clon, slon) = _ecef(ref, ell)
+    ecef = [
+        -slon * e + -slat * clon * n + clat * clon * u + x,
+        clon * e + -slat * slon * n + clat * slon * u + y,
+        clat * n + slat * u + z,
+    ]
+    return _checked_ecef(np.stack(ecef, axis=-1), ell)
 
 
 def ecef_to_geodetic(xyz, ell: Ellipsoid = WGS84) -> np.ndarray:

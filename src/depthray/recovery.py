@@ -8,9 +8,10 @@ pixel. Both take the rotation of `camera_rotation`, the one rotation
 builder, and the simulator calls the same functions.
 
 `recover_batch` runs the chain on columns of observations, on to {D}
-(`camera_to_body`) and geodetic fixes. Every row is recovered on its own,
-so any split of a log into blocks gives the same rows; `recover` feeds
-it one CSV block at a time.
+(`camera_to_body`) and geodetic fixes, applying rotations as column sums
+(`geometry.rotate`), with no per-row matrix product. Every row is
+recovered on its own, so any split of a log into blocks gives the same
+rows; `recover` feeds it one CSV block at a time.
 
 Frames:
     {G}  ENU with origin at the camera optical center, z up.
@@ -25,9 +26,10 @@ import numpy as np
 from .camera import distort, normalized_to_pixel, pixel_to_normalized, undistort
 from .geodesy import ecef_to_geodetic, enu_to_ecef
 from .geometry import (
-    CAM_FROM_FORWARD,
+    CAM_AXES,
     PARALLEL_EPS,
     ray_plane_hits,
+    rotate,
     wrap_angle,
     yaw_pitch_roll_matrix,
 )
@@ -107,11 +109,14 @@ class RigConfig:
     gimbal_frame: str = "world"
 
     def __post_init__(self):
-        offset = np.asarray(self.cam_offset, dtype=float)
+        offset = np.array(self.cam_offset, dtype=float)  # a copy the caller cannot change
         if offset.shape != (3,):
             raise ValueError("cam_offset must be a 3-vector")
+        if not np.all(np.isfinite(offset)):
+            raise ValueError("cam_offset must be finite")
         if not np.linalg.norm(offset) < 10.0:
             raise ValueError("cam_offset exceeds the 10 m sanity bound")
+        offset.flags.writeable = False
         # a bool is an int equal to 1 or 0, but not a pitch sign
         if isinstance(self.gimbal_pitch_sign, bool) or self.gimbal_pitch_sign not in (1, -1):
             raise ValueError("gimbal_pitch_sign must be +1 or -1")
@@ -127,16 +132,17 @@ def camera_rotation(gimbal, body, rig: RigConfig) -> np.ndarray:
     gimbal, body: (..., 3) arrays of wrapped yaw, pitch, roll in radians.
     The gimbal angles (composed after the body attitude when they are
     body-referenced) orient a forward/right/down frame whose x axis is
-    the optical axis; CAM_FROM_FORWARD permutes it into {C}.
+    the optical axis; {C} takes that frame's transpose, rows in CAM_AXES order.
     """
     gimbal = np.asarray(gimbal, dtype=float)
     if rig.gimbal_pitch_sign != 1:
         gimbal = gimbal.copy()
         gimbal[..., 1] = wrap_angle(rig.gimbal_pitch_sign * gimbal[..., 1])
-    r_world_fwd = yaw_pitch_roll_matrix(gimbal)
+    r_t = np.swapaxes(yaw_pitch_roll_matrix(gimbal), -1, -2)
     if rig.gimbal_frame == "body":
-        r_world_fwd = yaw_pitch_roll_matrix(body) @ r_world_fwd
-    return CAM_FROM_FORWARD @ np.swapaxes(r_world_fwd, -1, -2)
+        # row j of (B G)^T is column j of G, a row of G^T, rotated by B
+        r_t = rotate(yaw_pitch_roll_matrix(body)[..., None, :, :], r_t)
+    return r_t[..., CAM_AXES, :]
 
 
 def plane_depth(a_uav, d_uuv, rig: RigConfig):
@@ -176,8 +182,7 @@ def project(p_g, r_cw, intr, dist):
     and scaling. A point at or behind the camera gets a non-finite pixel;
     callers reject it by z.
     """
-    p_c = (r_cw @ p_g[..., None])[..., 0]
-    x, y, z = p_c[:, 0], p_c[:, 1], p_c[:, 2]
+    x, y, z = np.moveaxis(rotate(r_cw, p_g), -1, 0)
     with np.errstate(all="ignore"):
         u, v = normalized_to_pixel(*distort(x / z, y / z, dist), intr)
     return u, v, z
@@ -185,14 +190,13 @@ def project(p_g, r_cw, intr, dist):
 
 def camera_to_body(p_g, body, rig: RigConfig):
     """Stacked points from {G} to {D}: p_D = p_G + R_body o, o the camera offset."""
-    return p_g + yaw_pitch_roll_matrix(body) @ rig.cam_offset
+    return p_g + rotate(yaw_pitch_roll_matrix(body), rig.cam_offset)
 
 
-def _degrees_to_angles(columns, prefix):
-    return wrap_angle(np.radians(np.stack(
-        [columns[f"{prefix}_yaw_deg"], columns[f"{prefix}_pitch_deg"], columns[f"{prefix}_roll_deg"]],
-        axis=-1,
-    )))
+def _degrees_to_angles(columns, prefix, rows):
+    """(n, 3) wrapped angles in radians of `rows`, each angle a contiguous column."""
+    angles = np.stack([columns[f"{prefix}_{name}_deg"][rows] for name in ("yaw", "pitch", "roll")])
+    return wrap_angle(np.radians(angles)).T
 
 
 def recover_batch(columns, config) -> tuple[dict, np.ndarray]:
@@ -220,15 +224,16 @@ def recover_batch(columns, config) -> tuple[dict, np.ndarray]:
     valid &= np.abs(lat) <= np.pi / 2 + 1e-12
     valid &= np.max(np.abs([a_uav, columns["d_uuv"], columns["ref_alt_m"]]), axis=0) <= 1e5
     rows = np.flatnonzero(valid)
-    u, v, body = columns["u"][rows], columns["v"][rows], _degrees_to_angles(columns, "body")[rows]
-    r_cw = camera_rotation(_degrees_to_angles(columns, "gimbal")[rows], body, config.rig)
+    u, v, body = columns["u"][rows], columns["v"][rows], _degrees_to_angles(columns, "body", rows)
+    r_cw = camera_rotation(_degrees_to_angles(columns, "gimbal", rows), body, config.rig)
     depth = plane_depth(a_uav[rows], columns["d_uuv"][rows], config.rig)
     p_c, hit_codes = cast(u, v, depth, r_cw, intr, config.distortion)
     codes = np.full(len(valid), DEGENERATE, dtype=np.int8)
     codes[rows] = hit_codes
     ok = hit_codes == RECOVERED
+    with np.errstate(invalid="ignore"):  # rows without a hit may be non-finite; dropped
+        p_g = rotate(np.swapaxes(r_cw, -1, -2), p_c)[ok]
     rows, u, v, p_c = rows[ok], u[ok], v[ok], p_c[ok]
-    p_g = (np.swapaxes(r_cw[ok], -1, -2) @ p_c[..., None])[..., 0]
     p_d = camera_to_body(p_g, body[ok], config.rig)
     lon = np.radians(columns["ref_lon_deg"][rows])
     ref = np.column_stack([lat[rows], lon, columns["ref_alt_m"][rows]])

@@ -77,7 +77,7 @@ class Scenario:
     body: np.ndarray = field(default_factory=lambda: np.zeros(3))
 
     def __post_init__(self):
-        path_xy = np.asarray(self.path_xy, dtype=float)
+        path_xy = np.array(self.path_xy, dtype=float)  # a copy the caller cannot change
         if path_xy.ndim != 2 or path_xy.shape[1] != 2 or len(path_xy) == 0:
             raise ValueError("path_xy must have shape (n, 2) with n >= 1")
         if len(path_xy) > 1 and not self.duration > 0:
@@ -94,6 +94,8 @@ class Scenario:
             object.__setattr__(self, name, wrap_angle(angles))
         object.__setattr__(self, "path_xy", path_xy)
         object.__setattr__(self, "ref_geo", _checked_geodetic(self.ref_geo).reshape(3))
+        for name in ("path_xy", "ref_geo", "gimbal", "body"):
+            getattr(self, name).flags.writeable = False
 
     def __len__(self):
         return len(self.path_xy)

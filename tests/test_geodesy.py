@@ -10,7 +10,6 @@ from depthray.geodesy import (
     _checked_geodetic,
     ecef_to_geodetic,
     enu_to_ecef,
-    enu_to_ecef_rotation,
     geodetic_to_ecef,
     prime_vertical_radius,
 )
@@ -69,16 +68,22 @@ class TestEnuToEcef:
         assert tuple(e) == pytest.approx((6378137.0, 1.0, 0.0), abs=1e-9)
 
     def test_rotation_block_orthonormal(self):
+        # the ENU axes enu_to_ecef applies, read off from 1 km steps along
+        # each, are orthonormal and right-handed
         rng = np.random.default_rng(37)
         for _ in range(200):
             ref = np.array([rng.uniform(-np.pi / 2, np.pi / 2), rng.uniform(-np.pi, np.pi), 0.0])
-            r = enu_to_ecef_rotation(ref)
-            assert_allclose(r.T @ r, np.eye(3), atol=1e-14)
+            e = enu_to_ecef(np.vstack([np.zeros(3), 1000.0 * np.eye(3)]), np.tile(ref, (4, 1)))
+            r = (e[1:] - e[0]).T / 1000.0
+            assert_allclose(r.T @ r, np.eye(3), atol=1e-11)
+            assert np.linalg.det(r) == pytest.approx(1.0, abs=1e-11)
 
     def test_affine_in_the_enu_point(self):
         rng = np.random.default_rng(41)
         ref = geodetic_deg(-33.9, 18.4, 52.0)
-        r = enu_to_ecef_rotation(ref)
+        # the textbook rotation, columns east, north and up in ECEF axes
+        sl, cl, so, co = np.sin(ref[0]), np.cos(ref[0]), np.sin(ref[1]), np.cos(ref[1])
+        r = np.array([[-so, -sl * co, cl * co], [co, -sl * so, cl * so], [0.0, cl, sl]])
         for _ in range(50):
             pa, pb = rng.uniform(-500.0, 500.0, (2, 3))
             ea = enu_to_ecef(pa, ref)
@@ -184,11 +189,11 @@ class TestTypes:
     # non-finite ECEF point; an ENU or ECEF one where it becomes ECEF
     @pytest.mark.parametrize("convert, message", [
         (lambda: geodetic_to_ecef(np.array([0.0, np.nan, 0.0])), "longitude must be finite"),
-        (lambda: enu_to_ecef_rotation(np.array([0.0, np.nan, 0.0])), "longitude must be finite"),
+        (lambda: enu_to_ecef(np.zeros(3), [0.0, np.nan, 0.0]), "longitude must be finite"),
         (lambda: enu_to_ecef([np.nan, 0.0, 0.0], np.zeros(3)), "ECEF coordinates must be finite"),
         (lambda: ecef_to_geodetic([[WGS84.r_e, 0.0, 0.0], [0.0, np.inf, 0.0]]),
          "ECEF coordinates must be finite"),
-    ], ids=["geodetic_to_ecef", "enu_to_ecef_rotation", "enu_to_ecef", "ecef_to_geodetic"])
+    ], ids=["geodetic_to_ecef", "enu_to_ecef_ref", "enu_to_ecef", "ecef_to_geodetic"])
     def test_non_finite_point_refused(self, convert, message):
         with pytest.raises(ValueError, match=message):
             convert()

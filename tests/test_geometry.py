@@ -12,6 +12,16 @@ from depthray.geometry import (
 from depthray.recovery import RigConfig, camera_rotation
 
 
+def long_hand_yaw_pitch_roll(angles):
+    """Rz(yaw) Ry(pitch) Rx(roll) from the passive elementary matrices,
+    written out entry by entry."""
+    (cy, cp, cr), (sy, sp, sr) = np.cos(angles), np.sin(angles)
+    rz = np.array([[cy, sy, 0.0], [-sy, cy, 0.0], [0.0, 0.0, 1.0]])
+    ry = np.array([[cp, 0.0, -sp], [0.0, 1.0, 0.0], [sp, 0.0, cp]])
+    rx = np.array([[1.0, 0.0, 0.0], [0.0, cr, sr], [0.0, -sr, cr]])
+    return rz @ ry @ rx
+
+
 def assert_special_orthogonal(r, atol=1e-12):
     assert_allclose(r.T @ r, np.eye(3), atol=atol)
     assert np.linalg.det(r) == pytest.approx(1.0, abs=atol)
@@ -26,6 +36,17 @@ class TestElementaryRotations:
     def test_passive_convention(self):
         # coordinates rotate opposite to the frame
         assert_allclose(rot_z(np.pi / 2) @ [1.0, 0.0, 0.0], [0.0, -1.0, 0.0], atol=1e-15)
+
+    def test_stacks_match_the_elementary_matrices(self):
+        angle = np.random.default_rng(2).uniform(-np.pi, np.pi, (4, 5))
+        c, s, o, i = np.cos(angle), np.sin(angle), np.zeros_like(angle), np.ones_like(angle)
+        expected = {
+            rot_x: [[i, o, o], [o, c, s], [o, -s, c]],
+            rot_y: [[c, o, -s], [o, i, o], [s, o, c]],
+            rot_z: [[c, s, o], [-s, c, o], [o, o, i]],
+        }
+        for rot, rows in expected.items():
+            assert np.array_equal(rot(angle), np.moveaxis(np.array(rows), (0, 1), (-2, -1)))
 
     def test_inverse_is_negated_angle(self):
         rng = np.random.default_rng(3)
@@ -63,14 +84,25 @@ class TestGimbalChain:
 
     def test_matches_hand_composed_chain(self):
         # oracle: compose the passive elementary matrices and the fixed
-        # axis permutation long-hand
+        # axis permutation long-hand, one matrix at a time: for single
+        # angles, then for a stack of angles with world- and body-referenced
+        # gimbals
         rng = np.random.default_rng(6)
         perm = np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [1.0, 0.0, 0.0]])
         for _ in range(50):
-            yaw, pitch, roll = rng.uniform(-np.pi, np.pi, 3)
-            expected = perm @ (rot_z(yaw) @ rot_y(pitch) @ rot_x(roll)).T
-            r = camera_rotation(np.array([yaw, pitch, roll]), None, RigConfig())
+            angles = rng.uniform(-np.pi, np.pi, 3)
+            expected = perm @ long_hand_yaw_pitch_roll(angles).T
+            r = camera_rotation(angles, None, RigConfig())
             assert_allclose(r, expected, atol=1e-15)
+        gimbal, body = rng.uniform(-np.pi, np.pi, (2, 1000, 3))
+        for rig in (RigConfig(), RigConfig(gimbal_frame="body")):
+            r = camera_rotation(gimbal, body, rig)
+            assert r.shape == (1000, 3, 3)
+            for k in range(1000):
+                r_world_fwd = long_hand_yaw_pitch_roll(gimbal[k])
+                if rig.gimbal_frame == "body":
+                    r_world_fwd = long_hand_yaw_pitch_roll(body[k]) @ r_world_fwd
+                assert_allclose(r[k], perm @ r_world_fwd.T, rtol=0.0, atol=1e-15)
 
 
 class TestRayPlane:

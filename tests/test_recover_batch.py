@@ -1,8 +1,9 @@
 """recover_batch against references that share none of its code: the
-simulator's {D} truth, the row-level validity checks spelled out, and
-the same rows recovered one at a time; the camera model's forward and
-inverse rays against each other; and the simulator's one rotation per
-flight against the camera model run on per-row stacks."""
+simulator's {D} truth, the row-level validity checks spelled out, the
+same rows recovered one at a time, and a long-hand copy of the stacked
+matrix formulation it replaced; the camera model's forward and inverse
+rays against each other; and the simulator's one rotation per flight
+against the camera model run on per-row stacks."""
 
 import math
 
@@ -11,15 +12,22 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from depthray.camera import CameraIntrinsics, DistortionCoeffs
+from depthray.camera import CameraIntrinsics, DistortionCoeffs, pixel_to_normalized, undistort
 from depthray.errors import InfeasibleScene
-from depthray.geodesy import WGS84, Ellipsoid, geodetic_to_ecef
+from depthray.geodesy import WGS84, Ellipsoid, ecef_to_geodetic, geodetic_to_ecef
+from depthray.geometry import wrap_angle
 from depthray.io import RunConfig
 from depthray.recovery import (
+    BEHIND_CAMERA,
+    CONDITIONING_MIN,
+    DEGENERATE,
+    ILL_CONDITIONED,
     OBSERVATION_COLUMNS,
+    PARALLEL_RAY,
     REASONS,
     RECOVERED,
     TRAJECTORY_COLUMNS,
+    UNDISTORT_NONCONVERGENCE,
     RigConfig,
     camera_rotation,
     camera_to_body,
@@ -212,7 +220,7 @@ def test_cast_and_project_invert_each_other(rig, lens_seed, gimbal, body, altitu
     assert max(abs(u2[0] - u[0]), abs(v2[0] - v[0])) <= 1e-6
 
 
-rows = st.fixed_dictionaries({
+ROW_FIELDS = {
     "t": st.floats(0.0, 1e4, **finite),
     "u": st.floats(-200.0, 2120.0, **finite),
     "v": st.floats(-200.0, 1280.0, **finite),
@@ -228,7 +236,8 @@ rows = st.fixed_dictionaries({
     "ref_lon_deg": st.floats(-190.0, 190.0, **finite),
     "ref_alt_m": st.one_of(st.floats(-100.0, 3000.0, **finite),
                            st.floats(-1.01e5, -9.9e4, **finite), st.floats(9.9e4, 1.01e5, **finite)),
-})
+}
+rows = st.fixed_dictionaries(ROW_FIELDS)
 # nadir-ish views, so that most rows recover
 nadir_rows = rows.map(lambda r: {**r, "gimbal_pitch_deg": -90.0 + r["gimbal_pitch_deg"] / 6.0})
 # level body, principal-point pixel: horizontal, grazing and upward views
@@ -297,3 +306,139 @@ def test_rows_one_at_a_time_match_the_batch(config, drawn):
     assert [int(c[0]) for _, c in alone] == codes.tolist()
     one_by_one = {c: sum((as_text(t)[c] for t, _ in alone), []) for c in TRAJECTORY_COLUMNS}
     assert one_by_one == as_text(trajectory)
+
+
+def elementary(angle, axis):
+    """Stacked passive rotations about coordinate axis 0, 1 or 2."""
+    c, s = np.cos(angle), np.sin(angle)
+    i, j = ((1, 2), (2, 0), (0, 1))[axis]
+    r = np.zeros(angle.shape + (3, 3))
+    r[..., axis, axis] = 1.0
+    r[..., i, i] = r[..., j, j] = c
+    r[..., i, j] = s
+    r[..., j, i] = -s
+    return r
+
+
+def stacked_yaw_pitch_roll(angles):
+    return elementary(angles[:, 0], 2) @ elementary(angles[:, 1], 1) @ elementary(angles[:, 2], 0)
+
+
+CAM_FROM_FORWARD = np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [1.0, 0.0, 0.0]])
+
+
+def stacked_reference(columns, config):
+    """recover_batch as (n, 3, 3) stacks: elementary-matrix products, the
+    axis permutation as a matrix product, batched matmuls and the stacked
+    ENU-to-ECEF rotation. Returns the trajectory columns and the codes."""
+    rig, intr = config.rig, config.intrinsics
+    a_uav = columns["a_uav"] + config.altitude_datum_offset
+    lat = np.radians(columns["ref_lat_deg"])
+    valid = np.all([np.isfinite(columns[k]) for k in OBSERVATION_COLUMNS[1:]], axis=0)
+    valid &= np.isfinite(a_uav) & (a_uav > 0) & (columns["d_uuv"] >= 0)
+    valid &= np.abs(lat) <= np.pi / 2 + 1e-12
+    valid &= np.max(np.abs([a_uav, columns["d_uuv"], columns["ref_alt_m"]]), axis=0) <= 1e5
+    rows = np.flatnonzero(valid)
+
+    def angles(prefix):
+        degrees = [columns[f"{prefix}_{name}_deg"][rows] for name in ("yaw", "pitch", "roll")]
+        return wrap_angle(np.radians(np.column_stack(degrees)))
+
+    gimbal, body = angles("gimbal"), angles("body")
+    gimbal[:, 1] = wrap_angle(rig.gimbal_pitch_sign * gimbal[:, 1])
+    r_world_fwd = stacked_yaw_pitch_roll(gimbal)
+    if rig.gimbal_frame == "body":
+        r_world_fwd = stacked_yaw_pitch_roll(body) @ r_world_fwd
+    r_cw = CAM_FROM_FORWARD @ np.swapaxes(r_world_fwd, -1, -2)
+
+    u, v = columns["u"][rows], columns["v"][rows]
+    depth = a_uav[rows] + rig.cam_offset[2] + columns["d_uuv"][rows]
+    (x, y), converged = undistort(*pixel_to_normalized(u, v, intr), config.distortion)
+    ray = np.column_stack([x, y, np.ones_like(x)])
+    ln = np.sum(ray * r_cw[:, :, 2], axis=-1)
+    conditioning = np.abs(ln) / np.sqrt(np.sum(ray * ray, axis=-1))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        s = -depth / ln
+    hit_codes = np.select(
+        [~converged, ~(depth > 0), conditioning <= 1e-12, conditioning < CONDITIONING_MIN,
+         s <= 0.0],
+        [UNDISTORT_NONCONVERGENCE, DEGENERATE, PARALLEL_RAY, ILL_CONDITIONED, BEHIND_CAMERA],
+        RECOVERED,
+    )
+    codes = np.full(len(valid), DEGENERATE, dtype=np.int8)
+    codes[rows] = hit_codes
+    ok = hit_codes == RECOVERED
+    rows, p_c = rows[ok], ray[ok] * s[ok, None]
+    p_g = (np.swapaxes(r_cw[ok], -1, -2) @ p_c[..., None])[..., 0]
+    p_d = p_g + stacked_yaw_pitch_roll(body[ok]) @ rig.cam_offset
+
+    ell = config.ellipsoid
+    lat, lon, h = lat[rows], np.radians(columns["ref_lon_deg"][rows]), columns["ref_alt_m"][rows]
+    clat, slat, clon, slon = np.cos(lat), np.sin(lat), np.cos(lon), np.sin(lon)
+    n = ell.r_e**2 / np.sqrt((ell.r_e * clat) ** 2 + (ell.r_p * slat) ** 2)
+    origin = np.column_stack([
+        (n + h) * clat * clon, (n + h) * clat * slon, ((ell.r_p / ell.r_e) ** 2 * n + h) * slat,
+    ])
+    enu_to_ecef = np.stack([
+        -slon, -slat * clon, clat * clon,
+        clon, -slat * slon, clat * slon,
+        np.zeros_like(clat), clat, slat,
+    ], axis=-1).reshape(-1, 3, 3)
+    geo = ecef_to_geodetic((enu_to_ecef @ p_d[..., None])[..., 0] + origin, ell)
+    return {
+        "cam": p_c, "enu": p_d,
+        "lat_deg": np.degrees(geo[:, 0]), "lon_deg": np.degrees(geo[:, 1]), "alt_m": geo[:, 2],
+    }, codes
+
+
+# views within 20 degrees of nadir, from a body within 10 degrees of
+# level, keep every fix within a few hundred meters of the camera
+near_nadir_rows = st.fixed_dictionaries({
+    **ROW_FIELDS,
+    "u": st.floats(0.0, 1920.0, **finite),
+    "v": st.floats(0.0, 1080.0, **finite),
+    "gimbal_pitch_deg": st.floats(-110.0, -70.0, **finite),
+    "gimbal_roll_deg": st.floats(-20.0, 20.0, **finite),
+    "body_pitch_deg": st.floats(-10.0, 10.0, **finite),
+    "body_roll_deg": st.floats(-10.0, 10.0, **finite),
+    "a_uav": st.one_of(st.floats(-2.0, 40.0, **finite), st.just(math.nan)),
+    "d_uuv": st.floats(-0.5, 3.0, **finite),
+    "ref_alt_m": st.floats(-100.0, 3000.0, **finite),
+})
+
+
+@settings(max_examples=100, deadline=None)
+@given(configs(), st.lists(near_nadir_rows, min_size=1, max_size=20))
+def test_batch_matches_the_stacked_matrix_formulation(config, drawn):
+    for row in drawn:
+        row["gimbal_pitch_deg"] *= config.rig.gimbal_pitch_sign  # nadir as +90 deg
+    columns = {name: np.array([row[name] for row in drawn]) for name in OBSERVATION_COLUMNS}
+    trajectory, codes = recover_batch(columns, config)
+    expected, expected_codes = stacked_reference(columns, config)
+
+    assert codes.tolist() == expected_codes.tolist()
+    for name, axes in (("cam", ("cam_x", "cam_y", "cam_z")), ("enu", ("enu_x", "enu_y", "enu_z"))):
+        got = np.column_stack([trajectory[c] for c in axes])
+        np.testing.assert_allclose(got, expected[name], rtol=0.0, atol=1e-12)
+    for name, atol in (("lat_deg", 1e-12), ("lon_deg", 1e-12), ("alt_m", 1e-8)):
+        np.testing.assert_allclose(trajectory[name], expected[name], rtol=0.0, atol=atol)
+
+
+@pytest.mark.parametrize("n, a_uav, reason", [
+    (0, 20.0, None),
+    (4, -1.0, "degenerate"),
+    (3, 20.0, "parallel_ray"),
+], ids=["empty", "all_degenerate", "all_parallel"])
+def test_block_without_recovered_rows(n, a_uav, reason):
+    """A block with no rows, or whose every row is excluded, gives empty
+    float columns, an empty flags column and one int8 code per row."""
+    columns = {name: np.zeros(n) for name in OBSERVATION_COLUMNS}
+    columns.update(u=np.full(n, 960.0), v=np.full(n, 540.0), a_uav=np.full(n, a_uav))
+    config = RunConfig(INTRINSICS, DistortionCoeffs(k1=0.1), RigConfig(gimbal_frame="body"))
+    trajectory, codes = recover_batch(columns, config)
+    assert codes.dtype == np.int8 and codes.shape == (n,)
+    assert [REASONS[c] for c in codes] == [reason] * n
+    assert list(trajectory) == TRAJECTORY_COLUMNS
+    for name, column in trajectory.items():
+        assert column.shape == (0,)
+        assert column.dtype.kind == ("U" if name == "flags" else "f")

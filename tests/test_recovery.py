@@ -5,11 +5,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from depthray.camera import CameraIntrinsics, DistortionCoeffs
-from depthray.geometry import (
-    CAM_FROM_FORWARD,
-    ray_plane_hits,
-    yaw_pitch_roll_matrix,
-)
+from depthray.geometry import ray_plane_hits, yaw_pitch_roll_matrix
 from depthray.io import RunConfig
 from depthray.recovery import (
     BEHIND_CAMERA,
@@ -271,7 +267,8 @@ class TestGimbalConventions:
         rig_world = RigConfig()
         r_body = camera_rotation(NADIR, body, rig_body)
         composed = yaw_pitch_roll_matrix(body) @ yaw_pitch_roll_matrix(NADIR)
-        assert_allclose(r_body, CAM_FROM_FORWARD @ composed.T, atol=1e-15)
+        cam_from_forward = np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [1.0, 0.0, 0.0]])
+        assert_allclose(r_body, cam_from_forward @ composed.T, atol=1e-15)
         # with identity body the two conventions coincide
         assert_allclose(
             camera_rotation(NADIR, LEVEL, rig_body),
@@ -298,6 +295,19 @@ class TestValidation:
     def test_rig_offset_sanity_bound(self):
         with pytest.raises(ValueError):
             RigConfig(cam_offset=np.array([0.0, 0.0, -12.0]))
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_rig_offset_must_be_finite(self, value):
+        with pytest.raises(ValueError, match="cam_offset must be finite"):
+            RigConfig(cam_offset=np.array([0.0, value, -0.2]))
+
+    def test_rig_offset_is_a_read_only_copy(self):
+        offset = np.array([0.0, 0.0, -0.2])
+        rig = RigConfig(cam_offset=offset)
+        offset[2] = 5.0  # the caller's array stays the caller's
+        assert rig.cam_offset.tolist() == [0.0, 0.0, -0.2]
+        with pytest.raises(ValueError, match="read-only"):
+            rig.cam_offset[2] = 5.0
 
     def test_rig_frame_validated(self):
         with pytest.raises(ValueError):

@@ -218,6 +218,19 @@ class TestScenarioValidation:
         scenario = make_scenario(ref_geo=geodetic_deg(42.87, 190.0, 25.0))
         assert math.degrees(scenario.ref_geo[1]) == pytest.approx(-170.0)
 
+    def test_arrays_are_read_only_copies(self):
+        path, gimbal, body = line_path(5, [0.0, 0.0], [2.0, 1.0]), NADIR.copy(), np.zeros(3)
+        ref = REF.copy()
+        scenario = make_scenario(path_xy=path, gimbal=gimbal, body=body, ref_geo=ref)
+        before = {name: getattr(scenario, name).copy()
+                  for name in ("path_xy", "gimbal", "body", "ref_geo")}
+        for array in (path, gimbal, body, ref):
+            array[0] += 1.0  # the caller's arrays stay the caller's
+        for name, values in before.items():
+            np.testing.assert_array_equal(getattr(scenario, name), values)
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(scenario, name)[0] = 0.0
+
     def test_target_at_the_surface_is_accepted(self):
         assert len(make_scenario(depth_min=0.0, depth_max=0.0)) == 50
 
