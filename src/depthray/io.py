@@ -659,6 +659,16 @@ class RunConfig:
     gt_rescale_a_cam: float | None = None  # set when the truth is rescaled
     gt_rescale_nadir: np.ndarray = field(default_factory=lambda: np.zeros(2))
 
+    def __post_init__(self):
+        if not self.sync_max_gap >= 0:
+            raise ValueError("sync_max_gap must be non-negative")
+        if self.gt_rescale_a_cam is not None and not self.gt_rescale_a_cam > 0:
+            raise ValueError("gt_rescale_a_cam must be positive")
+        for name in ("gt_frame_translation", "gt_rescale_nadir"):
+            value = np.array(getattr(self, name), dtype=float)  # a copy the caller cannot change
+            value.flags.writeable = False
+            object.__setattr__(self, name, value)
+
 
 def load_run_config(path) -> RunConfig:
     path = Path(path)
@@ -674,27 +684,26 @@ def load_run_config(path) -> RunConfig:
     rescale_a_cam = None
     if gt_rescale:
         rescale_a_cam = _value(path, "gt_rescale_a_cam", data.get("gt_rescale_a_cam"), REQUIRED)
-        if rescale_a_cam <= 0:
-            raise ConfigError(f"{path}: gt_rescale_a_cam must be positive")
     else:
         for key in ("gt_rescale_a_cam", "gt_rescale_nadir"):
             if key in data:
                 raise ConfigError(f"{path}: key {key} is used only with gt_rescale: true")
-    if v["sync_max_gap"] < 0:
-        raise ConfigError(f"{path}: sync_max_gap must be non-negative")
     framed = "gt_frame_yaw_deg" in data or "gt_frame_translation" in data
-    return RunConfig(
-        intrinsics=intr,
-        distortion=dist,
-        rig=_rig(data, v["cam_offset"], path),
-        ellipsoid=_ellipsoid(data, path),
-        altitude_datum_offset=v["altitude_datum_offset"],
-        sync_max_gap=v["sync_max_gap"],
-        gt_frame_yaw=v["gt_frame_yaw"] if framed else None,
-        gt_frame_translation=v["gt_frame_translation"],
-        gt_rescale_a_cam=rescale_a_cam,
-        gt_rescale_nadir=v["gt_rescale_nadir"],
-    )
+    try:
+        return RunConfig(
+            intrinsics=intr,
+            distortion=dist,
+            rig=_rig(data, v["cam_offset"], path),
+            ellipsoid=_ellipsoid(data, path),
+            altitude_datum_offset=v["altitude_datum_offset"],
+            sync_max_gap=v["sync_max_gap"],
+            gt_frame_yaw=v["gt_frame_yaw"] if framed else None,
+            gt_frame_translation=v["gt_frame_translation"],
+            gt_rescale_a_cam=rescale_a_cam,
+            gt_rescale_nadir=v["gt_rescale_nadir"],
+        )
+    except ValueError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
 
 
 def load_scenario_config(path, seed=None) -> Scenario:

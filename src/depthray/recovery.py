@@ -1,17 +1,18 @@
 """The camera model, and recovery of a submerged target from one aerial view.
 
-The altitude of the camera above the water and the target's pressure
-depth fix a horizontal plane `plane_depth` below the camera. `cast`
+`camera_position` rotates the camera offset into {D} once per row; its
+height c_z, the UAV's altitude above the water and the target's pressure
+depth fix a horizontal plane a_uav + c_z + d_uuv below the camera. `cast`
 sends the undistorted pixel ray onto it, which resolves the scale
 ambiguity of the single view; `project` maps a point in {G} back to its
 pixel. Both take the rotation of `camera_rotation`, the one rotation
 builder, and the simulator calls the same functions.
 
 `recover_batch` runs the chain on columns of observations, on to {D}
-(`camera_to_body`) and geodetic fixes, applying rotations as column sums
-(`geometry.rotate`), with no per-row matrix product. Every row is
-recovered on its own, so any split of a log into blocks gives the same
-rows; `recover` feeds it one CSV block at a time.
+(p_G plus the camera position) and geodetic fixes, applying rotations
+as column sums (`geometry.rotate`), with no per-row matrix product.
+Every row is recovered on its own, so any split of a log into blocks
+gives the same rows; `recover` feeds it one CSV block at a time.
 
 Frames:
     {G}  ENU with origin at the camera optical center, z up.
@@ -41,8 +42,11 @@ CONDITIONING_MIN = 1e-3
 GIMBAL_FRAMES = ("world", "body")
 
 # Per-row outcome codes; REASONS[code] is the name written to the
-# exclusions sidecar. A row with more than one fault gets the first in
-# this order.
+# exclusions sidecar. A row with more than one fault gets one reason, the
+# first that applies of: no_origin_match (`recover` with an origin track),
+# degenerate for an unusable reading, then `cast`'s order:
+# undistort_nonconvergence, degenerate for a camera at or below the depth
+# plane, parallel_ray, ill_conditioned, behind_camera.
 RECOVERED = 0
 NO_ORIGIN_MATCH = 1
 DEGENERATE = 2
@@ -97,8 +101,9 @@ TRAJECTORY_COLUMNS = [
 class RigConfig:
     """Mounting geometry and telemetry conventions of the camera rig.
 
-    cam_offset is the camera position in the UAV body frame with z up,
-    so a camera hanging 0.2 m below the body is (0, 0, -0.2).
+    cam_offset is the camera position o in the UAV body frame with z up,
+    so a camera hanging 0.2 m below the body is (0, 0, -0.2); on a
+    tilted body the camera's height above the body is (R_body o)_z.
     gimbal_frame selects whether gimbal angles are reported against the
     world ENU frame or against the body; gimbal_pitch_sign absorbs
     vendors that report nadir as +90 instead of -90 degrees.
@@ -145,9 +150,14 @@ def camera_rotation(gimbal, body, rig: RigConfig) -> np.ndarray:
     return r_t[..., CAM_AXES, :]
 
 
-def plane_depth(a_uav, d_uuv, rig: RigConfig):
-    """Depth-plane distance below the camera: a_uav + cam_offset_z + d_uuv."""
-    return a_uav + float(rig.cam_offset[2]) + d_uuv
+def camera_position(body, rig: RigConfig) -> np.ndarray:
+    """The camera's position in {D}, c = R_body o for the camera offset o.
+
+    body: (..., 3) wrapped yaw, pitch, roll in radians. The depth plane
+    lies a_uav + c_z + d_uuv below the camera, and a point in {G} sits at
+    p_G + c in {D}.
+    """
+    return rotate(yaw_pitch_roll_matrix(body), rig.cam_offset)
 
 
 def cast(u, v, depth, r_cw, intr, dist):
@@ -188,11 +198,6 @@ def project(p_g, r_cw, intr, dist):
     return u, v, z
 
 
-def camera_to_body(p_g, body, rig: RigConfig):
-    """Stacked points from {G} to {D}: p_D = p_G + R_body o, o the camera offset."""
-    return p_g + rotate(yaw_pitch_roll_matrix(body), rig.cam_offset)
-
-
 def _degrees_to_angles(columns, prefix, rows):
     """(n, 3) wrapped angles in radians of `rows`, each angle a contiguous column."""
     angles = np.stack([columns[f"{prefix}_{name}_deg"][rows] for name in ("yaw", "pitch", "roll")])
@@ -226,7 +231,8 @@ def recover_batch(columns, config) -> tuple[dict, np.ndarray]:
     rows = np.flatnonzero(valid)
     u, v, body = columns["u"][rows], columns["v"][rows], _degrees_to_angles(columns, "body", rows)
     r_cw = camera_rotation(_degrees_to_angles(columns, "gimbal", rows), body, config.rig)
-    depth = plane_depth(a_uav[rows], columns["d_uuv"][rows], config.rig)
+    cam = camera_position(body, config.rig)
+    depth = a_uav[rows] + cam[:, 2] + columns["d_uuv"][rows]
     p_c, hit_codes = cast(u, v, depth, r_cw, intr, config.distortion)
     codes = np.full(len(valid), DEGENERATE, dtype=np.int8)
     codes[rows] = hit_codes
@@ -234,7 +240,7 @@ def recover_batch(columns, config) -> tuple[dict, np.ndarray]:
     with np.errstate(invalid="ignore"):  # rows without a hit may be non-finite; dropped
         p_g = rotate(np.swapaxes(r_cw, -1, -2), p_c)[ok]
     rows, u, v, p_c = rows[ok], u[ok], v[ok], p_c[ok]
-    p_d = camera_to_body(p_g, body[ok], config.rig)
+    p_d = p_g + cam[ok]
     lon = np.radians(columns["ref_lon_deg"][rows])
     ref = np.column_stack([lat[rows], lon, columns["ref_alt_m"][rows]])
     geo = ecef_to_geodetic(enu_to_ecef(p_d, ref, config.ellipsoid), config.ellipsoid)

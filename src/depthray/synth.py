@@ -21,9 +21,8 @@ from .geometry import wrap_angle
 from .recovery import (
     OBSERVATION_COLUMNS,
     RigConfig,
+    camera_position,
     camera_rotation,
-    camera_to_body,
-    plane_depth,
     project,
 )
 
@@ -55,8 +54,9 @@ class Scenario:
     The target follows path_xy (n, 2) in the camera-centered ENU frame
     {G} over `duration` seconds, while its depth sweeps linearly from
     depth_min to depth_max; altitude and both attitudes stay constant.
-    Its height in {G} follows from altitude, camera offset and depth, so
-    the depth channel and the geometry agree exactly.
+    Its height in {G} follows from altitude, depth and the camera's
+    height above the body, (R_body o)_z for the rig's offset o, so the
+    depth channel and the geometry agree exactly.
 
     ref_geo is the reference fix, a (3,) array of latitude and longitude
     in radians and height in meters; gimbal and body are (3,) arrays of
@@ -119,7 +119,8 @@ def generate_logs(scenario: Scenario) -> tuple[dict, dict]:
     n, rig, intr = len(scenario), scenario.rig, scenario.intrinsics
     t = np.linspace(0.0, scenario.duration, n, endpoint=False) if n > 1 else np.array([0.0])
     d_uuv = np.linspace(scenario.depth_min, scenario.depth_max, n)
-    positions = np.column_stack([scenario.path_xy, -plane_depth(scenario.altitude, d_uuv, rig)])
+    cam = camera_position(scenario.body, rig)
+    positions = np.column_stack([scenario.path_xy, -(scenario.altitude + cam[2] + d_uuv)])
     r_cw = camera_rotation(scenario.gimbal, scenario.body, rig)
     u, v, z = project(positions, r_cw, intr, scenario.distortion)
     behind = z <= MIN_CAMERA_Z
@@ -156,8 +157,7 @@ def generate_logs(scenario: Scenario) -> tuple[dict, dict]:
         *np.degrees(gimbal).T, *np.degrees(np.tile(scenario.body, (n, 1))).T,
         np.full(n, math.degrees(lat)), np.full(n, math.degrees(lon)), np.full(n, h),
     ]))
-    p_d = camera_to_body(positions, scenario.body, rig)
-    truth = dict(zip(["t", "x", "y", "z"], [t.copy(), *p_d.T]))
+    truth = dict(zip(["t", "x", "y", "z"], [t.copy(), *(positions + cam).T]))
     return obs, truth
 
 

@@ -11,6 +11,7 @@ import pytest
 import depthray
 from depthray import io
 from depthray.cli import main
+from depthray.synth import generate_logs
 
 CALIB = """\
 fx: 1000.0
@@ -68,6 +69,31 @@ def simulate(workdir, scenario="scenario.yaml", seed=None):
     assert run(workdir, *args) == 0
 
 
+# lines appended to each config file; what both configs hold is the rig.
+# With a body-referenced gimbal, body tilts much past 1 deg push this
+# 10 x 6 m survey out of the frame; a world-referenced gimbal keeps the view.
+RIGS = {
+    "offset_yawed_body": {"scenario.yaml": "cam_offset: [0.3, 0.0, -0.2]\nbody_yaw_deg: 30.0\n",
+                          "run.yaml": "cam_offset: [0.3, 0.0, -0.2]\n"},
+    "body_gimbal_tilted_body": {
+        "scenario.yaml": "gimbal_frame: body\nbody_pitch_deg: 1.0\nbody_roll_deg: -1.0\n",
+        "run.yaml": "gimbal_frame: body\n",
+    },
+    "pitch_sign": {"scenario.yaml": "gimbal_pitch_sign: -1\ngimbal_pitch_deg: 90.0\n",
+                   "run.yaml": "gimbal_pitch_sign: -1\n"},
+    "lens": {"cal.yaml": "k1: -0.1\nk2: 0.05\nk3: 0.0\np1: 0.001\np2: -0.002\n"},
+    "ellipsoid": {"run.yaml": "ellipsoid: [3396190.0, 3376200.0]\n"},
+    "offset_pitched_body": {"scenario.yaml": "cam_offset: [0.3, 0.0, -0.2]\nbody_pitch_deg: 10.0\n",
+                            "run.yaml": "cam_offset: [0.3, 0.0, -0.2]\n"},
+}
+
+
+def append_to_configs(workdir, extra):
+    for name, text in extra.items():
+        path = workdir / name
+        path.write_text(path.read_text(encoding="utf-8") + text, encoding="utf-8")
+
+
 class TestPipeline:
     def test_noiseless_identity(self, workdir, capsys):
         simulate(workdir)
@@ -91,25 +117,12 @@ class TestPipeline:
         assert report["n_samples"] == 120
         assert report["n_excluded"] == 0
 
-    # lines appended to each config file; what both configs hold is the rig.
-    # Body tilts much past 1 deg push this 10 x 6 m survey out of the frame.
-    @pytest.mark.parametrize("extra", [
-        {"scenario.yaml": "cam_offset: [0.3, 0.0, -0.2]\nbody_yaw_deg: 30.0\n",
-         "run.yaml": "cam_offset: [0.3, 0.0, -0.2]\n"},
-        {"scenario.yaml": "gimbal_frame: body\nbody_pitch_deg: 1.0\nbody_roll_deg: -1.0\n",
-         "run.yaml": "gimbal_frame: body\n"},
-        {"scenario.yaml": "gimbal_pitch_sign: -1\ngimbal_pitch_deg: 90.0\n",
-         "run.yaml": "gimbal_pitch_sign: -1\n"},
-        {"cal.yaml": "k1: -0.1\nk2: 0.05\nk3: 0.0\np1: 0.001\np2: -0.002\n"},
-        {"run.yaml": "ellipsoid: [3396190.0, 3376200.0]\n"},
-    ], ids=["offset_yawed_body", "body_gimbal_tilted_body", "pitch_sign", "lens", "ellipsoid"])
+    @pytest.mark.parametrize("extra", RIGS.values(), ids=list(RIGS))
     def test_camera_offset_identity(self, workdir, capsys, extra):
         # truth and trajectory are both in the body-fixed ENU frame, so every
-        # rig the configs accept, an offset camera on a yawed body included,
-        # still evaluates to zero error
-        for name, text in extra.items():
-            path = workdir / name
-            path.write_text(path.read_text(encoding="utf-8") + text, encoding="utf-8")
+        # rig the configs accept, an offset camera on a yawed or pitched body
+        # included, still evaluates to zero error
+        append_to_configs(workdir, extra)
         simulate(workdir)
         assert run(
             workdir, "recover",
@@ -128,6 +141,15 @@ class TestPipeline:
         assert report["n_samples"] == 120
         assert report["mae"] <= 1e-9
         assert report["z_mae"] <= 1e-9
+
+    @pytest.mark.parametrize("extra", RIGS.values(), ids=list(RIGS))
+    def test_truth_lies_at_altitude_plus_depth(self, workdir, extra):
+        # the UUV is d_uuv below the water and the UAV a_uav above it,
+        # whatever the rig: the body-fixed truth sits a_uav + d_uuv down
+        append_to_configs(workdir, extra)
+        obs, truth = generate_logs(io.load_scenario_config(workdir / "scenario.yaml"))
+        np.testing.assert_allclose(truth["z"], -(obs["a_uav"] + obs["d_uuv"]),
+                                   rtol=0.0, atol=1e-12)
 
     def test_trajectory_columns_and_geodetic_output(self, workdir):
         simulate(workdir)

@@ -11,7 +11,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from depthray import io
+from depthray.camera import CameraIntrinsics, DistortionCoeffs
 from depthray.errors import ConfigError, SchemaError
+from depthray.recovery import RigConfig
 
 from conftest import assert_columns_equal
 
@@ -106,6 +108,42 @@ gt_rescale_nadir: [0.5, 0.5]
         text = f"calibration: cal.yaml\n{switch}{key}: {value}\n"
         with pytest.raises(ConfigError, match=f"key {key} is used only with gt_rescale: true"):
             io.load_run_config(write(tmp_path / "run.yaml", text))
+
+    @staticmethod
+    def make(**values):
+        return io.RunConfig(CameraIntrinsics(1000.0, 1000.0, 960.0, 540.0, 1920, 1080),
+                            DistortionCoeffs(), RigConfig(), **values)
+
+    def test_arrays_are_read_only_copies(self):
+        translation, nadir = np.array([1.0, 2.0, 0.0]), np.array([0.5, 0.5])
+        config = self.make(gt_frame_translation=translation, gt_rescale_nadir=nadir)
+        translation[0], nadir[0] = 500.0, 500.0
+        assert config.gt_frame_translation.tolist() == [1.0, 2.0, 0.0]
+        assert config.gt_rescale_nadir.tolist() == [0.5, 0.5]
+        with pytest.raises(ValueError, match="read-only"):
+            config.gt_frame_translation[0] = 5.0
+        with pytest.raises(ValueError, match="read-only"):
+            config.gt_rescale_nadir[0] = 5.0
+
+    @pytest.mark.parametrize("values, message", [
+        ({"sync_max_gap": -1.0}, "sync_max_gap must be non-negative"),
+        ({"sync_max_gap": float("nan")}, "sync_max_gap must be non-negative"),
+        ({"gt_rescale_a_cam": 0.0}, "gt_rescale_a_cam must be positive"),
+        ({"gt_rescale_a_cam": -25.0}, "gt_rescale_a_cam must be positive"),
+    ], ids=["negative_gap", "nan_gap", "zero_a_cam", "negative_a_cam"])
+    def test_values_checked_on_construction(self, values, message):
+        with pytest.raises(ValueError, match=message):
+            self.make(**values)
+
+    @pytest.mark.parametrize("text, message", [
+        ("sync_max_gap: -1.0\n", "sync_max_gap must be non-negative"),
+        ("gt_rescale: true\ngt_rescale_a_cam: 0.0\n", "gt_rescale_a_cam must be positive"),
+    ], ids=["sync_max_gap", "gt_rescale_a_cam"])
+    def test_file_values_refused_with_the_path(self, tmp_path, text, message):
+        write(tmp_path / "cal.yaml", CALIB)
+        path = write(tmp_path / "run.yaml", "calibration: cal.yaml\n" + text)
+        with pytest.raises(ConfigError, match=f"run.yaml: {message}"):
+            io.load_run_config(path)
 
     def test_unknown_key_rejected(self, tmp_path):
         write(tmp_path / "cal.yaml", CALIB)

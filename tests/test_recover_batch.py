@@ -29,10 +29,9 @@ from depthray.recovery import (
     TRAJECTORY_COLUMNS,
     UNDISTORT_NONCONVERGENCE,
     RigConfig,
+    camera_position,
     camera_rotation,
-    camera_to_body,
     cast,
-    plane_depth,
     project,
     recover_batch,
 )
@@ -171,12 +170,13 @@ def test_noiseless_logs_match_the_stacked_reference(
         assume(False)
 
     gimbal_n, body_n = np.tile(scenario.gimbal, (n, 1)), np.tile(scenario.body, (n, 1))
-    z = -plane_depth(altitude, np.linspace(depths[0], depths[1], n), rig)
+    cam = camera_position(body_n, rig)
+    z = -(altitude + cam[:, 2] + np.linspace(depths[0], depths[1], n))
     p_g = np.column_stack([path_xy[:, 0], path_xy[:, 1], z])
     r_cw = camera_rotation(gimbal_n, body_n, rig)
     assert r_cw.shape == (n, 3, 3)
     u, v, _ = project(p_g, r_cw, INTRINSICS, dist)
-    p_d = camera_to_body(p_g, body_n, rig)
+    p_d = p_g + cam
     assert same_bits(obs["u"], u) and same_bits(obs["v"], v)
     for axis, name in enumerate("xyz"):
         assert same_bits(truth[name], p_d[:, axis])
@@ -205,7 +205,7 @@ def test_cast_and_project_invert_each_other(rig, lens_seed, gimbal, body, altitu
     yaw, tilt, roll = gimbal
     gimbal = np.array([yaw, rig.gimbal_pitch_sign * (-math.pi / 2 + tilt), roll])
     r_cw = camera_rotation(gimbal, body, rig)[None]
-    h = plane_depth(altitude, depth, rig)
+    h = altitude + camera_position(body, rig)[2] + depth
     p = np.array([[xy[0] * h, xy[1] * h, -h]])  # a point on the depth plane, in {G}
     u, v, z = project(p, r_cw, INTRINSICS, dist)
     ray = r_cw[0] @ p[0]
@@ -352,7 +352,9 @@ def stacked_reference(columns, config):
     r_cw = CAM_FROM_FORWARD @ np.swapaxes(r_world_fwd, -1, -2)
 
     u, v = columns["u"][rows], columns["v"][rows]
-    depth = a_uav[rows] + rig.cam_offset[2] + columns["d_uuv"][rows]
+    # the offset rotated by the body attitude: the camera's position in {D}
+    cam = stacked_yaw_pitch_roll(body) @ rig.cam_offset
+    depth = a_uav[rows] + cam[:, 2] + columns["d_uuv"][rows]
     (x, y), converged = undistort(*pixel_to_normalized(u, v, intr), config.distortion)
     ray = np.column_stack([x, y, np.ones_like(x)])
     ln = np.sum(ray * r_cw[:, :, 2], axis=-1)
@@ -370,7 +372,7 @@ def stacked_reference(columns, config):
     ok = hit_codes == RECOVERED
     rows, p_c = rows[ok], ray[ok] * s[ok, None]
     p_g = (np.swapaxes(r_cw[ok], -1, -2) @ p_c[..., None])[..., 0]
-    p_d = p_g + stacked_yaw_pitch_roll(body[ok]) @ rig.cam_offset
+    p_d = p_g + cam[ok]
 
     ell = config.ellipsoid
     lat, lon, h = lat[rows], np.radians(columns["ref_lon_deg"][rows]), columns["ref_alt_m"][rows]

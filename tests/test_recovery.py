@@ -103,7 +103,8 @@ class TestRecoverCameraFrame:
             body = rng.uniform(-0.2, 0.2, 3)
             a_uav = rng.uniform(10.0, 40.0)
             d_uuv = rng.uniform(0.0, 3.0)
-            depth = a_uav + rig.cam_offset[2] + d_uuv
+            # the camera sits (R_body o)_z above the body on a tilted body
+            depth = a_uav + (yaw_pitch_roll_matrix(body) @ rig.cam_offset)[2] + d_uuv
             truth = np.array([rng.uniform(-0.3, 0.3) * depth,
                               rng.uniform(-0.3, 0.3) * depth, -depth])
             dist = DistortionCoeffs(
@@ -221,6 +222,20 @@ class TestCameraToUavEnu:
         assert [traj[c][0] for c in CAM] == pytest.approx((0.0, 0.0, 25.63), abs=1e-12)
         assert [traj[c][0] for c in ENU] == pytest.approx((0.0, 0.0, -25.83), abs=1e-12)
 
+    def test_offset_on_a_pitched_body(self, intrinsics):
+        # a camera 0.3 m along the body's x axis and 0.2 m below it; pitching
+        # the body 10 degrees raises x, so the camera hangs c_z below the body
+        pitch = math.radians(10.0)
+        c_z = 0.3 * math.sin(pitch) - 0.2 * math.cos(pitch)
+        rig = RigConfig(cam_offset=np.array([0.3, 0.0, -0.2]))
+        traj, codes = recover_batch(
+            make_columns((960.0, 540.0), a_uav=25.0, d_uuv=1.0, body=np.array([0.0, pitch, 0.0])),
+            RunConfig(intrinsics, DistortionCoeffs(), rig),
+        )
+        assert codes[0] == RECOVERED
+        assert traj["cam_z"][0] == pytest.approx(26.0 + c_z, abs=1e-12)
+        assert traj["enu_z"][0] == pytest.approx(-26.0, abs=1e-12)
+
     def test_full_round_trip_random_attitudes(self, intrinsics):
         rng = np.random.default_rng(71)
         count = 0
@@ -234,7 +249,8 @@ class TestCameraToUavEnu:
             body = rng.uniform(-0.15, 0.15, 3)
             a_uav = rng.uniform(15.0, 35.0)
             d_uuv = rng.uniform(0.0, 2.0)
-            depth = a_uav + rig.cam_offset[2] + d_uuv
+            cam = yaw_pitch_roll_matrix(body) @ rig.cam_offset  # the camera in {D}
+            depth = a_uav + cam[2] + d_uuv
             truth_g = np.array([rng.uniform(-0.25, 0.25) * depth,
                                 rng.uniform(-0.25, 0.25) * depth, -depth])
             if (camera_rotation(gimbal, body, rig) @ truth_g)[2] < 0.2 * depth:
@@ -245,7 +261,8 @@ class TestCameraToUavEnu:
                 make_columns((u, v), a_uav=a_uav, d_uuv=d_uuv, gimbal=gimbal, body=body),
                 RunConfig(intrinsics, DistortionCoeffs(), rig),
             )
-            expected = truth_g + yaw_pitch_roll_matrix(body) @ rig.cam_offset
+            expected = truth_g + cam
+            assert expected[2] == pytest.approx(-(a_uav + d_uuv), abs=1e-12)
             assert_allclose([traj[c][0] for c in ENU], expected, atol=1e-9)
             count += 1
 

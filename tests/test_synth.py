@@ -146,13 +146,17 @@ class TestGenerateLogs:
         assert err.value.index is not None
 
     def test_depth_profile_sweeps_linearly(self):
-        scenario = make_scenario(n=11, depth_min=0.21, depth_max=1.95)
+        # an offset camera on a pitched body: the truth in {D} still sits
+        # a_uav above the water plus d_uuv below it
+        scenario = make_scenario(
+            n=11, depth_min=0.21, depth_max=1.95,
+            rig=RigConfig(cam_offset=np.array([0.3, 0.0, -0.2])),
+            body=np.array([0.0, math.radians(10.0), 0.0]),
+        )
         obs, truth = generate_logs(scenario)
         assert_allclose(obs["d_uuv"], np.linspace(0.21, 1.95, 11))
         # the vertical coordinate stays consistent with the channels
-        assert_allclose(
-            truth["z"], -(obs["a_uav"] + scenario.rig.cam_offset[2] + obs["d_uuv"]),
-        )
+        assert_allclose(truth["z"], -(obs["a_uav"] + obs["d_uuv"]), rtol=0.0, atol=1e-12)
 
 
 class TestPaths:
