@@ -5,10 +5,10 @@ angles in degrees and distances in meters. Floats are written with
 Python's shortest round-trip repr so a written value reads back
 bit-identical, and identical runs produce byte-identical files. The
 digits come from orjson's Ryu formatter, one call per block of rows on
-its numeric columns as one 2-D array. repr itself formats the values
-it writes with an exponent (nonzero |x| < 1e-4 or |x| >= 1e16) and
-non-finite ones: they go to orjson as NaN, written null, and each null
-is replaced by the repr of its value.
+its numeric columns as one flat array, each k-th comma a line end. repr
+itself formats the values it writes with an exponent (nonzero |x| < 1e-4
+or |x| >= 1e16) and non-finite ones: they go to orjson as NaN, written
+null, and each null is replaced by the repr of its value.
 
 Logs are read into dicts that map each column name to a 1-D numpy
 array, in schema order, text columns as object arrays, and written
@@ -28,8 +28,8 @@ finite. A declined block hands the rest of the file to one csv.reader
 that is not the column names alone, or a pipe, from its start. What
 csv.reader refuses (a field over its size limit, a NUL before Python
 3.11) is a SchemaError naming the line, as a bad value is. A block is
-written as one joined string, text fields quoted so that csv.reader
-reads them back. A log can be read block by block; a file is written
+written as bytes, its text fields quoted so that csv.reader reads them
+back. A log can be read block by block; a file is written
 from a sequence of column mappings to a temporary file, renamed onto
 the target once complete (see staged, which also lets a command
 replace two files together).
@@ -37,7 +37,6 @@ replace two files together).
 
 import contextlib
 import csv
-import itertools
 import math
 import os
 from collections.abc import Mapping
@@ -315,37 +314,44 @@ def _read_rows(path, columns, text_columns=()) -> dict:
     return {name: np.concatenate(parts.pop(name)) for name in columns}
 
 
-def _number_rows(block) -> list:
-    """Each row of a (rows, k) float block as its comma-joined fields.
+def _number_rows(block) -> bytes:
+    """A (rows, k) float block as CSV lines, each ended by a line feed.
 
-    A value is written as its shortest round-trip repr: Ryu's digits
-    from one orjson call for the block, and repr's own where it writes an
-    exponent or the value is not finite. Those values are set to NaN in
-    `block`, which orjson writes as null, and their repr put in its place.
+    A value is written as its shortest round-trip repr: Ryu's digits from one
+    orjson call on the block as a flat array, whose every k-th comma and
+    closing ] are made line ends, and repr's own where it writes an exponent
+    or the value is not finite. orjson writes those, set to NaN in `block`,
+    as null, and each null is replaced by their repr in order.
     """
-    size = np.abs(block)
+    size, k = np.abs(block), block.shape[1]
     odd = ~((size >= 1e-4) & (size < 1e16) | (block == 0))
-    reprs = list(map(repr, block[odd].tolist()))  # row-major, as orjson writes them
+    reprs = [repr(value).encode() for value in block[odd].tolist()]  # row-major
     block[odd] = np.nan
-    text = orjson.dumps(block, option=orjson.OPT_SERIALIZE_NUMPY)[2:-2].decode()
-    if reprs:
-        parts = text.split("null")
-        text = "".join(itertools.chain.from_iterable(zip(parts, reprs))) + parts[-1]
-    return text.split("],[")
+    text = bytearray(orjson.dumps(block.ravel(), option=orjson.OPT_SERIALIZE_NUMPY))
+    a = np.frombuffer(text, np.uint8)
+    a[np.flatnonzero(a == 44)[k - 1::k]] = 10
+    text[-1] = 10
+    view, parts, start = memoryview(text), [], 1
+    for value in reprs:
+        at = text.find(b"n", start)  # the n of null, which no digits hold
+        parts += view[start:at], value
+        start = at + 4
+    parts.append(view[start:])
+    return b"".join(parts) if len(block) else b""
 
 
 def _text_fields(column) -> list:
-    """The CSV fields of a text column: None as empty, str() of anything
+    """The CSV fields of a text column, encoded: None as empty, str() of anything
     else, quoted with inner quotes doubled where it holds _QUOTED_CHARS."""
     fields = ["" if value is None else str(value) for value in column.tolist()]
     joined = "".join(fields)
-    if not any(c in joined for c in _QUOTED_CHARS):
-        return fields
-    quoted = {
-        field: '"' + field.replace('"', '""') + '"'
-        for field in set(fields) if any(c in field for c in _QUOTED_CHARS)
-    }
-    return [quoted.get(field, field) for field in fields]
+    if any(c in joined for c in _QUOTED_CHARS):
+        quoted = {
+            field: '"' + field.replace('"', '""') + '"'
+            for field in set(fields) if any(c in field for c in _QUOTED_CHARS)
+        }
+        fields = [quoted.get(field, field) for field in fields]
+    return list(map(str.encode, fields))
 
 
 @contextlib.contextmanager
@@ -383,15 +389,16 @@ def _write_rows(path, columns, blocks, text_columns=()):
     Each mapping's columns must be of one length: a ValueError otherwise,
     and nothing is written. The numeric columns sit together between any
     text columns; in each block of rows they are stacked into one array
-    for _number_rows, and the text fields joined on at either end. The
-    header and each block are written as one string.
+    for _number_rows, whose bytes are written through a binary handle as
+    they are, or split at each line end and the encoded text fields joined
+    on at either end.
     """
     if isinstance(blocks, Mapping):  # iterating it would yield its column names
         raise TypeError(f"{path}: one column mapping is not iterable as a sequence of them")
     numeric = [name for name in columns if name not in text_columns]
     first, stop = columns.index(numeric[0]), columns.index(numeric[-1]) + 1
-    with staged(path) as (temp,), temp.open("w", newline="", encoding="utf-8") as handle:
-        handle.write(",".join(columns) + "\n")
+    with staged(path) as (temp,), temp.open("wb") as handle:
+        handle.write((",".join(columns) + "\n").encode())
         for block in blocks:
             block = {name: np.asarray(block[name]) for name in columns}
             lengths = {name: len(column) for name, column in block.items()}
@@ -402,13 +409,16 @@ def _write_rows(path, columns, blocks, text_columns=()):
                 lines = _number_rows(np.stack(
                     [np.asarray(block[name][rows], dtype=float) for name in numeric], axis=1
                 ))
-                if text_columns:
-                    lines = map(",".join, zip(
+                if text_columns:  # zip ends before the empty part after the last line end
+                    lines = lines.split(b"\n")  # rebinding frees each part of the
+                    lines = b"\n".join(map(b",".join, zip(  # block before the next is made
                         *(_text_fields(block[name][rows]) for name in columns[:first]),
                         lines,
                         *(_text_fields(block[name][rows]) for name in columns[stop:]),
-                    ))
-                handle.write("\n".join(lines) + "\n")
+                    )))
+                    handle.write(lines)  # the last line end apart: a copy of the
+                    lines = b"\n"  # block to add it raised recover's peak RSS
+                handle.write(lines)
 
 
 def read_observations(path) -> dict:
@@ -516,10 +526,10 @@ SCENARIO_TABLE = {
 }
 
 
-class _UniqueKeyLoader(yaml.SafeLoader):
-    """A SafeLoader that refuses a mapping naming one key twice, where
-    PyYAML would keep the last value. A key merged in with << may still
-    be overridden."""
+class _UniqueKeyLoader(getattr(yaml, "CSafeLoader", yaml.SafeLoader)):
+    """A SafeLoader, parsing with libyaml where PyYAML has it, that refuses
+    a mapping naming one key twice, where PyYAML would keep the last value.
+    A key merged in with << may still be overridden."""
 
     def construct_mapping(self, node, deep=False):
         seen = set()

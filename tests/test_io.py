@@ -12,8 +12,10 @@ from hypothesis import strategies as st
 
 from depthray import io
 from depthray.camera import CameraIntrinsics, DistortionCoeffs
+from depthray.cli import main
 from depthray.errors import ConfigError, SchemaError
 from depthray.recovery import RigConfig
+from depthray.synth import generate_logs
 
 from conftest import assert_columns_equal
 
@@ -751,6 +753,21 @@ SHORTEST_REPR = {
 }
 
 
+NAN, INF = float("nan"), float("inf")
+
+# blocks whose line ends and repr splices sit at the edges of orjson's text
+NUMBER_ROW_BLOCKS = {
+    "one_row": [[0.5, -2.0, 0.0, 25.630000000000003]],
+    "one_column": [[0.5], [1e-05], [-0.0], [NAN], [3.0]],
+    "one_odd_value": [[-INF]],
+    **{
+        f"odd_at_both_ends_{value!r}": [[value, 1.0, 2.0], [3.0, 4.0, 5.0], [6.0, 7.0, value]]
+        for value in (1e-05, NAN, -INF, 5e-324)
+    },
+    "all_odd": [[1e-05, NAN, -INF], [5e-324, 1e16, -1e-300], [INF, -9.99e-05, 1e300]],
+}
+
+
 class TestCsvWriter:
     @settings(max_examples=80, deadline=None)
     @given(trajectories())
@@ -785,8 +802,17 @@ class TestCsvWriter:
             rows = values[:len(values) // width * width].reshape(-1, width)
             for start in range(0, len(rows), io.CSV_BLOCK_ROWS):
                 block = rows[start:start + io.CSV_BLOCK_ROWS]
-                want = [",".join(map(repr, row)) for row in block.tolist()]
-                assert io._number_rows(block.copy()) == want
+                want = "".join(",".join(map(repr, row)) + "\n" for row in block.tolist())
+                assert io._number_rows(block.copy()) == want.encode()
+
+    def test_an_empty_block_is_no_bytes(self):
+        for k in (1, 4, 14):
+            assert io._number_rows(np.empty((0, k))) == b""
+
+    @pytest.mark.parametrize("rows", NUMBER_ROW_BLOCKS.values(), ids=list(NUMBER_ROW_BLOCKS))
+    def test_number_rows_of_edge_blocks(self, rows):
+        want = "".join(",".join(map(repr, row)) + "\n" for row in rows).encode()
+        assert io._number_rows(np.array(rows)) == want
 
     def test_carriage_return_in_a_text_field_round_trips(self, tmp_path):
         flags = ["a\rb", "\r", "\r\n", "ok"]
@@ -855,6 +881,62 @@ class TestCsvWriter:
             writer(path, tables)
         whole = {c: np.concatenate([t[c] for t in tables]) for c in columns}
         assert path.read_bytes() == reference_csv(columns, whole, text_columns)
+
+
+README_LENS = CALIB.replace("1000.0", "2000.0")
+
+BLOCK_SCALE_SCENARIO = f"""\
+pattern: lawnmower
+n_samples: {3 * io.CSV_BLOCK_ROWS + 5}
+duration: 1200.0
+area: [10.0, 6.0]
+legs: 4
+altitude: 25.0
+depth_min: 0.5
+depth_max: 2.0
+ref_lat_deg: 42.87
+ref_lon_deg: 17.7
+ref_alt_m: 25.0
+sigma_px: 0.5
+sigma_alt: 0.05
+sigma_depth: 0.02
+sigma_gimbal_deg: 0.1
+seed: 3
+calibration: cal.yaml
+"""
+
+
+def test_cli_outputs_match_csv_writer_across_blocks(tmp_path):
+    # every file the commands write, a few blocks long, is what csv.writer
+    # writes of its columns: the sidecar's rows and the trajectory's flags
+    # run across block ends
+    write(tmp_path / "cal.yaml", README_LENS)
+    write(tmp_path / "run.yaml", "calibration: cal.yaml\n")
+    scenario = write(tmp_path / "scenario.yaml", BLOCK_SCALE_SCENARIO)
+    obs, gt = (tmp_path / name for name in ("obs.csv", "gt.csv"))
+    assert main(["simulate", "--config", str(scenario), "--output", str(obs), "--gt", str(gt)]) == 0
+    obs_table, gt_table = generate_logs(io.load_scenario_config(scenario))
+    assert obs.read_bytes() == reference_csv(io.OBSERVATION_COLUMNS, obs_table, ())
+    assert gt.read_bytes() == reference_csv(io.GROUND_TRUTH_COLUMNS, gt_table, ())
+
+    # every fifth origin sample dropped, and one far off the vehicle in each block
+    t, n = obs_table["t"], len(obs_table["t"])
+    u = np.full(n, 960.0)
+    u[1::io.CSV_BLOCK_ROWS] -= 3000.0
+    keep = np.arange(n) % 5 != 0
+    io._write_rows(tmp_path / "origin.csv", io.TRACK_COLUMNS,
+                   [{"t": t[keep], "u": u[keep], "v": np.full(n, 540.0)[keep]}])
+    traj = tmp_path / "traj.csv"
+    assert main(["recover", "--config", str(tmp_path / "run.yaml"), "--input", str(obs),
+                 "--output", str(traj), "--origin-track", str(tmp_path / "origin.csv")]) == 0
+    sidecar = tmp_path / "traj.csv.exclusions.csv"
+    traj_table, sidecar_table = io.read_trajectory(traj), io.read_exclusions(sidecar)
+    assert list(traj_table["flags"]).count("out_of_frame") == 4
+    assert len(sidecar_table["row"]) == len(t[~keep]) > io.CSV_BLOCK_ROWS // 2
+    assert traj.read_bytes() == reference_csv(io.TRAJECTORY_COLUMNS, traj_table, ("flags",))
+    assert sidecar.read_bytes() == reference_csv(
+        io.EXCLUSION_COLUMNS, sidecar_table, ("row", "reason")
+    )
 
 
 class TestRigConfig:
