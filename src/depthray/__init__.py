@@ -22,10 +22,9 @@ from .geodesy import (
     ecef_to_geodetic,
     enu_to_ecef,
     geodetic_to_ecef,
-    prime_vertical_radius,
 )
 from .geometry import rot_x, rot_y, rot_z
-from .recovery import RigConfig, camera_rotation, recover_batch
+from .recovery import RigConfig, camera_pose, camera_rotation, recover_batch
 from .synth import NoiseSpec, Scenario, generate_logs
 
 __all__ = [
@@ -44,11 +43,11 @@ __all__ = [
     "ecef_to_geodetic",
     "enu_to_ecef",
     "geodetic_to_ecef",
-    "prime_vertical_radius",
     "rot_x",
     "rot_y",
     "rot_z",
     "RigConfig",
+    "camera_pose",
     "camera_rotation",
     "recover_batch",
     "NoiseSpec",

@@ -77,16 +77,9 @@ def _checked_ecef(xyz, ell: Ellipsoid) -> np.ndarray:
     return xyz
 
 
-def prime_vertical_radius(lat, ell: Ellipsoid = WGS84):
-    """Distance from the surface to the rotation axis along the normal:
-
-        N = r_e^2 / sqrt(r_e^2 cos^2(lat) + r_p^2 sin^2(lat))
-    """
-    lat = np.asarray(lat, dtype=float)
-    return _prime_vertical_radius(np.cos(lat), np.sin(lat), ell)
-
-
 def _prime_vertical_radius(clat, slat, ell: Ellipsoid):
+    """Distance from the surface to the rotation axis along the normal, from
+    cos and sin of the latitude: N = r_e^2 / sqrt(r_e^2 cos^2 + r_p^2 sin^2)."""
     return ell.r_e**2 / np.sqrt((ell.r_e * clat) ** 2 + (ell.r_p * slat) ** 2)
 
 

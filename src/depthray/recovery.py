@@ -1,16 +1,16 @@
 """The camera model, and recovery of a submerged target from one aerial view.
 
-`camera_position` rotates the camera offset into {D} once per row; its
-height c_z, the UAV's altitude above the water and the target's pressure
-depth fix a horizontal plane a_uav + c_z + d_uuv below the camera. `cast`
-sends the undistorted pixel ray onto it, which resolves the scale
-ambiguity of the single view; `project` maps a point in {G} back to its
-pixel. Both take the rotation of `camera_rotation`, the one rotation
-builder, and the simulator calls the same functions.
+`camera_pose` is the one pose of the rig, shared by `recover_batch` and
+the simulator: from the angles (radians) it builds the body rotation
+once, the camera rotation of `camera_rotation`, the camera's position c
+in {D} (the offset rotated by the body), and the depth of the horizontal
+plane a_uav + c_z + d_uuv below the camera. `cast` sends the undistorted
+pixel ray onto that plane, which resolves the scale ambiguity of the
+single view; `project` maps a point in {G} back to its pixel.
 
 `recover_batch` runs the chain on columns of observations, on to {D}
-(p_G plus the camera position) and geodetic fixes, applying rotations
-as column sums (`geometry.rotate`), with no per-row matrix product.
+(p_G + c) and geodetic fixes, applying rotations as column sums
+(`geometry.rotate`), with no per-row matrix product.
 Every row is recovered on its own, so any split of a log into blocks
 gives the same rows; `recover` feeds it one CSV block at a time.
 
@@ -131,13 +131,15 @@ class RigConfig:
         object.__setattr__(self, "gimbal_pitch_sign", int(self.gimbal_pitch_sign))
 
 
-def camera_rotation(gimbal, body, rig: RigConfig) -> np.ndarray:
+def camera_rotation(gimbal, r_body, rig: RigConfig) -> np.ndarray:
     """Rotation from {G} into {C} for one observation, or a stack.
 
-    gimbal, body: (..., 3) arrays of wrapped yaw, pitch, roll in radians.
-    The gimbal angles (composed after the body attitude when they are
-    body-referenced) orient a forward/right/down frame whose x axis is
-    the optical axis; {C} takes that frame's transpose, rows in CAM_AXES order.
+    gimbal: (..., 3) array of wrapped yaw, pitch, roll in radians.
+    r_body: the body-to-world rotation (..., 3, 3), read only for a
+    body-referenced gimbal, which is composed after it; None will do for
+    a world gimbal. The gimbal angles orient a forward/right/down frame
+    whose x axis is the optical axis; {C} takes that frame's transpose,
+    rows in CAM_AXES order.
     """
     gimbal = np.asarray(gimbal, dtype=float)
     if rig.gimbal_pitch_sign != 1:
@@ -146,18 +148,23 @@ def camera_rotation(gimbal, body, rig: RigConfig) -> np.ndarray:
     r_t = np.swapaxes(yaw_pitch_roll_matrix(gimbal), -1, -2)
     if rig.gimbal_frame == "body":
         # row j of (B G)^T is column j of G, a row of G^T, rotated by B
-        r_t = rotate(yaw_pitch_roll_matrix(body)[..., None, :, :], r_t)
+        r_t = rotate(r_body[..., None, :, :], r_t)
     return r_t[..., CAM_AXES, :]
 
 
-def camera_position(body, rig: RigConfig) -> np.ndarray:
-    """The camera's position in {D}, c = R_body o for the camera offset o.
+def camera_pose(gimbal, body, a_uav, d_uuv, rig: RigConfig):
+    """The camera's pose and depth plane for one observation, or a stack.
 
-    body: (..., 3) wrapped yaw, pitch, roll in radians. The depth plane
-    lies a_uav + c_z + d_uuv below the camera, and a point in {G} sits at
-    p_G + c in {D}.
+    gimbal, body: (..., 3) wrapped yaw, pitch, roll in radians; a_uav,
+    d_uuv: altitude above the water and target depth, broadcast against
+    the angles. Returns (r_cw, c, depth): the rotation of
+    `camera_rotation`, the camera's position c = R_body o in {D} for the
+    offset o, and the plane depth a_uav + c_z + d_uuv below the camera.
+    A point in {G} sits at p_G + c in {D}.
     """
-    return rotate(yaw_pitch_roll_matrix(body), rig.cam_offset)
+    r_body = yaw_pitch_roll_matrix(body)
+    c = rotate(r_body, rig.cam_offset)
+    return camera_rotation(gimbal, r_body, rig), c, a_uav + c[..., 2] + d_uuv
 
 
 def cast(u, v, depth, r_cw, intr, dist):
@@ -229,10 +236,11 @@ def recover_batch(columns, config) -> tuple[dict, np.ndarray]:
     valid &= np.abs(lat) <= np.pi / 2 + 1e-12
     valid &= np.max(np.abs([a_uav, columns["d_uuv"], columns["ref_alt_m"]]), axis=0) <= 1e5
     rows = np.flatnonzero(valid)
-    u, v, body = columns["u"][rows], columns["v"][rows], _degrees_to_angles(columns, "body", rows)
-    r_cw = camera_rotation(_degrees_to_angles(columns, "gimbal", rows), body, config.rig)
-    cam = camera_position(body, config.rig)
-    depth = a_uav[rows] + cam[:, 2] + columns["d_uuv"][rows]
+    u, v = columns["u"][rows], columns["v"][rows]
+    r_cw, cam, depth = camera_pose(
+        _degrees_to_angles(columns, "gimbal", rows), _degrees_to_angles(columns, "body", rows),
+        a_uav[rows], columns["d_uuv"][rows], config.rig,
+    )
     p_c, hit_codes = cast(u, v, depth, r_cw, intr, config.distortion)
     codes = np.full(len(valid), DEGENERATE, dtype=np.int8)
     codes[rows] = hit_codes

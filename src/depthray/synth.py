@@ -2,11 +2,12 @@
 
 A `Scenario` describes one flight: a planar path, a duration, an
 altitude, a depth sweep and one gimbal and one body attitude.
-`generate_logs` derives the per-row columns from it and projects the
-target through the camera model that `recovery` inverts, with one
-camera rotation for the whole flight, into pixel observations,
-optionally perturbed by seeded Gaussian noise. Replaces field
-experiments for verification at desk scale.
+`generate_logs` derives the per-row columns from it, places the target
+on the depth plane of `recovery.camera_pose` (one pose for the whole
+flight, the one `recover` rebuilds from the logged columns) and projects
+it through the camera model that `recovery` inverts into pixel
+observations, optionally perturbed by seeded Gaussian noise. Replaces
+field experiments for verification at desk scale.
 """
 
 import math
@@ -21,8 +22,7 @@ from .geometry import wrap_angle
 from .recovery import (
     OBSERVATION_COLUMNS,
     RigConfig,
-    camera_position,
-    camera_rotation,
+    camera_pose,
     project,
 )
 
@@ -40,11 +40,9 @@ class NoiseSpec:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("sigma_px", "sigma_alt", "sigma_depth", "sigma_gimbal"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be non-negative")
-        if self.seed < 0:
-            raise ValueError("seed must be non-negative")
+        for name in ("sigma_px", "sigma_alt", "sigma_depth", "sigma_gimbal", "seed"):
+            if not 0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be non-negative and finite")
 
 
 @dataclass(frozen=True)
@@ -54,9 +52,8 @@ class Scenario:
     The target follows path_xy (n, 2) in the camera-centered ENU frame
     {G} over `duration` seconds, while its depth sweeps linearly from
     depth_min to depth_max; altitude and both attitudes stay constant.
-    Its height in {G} follows from altitude, depth and the camera's
-    height above the body, (R_body o)_z for the rig's offset o, so the
-    depth channel and the geometry agree exactly.
+    It lies on the depth plane of `recovery.camera_pose`, so the depth
+    channel and the geometry agree exactly. Every number must be finite.
 
     ref_geo is the reference fix, a (3,) array of latitude and longitude
     in radians and height in meters; gimbal and body are (3,) arrays of
@@ -80,13 +77,15 @@ class Scenario:
         path_xy = np.array(self.path_xy, dtype=float)  # a copy the caller cannot change
         if path_xy.ndim != 2 or path_xy.shape[1] != 2 or len(path_xy) == 0:
             raise ValueError("path_xy must have shape (n, 2) with n >= 1")
+        if not (np.all(np.isfinite(path_xy)) and math.isfinite(self.duration)):
+            raise ValueError("path_xy and duration must be finite")
         if len(path_xy) > 1 and not self.duration > 0:
             raise ValueError("timestamps must be strictly increasing")
         # recover_batch reads a row without altitude or with a negative depth as degenerate
-        if not self.altitude > 0:
-            raise ValueError("altitude must be positive")
-        if not (self.depth_min >= 0 and self.depth_max >= 0):
-            raise ValueError("depth_min and depth_max must be non-negative")
+        if not 0 < self.altitude < math.inf:
+            raise ValueError("altitude must be positive and finite")
+        if not (0 <= self.depth_min < math.inf and 0 <= self.depth_max < math.inf):
+            raise ValueError("depth_min and depth_max must be non-negative and finite")
         for name in ("gimbal", "body"):
             angles = np.asarray(getattr(self, name), dtype=float)
             if angles.shape != (3,) or not np.all(np.isfinite(angles)):
@@ -108,9 +107,9 @@ def generate_logs(scenario: Scenario) -> tuple[dict, dict]:
     track, altitude, depth, attitudes, reference fix) with noise applied
     per channel; the truth dict (t, x, y, z) holds the exact positions
     in {D}, the body-fixed ENU frame of the recovered trajectory, as
-    p_G + R_body o for the camera offset o. The same seed always yields
-    the same rows: noise is drawn row by row, in channel order, for the
-    channels with a nonzero sigma.
+    p_G + c for the camera position c of `camera_pose`. The same seed
+    always yields the same rows: noise is drawn row by row, in channel
+    order, for the channels with a nonzero sigma.
 
     Raises:
         InfeasibleScene: a noiseless projection falls outside the image
@@ -119,9 +118,8 @@ def generate_logs(scenario: Scenario) -> tuple[dict, dict]:
     n, rig, intr = len(scenario), scenario.rig, scenario.intrinsics
     t = np.linspace(0.0, scenario.duration, n, endpoint=False) if n > 1 else np.array([0.0])
     d_uuv = np.linspace(scenario.depth_min, scenario.depth_max, n)
-    cam = camera_position(scenario.body, rig)
-    positions = np.column_stack([scenario.path_xy, -(scenario.altitude + cam[2] + d_uuv)])
-    r_cw = camera_rotation(scenario.gimbal, scenario.body, rig)
+    r_cw, cam, depth = camera_pose(scenario.gimbal, scenario.body, scenario.altitude, d_uuv, rig)
+    positions = np.column_stack([scenario.path_xy, -depth])
     u, v, z = project(positions, r_cw, intr, scenario.distortion)
     behind = z <= MIN_CAMERA_Z
     infeasible = np.flatnonzero(behind | ~intr.contains(u, v))

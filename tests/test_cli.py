@@ -85,6 +85,12 @@ RIGS = {
     "ellipsoid": {"run.yaml": "ellipsoid: [3396190.0, 3376200.0]\n"},
     "offset_pitched_body": {"scenario.yaml": "cam_offset: [0.3, 0.0, -0.2]\nbody_pitch_deg: 10.0\n",
                             "run.yaml": "cam_offset: [0.3, 0.0, -0.2]\n"},
+    # one body rotation feeds both the camera rotation and the offset
+    "body_gimbal_offset": {
+        "scenario.yaml": "gimbal_frame: body\ncam_offset: [0.3, 0.0, -0.2]\nbody_yaw_deg: 30.0\n"
+                         "body_pitch_deg: 1.0\nbody_roll_deg: -1.0\n",
+        "run.yaml": "gimbal_frame: body\ncam_offset: [0.3, 0.0, -0.2]\n",
+    },
 }
 
 

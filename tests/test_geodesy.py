@@ -8,13 +8,19 @@ from depthray.geodesy import (
     WGS84,
     Ellipsoid,
     _checked_geodetic,
+    _prime_vertical_radius,
     ecef_to_geodetic,
     enu_to_ecef,
     geodetic_to_ecef,
-    prime_vertical_radius,
 )
 
 from conftest import bowring_oracle, geodetic_deg, random_geodetic
+
+
+def prime_vertical_radius(lat):
+    """N on WGS84 at latitudes `lat` (radians), through the private formula."""
+    lat = np.asarray(lat, dtype=float)
+    return _prime_vertical_radius(np.cos(lat), np.sin(lat), WGS84)
 
 
 class TestPrimeVerticalRadius:

@@ -9,7 +9,7 @@ from depthray.geometry import (
     rot_y,
     rot_z,
 )
-from depthray.recovery import RigConfig, camera_rotation
+from depthray.recovery import RigConfig, camera_pose, camera_rotation
 
 
 def long_hand_yaw_pitch_roll(angles):
@@ -96,7 +96,7 @@ class TestGimbalChain:
             assert_allclose(r, expected, atol=1e-15)
         gimbal, body = rng.uniform(-np.pi, np.pi, (2, 1000, 3))
         for rig in (RigConfig(), RigConfig(gimbal_frame="body")):
-            r = camera_rotation(gimbal, body, rig)
+            r, _, _ = camera_pose(gimbal, body, 0.0, 0.0, rig)
             assert r.shape == (1000, 3, 3)
             for k in range(1000):
                 r_world_fwd = long_hand_yaw_pitch_roll(gimbal[k])

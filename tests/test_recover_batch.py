@@ -29,8 +29,7 @@ from depthray.recovery import (
     TRAJECTORY_COLUMNS,
     UNDISTORT_NONCONVERGENCE,
     RigConfig,
-    camera_position,
-    camera_rotation,
+    camera_pose,
     cast,
     project,
     recover_batch,
@@ -170,10 +169,10 @@ def test_noiseless_logs_match_the_stacked_reference(
         assume(False)
 
     gimbal_n, body_n = np.tile(scenario.gimbal, (n, 1)), np.tile(scenario.body, (n, 1))
-    cam = camera_position(body_n, rig)
-    z = -(altitude + cam[:, 2] + np.linspace(depths[0], depths[1], n))
-    p_g = np.column_stack([path_xy[:, 0], path_xy[:, 1], z])
-    r_cw = camera_rotation(gimbal_n, body_n, rig)
+    r_cw, cam, depth = camera_pose(
+        gimbal_n, body_n, altitude, np.linspace(depths[0], depths[1], n), rig
+    )
+    p_g = np.column_stack([path_xy[:, 0], path_xy[:, 1], -depth])
     assert r_cw.shape == (n, 3, 3)
     u, v, _ = project(p_g, r_cw, INTRINSICS, dist)
     p_d = p_g + cam
@@ -204,8 +203,8 @@ def test_cast_and_project_invert_each_other(rig, lens_seed, gimbal, body, altitu
         )
     yaw, tilt, roll = gimbal
     gimbal = np.array([yaw, rig.gimbal_pitch_sign * (-math.pi / 2 + tilt), roll])
-    r_cw = camera_rotation(gimbal, body, rig)[None]
-    h = altitude + camera_position(body, rig)[2] + depth
+    r_cw, _, h = camera_pose(gimbal, body, altitude, depth, rig)
+    r_cw = r_cw[None]
     p = np.array([[xy[0] * h, xy[1] * h, -h]])  # a point on the depth plane, in {G}
     u, v, z = project(p, r_cw, INTRINSICS, dist)
     ray = r_cw[0] @ p[0]

@@ -14,6 +14,7 @@ from depthray.recovery import (
     PARALLEL_RAY,
     RECOVERED,
     RigConfig,
+    camera_pose,
     camera_rotation,
     project,
     recover_batch,
@@ -47,7 +48,7 @@ class TestBuildPlane:
     def test_offsets_and_depth_sum(self, intrinsics):
         rig = RigConfig(cam_offset=np.array([0.0, 0.0, -0.2]))
         config = RunConfig(intrinsics, DistortionCoeffs(), rig)
-        r = camera_rotation(NADIR, LEVEL, rig)
+        r = camera_rotation(NADIR, None, rig)
         traj, _ = recover_batch(make_columns((960.0, 540.0)), config)
         assert_allclose(r.T @ [traj[c][0] for c in CAM], [0.0, 0.0, -25.43], atol=1e-12)
         # an off-axis hit lies at the same height: the plane's normal is e_z
@@ -59,7 +60,7 @@ class TestBuildPlane:
             make_columns((960.0, 540.0), a_uav=10.0, d_uuv=0.0),
             RunConfig(intrinsics, DistortionCoeffs(), RigConfig()),
         )
-        p_g = camera_rotation(NADIR, LEVEL, RigConfig()).T @ [traj[c][0] for c in CAM]
+        p_g = camera_rotation(NADIR, None, RigConfig()).T @ [traj[c][0] for c in CAM]
         assert_allclose(p_g, [0.0, 0.0, -10.0], atol=1e-12)
 
     def test_camera_below_surface_degenerate(self, intrinsics):
@@ -84,10 +85,10 @@ class TestRecoverCameraFrame:
         rig = RigConfig()
         dist = DistortionCoeffs(k1=-0.1, k2=0.05, p1=0.001, p2=-0.002)
         truth = np.array([3.0, -2.0, -25.63])
-        u, v, _ = project(truth[None], camera_rotation(NADIR, LEVEL, rig)[None],
+        u, v, _ = project(truth[None], camera_rotation(NADIR, None, rig)[None],
                           intrinsics, dist)
         traj, _ = recover_batch(make_columns((u, v)), RunConfig(intrinsics, dist, rig))
-        expected_c = camera_rotation(NADIR, LEVEL, rig) @ truth
+        expected_c = camera_rotation(NADIR, None, rig) @ truth
         assert_allclose([traj[c][0] for c in CAM], expected_c, atol=1e-9)
 
     def test_random_scene_round_trips(self, intrinsics):
@@ -111,10 +112,10 @@ class TestRecoverCameraFrame:
                 k1=rng.uniform(-0.15, 0.15), k2=rng.uniform(-0.05, 0.05),
                 p1=rng.uniform(-0.005, 0.005), p2=rng.uniform(-0.005, 0.005),
             )
-            r = camera_rotation(gimbal, body, rig)
+            r = camera_rotation(gimbal, None, rig)
             if (r @ truth)[2] < 0.2 * depth:
                 continue  # scene behind or grazing the camera
-            u, v, _ = project(truth[None], camera_rotation(gimbal, body, rig)[None],
+            u, v, _ = project(truth[None], camera_rotation(gimbal, None, rig)[None],
                               intrinsics, dist)
             traj, codes = recover_batch(
                 make_columns((u, v), a_uav=a_uav, d_uuv=d_uuv, gimbal=gimbal, body=body),
@@ -133,7 +134,7 @@ class TestRecoverCameraFrame:
         )
         p_c = np.array([traj[c][0] for c in CAM])
         plane_point, plane_normal = np.array([0.0, 0.0, -25.63]), np.array([0.0, 0.0, 1.0])
-        r = camera_rotation(gimbal, LEVEL, rig)
+        r = camera_rotation(gimbal, None, rig)
         residual = (p_c - r @ plane_point) @ (r @ plane_normal)
         assert abs(residual) < 1e-9
 
@@ -144,7 +145,7 @@ class TestRecoverCameraFrame:
         sigma_px, z = 2.0, 25.63
         predicted = sigma_px / 2000.0 * z
         truth = np.array([0.0, 0.0, -z])
-        u, v, _ = project(truth[None], camera_rotation(NADIR, LEVEL, rig)[None],
+        u, v, _ = project(truth[None], camera_rotation(NADIR, None, rig)[None],
                           intr, DistortionCoeffs())
         rng = np.random.default_rng(67)
         noise = rng.normal(0, sigma_px, (1000, 2))  # u then v, row by row
@@ -153,7 +154,7 @@ class TestRecoverCameraFrame:
         columns["v"] += noise[:, 1]
         traj, _ = recover_batch(columns, RunConfig(intr, DistortionCoeffs(), rig))
         p_c = np.column_stack([traj[c] for c in CAM])
-        p_g = p_c @ camera_rotation(NADIR, LEVEL, rig)
+        p_g = p_c @ camera_rotation(NADIR, None, rig)
         errors = p_g[:, :2] - truth[:2]
         rms = np.sqrt(np.mean(errors**2, axis=0))
         mean_abs = np.mean(np.abs(errors), axis=0)
@@ -253,9 +254,9 @@ class TestCameraToUavEnu:
             depth = a_uav + cam[2] + d_uuv
             truth_g = np.array([rng.uniform(-0.25, 0.25) * depth,
                                 rng.uniform(-0.25, 0.25) * depth, -depth])
-            if (camera_rotation(gimbal, body, rig) @ truth_g)[2] < 0.2 * depth:
+            if (camera_rotation(gimbal, None, rig) @ truth_g)[2] < 0.2 * depth:
                 continue
-            u, v, _ = project(truth_g[None], camera_rotation(gimbal, body, rig)[None],
+            u, v, _ = project(truth_g[None], camera_rotation(gimbal, None, rig)[None],
                               intrinsics, DistortionCoeffs())
             traj, _ = recover_batch(
                 make_columns((u, v), a_uav=a_uav, d_uuv=d_uuv, gimbal=gimbal, body=body),
@@ -282,16 +283,55 @@ class TestGimbalConventions:
         body = np.array([0.8, 0.0, 0.0])
         rig_body = RigConfig(gimbal_frame="body")
         rig_world = RigConfig()
-        r_body = camera_rotation(NADIR, body, rig_body)
+        r_body, _, _ = camera_pose(NADIR, body, 25.0, 1.0, rig_body)
         composed = yaw_pitch_roll_matrix(body) @ yaw_pitch_roll_matrix(NADIR)
         cam_from_forward = np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [1.0, 0.0, 0.0]])
         assert_allclose(r_body, cam_from_forward @ composed.T, atol=1e-15)
         # with identity body the two conventions coincide
         assert_allclose(
-            camera_rotation(NADIR, LEVEL, rig_body),
-            camera_rotation(NADIR, LEVEL, rig_world),
+            camera_pose(NADIR, LEVEL, 25.0, 1.0, rig_body)[0],
+            camera_pose(NADIR, LEVEL, 25.0, 1.0, rig_world)[0],
             atol=1e-15,
         )
+
+
+class TestCameraPose:
+    """camera_pose against values worked out by hand with math.sin/math.cos;
+    each case pins one sense of the body attitude (the legacy conventions)."""
+
+    deg10 = math.radians(10.0)
+
+    def pose(self, body, offset, a_uav=25.0, d_uuv=1.0):
+        return camera_pose(NADIR, np.array(body), a_uav, d_uuv,
+                           RigConfig(cam_offset=np.array(offset)))
+
+    def test_positive_yaw_turns_the_nose_from_east_to_south(self):
+        _, c, depth = self.pose([math.pi / 2, 0.0, 0.0], [1.0, 0.0, 0.0])
+        assert_allclose(c, [0.0, -1.0, 0.0], atol=1e-15)
+        assert depth == 26.0
+
+    def test_positive_pitch_raises_the_nose(self):
+        # o = (0.3, 0, -0.2): the forward arm rises, the hanging arm swings back
+        _, c, depth = self.pose([0.0, self.deg10, 0.0], [0.3, 0.0, -0.2])
+        s, co = math.sin(self.deg10), math.cos(self.deg10)
+        assert_allclose(c, [0.3 * co + 0.2 * s, 0.0, 0.3 * s - 0.2 * co], atol=1e-15)
+        assert_allclose(c, [0.33017, 0.0, -0.14487], atol=5e-6)
+        # the plane lies a_uav + c_z + d_uuv below the camera
+        assert depth == pytest.approx(25.0 + (0.3 * s - 0.2 * co) + 1.0, abs=1e-14)
+        assert depth == pytest.approx(25.85513, abs=5e-6)
+
+    def test_positive_roll_lowers_the_right_side(self):
+        _, c, _ = self.pose([0.0, 0.0, self.deg10], [0.0, 1.0, 0.0])
+        assert_allclose(c, [0.0, math.cos(self.deg10), -math.sin(self.deg10)], atol=1e-15)
+
+    def test_body_gimbal_on_a_yawed_body_equals_a_yawed_world_gimbal(self):
+        # one body rotation feeds r_cw; the nadir gimbal turns with the body
+        for yaw in (0.3, -1.2, math.pi / 2, math.pi):
+            r_body, _, _ = camera_pose(NADIR, np.array([yaw, 0.0, 0.0]), 25.0, 1.0,
+                                       RigConfig(gimbal_frame="body"))
+            r_world, _, _ = camera_pose(np.array([yaw, -math.pi / 2, 0.0]), LEVEL,
+                                        25.0, 1.0, RigConfig())
+            assert_allclose(r_body, r_world, atol=1e-15)
 
 
 class TestValidation:

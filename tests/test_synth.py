@@ -46,7 +46,7 @@ def make_scenario(n=50, noise=NoiseSpec(), depth_min=0.63, depth_max=0.63,
 class TestProjectPoint:
     """project, the forward model generate_logs uses."""
 
-    r_nadir = camera_rotation(NADIR, np.zeros(3), RigConfig())[None]
+    r_nadir = camera_rotation(NADIR, None, RigConfig())[None]
 
     def test_optical_axis_hits_principal_point(self, intrinsics):
         u, v, _ = project(np.array([[0.0, 0.0, -17.0]]), self.r_nadir, intrinsics,
@@ -75,8 +75,8 @@ class TestProjectPoint:
             d_uuv[i] = rng.uniform(0.0, 2.0)
             depth = a_uav[i] + d_uuv[i]
             truth[i] = [rng.uniform(-0.3, 0.3) * depth, rng.uniform(-0.3, 0.3) * depth, -depth]
-        gimbal, body = np.tile(NADIR, (100, 1)), np.zeros((100, 3))
-        u, v, _ = project(truth, camera_rotation(gimbal, body, rig), intrinsics, dist)
+        u, v, _ = project(truth, camera_rotation(np.tile(NADIR, (100, 1)), None, rig),
+                          intrinsics, dist)
         zeros = np.zeros(100)
         columns = {
             "t": zeros, "u": u, "v": v, "a_uav": a_uav, "d_uuv": d_uuv,
@@ -88,7 +88,7 @@ class TestProjectPoint:
         traj, _ = recover_batch(columns, RunConfig(intrinsics, dist, rig))
         # compare in {G}: rotate the recovery back out of the camera
         p_c = np.column_stack([traj["cam_x"], traj["cam_y"], traj["cam_z"]])
-        p_g = p_c @ camera_rotation(NADIR, np.zeros(3), rig)
+        p_g = p_c @ camera_rotation(NADIR, None, rig)
         assert_allclose(p_g, truth, atol=1e-9)
 
 
@@ -192,12 +192,13 @@ class TestScenarioValidation:
                 make_scenario(path_xy=path_xy)
 
     # recover_batch reads such rows as degenerate, so every row would be dropped
-    @pytest.mark.parametrize("altitude", [0.0, -0.2, float("nan")])
+    @pytest.mark.parametrize("altitude", [0.0, -0.2, float("nan"), float("inf")])
     def test_altitude_must_be_positive(self, altitude):
         with pytest.raises(ValueError, match="altitude must be positive"):
             make_scenario(altitude=altitude)
 
-    @pytest.mark.parametrize("depth_min, depth_max", [(-0.5, 0.5), (0.5, -0.5)])
+    @pytest.mark.parametrize("depth_min, depth_max",
+                             [(-0.5, 0.5), (0.5, -0.5), (math.inf, 0.5), (0.5, math.inf)])
     def test_depths_must_be_nonnegative(self, depth_min, depth_max):
         with pytest.raises(ValueError, match="must be non-negative"):
             make_scenario(depth_min=depth_min, depth_max=depth_max)
@@ -241,3 +242,20 @@ class TestScenarioValidation:
     def test_noise_sigmas_nonnegative(self):
         with pytest.raises(ValueError):
             NoiseSpec(sigma_px=-1.0)
+
+    # an infinite duration wrote t = [nan, inf, ...]
+    @pytest.mark.parametrize("field, value", [
+        ("duration", math.inf), ("duration", math.nan),
+        ("path_xy", [[0.0, 0.0], [math.inf, 1.0]]),
+    ])
+    def test_path_and_duration_must_be_finite(self, field, value):
+        with pytest.raises(ValueError, match="path_xy and duration must be finite"):
+            make_scenario(**{field: value})
+
+    # a nan sigma drew no noise at all (nan > 0 is false); an infinite one
+    # wrote inf into its channel
+    @pytest.mark.parametrize("field", ["sigma_px", "sigma_alt", "sigma_depth", "sigma_gimbal"])
+    @pytest.mark.parametrize("value", [math.inf, math.nan])
+    def test_noise_sigmas_must_be_finite(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be non-negative and finite"):
+            NoiseSpec(**{field: value})
