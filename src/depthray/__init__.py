@@ -23,7 +23,6 @@ from .geodesy import (
     enu_to_ecef,
     geodetic_to_ecef,
 )
-from .geometry import rot_x, rot_y, rot_z
 from .recovery import RigConfig, camera_pose, camera_rotation, recover_batch
 from .synth import NoiseSpec, Scenario, generate_logs
 
@@ -43,9 +42,6 @@ __all__ = [
     "ecef_to_geodetic",
     "enu_to_ecef",
     "geodetic_to_ecef",
-    "rot_x",
-    "rot_y",
-    "rot_z",
     "RigConfig",
     "camera_pose",
     "camera_rotation",

@@ -46,18 +46,18 @@ def _read_sorted(read, path, what) -> dict:
 
 
 def _recover_blocks(blocks, track, config, outcomes):
-    """Recover observation blocks (column dicts) one at a time, yielding
-    their trajectory columns.
+    """Recover observation blocks ((line numbers, column dict) pairs) one
+    at a time, yielding their trajectory columns.
 
     With an origin track (see _read_sorted), each pixel is replaced by
     its offset from the time-matched origin sample, re-anchored at the
     principal point, which cancels hover drift; rows without a match are
     excluded. Appends to `outcomes`, per block, its row count and copies
-    (not views of the parsed block) of the row index, time and code of
+    (not views of the parsed block) of the line number, time and code of
     excluded rows.
     """
-    intr, first_row = config.intrinsics, 0
-    for obs in blocks:
+    intr = config.intrinsics
+    for lines, obs in blocks:
         t, matched = obs["t"], slice(None)
         codes = np.full(len(t), NO_ORIGIN_MATCH, dtype=np.int8)
         if track is not None:
@@ -67,8 +67,7 @@ def _recover_blocks(blocks, track, config, outcomes):
             obs["v"] = intr.cy + (obs["v"] - track["v"][track_idx])
         trajectory, codes[matched] = recover_batch(obs, config)
         excluded = np.flatnonzero(codes != RECOVERED)
-        outcomes.append((len(codes), first_row + excluded, t[excluded], codes[excluded]))
-        first_row += len(codes)
+        outcomes.append((len(codes), lines[excluded], t[excluded], codes[excluded]))
         yield trajectory
 
 
@@ -91,7 +90,7 @@ def cmd_recover(args) -> int:
         # rows without an origin match come first, then the others in row order
         order = np.argsort(codes != NO_ORIGIN_MATCH, kind="stable")
         io.write_exclusions(sidecar, [{
-            "row": rows[order] + 2,  # 1 header line precedes the data
+            "row": rows[order],
             "t": t[order],
             "reason": np.array(REASONS, dtype=object)[codes[order]],
         }])

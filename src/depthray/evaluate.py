@@ -10,7 +10,7 @@ import math
 import numpy as np
 
 from .errors import EmptyTrajectory, LengthMismatch
-from .geometry import rot_z
+from .geometry import yaw_pitch_roll_matrix
 
 
 def enu_to_ground_truth(p, yaw: float, translation) -> np.ndarray:
@@ -22,7 +22,7 @@ def enu_to_ground_truth(p, yaw: float, translation) -> np.ndarray:
         raise ValueError(f"yaw must be finite, got {yaw}")
     if translation.shape != (3,) or not np.all(np.isfinite(translation)):
         raise ValueError("translation must be a finite 3-vector")
-    return np.asarray(p, dtype=float) @ rot_z(yaw).T + translation
+    return np.asarray(p, dtype=float) @ yaw_pitch_roll_matrix([yaw, 0.0, 0.0]).T + translation
 
 
 def rescale_grid_point(grid_xy, nadir_xy, a_cam: float, d_uuv: float) -> np.ndarray:
@@ -81,11 +81,11 @@ def match_sorted(t, sorted_ref, max_gap: float):
     sorted_ref = np.asarray(sorted_ref, dtype=float)
     if len(sorted_ref) == 0:
         raise EmptyTrajectory("no reference timestamps to match against")
-    pos = np.searchsorted(sorted_ref, t)
-    pos = np.clip(pos, 1, len(sorted_ref) - 1) if len(sorted_ref) > 1 else np.zeros_like(pos)
-    left = np.abs(t - sorted_ref[np.maximum(pos - 1, 0)])
+    # each timestamp's neighbours below and above; one sample is both (clip gives 0)
+    pos = np.clip(np.searchsorted(sorted_ref, t), 1, len(sorted_ref) - 1)
+    below = np.maximum(pos - 1, 0)
+    left = np.abs(t - sorted_ref[below])
     right = np.abs(sorted_ref[pos] - t)
-    nearest = np.where(left <= right, np.maximum(pos - 1, 0), pos)
-    gap = np.abs(sorted_ref[nearest] - t)
-    keep = gap <= max_gap
+    nearest = np.where(left <= right, below, pos)
+    keep = np.minimum(left, right) <= max_gap
     return np.nonzero(keep)[0], nearest[keep], int(np.sum(~keep))

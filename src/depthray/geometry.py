@@ -1,10 +1,10 @@
 """3D primitives: passive rotations and the depth-plane kernel.
 
 All rotation matrices follow the passive convention: R expresses the
-coordinates of a fixed point in a rotated frame, so rot_z(pi/2) maps
+coordinates of a fixed point in a rotated frame, so a yaw of pi/2 maps
 (1, 0, 0) to (0, -1, 0). yaw_pitch_roll_matrix, in closed form, builds
-them all from a scalar angle or an array of angles: one matrix or a stack
-of shape (..., 3, 3). `rotate` applies a stack to points column by column.
+them all from (..., 3) arrays of angles: one matrix or a stack of shape
+(..., 3, 3). `rotate` applies a stack to points column by column.
 """
 
 import math
@@ -50,28 +50,6 @@ def yaw_pitch_roll_matrix(angles) -> np.ndarray:
         [sp, -cp * sr, cp * cr],
     ])
     return np.moveaxis(r, (0, 1), (-2, -1))
-
-
-def _elementary(angle, axis: int) -> np.ndarray:
-    angle = np.asarray(angle, dtype=float)
-    angles = np.zeros(angle.shape + (3,))
-    angles[..., axis] = angle
-    return yaw_pitch_roll_matrix(angles)
-
-
-def rot_x(angle) -> np.ndarray:
-    """Passive elementary rotation about the x axis."""
-    return _elementary(angle, 2)
-
-
-def rot_y(angle) -> np.ndarray:
-    """Passive elementary rotation about the y axis."""
-    return _elementary(angle, 1)
-
-
-def rot_z(angle) -> np.ndarray:
-    """Passive elementary rotation about the z axis."""
-    return _elementary(angle, 0)
 
 
 def _dot(a, b):

@@ -225,15 +225,15 @@ def _record_columns(columns, text_columns, records):
 
 
 def _csv_blocks(path, columns, text_columns, handle, first_line):
-    """Yield the rest of a text file as column dicts of up to CSV_BLOCK_ROWS
-    rows, read by one csv.reader + float(), with its header first when
-    `first_line` is 1.
+    """Yield the rest of a text file as (line numbers, column dict) pairs of
+    up to CSV_BLOCK_ROWS records, read by one csv.reader + float(), with
+    its header first when `first_line` is 1.
 
     Each record is checked by _check_record as the reader yields it, so
     the first fault in the file is the one raised; a line number counts
     records, as a quoted field may run on across lines.
     """
-    lineno, records = first_line, []
+    lineno, records, linenos = first_line, [], []
     try:
         for raw in csv.reader(handle):
             if lineno == 1:
@@ -245,9 +245,10 @@ def _csv_blocks(path, columns, text_columns, handle, first_line):
             elif raw:
                 _check_record(path, columns, text_columns, raw, lineno)
                 records.append(raw)
+                linenos.append(lineno)
                 if len(records) == CSV_BLOCK_ROWS:
-                    yield _record_columns(columns, text_columns, records)
-                    records = []
+                    yield np.array(linenos), _record_columns(columns, text_columns, records)
+                    records, linenos = [], []
             lineno += 1
     except csv.Error as exc:  # a field over csv.field_size_limit, or a NUL before 3.11
         raise SchemaError(f"{path}: {exc}", line=lineno) from None
@@ -258,11 +259,13 @@ def _csv_blocks(path, columns, text_columns, handle, first_line):
     if lineno == 1:
         raise SchemaError(f"{path}: missing header", line=1)
     if records:
-        yield _record_columns(columns, text_columns, records)
+        yield np.array(linenos), _record_columns(columns, text_columns, records)
 
 
 def _read_blocks(path, columns, text_columns=()):
-    """Yield a strict-schema CSV as column dicts of up to CSV_BLOCK_ROWS rows.
+    """Yield a strict-schema CSV as (line numbers, column dict) pairs of up
+    to CSV_BLOCK_ROWS rows: each row's 1-based line in the file, the one a
+    SchemaError on it would name.
 
     The header must match `columns` exactly; any non-numeric or
     non-finite value in a numeric column is a SchemaError carrying the
@@ -294,7 +297,7 @@ def _read_blocks(path, columns, text_columns=()):
                     parsed = _parse_block(columns, text_columns, block, ends)
                     if parsed is None:
                         break
-                    yield dict(zip(columns, parsed))
+                    yield first_line + np.arange(len(parsed[0])), dict(zip(columns, parsed))
                     first_line += len(parsed[0])
                 else:
                     return
@@ -307,7 +310,7 @@ def _read_rows(path, columns, text_columns=()) -> dict:
     # the empty first part types the columns of a log without rows
     parts = {name: [np.array([], dtype=object if name in text_columns else float)]
              for name in columns}
-    for block in _read_blocks(path, columns, text_columns):
+    for _, block in _read_blocks(path, columns, text_columns):
         for name in columns:
             parts[name].append(block[name])
     # each column's parts are dropped as it is joined, so no column is held twice
@@ -419,10 +422,6 @@ def _write_rows(path, columns, blocks, text_columns=()):
                     handle.write(lines)  # the last line end apart: a copy of the
                     lines = b"\n"  # block to add it raised recover's peak RSS
                 handle.write(lines)
-
-
-def read_observations(path) -> dict:
-    return _read_rows(path, OBSERVATION_COLUMNS)
 
 
 def read_observation_blocks(path):
@@ -749,8 +748,6 @@ def load_scenario_config(path, seed=None) -> Scenario:
 
     if seed is None:
         seed = data.get("seed", 0)
-    if isinstance(seed, bool) or not isinstance(seed, int):
-        raise ConfigError(f"{path}: seed must be an integer")
     try:
         noise = NoiseSpec(sigma_px=v["sigma_px"], sigma_alt=v["sigma_alt"],
                           sigma_depth=v["sigma_depth"], sigma_gimbal=v["sigma_gimbal"], seed=seed)

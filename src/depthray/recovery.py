@@ -215,7 +215,7 @@ def recover_batch(columns, config) -> tuple[dict, np.ndarray]:
     """Recover every observation row, column by column.
 
     columns: mapping from OBSERVATION_COLUMNS (angles in degrees) to
-    equal-length arrays, such as the dict io.read_observations returns.
+    equal-length arrays, such as each block io.read_observation_blocks reads.
     config: a run configuration with intrinsics, distortion, rig,
     ellipsoid and altitude_datum_offset.
 

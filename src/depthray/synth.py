@@ -40,6 +40,8 @@ class NoiseSpec:
     seed: int = 0
 
     def __post_init__(self):
+        if isinstance(self.seed, bool) or not isinstance(self.seed, (int, np.integer)):
+            raise ValueError("seed must be an integer")
         for name in ("sigma_px", "sigma_alt", "sigma_depth", "sigma_gimbal", "seed"):
             if not 0 <= getattr(self, name) < math.inf:
                 raise ValueError(f"{name} must be non-negative and finite")

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
+from depthray import io
 from depthray.camera import CameraIntrinsics, DistortionCoeffs
 from depthray.geodesy import WGS84
 
@@ -46,6 +47,14 @@ def assert_columns_equal(a, b):
     assert list(a) == list(b)
     for name in a:
         assert np.array_equal(a[name], b[name]), name
+
+
+def read_observation_log(path) -> dict:
+    """A whole observation log as one column dict, joined from the blocks
+    io.read_observation_blocks reads."""
+    blocks = [columns for _, columns in io.read_observation_blocks(path)]
+    return {name: np.concatenate([block[name] for block in blocks])
+            for name in io.OBSERVATION_COLUMNS}
 
 
 def geodetic_deg(lat_deg, lon_deg, h):

@@ -13,6 +13,8 @@ from depthray import io
 from depthray.cli import main
 from depthray.synth import generate_logs
 
+from conftest import read_observation_log
+
 CALIB = """\
 fx: 1000.0
 fy: 1000.0
@@ -214,7 +216,7 @@ class TestRecoverErrors:
 
     def test_degenerate_row_flagged_and_run_continues(self, workdir):
         simulate(workdir)
-        rows = io.read_observations(workdir / "obs.csv")
+        rows = read_observation_log(workdir / "obs.csv")
         rows["a_uav"][3] = -5.0
         io.write_observations(workdir / "obs.csv", [rows])
         assert run(
@@ -228,6 +230,38 @@ class TestRecoverErrors:
         assert excl[0] == "row,t,reason"
         assert excl[1].endswith("degenerate")
         assert excl[1].startswith("5,")  # header + three clean rows precede it
+
+    # the rows after a blank line were numbered one line short: csv.reader skips it
+    def test_sidecar_row_is_the_line_of_the_record(self, workdir, capsys, monkeypatch):
+        simulate(workdir)
+        rows = read_observation_log(workdir / "obs.csv")
+        rows["a_uav"][[3, 50, 100]] = -5.0
+        io.write_observations(workdir / "obs.csv", [rows])
+        lines = (workdir / "obs.csv").read_text().splitlines()
+        # a blank line 43, after record 40: the sixth block on is read by csv.reader
+        lines.insert(42, "")
+        (workdir / "obs.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+        monkeypatch.setattr(io, "CSV_BLOCK_ROWS", 7)
+
+        def recover():
+            return run(
+                workdir, "recover",
+                "--config", workdir / "run.yaml",
+                "--input", workdir / "obs.csv",
+                "--output", workdir / "traj.csv",
+            )
+
+        assert recover() == 0
+        sidecar = io.read_exclusions(workdir / "traj.csv.exclusions.csv")
+        assert sidecar["row"].tolist() == ["5", "53", "103"]
+        assert sidecar["t"].tolist() == rows["t"][[3, 50, 100]].tolist()
+        # the line a bad value in that record is reported on
+        fields = lines[102].split(",")
+        fields[3] = "nan"
+        lines[102] = ",".join(fields)
+        (workdir / "obs.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+        assert recover() == 1
+        assert "line 103:" in capsys.readouterr().err
 
     def test_schema_violation_exits_1_with_line(self, workdir, capsys):
         simulate(workdir)
@@ -470,7 +504,7 @@ class TestEvaluateCommand:
 
     def test_counts_recover_exclusions(self, workdir, capsys):
         simulate(workdir)
-        rows = io.read_observations(workdir / "obs.csv")
+        rows = read_observation_log(workdir / "obs.csv")
         rows["a_uav"][[3, 50, 51]] = -5.0
         io.write_observations(workdir / "obs.csv", [rows])
         self._recover(workdir)
@@ -599,7 +633,7 @@ class TestOriginTrack:
         )
         # a hovering drift shifts the vehicle and the origin landmark by
         # the same pixel vector; the origin track removes it
-        rows = io.read_observations(workdir / "obs.csv")
+        rows = read_observation_log(workdir / "obs.csv")
         rows["u"][:] += 17.0
         rows["v"][:] -= 9.0
         n = len(rows["t"])
@@ -628,7 +662,7 @@ class TestOriginTrack:
         )
         # every timestamp twice, in shuffled order, read and matched in
         # blocks of 7 observations
-        t = io.read_observations(workdir / "obs.csv")["t"]
+        t = read_observation_log(workdir / "obs.csv")["t"]
         order = np.random.default_rng(2).permutation(2 * len(t))
         n = len(order)
         track = {"t": np.tile(t, 2)[order], "u": np.full(n, 960.0), "v": np.full(n, 540.0)}
@@ -654,7 +688,7 @@ class TestOriginTrack:
             cal.write("k1: -0.1\nk2: 0.05\np1: 0.001\np2: -0.002\n")
         simulate(workdir)
         # every fourth origin sample dropped, and one far off the vehicle
-        t, u = (io.read_observations(workdir / "obs.csv")[c] for c in ("t", "u"))
+        t, u = (read_observation_log(workdir / "obs.csv")[c] for c in ("t", "u"))
         track = {"t": t, "u": np.full(len(t), 960.0), "v": np.full(len(t), 540.0)}
         track["u"][1] = u[1] - 1000.0
         keep = np.arange(len(t)) % 4 != 3
@@ -742,6 +776,11 @@ class TestSimulateErrors:
     ], ids=["file", "flag", "noiseless"])
     def test_negative_seed_exits_2(self, workdir, capsys, text, flags):
         assert "seed must be non-negative" in self.refuse(workdir, capsys, text, *flags)
+
+    @pytest.mark.parametrize("seed", ["1.5", "true"])
+    def test_seed_that_is_not_an_integer_exits_2(self, workdir, capsys, seed):
+        text = SCENARIO + f"sigma_px: 2.0\nseed: {seed}\n"
+        assert "seed must be an integer" in self.refuse(workdir, capsys, text)
 
     # recover reads a row without altitude or with a negative depth as degenerate, so
     # such a log would lose every row; the small area keeps the scene in frame

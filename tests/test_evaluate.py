@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from depthray.errors import EmptyTrajectory, LengthMismatch
@@ -11,6 +13,11 @@ from depthray.evaluate import (
     rescale_grid_point,
     trajectory_errors,
 )
+
+# times on a dyadic grid, so every difference of two is exact and a tie in
+# distance is a true tie; quarter steps make ties and gaps equal to max_gap
+TIMES = st.one_of(st.integers(-40, 40).map(lambda k: k / 4),
+                  st.integers(-10 * 2**20, 10 * 2**20).map(lambda k: k / 2**20))
 
 
 class TestGroundTruthTransform:
@@ -144,6 +151,21 @@ class TestMatchSorted:
     def test_empty_raises(self):
         with pytest.raises(EmptyTrajectory):
             match_sorted([1.0], [], max_gap=0.1)
+
+    # distinct reference times: of equal ones, the last may be the one matched
+    @given(
+        t=st.lists(TIMES, max_size=20),
+        ref=st.lists(TIMES, min_size=1, max_size=20, unique=True).map(sorted),
+        max_gap=st.sampled_from([0.0, 0.25, 0.5, 1.0, 3.75]),
+    )
+    def test_matches_the_brute_force_nearest(self, t, ref, max_gap):
+        gaps = np.abs(np.subtract.outer(np.asarray(t, dtype=float), ref))
+        nearest = np.argmin(gaps, axis=1)  # the first of equal minima
+        keep = gaps.min(axis=1) <= max_gap
+        idx, ref_idx, dropped = match_sorted(t, ref, max_gap)
+        assert idx.tolist() == np.flatnonzero(keep).tolist()
+        assert ref_idx.tolist() == nearest[keep].tolist()
+        assert dropped == np.count_nonzero(~keep)
 
     def test_per_block_matching_of_a_track_sorted_once(self):
         # recover sorts the origin track once and matches each block of

@@ -5,9 +5,7 @@ from numpy.testing import assert_allclose
 from depthray.geometry import (
     PARALLEL_EPS,
     ray_plane_hits,
-    rot_x,
-    rot_y,
-    rot_z,
+    yaw_pitch_roll_matrix,
 )
 from depthray.recovery import RigConfig, camera_pose, camera_rotation
 
@@ -27,38 +25,52 @@ def assert_special_orthogonal(r, atol=1e-12):
     assert np.linalg.det(r) == pytest.approx(1.0, abs=atol)
 
 
+# positions in yaw_pitch_roll_matrix's angle triple: about z, y and x
+YAW, PITCH, ROLL = 0, 1, 2
+
+
+def elementary(angle, axis):
+    """yaw_pitch_roll_matrix of angles that are zero but at `axis`."""
+    angle = np.asarray(angle, dtype=float)
+    angles = np.zeros(angle.shape + (3,))
+    angles[..., axis] = angle
+    return yaw_pitch_roll_matrix(angles)
+
+
 class TestElementaryRotations:
     def test_zero_angle_is_identity(self):
-        assert_allclose(rot_z(0.0), np.eye(3))
-        assert_allclose(rot_x(0.0), np.eye(3))
-        assert_allclose(rot_y(0.0), np.eye(3))
+        for axis in (ROLL, PITCH, YAW):
+            assert_allclose(elementary(0.0, axis), np.eye(3))
 
     def test_passive_convention(self):
         # coordinates rotate opposite to the frame
-        assert_allclose(rot_z(np.pi / 2) @ [1.0, 0.0, 0.0], [0.0, -1.0, 0.0], atol=1e-15)
+        assert_allclose(elementary(np.pi / 2, YAW) @ [1.0, 0.0, 0.0], [0.0, -1.0, 0.0],
+                        atol=1e-15)
 
     def test_stacks_match_the_elementary_matrices(self):
         angle = np.random.default_rng(2).uniform(-np.pi, np.pi, (4, 5))
         c, s, o, i = np.cos(angle), np.sin(angle), np.zeros_like(angle), np.ones_like(angle)
         expected = {
-            rot_x: [[i, o, o], [o, c, s], [o, -s, c]],
-            rot_y: [[c, o, -s], [o, i, o], [s, o, c]],
-            rot_z: [[c, s, o], [-s, c, o], [o, o, i]],
+            ROLL: [[i, o, o], [o, c, s], [o, -s, c]],
+            PITCH: [[c, o, -s], [o, i, o], [s, o, c]],
+            YAW: [[c, s, o], [-s, c, o], [o, o, i]],
         }
-        for rot, rows in expected.items():
-            assert np.array_equal(rot(angle), np.moveaxis(np.array(rows), (0, 1), (-2, -1)))
+        for axis, rows in expected.items():
+            assert np.array_equal(elementary(angle, axis),
+                                  np.moveaxis(np.array(rows), (0, 1), (-2, -1)))
 
     def test_inverse_is_negated_angle(self):
         rng = np.random.default_rng(3)
-        for rot in (rot_x, rot_y, rot_z):
+        for axis in (ROLL, PITCH, YAW):
             for angle in rng.uniform(-np.pi, np.pi, 100):
-                assert_allclose(rot(angle) @ rot(-angle), np.eye(3), atol=1e-14)
+                assert_allclose(elementary(angle, axis) @ elementary(-angle, axis), np.eye(3),
+                                atol=1e-14)
 
     def test_all_outputs_in_so3(self):
         rng = np.random.default_rng(4)
-        for rot in (rot_x, rot_y, rot_z):
+        for axis in (ROLL, PITCH, YAW):
             for angle in rng.uniform(-10.0, 10.0, 50):
-                assert_special_orthogonal(rot(angle))
+                assert_special_orthogonal(elementary(angle, axis))
 
 
 class TestGimbalChain:

@@ -17,7 +17,7 @@ from depthray.errors import ConfigError, SchemaError
 from depthray.recovery import RigConfig
 from depthray.synth import generate_logs
 
-from conftest import assert_columns_equal
+from conftest import assert_columns_equal, read_observation_log
 
 CALIB = """\
 fx: 1000.0
@@ -249,7 +249,7 @@ class TestCsv:
         path = tmp_path / "obs.csv"
         io.write_observations(path, [rows])
         assert "-0.0," in path.read_text() and "e-" in path.read_text()
-        back = io.read_observations(path)
+        back = read_observation_log(path)
         assert list(back) == list(rows)
         for name in io.OBSERVATION_COLUMNS:
             assert np.array_equal(back[name].view(np.uint64), rows[name].view(np.uint64))
@@ -258,7 +258,7 @@ class TestCsv:
         path = tmp_path / "obs.csv"
         path.write_text("t,u\n0.0,1.0\n", encoding="utf-8")
         with pytest.raises(SchemaError, match="line 1"):
-            io.read_observations(path)
+            next(io.read_observation_blocks(path))
 
     def test_bad_value_reports_line(self, tmp_path):
         path = tmp_path / "gt.csv"
@@ -274,7 +274,7 @@ class TestCsv:
 
     def test_missing_file_is_schema_error(self, tmp_path):
         with pytest.raises(SchemaError, match="cannot open"):
-            io.read_observations(tmp_path / "absent.csv")
+            next(io.read_observation_blocks(tmp_path / "absent.csv"))
 
 
 GT_HEADER = "t,x,y,z\n"
@@ -577,7 +577,8 @@ class TestFastParser:
         parsed = parse_block(columns, text_columns, lines)
         if parsed is not None:
             handle = textio.StringIO("".join(lines), newline="")
-            [want] = io._csv_blocks("gt.csv", columns, text_columns, handle, 2)
+            [(linenos, want)] = io._csv_blocks("gt.csv", columns, text_columns, handle, 2)
+            assert linenos.tolist() == list(range(2, 2 + len(parsed[0])))
             bits_equal(columns, text_columns, parsed, want.values())
 
     @settings(deadline=None)

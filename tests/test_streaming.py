@@ -126,7 +126,7 @@ def test_whole_read_holds_each_column_once(tmp_path, monkeypatch):
     monkeypatch.setattr(io, "CSV_BLOCK_ROWS", 256)
     tracemalloc.start()
     try:
-        table = io.read_observations(tmp_path / "obs.csv")
+        table = io._read_rows(tmp_path / "obs.csv", io.OBSERVATION_COLUMNS)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

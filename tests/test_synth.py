@@ -259,3 +259,14 @@ class TestScenarioValidation:
     def test_noise_sigmas_must_be_finite(self, field, value):
         with pytest.raises(ValueError, match=f"{field} must be non-negative and finite"):
             NoiseSpec(**{field: value})
+
+    # 1.5 failed in numpy's generator once a sigma was nonzero; True was seed 1
+    @pytest.mark.parametrize("seed", [1.5, 2.0, True, np.bool_(True), "3", None])
+    def test_seed_must_be_an_integer(self, seed):
+        with pytest.raises(ValueError, match="seed must be an integer"):
+            NoiseSpec(sigma_px=1.0, seed=seed)
+
+    def test_numpy_integer_seed_draws_as_its_int(self):
+        a, _ = generate_logs(make_scenario(noise=NoiseSpec(sigma_px=1.0, seed=np.int64(7))))
+        b, _ = generate_logs(make_scenario(noise=NoiseSpec(sigma_px=1.0, seed=7)))
+        assert np.array_equal(a["u"], b["u"])
