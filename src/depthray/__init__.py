@@ -23,7 +23,7 @@ from .geodesy import (
     enu_to_ecef,
     geodetic_to_ecef,
 )
-from .recovery import RigConfig, camera_pose, camera_rotation, recover_batch
+from .recovery import Camera, camera_pose, camera_rotation, recover_batch
 from .synth import NoiseSpec, Scenario, generate_logs
 
 __all__ = [
@@ -42,7 +42,7 @@ __all__ = [
     "ecef_to_geodetic",
     "enu_to_ecef",
     "geodetic_to_ecef",
-    "RigConfig",
+    "Camera",
     "camera_pose",
     "camera_rotation",
     "recover_batch",

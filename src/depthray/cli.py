@@ -56,7 +56,7 @@ def _recover_blocks(blocks, track, config, outcomes):
     (not views of the parsed block) of the line number, time and code of
     excluded rows.
     """
-    intr = config.intrinsics
+    intr = config.camera.intrinsics
     for lines, obs in blocks:
         t, matched = obs["t"], slice(None)
         codes = np.full(len(t), NO_ORIGIN_MATCH, dtype=np.int8)

@@ -50,7 +50,7 @@ import yaml
 from .camera import CameraIntrinsics, DistortionCoeffs
 from .errors import ConfigError, SchemaError
 from .geodesy import ELLIPSOIDS, WGS84, Ellipsoid
-from .recovery import OBSERVATION_COLUMNS, TRAJECTORY_COLUMNS, RigConfig
+from .recovery import OBSERVATION_COLUMNS, TRAJECTORY_COLUMNS, Camera
 from .synth import (
     NoiseSpec,
     Scenario,
@@ -468,7 +468,8 @@ def write_exclusions(path, blocks):
 # of n floats a list of n finite numbers, and REQUIRED a number without a
 # default. A key named *_deg is read in degrees and returned in radians
 # under its name without the suffix. A key marked None is read by its
-# loader's own code.
+# loader's own code. CAMERA_TABLE holds the keys of the camera, the same
+# in both config files, so that simulate and recover see one camera.
 REQUIRED = ...
 
 CALIBRATION_TABLE = {
@@ -477,11 +478,15 @@ CALIBRATION_TABLE = {
     "k1": 0.0, "k2": 0.0, "k3": 0.0, "p1": 0.0, "p2": 0.0,
 }
 
-RUN_CONFIG_TABLE = {
-    "calibration": None,
+CAMERA_TABLE = {
+    "calibration": None,  # a path relative to the config, or an inline mapping
     "cam_offset": [0.0, 0.0, 0.0],
     "gimbal_frame": None,
     "gimbal_pitch_sign": None,
+}
+
+RUN_CONFIG_TABLE = {
+    **CAMERA_TABLE,
     "altitude_datum_offset": 0.0,
     "ellipsoid": None,
     "sync_max_gap": 0.05,
@@ -518,10 +523,7 @@ SCENARIO_TABLE = {
     "sigma_depth": 0.0,
     "sigma_gimbal_deg": 0.0,
     "seed": None,
-    "calibration": None,
-    "cam_offset": [0.0, 0.0, 0.0],
-    "gimbal_frame": None,
-    "gimbal_pitch_sign": None,
+    **CAMERA_TABLE,
 }
 
 
@@ -602,29 +604,6 @@ def _read(data, table, path) -> dict:
     return values
 
 
-def _calibration(data, path):
-    """Intrinsics and distortion from a calibration mapping."""
-    v = _read(data, CALIBRATION_TABLE, path)
-    try:
-        intr = CameraIntrinsics(
-            fx=v["fx"], fy=v["fy"], cx=v["cx"], cy=v["cy"],
-            image_width=int(v["width"]), image_height=int(v["height"]),
-        )
-        size = (data["width"], data["height"])
-        if (intr.image_width, intr.image_height) != size:
-            raise ConfigError(f"{path}: width and height must be integers, got {size}")
-        dist = DistortionCoeffs(k1=v["k1"], k2=v["k2"], k3=v["k3"], p1=v["p1"], p2=v["p2"])
-    except ValueError as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
-    return intr, dist
-
-
-def load_calibration(path):
-    """Read intrinsics and distortion from a calibration file."""
-    path = Path(path)
-    return _calibration(_load_mapping(path), path)
-
-
 def _ellipsoid(data, path) -> Ellipsoid:
     value = data.get("ellipsoid", "wgs84")
     if isinstance(value, str):
@@ -642,10 +621,31 @@ def _ellipsoid(data, path) -> Ellipsoid:
         raise ConfigError(f"{path}: {exc}") from exc
 
 
-def _rig(data, cam_offset, path) -> RigConfig:
+def _camera(data, cam_offset, path) -> Camera:
+    """The camera of a config mapping: the calibration, a file path relative
+    to the config or an inline mapping, and the mount keys of CAMERA_TABLE.
+    A fault of the calibration names the file that holds it."""
+    calib, where = data.get("calibration"), path
+    if isinstance(calib, str):
+        where = path.parent / calib
+        calib = _load_mapping(where)
+    elif not isinstance(calib, dict):
+        raise ConfigError(f"{path}: key calibration must be a path or a mapping")
+    v = _read(calib, CALIBRATION_TABLE, where)
     try:
-        return RigConfig(
-            cam_offset=cam_offset,
+        intr = CameraIntrinsics(
+            fx=v["fx"], fy=v["fy"], cx=v["cx"], cy=v["cy"],
+            image_width=int(v["width"]), image_height=int(v["height"]),
+        )
+        size = (calib["width"], calib["height"])
+        if (intr.image_width, intr.image_height) != size:
+            raise ConfigError(f"{where}: width and height must be integers, got {size}")
+        dist = DistortionCoeffs(k1=v["k1"], k2=v["k2"], k3=v["k3"], p1=v["p1"], p2=v["p2"])
+    except ValueError as exc:
+        raise ConfigError(f"{where}: {exc}") from exc
+    try:
+        return Camera(
+            intr, dist, cam_offset=cam_offset,
             gimbal_pitch_sign=data.get("gimbal_pitch_sign", 1),
             gimbal_frame=data.get("gimbal_frame", "world"),
         )
@@ -657,9 +657,7 @@ def _rig(data, cam_offset, path) -> RigConfig:
 class RunConfig:
     """Everything the batch pipeline needs besides the input logs."""
 
-    intrinsics: CameraIntrinsics
-    distortion: DistortionCoeffs
-    rig: RigConfig
+    camera: Camera
     ellipsoid: Ellipsoid = WGS84
     altitude_datum_offset: float = 0.0
     sync_max_gap: float = 0.05
@@ -683,10 +681,7 @@ def load_run_config(path) -> RunConfig:
     path = Path(path)
     data = _load_mapping(path)
     v = _read(data, RUN_CONFIG_TABLE, path)
-    calib = data.get("calibration")
-    if not isinstance(calib, str):
-        raise ConfigError(f"{path}: key calibration must be a file path")
-    intr, dist = load_calibration(path.parent / calib)
+    camera = _camera(data, v["cam_offset"], path)
     gt_rescale = data.get("gt_rescale", False)
     if not isinstance(gt_rescale, bool):
         raise ConfigError(f"{path}: key gt_rescale must be true or false")
@@ -700,9 +695,7 @@ def load_run_config(path) -> RunConfig:
     framed = "gt_frame_yaw_deg" in data or "gt_frame_translation" in data
     try:
         return RunConfig(
-            intrinsics=intr,
-            distortion=dist,
-            rig=_rig(data, v["cam_offset"], path),
+            camera=camera,
             ellipsoid=_ellipsoid(data, path),
             altitude_datum_offset=v["altitude_datum_offset"],
             sync_max_gap=v["sync_max_gap"],
@@ -723,14 +716,7 @@ def load_scenario_config(path, seed=None) -> Scenario:
     path = Path(path)
     data = _load_mapping(path)
     v = _read(data, SCENARIO_TABLE, path)
-
-    calib = data.get("calibration")
-    if isinstance(calib, str):
-        intr, dist = load_calibration(path.parent / calib)
-    elif isinstance(calib, dict):
-        intr, dist = _calibration(calib, path)
-    else:
-        raise ConfigError(f"{path}: key calibration must be a path or a mapping")
+    camera = _camera(data, v["cam_offset"], path)
 
     n = v["n_samples"]
     pattern = data.get("pattern", "lawnmower")
@@ -758,9 +744,7 @@ def load_scenario_config(path, seed=None) -> Scenario:
             depth_min=v["depth_min"],
             depth_max=v["depth_max"] if "depth_max" in data else v["depth_min"],
             ref_geo=np.array([v["ref_lat"], v["ref_lon"], v["ref_alt_m"]]),
-            intrinsics=intr,
-            distortion=dist,
-            rig=_rig(data, v["cam_offset"], path),
+            camera=camera,
             noise=noise,
             gimbal=np.array([v["gimbal_yaw"], v["gimbal_pitch"], v["gimbal_roll"]]),
             body=np.array([v["body_yaw"], v["body_pitch"], v["body_roll"]]),

@@ -1,7 +1,9 @@
 """The camera model, and recovery of a submerged target from one aerial view.
 
-`camera_pose` is the one pose of the rig, shared by `recover_batch` and
-the simulator: from the angles (radians) it builds the body rotation
+`Camera` is the one camera of `simulate` and `recover`: intrinsics,
+distortion and mount, passed as one value to each function below.
+`camera_pose` is the one pose of the camera, shared by `recover_batch`
+and the simulator: from the angles (radians) it builds the body rotation
 once, the camera rotation of `camera_rotation`, the camera's position c
 in {D} (the offset rotated by the body), and the depth of the horizontal
 plane a_uav + c_z + d_uuv below the camera. `cast` sends the undistorted
@@ -24,7 +26,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .camera import distort, normalized_to_pixel, pixel_to_normalized, undistort
+from .camera import (
+    CameraIntrinsics,
+    DistortionCoeffs,
+    distort,
+    normalized_to_pixel,
+    pixel_to_normalized,
+    undistort,
+)
 from .geodesy import ecef_to_geodetic, enu_to_ecef
 from .geometry import (
     CAM_AXES,
@@ -98,17 +107,20 @@ TRAJECTORY_COLUMNS = [
 
 
 @dataclass(frozen=True)
-class RigConfig:
-    """Mounting geometry and telemetry conventions of the camera rig.
+class Camera:
+    """The camera of `simulate` and `recover`: its lens and its mount.
 
-    cam_offset is the camera position o in the UAV body frame with z up,
-    so a camera hanging 0.2 m below the body is (0, 0, -0.2); on a
-    tilted body the camera's height above the body is (R_body o)_z.
+    intrinsics and distortion map normalized rays to pixels. cam_offset
+    is the camera position o in the UAV body frame with z up, so a
+    camera hanging 0.2 m below the body is (0, 0, -0.2); on a tilted
+    body the camera's height above the body is (R_body o)_z.
     gimbal_frame selects whether gimbal angles are reported against the
     world ENU frame or against the body; gimbal_pitch_sign absorbs
     vendors that report nadir as +90 instead of -90 degrees.
     """
 
+    intrinsics: CameraIntrinsics
+    distortion: DistortionCoeffs = DistortionCoeffs()
     cam_offset: np.ndarray = field(default_factory=lambda: np.zeros(3))
     gimbal_pitch_sign: int = 1
     gimbal_frame: str = "world"
@@ -131,7 +143,7 @@ class RigConfig:
         object.__setattr__(self, "gimbal_pitch_sign", int(self.gimbal_pitch_sign))
 
 
-def camera_rotation(gimbal, r_body, rig: RigConfig) -> np.ndarray:
+def camera_rotation(gimbal, r_body, camera: Camera) -> np.ndarray:
     """Rotation from {G} into {C} for one observation, or a stack.
 
     gimbal: (..., 3) array of wrapped yaw, pitch, roll in radians.
@@ -142,17 +154,17 @@ def camera_rotation(gimbal, r_body, rig: RigConfig) -> np.ndarray:
     rows in CAM_AXES order.
     """
     gimbal = np.asarray(gimbal, dtype=float)
-    if rig.gimbal_pitch_sign != 1:
+    if camera.gimbal_pitch_sign != 1:
         gimbal = gimbal.copy()
-        gimbal[..., 1] = wrap_angle(rig.gimbal_pitch_sign * gimbal[..., 1])
+        gimbal[..., 1] = wrap_angle(camera.gimbal_pitch_sign * gimbal[..., 1])
     r_t = np.swapaxes(yaw_pitch_roll_matrix(gimbal), -1, -2)
-    if rig.gimbal_frame == "body":
+    if camera.gimbal_frame == "body":
         # row j of (B G)^T is column j of G, a row of G^T, rotated by B
         r_t = rotate(r_body[..., None, :, :], r_t)
     return r_t[..., CAM_AXES, :]
 
 
-def camera_pose(gimbal, body, a_uav, d_uuv, rig: RigConfig):
+def camera_pose(gimbal, body, a_uav, d_uuv, camera: Camera):
     """The camera's pose and depth plane for one observation, or a stack.
 
     gimbal, body: (..., 3) wrapped yaw, pitch, roll in radians; a_uav,
@@ -163,11 +175,11 @@ def camera_pose(gimbal, body, a_uav, d_uuv, rig: RigConfig):
     A point in {G} sits at p_G + c in {D}.
     """
     r_body = yaw_pitch_roll_matrix(body)
-    c = rotate(r_body, rig.cam_offset)
-    return camera_rotation(gimbal, r_body, rig), c, a_uav + c[..., 2] + d_uuv
+    c = rotate(r_body, camera.cam_offset)
+    return camera_rotation(gimbal, r_body, camera), c, a_uav + c[..., 2] + d_uuv
 
 
-def cast(u, v, depth, r_cw, intr, dist):
+def cast(u, v, depth, r_cw, camera: Camera):
     """Cast stacked pixels onto the planes `depth` below the camera.
 
     Each pixel is undistorted into a unit-plane ray l = (x, y, 1); in {C}
@@ -175,7 +187,7 @@ def cast(u, v, depth, r_cw, intr, dist):
     Returns (p_c, codes): camera-frame points (n, 3) and a reason code per
     row (RECOVERED where the fix is usable).
     """
-    (x, y), converged = undistort(*pixel_to_normalized(u, v, intr), dist)
+    (x, y), converged = undistort(*pixel_to_normalized(u, v, camera.intrinsics), camera.distortion)
     ray = np.stack([x, y, np.ones_like(x)], axis=-1)
     s, conditioning = ray_plane_hits(ray, r_cw[..., :, 2], -depth)
     codes = np.select(
@@ -193,7 +205,7 @@ def cast(u, v, depth, r_cw, intr, dist):
         return ray * s[:, None], codes
 
 
-def project(p_g, r_cw, intr, dist):
+def project(p_g, r_cw, camera: Camera):
     """The inverse of `cast`: (n, 3) points in {G} to pixels (u, v) and
     camera-frame depths z, by rotation, perspective division, distortion
     and scaling. A point at or behind the camera gets a non-finite pixel;
@@ -201,7 +213,7 @@ def project(p_g, r_cw, intr, dist):
     """
     x, y, z = np.moveaxis(rotate(r_cw, p_g), -1, 0)
     with np.errstate(all="ignore"):
-        u, v = normalized_to_pixel(*distort(x / z, y / z, dist), intr)
+        u, v = normalized_to_pixel(*distort(x / z, y / z, camera.distortion), camera.intrinsics)
     return u, v, z
 
 
@@ -216,8 +228,8 @@ def recover_batch(columns, config) -> tuple[dict, np.ndarray]:
 
     columns: mapping from OBSERVATION_COLUMNS (angles in degrees) to
     equal-length arrays, such as each block io.read_observation_blocks reads.
-    config: a run configuration with intrinsics, distortion, rig,
-    ellipsoid and altitude_datum_offset.
+    config: a run configuration with camera, ellipsoid and
+    altitude_datum_offset.
 
     Returns a dict from TRAJECTORY_COLUMNS to the columns of the
     recovered rows, in input order, and an int8 reason code per input row:
@@ -225,7 +237,6 @@ def recover_batch(columns, config) -> tuple[dict, np.ndarray]:
     The intermediate arrays grow with the rows passed in; `recover`
     passes one CSV block at a time.
     """
-    intr = config.intrinsics
     a_uav = columns["a_uav"] + config.altitude_datum_offset
     lat = np.radians(columns["ref_lat_deg"])
     # a row with a non-finite reading, no altitude above the datum, a
@@ -239,9 +250,9 @@ def recover_batch(columns, config) -> tuple[dict, np.ndarray]:
     u, v = columns["u"][rows], columns["v"][rows]
     r_cw, cam, depth = camera_pose(
         _degrees_to_angles(columns, "gimbal", rows), _degrees_to_angles(columns, "body", rows),
-        a_uav[rows], columns["d_uuv"][rows], config.rig,
+        a_uav[rows], columns["d_uuv"][rows], config.camera,
     )
-    p_c, hit_codes = cast(u, v, depth, r_cw, intr, config.distortion)
+    p_c, hit_codes = cast(u, v, depth, r_cw, config.camera)
     codes = np.full(len(valid), DEGENERATE, dtype=np.int8)
     codes[rows] = hit_codes
     ok = hit_codes == RECOVERED
@@ -257,5 +268,5 @@ def recover_batch(columns, config) -> tuple[dict, np.ndarray]:
         "cam_x": p_c[:, 0], "cam_y": p_c[:, 1], "cam_z": p_c[:, 2],
         "enu_x": p_d[:, 0], "enu_y": p_d[:, 1], "enu_z": p_d[:, 2],
         "lat_deg": np.degrees(geo[:, 0]), "lon_deg": np.degrees(geo[:, 1]), "alt_m": geo[:, 2],
-        "flags": np.where(intr.contains(u, v), "", "out_of_frame"),
+        "flags": np.where(config.camera.intrinsics.contains(u, v), "", "out_of_frame"),
     }, codes

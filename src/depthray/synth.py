@@ -5,9 +5,10 @@ altitude, a depth sweep and one gimbal and one body attitude.
 `generate_logs` derives the per-row columns from it, places the target
 on the depth plane of `recovery.camera_pose` (one pose for the whole
 flight, the one `recover` rebuilds from the logged columns) and projects
-it through the camera model that `recovery` inverts into pixel
-observations, optionally perturbed by seeded Gaussian noise. Replaces
-field experiments for verification at desk scale.
+it through the scenario's `recovery.Camera`, the camera model `recover`
+inverts, into pixel observations, optionally perturbed by seeded
+Gaussian noise. Replaces field experiments for verification at desk
+scale.
 """
 
 import math
@@ -15,16 +16,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .camera import CameraIntrinsics, DistortionCoeffs
 from .errors import InfeasibleScene
 from .geodesy import _checked_geodetic
 from .geometry import wrap_angle
-from .recovery import (
-    OBSERVATION_COLUMNS,
-    RigConfig,
-    camera_pose,
-    project,
-)
+from .recovery import OBSERVATION_COLUMNS, Camera, camera_pose, project
 
 MIN_CAMERA_Z = 1e-9
 
@@ -59,7 +54,8 @@ class Scenario:
 
     ref_geo is the reference fix, a (3,) array of latitude and longitude
     in radians and height in meters; gimbal and body are (3,) arrays of
-    yaw, pitch and roll in radians, wrapped into (-pi, pi].
+    yaw, pitch and roll in radians, wrapped into (-pi, pi]. camera is
+    the lens and mount that a run configuration gives `recover`.
     """
 
     path_xy: np.ndarray
@@ -68,9 +64,7 @@ class Scenario:
     depth_min: float
     depth_max: float
     ref_geo: np.ndarray
-    intrinsics: CameraIntrinsics
-    distortion: DistortionCoeffs = DistortionCoeffs()
-    rig: RigConfig = RigConfig()
+    camera: Camera
     noise: NoiseSpec = NoiseSpec()
     gimbal: np.ndarray = field(default_factory=lambda: np.array([0.0, -math.pi / 2, 0.0]))
     body: np.ndarray = field(default_factory=lambda: np.zeros(3))
@@ -117,12 +111,12 @@ def generate_logs(scenario: Scenario) -> tuple[dict, dict]:
         InfeasibleScene: a noiseless projection falls outside the image
             or behind the camera (reported with its sample index).
     """
-    n, rig, intr = len(scenario), scenario.rig, scenario.intrinsics
+    n, camera, intr = len(scenario), scenario.camera, scenario.camera.intrinsics
     t = np.linspace(0.0, scenario.duration, n, endpoint=False) if n > 1 else np.array([0.0])
     d_uuv = np.linspace(scenario.depth_min, scenario.depth_max, n)
-    r_cw, cam, depth = camera_pose(scenario.gimbal, scenario.body, scenario.altitude, d_uuv, rig)
+    r_cw, cam, depth = camera_pose(scenario.gimbal, scenario.body, scenario.altitude, d_uuv, camera)
     positions = np.column_stack([scenario.path_xy, -depth])
-    u, v, z = project(positions, r_cw, intr, scenario.distortion)
+    u, v, z = project(positions, r_cw, camera)
     behind = z <= MIN_CAMERA_Z
     infeasible = np.flatnonzero(behind | ~intr.contains(u, v))
     if infeasible.size:

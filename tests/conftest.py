@@ -7,6 +7,7 @@ from hypothesis import settings
 from depthray import io
 from depthray.camera import CameraIntrinsics, DistortionCoeffs
 from depthray.geodesy import WGS84
+from depthray.recovery import Camera
 
 # CI runs `pytest --hypothesis-profile=ci`: the same examples on every run,
 # and more of them for the properties that leave max_examples unset
@@ -18,6 +19,11 @@ def intrinsics():
     """1920x1080 camera with square 1000 px focal length."""
     return CameraIntrinsics(fx=1000.0, fy=1000.0, cx=960.0, cy=540.0,
                             image_width=1920, image_height=1080)
+
+
+# the intrinsics fixture's lens without distortion, on a world gimbal without
+# offset: a camera for camera_pose and camera_rotation, which read only the mount
+CAMERA = Camera(CameraIntrinsics(1000.0, 1000.0, 960.0, 540.0, 1920, 1080))
 
 
 def bowring_oracle(x, y, z, ell=WGS84, iterations=20):

@@ -24,10 +24,16 @@ from depthray.cli import main
 from depthray.evaluate import rescale_grid_point, trajectory_errors
 from depthray.geodesy import ecef_to_geodetic, geodetic_to_ecef
 from depthray.io import RunConfig
-from depthray.recovery import RigConfig, camera_rotation, recover_batch
+from depthray.recovery import Camera, camera_rotation, recover_batch
 from depthray.synth import NoiseSpec, Scenario, generate_logs, lawnmower_path
 
-from conftest import bowring_oracle, geodetic_deg, random_geodetic, sample_invertible_distortion
+from conftest import (
+    CAMERA,
+    bowring_oracle,
+    geodetic_deg,
+    random_geodetic,
+    sample_invertible_distortion,
+)
 
 REF_DEG = (42.87, 17.7, 25.0)
 
@@ -65,7 +71,7 @@ def survey_scenario(n, sigma_px=0.0, sigma_alt=0.0, sigma_gimbal_deg=0.0,
         depth_min=depth_min,
         depth_max=depth_max,
         ref_geo=geodetic_deg(*REF_DEG),
-        intrinsics=CameraIntrinsics(2000.0, 2000.0, 960.0, 540.0, 1920, 1080),
+        camera=Camera(CameraIntrinsics(2000.0, 2000.0, 960.0, 540.0, 1920, 1080)),
         noise=NoiseSpec(sigma_px=sigma_px, sigma_alt=sigma_alt,
                         sigma_gimbal=math.radians(sigma_gimbal_deg), seed=seed),
     )
@@ -74,7 +80,7 @@ def survey_scenario(n, sigma_px=0.0, sigma_alt=0.0, sigma_gimbal_deg=0.0,
 def planar_errors(scenario):
     """Run the recovery chain over generated logs; planar error norms."""
     obs_rows, gt_rows = generate_logs(scenario)
-    config = RunConfig(scenario.intrinsics, scenario.distortion, scenario.rig)
+    config = RunConfig(scenario.camera)
     traj, _ = recover_batch(obs_rows, config)
     return np.hypot(traj["enu_x"] - gt_rows["x"], traj["enu_y"] - gt_rows["y"])
 
@@ -198,13 +204,13 @@ def test_6_rotation_chain_properties():
         rng = np.random.default_rng(6)
         eye = np.eye(3)
         for _ in range(10000):
-            r = camera_rotation(rng.uniform(-np.pi, np.pi, 3), None, RigConfig())
+            r = camera_rotation(rng.uniform(-np.pi, np.pi, 3), None, CAMERA)
             assert np.max(np.abs(r.T @ r - eye)) < 1e-12
             assert abs(np.linalg.det(r) - 1.0) < 1e-12
         h = 25.0
-        r = camera_rotation(np.array([0.0, -np.pi / 2, 0.0]), None, RigConfig())
+        r = camera_rotation(np.array([0.0, -np.pi / 2, 0.0]), None, CAMERA)
         assert_allclose(r @ [0.0, 0.0, -h], [0.0, 0.0, h], atol=1e-12)
-        r0 = camera_rotation(np.zeros(3), None, RigConfig())
+        r0 = camera_rotation(np.zeros(3), None, CAMERA)
         assert_allclose(r0 @ [h, 0.0, 0.0], [0.0, 0.0, h], atol=1e-12)
 
 

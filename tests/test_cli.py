@@ -151,6 +151,36 @@ class TestPipeline:
         assert report["z_mae"] <= 1e-9
 
     @pytest.mark.parametrize("extra", RIGS.values(), ids=list(RIGS))
+    def test_inline_calibration_recovers_as_the_file(self, workdir, capsys, extra):
+        # a run configuration reads its calibration inline as a scenario
+        # does, and the same mapping gives the same camera as cal.yaml
+        append_to_configs(workdir, extra)
+        simulate(workdir)
+        lens = "".join("  " + line for line in (workdir / "cal.yaml").read_text().splitlines(True))
+        run_text = (workdir / "run.yaml").read_text(encoding="utf-8")
+        (workdir / "inline.yaml").write_text(
+            run_text.replace("calibration: cal.yaml\n", "calibration:\n" + lens), encoding="utf-8"
+        )
+        for config, traj in (("run.yaml", "traj.csv"), ("inline.yaml", "inline.csv")):
+            assert run(
+                workdir, "recover",
+                "--config", workdir / config,
+                "--input", workdir / "obs.csv",
+                "--output", workdir / traj,
+            ) == 0
+            capsys.readouterr()
+            assert run(
+                workdir, "evaluate",
+                "--config", workdir / config,
+                "--input", workdir / traj,
+                "--gt", workdir / "gt.csv",
+            ) == 0
+            report = load_report(capsys.readouterr().out)
+            assert report["n_samples"] == 120
+            assert report["mae"] <= 1e-9
+        assert (workdir / "inline.csv").read_bytes() == (workdir / "traj.csv").read_bytes()
+
+    @pytest.mark.parametrize("extra", RIGS.values(), ids=list(RIGS))
     def test_truth_lies_at_altitude_plus_depth(self, workdir, extra):
         # the UUV is d_uuv below the water and the UAV a_uav above it,
         # whatever the rig: the body-fixed truth sits a_uav + d_uuv down

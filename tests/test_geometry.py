@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -7,7 +9,9 @@ from depthray.geometry import (
     ray_plane_hits,
     yaw_pitch_roll_matrix,
 )
-from depthray.recovery import RigConfig, camera_pose, camera_rotation
+from depthray.recovery import camera_pose, camera_rotation
+
+from conftest import CAMERA
 
 
 def long_hand_yaw_pitch_roll(angles):
@@ -77,13 +81,13 @@ class TestGimbalChain:
     def test_nadir_points_camera_straight_down(self):
         # pitch -90 deg: a point h below the camera sits h ahead on the
         # optical axis
-        r = camera_rotation(np.array([0.0, -np.pi / 2, 0.0]), None, RigConfig())
+        r = camera_rotation(np.array([0.0, -np.pi / 2, 0.0]), None, CAMERA)
         h = 25.0
         assert_allclose(r @ [0.0, 0.0, -h], [0.0, 0.0, h], atol=1e-12)
 
     def test_zero_angles_look_east(self):
         # zero gimbal: optical axis along world +x
-        r = camera_rotation(np.zeros(3), None, RigConfig())
+        r = camera_rotation(np.zeros(3), None, CAMERA)
         h = 7.5
         assert_allclose(r @ [h, 0.0, 0.0], [0.0, 0.0, h], atol=1e-12)
 
@@ -91,7 +95,7 @@ class TestGimbalChain:
         rng = np.random.default_rng(5)
         for _ in range(1000):
             yaw, pitch, roll = rng.uniform(-np.pi, np.pi, 3)
-            r = camera_rotation(np.array([yaw, pitch, roll]), None, RigConfig())
+            r = camera_rotation(np.array([yaw, pitch, roll]), None, CAMERA)
             assert_special_orthogonal(r)
 
     def test_matches_hand_composed_chain(self):
@@ -104,15 +108,15 @@ class TestGimbalChain:
         for _ in range(50):
             angles = rng.uniform(-np.pi, np.pi, 3)
             expected = perm @ long_hand_yaw_pitch_roll(angles).T
-            r = camera_rotation(angles, None, RigConfig())
+            r = camera_rotation(angles, None, CAMERA)
             assert_allclose(r, expected, atol=1e-15)
         gimbal, body = rng.uniform(-np.pi, np.pi, (2, 1000, 3))
-        for rig in (RigConfig(), RigConfig(gimbal_frame="body")):
-            r, _, _ = camera_pose(gimbal, body, 0.0, 0.0, rig)
+        for camera in (CAMERA, replace(CAMERA, gimbal_frame="body")):
+            r, _, _ = camera_pose(gimbal, body, 0.0, 0.0, camera)
             assert r.shape == (1000, 3, 3)
             for k in range(1000):
                 r_world_fwd = long_hand_yaw_pitch_roll(gimbal[k])
-                if rig.gimbal_frame == "body":
+                if camera.gimbal_frame == "body":
                     r_world_fwd = long_hand_yaw_pitch_roll(body[k]) @ r_world_fwd
                 assert_allclose(r[k], perm @ r_world_fwd.T, rtol=0.0, atol=1e-15)
 

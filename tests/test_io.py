@@ -11,10 +11,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from depthray import io
-from depthray.camera import CameraIntrinsics, DistortionCoeffs
+from depthray.camera import CameraIntrinsics
 from depthray.cli import main
 from depthray.errors import ConfigError, SchemaError
-from depthray.recovery import RigConfig
+from depthray.recovery import Camera
 from depthray.synth import generate_logs
 
 from conftest import assert_columns_equal, read_observation_log
@@ -39,9 +39,16 @@ def write(path, text):
     return path
 
 
+def camera_of(calibration_path):
+    """The camera of a run configuration beside the calibration file."""
+    run = write(calibration_path.parent / "run.yaml", f"calibration: {calibration_path.name}\n")
+    return io.load_run_config(run).camera
+
+
 class TestCalibration:
     def test_loads_intrinsics_and_distortion(self, tmp_path):
-        intr, dist = io.load_calibration(write(tmp_path / "cal.yaml", CALIB))
+        camera = camera_of(write(tmp_path / "cal.yaml", CALIB))
+        intr, dist = camera.intrinsics, camera.distortion
         assert intr.fx == 1000.0
         assert intr.image_height == 1080
         assert dist.k1 == -0.1
@@ -49,22 +56,21 @@ class TestCalibration:
 
     def test_distortion_defaults_to_zero(self, tmp_path):
         text = "\n".join(CALIB.splitlines()[:6]) + "\n"
-        _, dist = io.load_calibration(write(tmp_path / "cal.yaml", text))
-        assert dist.is_zero()
+        assert camera_of(write(tmp_path / "cal.yaml", text)).distortion.is_zero()
 
     def test_unknown_key_rejected(self, tmp_path):
         with pytest.raises(ConfigError, match="unknown keys"):
-            io.load_calibration(write(tmp_path / "cal.yaml", CALIB + "skew: 0.1\n"))
+            camera_of(write(tmp_path / "cal.yaml", CALIB + "skew: 0.1\n"))
 
     def test_size_must_be_integral(self, tmp_path):
         path = write(tmp_path / "cal.yaml", CALIB.replace("width: 1920", "width: 1920.0"))
-        assert io.load_calibration(path)[0].image_width == 1920
+        assert camera_of(path).intrinsics.image_width == 1920
         with pytest.raises(ConfigError, match="width and height must be integers"):
-            io.load_calibration(write(path, CALIB.replace("width: 1920", "width: 1920.9")))
+            camera_of(write(path, CALIB.replace("width: 1920", "width: 1920.9")))
 
     def test_missing_required_key(self, tmp_path):
         with pytest.raises(ConfigError, match="fx"):
-            io.load_calibration(write(tmp_path / "cal.yaml", "fy: 1000.0\n"))
+            camera_of(write(tmp_path / "cal.yaml", "fy: 1000.0\n"))
 
 
 class TestRunConfig:
@@ -93,8 +99,9 @@ gt_rescale_a_cam: 25.0
 gt_rescale_nadir: [0.5, 0.5]
 """
         config = io.load_run_config(write(tmp_path / "run.yaml", text))
-        assert config.rig.gimbal_frame == "body"
-        assert config.rig.gimbal_pitch_sign == -1
+        assert config.camera.gimbal_frame == "body"
+        assert config.camera.gimbal_pitch_sign == -1
+        assert config.camera.cam_offset.tolist() == [0.0, 0.0, -0.2]
         assert config.altitude_datum_offset == 1.5
         assert config.gt_frame_yaw == pytest.approx(np.radians(-67.3))
         assert config.gt_frame_translation.tolist() == [1.0, 2.0, 0.0]
@@ -113,8 +120,8 @@ gt_rescale_nadir: [0.5, 0.5]
 
     @staticmethod
     def make(**values):
-        return io.RunConfig(CameraIntrinsics(1000.0, 1000.0, 960.0, 540.0, 1920, 1080),
-                            DistortionCoeffs(), RigConfig(), **values)
+        return io.RunConfig(Camera(CameraIntrinsics(1000.0, 1000.0, 960.0, 540.0, 1920, 1080)),
+                            **values)
 
     def test_arrays_are_read_only_copies(self):
         translation, nadir = np.array([1.0, 2.0, 0.0]), np.array([0.5, 0.5])
@@ -159,7 +166,7 @@ gt_rescale_nadir: [0.5, 0.5]
         sub.mkdir()
         write(sub / "cal.yaml", CALIB)
         config = io.load_run_config(write(sub / "run.yaml", "calibration: cal.yaml\n"))
-        assert config.intrinsics.fx == 1000.0
+        assert config.camera.intrinsics.fx == 1000.0
 
 
 class TestScenarioConfig:
@@ -226,7 +233,7 @@ INLINE = "calibration: {fx: 1000.0, fy: 1000.0, cx: 960.0, cy: 540.0, width: 192
     (io.load_scenario_config, "altitude: 25.0\n" + INLINE + "altitude: 30.0\n", "altitude"),
     (io.load_scenario_config,
      "altitude: 25.0\n" + INLINE.replace("fx: 1000.0", "fx: 1.0, fx: 2.0"), "fx"),
-    (io.load_calibration, CALIB + "k1: 0.2\n", "k1"),
+    (camera_of, CALIB + "k1: 0.2\n", "k1"),
 ], ids=["run", "scenario", "inline_calibration", "calibration"])
 def test_duplicate_key_refused(tmp_path, load, text, key):
     write(tmp_path / "cal.yaml", CALIB)
@@ -237,7 +244,8 @@ def test_duplicate_key_refused(tmp_path, load, text, key):
 def test_merged_key_may_be_overridden(tmp_path):
     text = ("calibration:\n  <<: {fx: 1.0, fy: 1000.0, cx: 960.0, cy: 540.0, width: 1920, "
             "height: 1080}\n  fx: 1000.0\naltitude: 25.0\n")
-    assert io.load_scenario_config(write(tmp_path / "scn.yaml", text)).intrinsics.fx == 1000.0
+    scenario = io.load_scenario_config(write(tmp_path / "scn.yaml", text))
+    assert scenario.camera.intrinsics.fx == 1000.0
 
 
 class TestCsv:
@@ -940,22 +948,58 @@ def test_cli_outputs_match_csv_writer_across_blocks(tmp_path):
     )
 
 
-class TestRigConfig:
-    def test_bool_pitch_sign_rejected(self, tmp_path):
-        # YAML true is an int in Python; it is not a pitch sign
-        write(tmp_path / "cal.yaml", CALIB)
-        text = "calibration: cal.yaml\ngimbal_pitch_sign: true\n"
-        with pytest.raises(ConfigError, match="gimbal_pitch_sign"):
-            io.load_run_config(write(tmp_path / "run.yaml", text))
+# each fault of the camera, in a config or in the calibration file it names,
+# and the message both loaders give for it
+CAMERA_FAULTS = {
+    # YAML true is an int in Python; it is not a pitch sign
+    "bool_pitch_sign": ("gimbal_pitch_sign: true\n", CALIB, "config.yaml",
+                        "gimbal_pitch_sign must be +1 or -1"),
+    "upper_case_frame": ("gimbal_frame: BODY\n", CALIB, "config.yaml",
+                         "gimbal_frame must be one of ('world', 'body')"),
+    "offset_over_10_m": ("cam_offset: [0.0, 6.0, -8.5]\n", CALIB, "config.yaml",
+                         "cam_offset exceeds the 10 m sanity bound"),
+    "nan_offset": ("cam_offset: [0.0, .nan, -0.2]\n", CALIB, "config.yaml",
+                   "key cam_offset must be a list of 3 finite numbers"),
+    "fractional_width": ("", CALIB.replace("width: 1920", "width: 1920.9"), "cal.yaml",
+                         "width and height must be integers, got (1920.9, 1080)"),
+    "unknown_calibration_key": ("", CALIB + "skew: 0.1\n", "cal.yaml", "unknown keys: skew"),
+}
 
-    def test_bool_pitch_sign_exits_2(self, tmp_path, capsys):
-        from depthray.cli import main
+# a run configuration and a scenario, each written in turn to config.yaml
+CAMERA_CONFIGS = {
+    "recover": (io.load_run_config, "calibration: cal.yaml\n"),
+    "simulate": (io.load_scenario_config, "altitude: 25.0\ncalibration: cal.yaml\n"),
+}
 
-        write(tmp_path / "cal.yaml", CALIB)
-        write(tmp_path / "run.yaml", "calibration: cal.yaml\ngimbal_pitch_sign: true\n")
-        code = main([
-            "recover", "--config", str(tmp_path / "run.yaml"),
-            "--input", str(tmp_path / "obs.csv"), "--output", str(tmp_path / "traj.csv"),
-        ])
-        assert code == 2
-        assert "gimbal_pitch_sign" in capsys.readouterr().err
+
+class TestCamera:
+    def test_tables_share_exactly_the_camera_keys(self):
+        # a camera key lands in both configs or in neither
+        assert set(io.RUN_CONFIG_TABLE) & set(io.SCENARIO_TABLE) == set(io.CAMERA_TABLE)
+
+    @pytest.mark.parametrize("fault", CAMERA_FAULTS.values(), ids=list(CAMERA_FAULTS))
+    def test_both_loaders_refuse_the_fault_alike(self, tmp_path, fault):
+        extra, calibration, culprit, message = fault
+        write(tmp_path / "cal.yaml", calibration)
+        errors = []
+        for load, text in CAMERA_CONFIGS.values():
+            with pytest.raises(ConfigError) as err:
+                load(write(tmp_path / "config.yaml", text + extra))
+            errors.append(str(err.value))
+        assert errors == [f"{tmp_path / culprit}: {message}"] * 2
+
+    @pytest.mark.parametrize("fault", CAMERA_FAULTS.values(), ids=list(CAMERA_FAULTS))
+    def test_both_commands_exit_2(self, tmp_path, capsys, fault):
+        extra, calibration, culprit, message = fault
+        write(tmp_path / "cal.yaml", calibration)
+        outputs = ["--output", str(tmp_path / "out.csv")]
+        for command, (_, text) in CAMERA_CONFIGS.items():
+            write(tmp_path / "config.yaml", text + extra)
+            argv = [command, "--config", str(tmp_path / "config.yaml"), *outputs]
+            if command == "recover":
+                argv += ["--input", str(tmp_path / "obs.csv")]
+            else:
+                argv += ["--gt", str(tmp_path / "gt.csv")]
+            assert main(argv) == 2
+            assert capsys.readouterr().err == f"error: {tmp_path / culprit}: {message}\n"
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["cal.yaml", "config.yaml"]

@@ -1,9 +1,10 @@
+import builtins
 import importlib
 import re
 from pathlib import Path
 
 import depthray
-from depthray import io
+from depthray import errors, io
 from depthray.cli import main
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -15,15 +16,30 @@ def test_every_exported_name_resolves():
     assert len(set(depthray.__all__)) == len(depthray.__all__)
 
 
+def library_section():
+    text = README.read_text(encoding="utf-8")
+    return text.split("\n## Library\n", 1)[1].split("\n## ", 1)[0]
+
+
 def test_readme_library_names_every_module():
     # each module of the package is documented, and each documented one exists
-    text = README.read_text(encoding="utf-8")
-    section = text.split("\n## Library\n", 1)[1].split("\n## ", 1)[0]
-    named = set(re.findall(r"`depthray\.(\w+)`", section))
+    named = set(re.findall(r"`depthray\.(\w+)`", library_section()))
     for name in sorted(named):
         importlib.import_module(f"depthray.{name}")
     package = Path(depthray.__file__).parent
     assert named == {path.stem for path in package.glob("*.py")} - {"__init__"}
+
+
+def test_readme_library_classes_are_exported():
+    # a class the Library section names (`Name`, `module.Name`, `Name.field`)
+    # is one the package exports, an error type or a builtin, so that a
+    # renamed class does not linger in the text
+    named = set(re.findall(r"`(?:\w+\.)?([A-Z]\w*)[`.]", library_section()))
+    assert "Camera" in named
+    stale = sorted(name for name in named if not (
+        name in depthray.__all__ or hasattr(errors, name) or hasattr(builtins, name)
+    ))
+    assert stale == []
 
 
 def readme_block(heading, language="python"):

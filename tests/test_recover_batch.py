@@ -28,7 +28,7 @@ from depthray.recovery import (
     RECOVERED,
     TRAJECTORY_COLUMNS,
     UNDISTORT_NONCONVERGENCE,
-    RigConfig,
+    Camera,
     camera_pose,
     cast,
     project,
@@ -65,10 +65,23 @@ def ellipsoids(draw):
     return Ellipsoid(r_e=r_e, r_p=r_e * (1.0 - draw(st.floats(0.0, 0.01))))
 
 
+# the distortion sampled below is invertible out to this normalized radius
+LENS_R_MAX = 0.85
+
+
 @st.composite
-def rigs(draw):
+def cameras(draw, lenses=("invertible", "none")):
+    lens = draw(st.sampled_from(lenses))
+    if lens == "invertible":
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        dist = sample_invertible_distortion(rng, k_max=0.3, p_max=0.01, r_max=LENS_R_MAX)
+    elif lens == "none":
+        dist = DistortionCoeffs()
+    else:  # pixels beyond ~0.54 focal lengths off axis have no preimage
+        dist = DistortionCoeffs(k1=-0.5)
     offset = draw(st.lists(st.floats(-0.5, 0.5, **finite), min_size=3, max_size=3))
-    return RigConfig(
+    return Camera(
+        INTRINSICS, dist,
         cam_offset=np.array(offset),
         gimbal_pitch_sign=draw(st.sampled_from([1, -1])),
         gimbal_frame=draw(st.sampled_from(["world", "body"])),
@@ -80,9 +93,8 @@ angle = st.floats(-0.15, 0.15, **finite)
 
 @settings(max_examples=60, deadline=None)
 @given(
-    rig=rigs(),
+    camera=cameras(),
     ell=ellipsoids(),
-    lens_seed=st.one_of(st.none(), st.integers(0, 2**32 - 1)),
     gimbal=st.tuples(st.floats(-math.pi, math.pi, **finite), angle, angle),
     body=st.tuples(st.floats(-math.pi, math.pi, **finite), angle, angle),
     altitude=st.floats(15.0, 40.0, **finite),
@@ -92,29 +104,22 @@ angle = st.floats(-0.15, 0.15, **finite)
                   st.floats(-50.0, 3000.0, **finite)),
 )
 def test_noiseless_logs_recover_the_body_frame_truth(
-    rig, ell, lens_seed, gimbal, body, altitude, depths, end, ref,
+    camera, ell, gimbal, body, altitude, depths, end, ref,
 ):
-    if lens_seed is None:
-        dist = DistortionCoeffs()
-    else:
-        dist = sample_invertible_distortion(
-            np.random.default_rng(lens_seed), k_max=0.3, p_max=0.01, r_max=0.85
-        )
     # nadir as the vendor reports it: -90 deg, or +90 deg with pitch sign -1
     yaw, tilt, roll = gimbal
-    gimbal = np.array([yaw, rig.gimbal_pitch_sign * (-math.pi / 2 + tilt), roll])
+    gimbal = np.array([yaw, camera.gimbal_pitch_sign * (-math.pi / 2 + tilt), roll])
     ref_geo = geodetic_deg(*ref)
     scenario = Scenario(
         path_xy=line_path(25, [0.0, 0.0], end), duration=10.0, altitude=altitude,
         depth_min=depths[0], depth_max=depths[1], ref_geo=ref_geo,
-        intrinsics=INTRINSICS, distortion=dist, rig=rig, noise=NoiseSpec(),
-        gimbal=gimbal, body=body,
+        camera=camera, noise=NoiseSpec(), gimbal=gimbal, body=body,
     )
     try:
         obs, truth = generate_logs(scenario)
     except InfeasibleScene:
         assume(False)
-    trajectory, codes = recover_batch(obs, RunConfig(INTRINSICS, dist, rig, ell))
+    trajectory, codes = recover_batch(obs, RunConfig(camera, ell))
     assert [REASONS[c] for c in codes] == [""] * len(obs["t"])
     expected = np.column_stack([truth["x"], truth["y"], truth["z"]])
     enu = np.column_stack([trajectory["enu_x"], trajectory["enu_y"], trajectory["enu_z"]])
@@ -134,8 +139,7 @@ def same_bits(a, b):
 
 @settings(max_examples=60, deadline=None)
 @given(
-    rig=rigs(),
-    lens_seed=st.one_of(st.none(), st.integers(0, 2**32 - 1)),
+    camera=cameras(),
     gimbal=st.tuples(st.floats(-math.pi, math.pi, **finite), angle, angle),
     body=st.tuples(st.floats(-math.pi, math.pi, **finite), angle, angle),
     n=st.integers(1, 300),
@@ -144,24 +148,18 @@ def same_bits(a, b):
     end=st.tuples(st.floats(-3.0, 3.0, **finite), st.floats(-3.0, 3.0, **finite)),
 )
 def test_noiseless_logs_match_the_stacked_reference(
-    rig, lens_seed, gimbal, body, n, altitude, depths, end,
+    camera, gimbal, body, n, altitude, depths, end,
 ):
     """generate_logs builds one rotation per scenario; the reference tiles
     the angles to (n, 3) and runs the camera model on the stacks, row by
     row. Both must give the same bits."""
-    if lens_seed is None:
-        dist = DistortionCoeffs()
-    else:
-        dist = sample_invertible_distortion(
-            np.random.default_rng(lens_seed), k_max=0.3, p_max=0.01, r_max=0.85
-        )
     yaw, tilt, roll = gimbal
-    gimbal = np.array([yaw, rig.gimbal_pitch_sign * (-math.pi / 2 + tilt), roll])
+    gimbal = np.array([yaw, camera.gimbal_pitch_sign * (-math.pi / 2 + tilt), roll])
     path_xy = line_path(n, [0.0, 0.0], end)
     scenario = Scenario(
         path_xy=path_xy, duration=10.0, altitude=altitude, depth_min=depths[0],
         depth_max=depths[1], ref_geo=geodetic_deg(42.87, 17.7, 25.0),
-        intrinsics=INTRINSICS, distortion=dist, rig=rig, gimbal=gimbal, body=body,
+        camera=camera, gimbal=gimbal, body=body,
     )
     try:
         obs, truth = generate_logs(scenario)
@@ -170,52 +168,41 @@ def test_noiseless_logs_match_the_stacked_reference(
 
     gimbal_n, body_n = np.tile(scenario.gimbal, (n, 1)), np.tile(scenario.body, (n, 1))
     r_cw, cam, depth = camera_pose(
-        gimbal_n, body_n, altitude, np.linspace(depths[0], depths[1], n), rig
+        gimbal_n, body_n, altitude, np.linspace(depths[0], depths[1], n), camera
     )
     p_g = np.column_stack([path_xy[:, 0], path_xy[:, 1], -depth])
     assert r_cw.shape == (n, 3, 3)
-    u, v, _ = project(p_g, r_cw, INTRINSICS, dist)
+    u, v, _ = project(p_g, r_cw, camera)
     p_d = p_g + cam
     assert same_bits(obs["u"], u) and same_bits(obs["v"], v)
     for axis, name in enumerate("xyz"):
         assert same_bits(truth[name], p_d[:, axis])
 
 
-# the distortion sampled below is invertible out to this normalized radius
-LENS_R_MAX = 0.85
-
-
 @given(
-    rig=rigs(),
-    lens_seed=st.one_of(st.none(), st.integers(0, 2**32 - 1)),
+    camera=cameras(),
     gimbal=st.tuples(st.floats(-math.pi, math.pi, **finite), angle, angle),
     body=st.tuples(st.floats(-math.pi, math.pi, **finite), angle, angle),
     altitude=st.floats(15.0, 40.0, **finite),
     depth=st.floats(0.0, 3.0, **finite),
     xy=st.tuples(st.floats(-0.5, 0.5, **finite), st.floats(-0.5, 0.5, **finite)),
 )
-def test_cast_and_project_invert_each_other(rig, lens_seed, gimbal, body, altitude, depth, xy):
-    if lens_seed is None:
-        dist = DistortionCoeffs()
-    else:
-        dist = sample_invertible_distortion(
-            np.random.default_rng(lens_seed), k_max=0.3, p_max=0.01, r_max=LENS_R_MAX
-        )
+def test_cast_and_project_invert_each_other(camera, gimbal, body, altitude, depth, xy):
     yaw, tilt, roll = gimbal
-    gimbal = np.array([yaw, rig.gimbal_pitch_sign * (-math.pi / 2 + tilt), roll])
-    r_cw, _, h = camera_pose(gimbal, body, altitude, depth, rig)
+    gimbal = np.array([yaw, camera.gimbal_pitch_sign * (-math.pi / 2 + tilt), roll])
+    r_cw, _, h = camera_pose(gimbal, body, altitude, depth, camera)
     r_cw = r_cw[None]
     p = np.array([[xy[0] * h, xy[1] * h, -h]])  # a point on the depth plane, in {G}
-    u, v, z = project(p, r_cw, INTRINSICS, dist)
+    u, v, z = project(p, r_cw, camera)
     ray = r_cw[0] @ p[0]
     assume(z[0] > 0 and INTRINSICS.contains(u, v)[0])
     assume(math.hypot(ray[0] / ray[2], ray[1] / ray[2]) <= LENS_R_MAX)
 
-    p_c, codes = cast(u, v, np.array([h]), r_cw, INTRINSICS, dist)
+    p_c, codes = cast(u, v, np.array([h]), r_cw, camera)
     assert codes[0] == RECOVERED
     back = p_c @ r_cw[0]  # R^T p_c, row-wise
     assert np.max(np.abs(back - p)) <= 1e-9 * h
-    u2, v2, _ = project(back, r_cw, INTRINSICS, dist)
+    u2, v2, _ = project(back, r_cw, camera)
     assert max(abs(u2[0] - u[0]), abs(v2[0] - v[0])) <= 1e-6
 
 
@@ -252,17 +239,8 @@ edge_rows = st.builds(
 
 @st.composite
 def configs(draw):
-    rig = draw(rigs())
-    lens = draw(st.sampled_from(["invertible", "none", "folded"]))
-    if lens == "invertible":
-        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-        dist = sample_invertible_distortion(rng, k_max=0.3, p_max=0.01, r_max=0.85)
-    elif lens == "none":
-        dist = DistortionCoeffs()
-    else:  # pixels beyond ~0.54 focal lengths off axis have no preimage
-        dist = DistortionCoeffs(k1=-0.5)
     return RunConfig(
-        intrinsics=INTRINSICS, distortion=dist, rig=rig, ellipsoid=draw(ellipsoids()),
+        camera=draw(cameras(("invertible", "none", "folded"))), ellipsoid=draw(ellipsoids()),
         altitude_datum_offset=draw(st.floats(-1.0, 1.0, **finite)),
     )
 
@@ -282,7 +260,7 @@ def as_text(trajectory):
 @given(configs(), st.lists(st.one_of(rows, nadir_rows, edge_rows), min_size=1, max_size=12))
 def test_rows_one_at_a_time_match_the_batch(config, drawn):
     for row in drawn:
-        row["gimbal_pitch_deg"] *= config.rig.gimbal_pitch_sign  # nadir as +90 deg
+        row["gimbal_pitch_deg"] *= config.camera.gimbal_pitch_sign  # nadir as +90 deg
     columns = {name: np.array([row[name] for row in drawn]) for name in OBSERVATION_COLUMNS}
     trajectory, codes = recover_batch(columns, config)
 
@@ -330,7 +308,7 @@ def stacked_reference(columns, config):
     """recover_batch as (n, 3, 3) stacks: elementary-matrix products, the
     axis permutation as a matrix product, batched matmuls and the stacked
     ENU-to-ECEF rotation. Returns the trajectory columns and the codes."""
-    rig, intr = config.rig, config.intrinsics
+    camera = config.camera
     a_uav = columns["a_uav"] + config.altitude_datum_offset
     lat = np.radians(columns["ref_lat_deg"])
     valid = np.all([np.isfinite(columns[k]) for k in OBSERVATION_COLUMNS[1:]], axis=0)
@@ -344,17 +322,17 @@ def stacked_reference(columns, config):
         return wrap_angle(np.radians(np.column_stack(degrees)))
 
     gimbal, body = angles("gimbal"), angles("body")
-    gimbal[:, 1] = wrap_angle(rig.gimbal_pitch_sign * gimbal[:, 1])
+    gimbal[:, 1] = wrap_angle(camera.gimbal_pitch_sign * gimbal[:, 1])
     r_world_fwd = stacked_yaw_pitch_roll(gimbal)
-    if rig.gimbal_frame == "body":
+    if camera.gimbal_frame == "body":
         r_world_fwd = stacked_yaw_pitch_roll(body) @ r_world_fwd
     r_cw = CAM_FROM_FORWARD @ np.swapaxes(r_world_fwd, -1, -2)
 
     u, v = columns["u"][rows], columns["v"][rows]
     # the offset rotated by the body attitude: the camera's position in {D}
-    cam = stacked_yaw_pitch_roll(body) @ rig.cam_offset
+    cam = stacked_yaw_pitch_roll(body) @ camera.cam_offset
     depth = a_uav[rows] + cam[:, 2] + columns["d_uuv"][rows]
-    (x, y), converged = undistort(*pixel_to_normalized(u, v, intr), config.distortion)
+    (x, y), converged = undistort(*pixel_to_normalized(u, v, camera.intrinsics), camera.distortion)
     ray = np.column_stack([x, y, np.ones_like(x)])
     ln = np.sum(ray * r_cw[:, :, 2], axis=-1)
     conditioning = np.abs(ln) / np.sqrt(np.sum(ray * ray, axis=-1))
@@ -412,7 +390,7 @@ near_nadir_rows = st.fixed_dictionaries({
 @given(configs(), st.lists(near_nadir_rows, min_size=1, max_size=20))
 def test_batch_matches_the_stacked_matrix_formulation(config, drawn):
     for row in drawn:
-        row["gimbal_pitch_deg"] *= config.rig.gimbal_pitch_sign  # nadir as +90 deg
+        row["gimbal_pitch_deg"] *= config.camera.gimbal_pitch_sign  # nadir as +90 deg
     columns = {name: np.array([row[name] for row in drawn]) for name in OBSERVATION_COLUMNS}
     trajectory, codes = recover_batch(columns, config)
     expected, expected_codes = stacked_reference(columns, config)
@@ -435,7 +413,7 @@ def test_block_without_recovered_rows(n, a_uav, reason):
     float columns, an empty flags column and one int8 code per row."""
     columns = {name: np.zeros(n) for name in OBSERVATION_COLUMNS}
     columns.update(u=np.full(n, 960.0), v=np.full(n, 540.0), a_uav=np.full(n, a_uav))
-    config = RunConfig(INTRINSICS, DistortionCoeffs(k1=0.1), RigConfig(gimbal_frame="body"))
+    config = RunConfig(Camera(INTRINSICS, DistortionCoeffs(k1=0.1), gimbal_frame="body"))
     trajectory, codes = recover_batch(columns, config)
     assert codes.dtype == np.int8 and codes.shape == (n,)
     assert [REASONS[c] for c in codes] == [reason] * n

@@ -13,12 +13,14 @@ from depthray.recovery import (
     ILL_CONDITIONED,
     PARALLEL_RAY,
     RECOVERED,
-    RigConfig,
+    Camera,
     camera_pose,
     camera_rotation,
     project,
     recover_batch,
 )
+
+from conftest import CAMERA
 
 REF_DEG = (42.87, 17.7, 25.0)
 NADIR = np.array([0.0, -np.pi / 2, 0.0])
@@ -46,9 +48,9 @@ class TestBuildPlane:
     """The depth plane: camera height plus offset plus target depth."""
 
     def test_offsets_and_depth_sum(self, intrinsics):
-        rig = RigConfig(cam_offset=np.array([0.0, 0.0, -0.2]))
-        config = RunConfig(intrinsics, DistortionCoeffs(), rig)
-        r = camera_rotation(NADIR, None, rig)
+        camera = Camera(intrinsics, cam_offset=np.array([0.0, 0.0, -0.2]))
+        config = RunConfig(camera)
+        r = camera_rotation(NADIR, None, camera)
         traj, _ = recover_batch(make_columns((960.0, 540.0)), config)
         assert_allclose(r.T @ [traj[c][0] for c in CAM], [0.0, 0.0, -25.43], atol=1e-12)
         # an off-axis hit lies at the same height: the plane's normal is e_z
@@ -58,16 +60,15 @@ class TestBuildPlane:
     def test_surface_target(self, intrinsics):
         traj, _ = recover_batch(
             make_columns((960.0, 540.0), a_uav=10.0, d_uuv=0.0),
-            RunConfig(intrinsics, DistortionCoeffs(), RigConfig()),
+            RunConfig(Camera(intrinsics)),
         )
-        p_g = camera_rotation(NADIR, None, RigConfig()).T @ [traj[c][0] for c in CAM]
+        p_g = camera_rotation(NADIR, None, CAMERA).T @ [traj[c][0] for c in CAM]
         assert_allclose(p_g, [0.0, 0.0, -10.0], atol=1e-12)
 
     def test_camera_below_surface_degenerate(self, intrinsics):
-        rig = RigConfig(cam_offset=np.array([0.0, 0.0, -0.2]))
+        camera = Camera(intrinsics, cam_offset=np.array([0.0, 0.0, -0.2]))
         _, codes = recover_batch(
-            make_columns((960.0, 540.0), a_uav=0.1, d_uuv=0.0),
-            RunConfig(intrinsics, DistortionCoeffs(), rig),
+            make_columns((960.0, 540.0), a_uav=0.1, d_uuv=0.0), RunConfig(camera)
         )
         assert codes[0] == DEGENERATE
 
@@ -76,24 +77,22 @@ class TestRecoverCameraFrame:
     def test_nadir_principal_point(self, intrinsics):
         # ray along the optical axis: range is the full vertical distance
         traj, codes = recover_batch(
-            make_columns((960.0, 540.0)), RunConfig(intrinsics, DistortionCoeffs(), RigConfig())
+            make_columns((960.0, 540.0)), RunConfig(Camera(intrinsics))
         )
         assert codes[0] == RECOVERED
         assert [traj[c][0] for c in CAM] == pytest.approx((0.0, 0.0, 25.63), abs=1e-12)
 
     def test_forward_projection_round_trip(self, intrinsics):
-        rig = RigConfig()
-        dist = DistortionCoeffs(k1=-0.1, k2=0.05, p1=0.001, p2=-0.002)
+        camera = Camera(intrinsics, DistortionCoeffs(k1=-0.1, k2=0.05, p1=0.001, p2=-0.002))
         truth = np.array([3.0, -2.0, -25.63])
-        u, v, _ = project(truth[None], camera_rotation(NADIR, None, rig)[None],
-                          intrinsics, dist)
-        traj, _ = recover_batch(make_columns((u, v)), RunConfig(intrinsics, dist, rig))
-        expected_c = camera_rotation(NADIR, None, rig) @ truth
+        u, v, _ = project(truth[None], camera_rotation(NADIR, None, camera)[None], camera)
+        traj, _ = recover_batch(make_columns((u, v)), RunConfig(camera))
+        expected_c = camera_rotation(NADIR, None, camera) @ truth
         assert_allclose([traj[c][0] for c in CAM], expected_c, atol=1e-9)
 
     def test_random_scene_round_trips(self, intrinsics):
         rng = np.random.default_rng(61)
-        rig = RigConfig(cam_offset=np.array([0.1, -0.05, -0.2]))
+        offset = np.array([0.1, -0.05, -0.2])
         count = 0
         while count < 100:
             gimbal = np.array([
@@ -105,56 +104,51 @@ class TestRecoverCameraFrame:
             a_uav = rng.uniform(10.0, 40.0)
             d_uuv = rng.uniform(0.0, 3.0)
             # the camera sits (R_body o)_z above the body on a tilted body
-            depth = a_uav + (yaw_pitch_roll_matrix(body) @ rig.cam_offset)[2] + d_uuv
+            depth = a_uav + (yaw_pitch_roll_matrix(body) @ offset)[2] + d_uuv
             truth = np.array([rng.uniform(-0.3, 0.3) * depth,
                               rng.uniform(-0.3, 0.3) * depth, -depth])
             dist = DistortionCoeffs(
                 k1=rng.uniform(-0.15, 0.15), k2=rng.uniform(-0.05, 0.05),
                 p1=rng.uniform(-0.005, 0.005), p2=rng.uniform(-0.005, 0.005),
             )
-            r = camera_rotation(gimbal, None, rig)
+            camera = Camera(intrinsics, dist, cam_offset=offset)
+            r = camera_rotation(gimbal, None, camera)
             if (r @ truth)[2] < 0.2 * depth:
                 continue  # scene behind or grazing the camera
-            u, v, _ = project(truth[None], camera_rotation(gimbal, None, rig)[None],
-                              intrinsics, dist)
+            u, v, _ = project(truth[None], camera_rotation(gimbal, None, camera)[None], camera)
             traj, codes = recover_batch(
                 make_columns((u, v), a_uav=a_uav, d_uuv=d_uuv, gimbal=gimbal, body=body),
-                RunConfig(intrinsics, dist, rig),
+                RunConfig(camera),
             )
             assert_allclose([traj[c][0] for c in CAM], r @ truth, atol=1e-9)
             assert codes[0] == RECOVERED and traj["cam_z"][0] > 0
             count += 1
 
     def test_recovered_point_lies_on_rotated_plane(self, intrinsics):
-        rig = RigConfig()
+        camera = Camera(intrinsics)
         gimbal = np.array([0.4, -1.2, 0.1])
-        traj, _ = recover_batch(
-            make_columns((1200.0, 300.0), gimbal=gimbal),
-            RunConfig(intrinsics, DistortionCoeffs(), rig),
-        )
+        traj, _ = recover_batch(make_columns((1200.0, 300.0), gimbal=gimbal), RunConfig(camera))
         p_c = np.array([traj[c][0] for c in CAM])
         plane_point, plane_normal = np.array([0.0, 0.0, -25.63]), np.array([0.0, 0.0, 1.0])
-        r = camera_rotation(gimbal, None, rig)
+        r = camera_rotation(gimbal, None, camera)
         residual = (p_c - r @ plane_point) @ (r @ plane_normal)
         assert abs(residual) < 1e-9
 
     def test_pixel_noise_first_order_magnitude(self):
         # sigma_px / fx scaled by the range predicts the planar error
-        intr = CameraIntrinsics(2000.0, 2000.0, 960.0, 540.0, 1920, 1080)
-        rig = RigConfig()
+        camera = Camera(CameraIntrinsics(2000.0, 2000.0, 960.0, 540.0, 1920, 1080))
         sigma_px, z = 2.0, 25.63
         predicted = sigma_px / 2000.0 * z
         truth = np.array([0.0, 0.0, -z])
-        u, v, _ = project(truth[None], camera_rotation(NADIR, None, rig)[None],
-                          intr, DistortionCoeffs())
+        u, v, _ = project(truth[None], camera_rotation(NADIR, None, camera)[None], camera)
         rng = np.random.default_rng(67)
         noise = rng.normal(0, sigma_px, (1000, 2))  # u then v, row by row
         columns = {k: np.repeat(c, 1000) for k, c in make_columns((u, v)).items()}
         columns["u"] += noise[:, 0]
         columns["v"] += noise[:, 1]
-        traj, _ = recover_batch(columns, RunConfig(intr, DistortionCoeffs(), rig))
+        traj, _ = recover_batch(columns, RunConfig(camera))
         p_c = np.column_stack([traj[c] for c in CAM])
-        p_g = p_c @ camera_rotation(NADIR, None, rig)
+        p_g = p_c @ camera_rotation(NADIR, None, camera)
         errors = p_g[:, :2] - truth[:2]
         rms = np.sqrt(np.mean(errors**2, axis=0))
         mean_abs = np.mean(np.abs(errors), axis=0)
@@ -165,27 +159,27 @@ class TestRecoverCameraFrame:
     def test_grazing_ray_ill_conditioned(self, intrinsics):
         _, codes = recover_batch(
             make_columns((960.0, 540.0), gimbal=np.array([0.0, -1e-4, 0.0])),
-            RunConfig(intrinsics, DistortionCoeffs(), RigConfig()),
+            RunConfig(Camera(intrinsics)),
         )
         assert codes[0] == ILL_CONDITIONED
 
     def test_horizontal_ray_parallel(self, intrinsics):
         _, codes = recover_batch(
             make_columns((960.0, 540.0), gimbal=np.zeros(3)),
-            RunConfig(intrinsics, DistortionCoeffs(), RigConfig()),
+            RunConfig(Camera(intrinsics)),
         )
         assert codes[0] == PARALLEL_RAY
 
     def test_upward_camera_behind(self, intrinsics):
         _, codes = recover_batch(
             make_columns((960.0, 540.0), gimbal=np.array([0.0, np.pi / 2, 0.0])),
-            RunConfig(intrinsics, DistortionCoeffs(), RigConfig()),
+            RunConfig(Camera(intrinsics)),
         )
         assert codes[0] == BEHIND_CAMERA
 
     def test_depth_monotonicity_along_fixed_ray(self, intrinsics):
         # deeper target on the same pixel ray is strictly farther
-        config = RunConfig(intrinsics, DistortionCoeffs(), RigConfig())
+        config = RunConfig(Camera(intrinsics))
         last = 0.0
         for depth in np.linspace(0.0, 5.0, 11):
             traj, _ = recover_batch(make_columns((1100.0, 650.0), d_uuv=depth), config)
@@ -209,17 +203,15 @@ class TestCameraToUavEnu:
 
     def test_straight_down_inverse(self, intrinsics):
         traj, _ = recover_batch(
-            make_columns((960.0, 540.0)), RunConfig(intrinsics, DistortionCoeffs(), RigConfig())
+            make_columns((960.0, 540.0)), RunConfig(Camera(intrinsics))
         )
         assert [traj[c][0] for c in CAM] == pytest.approx((0.0, 0.0, 25.63), abs=1e-12)
         assert [traj[c][0] for c in ENU] == pytest.approx((0.0, 0.0, -25.63), abs=1e-12)
 
     def test_offset_pure_translation(self, intrinsics):
         # the body 25.2 m up puts the camera 25.63 m above the target
-        rig = RigConfig(cam_offset=np.array([0.0, 0.0, -0.2]))
-        traj, _ = recover_batch(
-            make_columns((960.0, 540.0), a_uav=25.2), RunConfig(intrinsics, DistortionCoeffs(), rig)
-        )
+        camera = Camera(intrinsics, cam_offset=np.array([0.0, 0.0, -0.2]))
+        traj, _ = recover_batch(make_columns((960.0, 540.0), a_uav=25.2), RunConfig(camera))
         assert [traj[c][0] for c in CAM] == pytest.approx((0.0, 0.0, 25.63), abs=1e-12)
         assert [traj[c][0] for c in ENU] == pytest.approx((0.0, 0.0, -25.83), abs=1e-12)
 
@@ -228,10 +220,10 @@ class TestCameraToUavEnu:
         # the body 10 degrees raises x, so the camera hangs c_z below the body
         pitch = math.radians(10.0)
         c_z = 0.3 * math.sin(pitch) - 0.2 * math.cos(pitch)
-        rig = RigConfig(cam_offset=np.array([0.3, 0.0, -0.2]))
+        camera = Camera(intrinsics, cam_offset=np.array([0.3, 0.0, -0.2]))
         traj, codes = recover_batch(
             make_columns((960.0, 540.0), a_uav=25.0, d_uuv=1.0, body=np.array([0.0, pitch, 0.0])),
-            RunConfig(intrinsics, DistortionCoeffs(), rig),
+            RunConfig(camera),
         )
         assert codes[0] == RECOVERED
         assert traj["cam_z"][0] == pytest.approx(26.0 + c_z, abs=1e-12)
@@ -241,7 +233,7 @@ class TestCameraToUavEnu:
         rng = np.random.default_rng(71)
         count = 0
         while count < 100:
-            rig = RigConfig(cam_offset=rng.uniform(-0.3, 0.3, 3))
+            camera = Camera(intrinsics, cam_offset=rng.uniform(-0.3, 0.3, 3))
             gimbal = np.array([
                 rng.uniform(-np.pi, np.pi),
                 -np.pi / 2 + rng.uniform(-0.35, 0.35),
@@ -250,17 +242,16 @@ class TestCameraToUavEnu:
             body = rng.uniform(-0.15, 0.15, 3)
             a_uav = rng.uniform(15.0, 35.0)
             d_uuv = rng.uniform(0.0, 2.0)
-            cam = yaw_pitch_roll_matrix(body) @ rig.cam_offset  # the camera in {D}
+            cam = yaw_pitch_roll_matrix(body) @ camera.cam_offset  # the camera in {D}
             depth = a_uav + cam[2] + d_uuv
             truth_g = np.array([rng.uniform(-0.25, 0.25) * depth,
                                 rng.uniform(-0.25, 0.25) * depth, -depth])
-            if (camera_rotation(gimbal, None, rig) @ truth_g)[2] < 0.2 * depth:
+            if (camera_rotation(gimbal, None, camera) @ truth_g)[2] < 0.2 * depth:
                 continue
-            u, v, _ = project(truth_g[None], camera_rotation(gimbal, None, rig)[None],
-                              intrinsics, DistortionCoeffs())
+            u, v, _ = project(truth_g[None], camera_rotation(gimbal, None, camera)[None], camera)
             traj, _ = recover_batch(
                 make_columns((u, v), a_uav=a_uav, d_uuv=d_uuv, gimbal=gimbal, body=body),
-                RunConfig(intrinsics, DistortionCoeffs(), rig),
+                RunConfig(camera),
             )
             expected = truth_g + cam
             assert expected[2] == pytest.approx(-(a_uav + d_uuv), abs=1e-12)
@@ -271,26 +262,24 @@ class TestCameraToUavEnu:
 class TestGimbalConventions:
     def test_pitch_sign_flag(self, intrinsics):
         # vendors reporting nadir as +90 recover identically with sign -1
-        rig_flip = RigConfig(gimbal_pitch_sign=-1)
         traj, _ = recover_batch(
             make_columns((960.0, 540.0), gimbal=np.array([0.0, np.pi / 2, 0.0])),
-            RunConfig(intrinsics, DistortionCoeffs(), rig_flip),
+            RunConfig(Camera(intrinsics, gimbal_pitch_sign=-1)),
         )
         assert [traj[c][0] for c in CAM] == pytest.approx((0.0, 0.0, 25.63), abs=1e-12)
 
     def test_body_referenced_gimbal(self, intrinsics):
         # nadir gimbal relative to a yawed body equals the composed chain
         body = np.array([0.8, 0.0, 0.0])
-        rig_body = RigConfig(gimbal_frame="body")
-        rig_world = RigConfig()
-        r_body, _, _ = camera_pose(NADIR, body, 25.0, 1.0, rig_body)
+        body_gimbal = Camera(CAMERA.intrinsics, gimbal_frame="body")
+        r_body, _, _ = camera_pose(NADIR, body, 25.0, 1.0, body_gimbal)
         composed = yaw_pitch_roll_matrix(body) @ yaw_pitch_roll_matrix(NADIR)
         cam_from_forward = np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [1.0, 0.0, 0.0]])
         assert_allclose(r_body, cam_from_forward @ composed.T, atol=1e-15)
         # with identity body the two conventions coincide
         assert_allclose(
-            camera_pose(NADIR, LEVEL, 25.0, 1.0, rig_body)[0],
-            camera_pose(NADIR, LEVEL, 25.0, 1.0, rig_world)[0],
+            camera_pose(NADIR, LEVEL, 25.0, 1.0, body_gimbal)[0],
+            camera_pose(NADIR, LEVEL, 25.0, 1.0, CAMERA)[0],
             atol=1e-15,
         )
 
@@ -303,7 +292,7 @@ class TestCameraPose:
 
     def pose(self, body, offset, a_uav=25.0, d_uuv=1.0):
         return camera_pose(NADIR, np.array(body), a_uav, d_uuv,
-                           RigConfig(cam_offset=np.array(offset)))
+                           Camera(CAMERA.intrinsics, cam_offset=np.array(offset)))
 
     def test_positive_yaw_turns_the_nose_from_east_to_south(self):
         _, c, depth = self.pose([math.pi / 2, 0.0, 0.0], [1.0, 0.0, 0.0])
@@ -328,9 +317,9 @@ class TestCameraPose:
         # one body rotation feeds r_cw; the nadir gimbal turns with the body
         for yaw in (0.3, -1.2, math.pi / 2, math.pi):
             r_body, _, _ = camera_pose(NADIR, np.array([yaw, 0.0, 0.0]), 25.0, 1.0,
-                                       RigConfig(gimbal_frame="body"))
+                                       Camera(CAMERA.intrinsics, gimbal_frame="body"))
             r_world, _, _ = camera_pose(np.array([yaw, -math.pi / 2, 0.0]), LEVEL,
-                                        25.0, 1.0, RigConfig())
+                                        25.0, 1.0, CAMERA)
             assert_allclose(r_body, r_world, atol=1e-15)
 
 
@@ -338,34 +327,34 @@ class TestValidation:
     def test_rejects_nonpositive_altitude(self, intrinsics):
         _, codes = recover_batch(
             make_columns((0.0, 0.0), a_uav=0.0),
-            RunConfig(intrinsics, DistortionCoeffs(), RigConfig()),
+            RunConfig(Camera(intrinsics)),
         )
         assert codes[0] == DEGENERATE
 
     def test_rejects_negative_depth(self, intrinsics):
         _, codes = recover_batch(
             make_columns((0.0, 0.0), d_uuv=-0.1),
-            RunConfig(intrinsics, DistortionCoeffs(), RigConfig()),
+            RunConfig(Camera(intrinsics)),
         )
         assert codes[0] == DEGENERATE
 
-    def test_rig_offset_sanity_bound(self):
+    def test_rig_offset_sanity_bound(self, intrinsics):
         with pytest.raises(ValueError):
-            RigConfig(cam_offset=np.array([0.0, 0.0, -12.0]))
+            Camera(intrinsics, cam_offset=np.array([0.0, 0.0, -12.0]))
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
-    def test_rig_offset_must_be_finite(self, value):
+    def test_rig_offset_must_be_finite(self, intrinsics, value):
         with pytest.raises(ValueError, match="cam_offset must be finite"):
-            RigConfig(cam_offset=np.array([0.0, value, -0.2]))
+            Camera(intrinsics, cam_offset=np.array([0.0, value, -0.2]))
 
-    def test_rig_offset_is_a_read_only_copy(self):
+    def test_rig_offset_is_a_read_only_copy(self, intrinsics):
         offset = np.array([0.0, 0.0, -0.2])
-        rig = RigConfig(cam_offset=offset)
+        camera = Camera(intrinsics, cam_offset=offset)
         offset[2] = 5.0  # the caller's array stays the caller's
-        assert rig.cam_offset.tolist() == [0.0, 0.0, -0.2]
+        assert camera.cam_offset.tolist() == [0.0, 0.0, -0.2]
         with pytest.raises(ValueError, match="read-only"):
-            rig.cam_offset[2] = 5.0
+            camera.cam_offset[2] = 5.0
 
-    def test_rig_frame_validated(self):
+    def test_rig_frame_validated(self, intrinsics):
         with pytest.raises(ValueError):
-            RigConfig(gimbal_frame="enu")
+            Camera(intrinsics, gimbal_frame="enu")

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from numpy.testing import assert_allclose
 from depthray.camera import CameraIntrinsics, DistortionCoeffs
 from depthray.errors import InfeasibleScene
 from depthray.io import RunConfig
-from depthray.recovery import RigConfig, camera_rotation, project, recover_batch
+from depthray.recovery import Camera, camera_rotation, project, recover_batch
 from depthray.synth import (
     MIN_CAMERA_Z,
     NoiseSpec,
@@ -18,7 +19,7 @@ from depthray.synth import (
     line_path,
 )
 
-from conftest import assert_columns_equal, geodetic_deg
+from conftest import CAMERA, assert_columns_equal, geodetic_deg
 
 REF = geodetic_deg(42.87, 17.7, 25.0)
 NADIR = np.array([0.0, -np.pi / 2, 0.0])
@@ -26,9 +27,8 @@ NADIR = np.array([0.0, -np.pi / 2, 0.0])
 
 
 def make_scenario(n=50, noise=NoiseSpec(), depth_min=0.63, depth_max=0.63,
-                  altitude=25.0, intr=None, dist=DistortionCoeffs(), duration=60.0,
+                  altitude=25.0, camera=CAMERA, duration=60.0,
                   path_xy=None, ref_geo=REF, **attitudes):
-    intr = intr or CameraIntrinsics(1000.0, 1000.0, 960.0, 540.0, 1920, 1080)
     return Scenario(
         path_xy=lawnmower_path(n, width=10.0, height=6.0, legs=4) if path_xy is None else path_xy,
         duration=duration,
@@ -36,8 +36,7 @@ def make_scenario(n=50, noise=NoiseSpec(), depth_min=0.63, depth_max=0.63,
         depth_min=depth_min,
         depth_max=depth_max,
         ref_geo=ref_geo,
-        intrinsics=intr,
-        distortion=dist,
+        camera=camera,
         noise=noise,
         **attitudes,
     )
@@ -46,37 +45,32 @@ def make_scenario(n=50, noise=NoiseSpec(), depth_min=0.63, depth_max=0.63,
 class TestProjectPoint:
     """project, the forward model generate_logs uses."""
 
-    r_nadir = camera_rotation(NADIR, None, RigConfig())[None]
+    r_nadir = camera_rotation(NADIR, None, CAMERA)[None]
 
-    def test_optical_axis_hits_principal_point(self, intrinsics):
-        u, v, _ = project(np.array([[0.0, 0.0, -17.0]]), self.r_nadir, intrinsics,
-                          DistortionCoeffs())
+    def test_optical_axis_hits_principal_point(self):
+        u, v, _ = project(np.array([[0.0, 0.0, -17.0]]), self.r_nadir, CAMERA)
         assert (u[0], v[0]) == pytest.approx((960.0, 540.0), abs=1e-12)
 
-    def test_north_displacement_moves_u(self, intrinsics):
+    def test_north_displacement_moves_u(self):
         # at nadir with zero gimbal yaw, world north maps to image x
         h = 20.0
-        u, v, _ = project(np.array([[0.0, 0.1 * h, -h]]), self.r_nadir, intrinsics,
-                          DistortionCoeffs())
+        u, v, _ = project(np.array([[0.0, 0.1 * h, -h]]), self.r_nadir, CAMERA)
         assert (u[0], v[0]) == pytest.approx((1060.0, 540.0), abs=1e-9)
 
-    def test_point_behind_camera_raises(self, intrinsics):
-        _, _, z = project(np.array([[0.0, 0.0, 5.0]]), self.r_nadir, intrinsics,
-                          DistortionCoeffs())
+    def test_point_behind_camera_raises(self):
+        _, _, z = project(np.array([[0.0, 0.0, 5.0]]), self.r_nadir, CAMERA)
         assert z[0] <= MIN_CAMERA_Z
 
     def test_project_then_recover_is_identity(self, intrinsics):
         rng = np.random.default_rng(73)
-        rig = RigConfig()
-        dist = DistortionCoeffs(k1=-0.12, k2=0.04, p1=0.002, p2=-0.001)
+        camera = Camera(intrinsics, DistortionCoeffs(k1=-0.12, k2=0.04, p1=0.002, p2=-0.001))
         a_uav, d_uuv, truth = np.empty(100), np.empty(100), np.empty((100, 3))
         for i in range(100):
             a_uav[i] = rng.uniform(12.0, 35.0)
             d_uuv[i] = rng.uniform(0.0, 2.0)
             depth = a_uav[i] + d_uuv[i]
             truth[i] = [rng.uniform(-0.3, 0.3) * depth, rng.uniform(-0.3, 0.3) * depth, -depth]
-        u, v, _ = project(truth, camera_rotation(np.tile(NADIR, (100, 1)), None, rig),
-                          intrinsics, dist)
+        u, v, _ = project(truth, camera_rotation(np.tile(NADIR, (100, 1)), None, camera), camera)
         zeros = np.zeros(100)
         columns = {
             "t": zeros, "u": u, "v": v, "a_uav": a_uav, "d_uuv": d_uuv,
@@ -85,21 +79,19 @@ class TestProjectPoint:
             "body_roll_deg": zeros, "ref_lat_deg": np.full(100, 42.87),
             "ref_lon_deg": np.full(100, 17.7), "ref_alt_m": np.full(100, 25.0),
         }
-        traj, _ = recover_batch(columns, RunConfig(intrinsics, dist, rig))
+        traj, _ = recover_batch(columns, RunConfig(camera))
         # compare in {G}: rotate the recovery back out of the camera
         p_c = np.column_stack([traj["cam_x"], traj["cam_y"], traj["cam_z"]])
-        p_g = p_c @ camera_rotation(NADIR, None, rig)
+        p_g = p_c @ camera_rotation(NADIR, None, camera)
         assert_allclose(p_g, truth, atol=1e-9)
 
 
 class TestGenerateLogs:
-    def test_noiseless_rows_recover_exactly(self, intrinsics):
+    def test_noiseless_rows_recover_exactly(self):
         scenario = make_scenario(n=40)
         obs_rows, gt_rows = generate_logs(scenario)
         assert len(obs_rows["t"]) == len(gt_rows["t"]) == 40
-        traj, _ = recover_batch(
-            obs_rows, RunConfig(scenario.intrinsics, scenario.distortion, scenario.rig)
-        )
+        traj, _ = recover_batch(obs_rows, RunConfig(scenario.camera))
         assert len(traj["t"]) == 40
         for enu, truth in (("enu_x", "x"), ("enu_y", "y"), ("enu_z", "z")):
             assert_allclose(traj[enu], gt_rows[truth], atol=1e-9)
@@ -129,10 +121,10 @@ class TestGenerateLogs:
         # sigma_px / fx scaled by the ~25.6 m range puts the planar MAE
         # near 0.032 m; first-order propagation bounds it well inside
         # [0.015, 0.04] over a thousand samples
-        intr = CameraIntrinsics(2000.0, 2000.0, 960.0, 540.0, 1920, 1080)
-        scenario = make_scenario(n=1200, noise=NoiseSpec(sigma_px=2.0, seed=13), intr=intr)
+        camera = Camera(CameraIntrinsics(2000.0, 2000.0, 960.0, 540.0, 1920, 1080))
+        scenario = make_scenario(n=1200, noise=NoiseSpec(sigma_px=2.0, seed=13), camera=camera)
         obs_rows, gt_rows = generate_logs(scenario)
-        traj, _ = recover_batch(obs_rows, RunConfig(intr, scenario.distortion, scenario.rig))
+        traj, _ = recover_batch(obs_rows, RunConfig(camera))
         assert len(traj["t"]) == len(gt_rows["t"])
         errors = np.hypot(traj["enu_x"] - gt_rows["x"], traj["enu_y"] - gt_rows["y"])
         mae = float(np.mean(errors))
@@ -140,9 +132,9 @@ class TestGenerateLogs:
 
     def test_out_of_frame_point_infeasible(self):
         # a tight telephoto view pushes the survey edge out of frame
-        intr = CameraIntrinsics(20000.0, 20000.0, 960.0, 540.0, 1920, 1080)
+        camera = Camera(CameraIntrinsics(20000.0, 20000.0, 960.0, 540.0, 1920, 1080))
         with pytest.raises(InfeasibleScene) as err:
-            generate_logs(make_scenario(intr=intr))
+            generate_logs(make_scenario(camera=camera))
         assert err.value.index is not None
 
     def test_depth_profile_sweeps_linearly(self):
@@ -150,7 +142,7 @@ class TestGenerateLogs:
         # a_uav above the water plus d_uuv below it
         scenario = make_scenario(
             n=11, depth_min=0.21, depth_max=1.95,
-            rig=RigConfig(cam_offset=np.array([0.3, 0.0, -0.2])),
+            camera=replace(CAMERA, cam_offset=np.array([0.3, 0.0, -0.2])),
             body=np.array([0.0, math.radians(10.0), 0.0]),
         )
         obs, truth = generate_logs(scenario)
