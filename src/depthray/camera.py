@@ -64,9 +64,6 @@ class DistortionCoeffs:
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"distortion coefficient {name} must be finite")
 
-    def is_zero(self) -> bool:
-        return self.k1 == self.k2 == self.k3 == self.p1 == self.p2 == 0.0
-
 
 def normalized_to_pixel(x, y, intr: CameraIntrinsics):
     """Scale normalized coordinates (x, y) into pixels (u, v)."""
@@ -114,16 +111,14 @@ def undistort(x_d, y_d, d: DistortionCoeffs):
 
     Returns ((x, y), converged): the undistorted points and a boolean
     array that is False where a point did not converge: its residual was
-    still above UNDISTORT_TOL after UNDISTORT_MAX_ITER iterations, or its
-    iterate escaped the model's invertible region around the input. Those
-    points hold their last iterate.
+    not below UNDISTORT_TOL after UNDISTORT_MAX_ITER iterations, as for
+    any non-finite point, whatever the lens, or its iterate escaped the
+    model's invertible region around the input. Those points hold their
+    last iterate.
     """
     shape = np.shape(x_d)
     xd = np.asarray(x_d, dtype=float).reshape(-1)
     yd = np.asarray(y_d, dtype=float).reshape(-1)
-    if d.is_zero():
-        return (xd.reshape(shape), yd.reshape(shape)), np.ones(shape, dtype=bool)
-
     x, y = xd.copy(), yd.copy()
     fx, fy = distort(x, y, d)
     rx, ry = fx - xd, fy - yd

@@ -116,8 +116,7 @@ def cmd_evaluate(args) -> int:
     est = np.column_stack([est_rows[c][est_idx] for c in ("enu_x", "enu_y", "enu_z")])
     gt = np.column_stack([gt_rows[c][gt_idx] for c in ("x", "y", "z")])
 
-    if config.gt_frame_yaw is not None:
-        est = enu_to_ground_truth(est, config.gt_frame_yaw, config.gt_frame_translation)
+    est = enu_to_ground_truth(est, config.gt_frame_yaw, config.gt_frame_translation)
     a_cam = config.gt_rescale_a_cam
     if a_cam is not None:
         depth = np.maximum(-gt[:, 2] - a_cam, 0.0)

@@ -661,7 +661,7 @@ class RunConfig:
     ellipsoid: Ellipsoid = WGS84
     altitude_datum_offset: float = 0.0
     sync_max_gap: float = 0.05
-    gt_frame_yaw: float | None = None  # radians; set when the truth is in a survey frame
+    gt_frame_yaw: float = 0.0  # radians, of the truth's survey frame against ENU
     gt_frame_translation: np.ndarray = field(default_factory=lambda: np.zeros(3))
     gt_rescale_a_cam: float | None = None  # set when the truth is rescaled
     gt_rescale_nadir: np.ndarray = field(default_factory=lambda: np.zeros(2))
@@ -692,14 +692,13 @@ def load_run_config(path) -> RunConfig:
         for key in ("gt_rescale_a_cam", "gt_rescale_nadir"):
             if key in data:
                 raise ConfigError(f"{path}: key {key} is used only with gt_rescale: true")
-    framed = "gt_frame_yaw_deg" in data or "gt_frame_translation" in data
     try:
         return RunConfig(
             camera=camera,
             ellipsoid=_ellipsoid(data, path),
             altitude_datum_offset=v["altitude_datum_offset"],
             sync_max_gap=v["sync_max_gap"],
-            gt_frame_yaw=v["gt_frame_yaw"] if framed else None,
+            gt_frame_yaw=v["gt_frame_yaw"],
             gt_frame_translation=v["gt_frame_translation"],
             gt_rescale_a_cam=rescale_a_cam,
             gt_rescale_nadir=v["gt_rescale_nadir"],

@@ -146,17 +146,16 @@ class Camera:
 def camera_rotation(gimbal, r_body, camera: Camera) -> np.ndarray:
     """Rotation from {G} into {C} for one observation, or a stack.
 
-    gimbal: (..., 3) array of wrapped yaw, pitch, roll in radians.
+    gimbal: (..., 3) array of wrapped yaw, pitch, roll in radians; the
+    pitch is multiplied by the camera's gimbal_pitch_sign and wrapped again.
     r_body: the body-to-world rotation (..., 3, 3), read only for a
     body-referenced gimbal, which is composed after it; None will do for
     a world gimbal. The gimbal angles orient a forward/right/down frame
     whose x axis is the optical axis; {C} takes that frame's transpose,
     rows in CAM_AXES order.
     """
-    gimbal = np.asarray(gimbal, dtype=float)
-    if camera.gimbal_pitch_sign != 1:
-        gimbal = gimbal.copy()
-        gimbal[..., 1] = wrap_angle(camera.gimbal_pitch_sign * gimbal[..., 1])
+    gimbal = np.array(gimbal, dtype=float)
+    gimbal[..., 1] = wrap_angle(camera.gimbal_pitch_sign * gimbal[..., 1])
     r_t = np.swapaxes(yaw_pitch_roll_matrix(gimbal), -1, -2)
     if camera.gimbal_frame == "body":
         # row j of (B G)^T is column j of G, a row of G^T, rotated by B

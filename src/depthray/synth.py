@@ -112,7 +112,7 @@ def generate_logs(scenario: Scenario) -> tuple[dict, dict]:
             or behind the camera (reported with its sample index).
     """
     n, camera, intr = len(scenario), scenario.camera, scenario.camera.intrinsics
-    t = np.linspace(0.0, scenario.duration, n, endpoint=False) if n > 1 else np.array([0.0])
+    t = np.linspace(0.0, scenario.duration, n, endpoint=False)
     d_uuv = np.linspace(scenario.depth_min, scenario.depth_max, n)
     r_cw, cam, depth = camera_pose(scenario.gimbal, scenario.body, scenario.altitude, d_uuv, camera)
     positions = np.column_stack([scenario.path_xy, -depth])
@@ -139,11 +139,10 @@ def generate_logs(scenario: Scenario) -> tuple[dict, dict]:
         *((gimbal[:, k], noise.sigma_gimbal) for k in range(3)),
     ]
     noisy = [(values, sigma) for values, sigma in channels if sigma > 0]
-    if noisy:
-        rng = np.random.default_rng(noise.seed)
-        draws = rng.normal(0.0, [sigma for _, sigma in noisy], size=(n, len(noisy)))
-        for (values, _), column in zip(noisy, draws.T):
-            values += column
+    rng = np.random.default_rng(noise.seed)
+    draws = rng.normal(0.0, [sigma for _, sigma in noisy], size=(n, len(noisy)))
+    for (values, _), column in zip(noisy, draws.T):
+        values += column
 
     lat, lon, h = scenario.ref_geo
     obs = dict(zip(OBSERVATION_COLUMNS, [

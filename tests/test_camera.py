@@ -56,7 +56,7 @@ class TestProjection:
 class TestDistort:
     def test_zero_coefficients_identity(self):
         d = DistortionCoeffs()
-        assert d.is_zero()
+        assert d == DistortionCoeffs(k1=0.0, k2=0.0, k3=0.0, p1=0.0, p2=0.0)
         n = (0.123, -0.456)
         assert distort(*n, d) == n
 
@@ -149,9 +149,12 @@ class TestUndistort:
         _, converged = undistort(0.7, 0.0, DistortionCoeffs(k1=-0.5))
         assert not converged
 
-    def test_rejects_non_finite_input(self):
+    @pytest.mark.parametrize("d", [DistortionCoeffs(), DistortionCoeffs(k1=0.1)],
+                             ids=["no_lens", "k1"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")], ids=["nan", "inf"])
+    def test_rejects_non_finite_input(self, d, value):
         with np.errstate(all="ignore"):
-            _, converged = undistort(float("inf"), 0.0, DistortionCoeffs(k1=0.1))
+            _, converged = undistort(value, 0.0, d)
         assert not converged
 
 

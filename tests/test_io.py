@@ -11,7 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from depthray import io
-from depthray.camera import CameraIntrinsics
+from depthray.camera import CameraIntrinsics, DistortionCoeffs
 from depthray.cli import main
 from depthray.errors import ConfigError, SchemaError
 from depthray.recovery import Camera
@@ -56,7 +56,7 @@ class TestCalibration:
 
     def test_distortion_defaults_to_zero(self, tmp_path):
         text = "\n".join(CALIB.splitlines()[:6]) + "\n"
-        assert camera_of(write(tmp_path / "cal.yaml", text)).distortion.is_zero()
+        assert camera_of(write(tmp_path / "cal.yaml", text)).distortion == DistortionCoeffs()
 
     def test_unknown_key_rejected(self, tmp_path):
         with pytest.raises(ConfigError, match="unknown keys"):
@@ -79,7 +79,8 @@ class TestRunConfig:
         config = io.load_run_config(write(tmp_path / "run.yaml", "calibration: cal.yaml\n"))
         assert config.ellipsoid.r_e == 6378137.0
         assert config.sync_max_gap == 0.05
-        assert config.gt_frame_yaw is None
+        assert config.gt_frame_yaw == 0.0
+        assert config.gt_frame_translation.tolist() == [0.0, 0.0, 0.0]
         assert config.gt_rescale_a_cam is None
 
     def test_full_config(self, tmp_path):

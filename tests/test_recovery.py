@@ -16,6 +16,7 @@ from depthray.recovery import (
     Camera,
     camera_pose,
     camera_rotation,
+    cast,
     project,
     recover_batch,
 )
@@ -321,6 +322,82 @@ class TestCameraPose:
             r_world, _, _ = camera_pose(np.array([yaw, -math.pi / 2, 0.0]), LEVEL,
                                         25.0, 1.0, CAMERA)
             assert_allclose(r_body, r_world, atol=1e-15)
+
+
+S45 = math.sqrt(0.5)
+
+# Today's attitude and image conventions, each built by hand from plain ENU
+# vectors: the camera centre in {D}, the optical axis, and the image-right
+# and image-down unit vectors. With f = 2000 and the principal point
+# (960, 540), a point p in {D} at q = p - centre projects to
+# (960 + 2000 q.right / q.axis, 540 + 2000 q.down / q.axis), to the pixels
+# listed. The points lie on the depth plane a_uav + d_uuv below the body,
+# d_uuv = 1 m and a_uav = 9 m where not given; angles are in degrees.
+# README "Conventions" states each case.
+CONVENTION_CASES = {
+    # (a) a world gimbal pitched 45 deg down looks east; at roll 0 the image
+    # is upside down: image-right points north, image-down up and east
+    "world_gimbal": dict(
+        gimbal=(0.0, -45.0, 0.0), points=[(10.0, 3.0, -10.0), (13.0, 0.0, -10.0)],
+        axis=(S45, 0.0, -S45), right=(0.0, 1.0, 0.0), down=(S45, 0.0, S45),
+        pixels=[(1384.26, 540.0), (960.0, 800.87)],
+    ),
+    # the same camera, from a vendor that reports it pitched +45 deg
+    "world_gimbal_pitch_sign": dict(
+        gimbal=(0.0, 45.0, 0.0), mount=dict(gimbal_pitch_sign=-1),
+        points=[(10.0, 3.0, -10.0), (13.0, 0.0, -10.0)],
+        axis=(S45, 0.0, -S45), right=(0.0, 1.0, 0.0), down=(S45, 0.0, S45),
+        pixels=[(1384.26, 540.0), (960.0, 800.87)],
+    ),
+    # (b) nadir: image-right points north and image-down east, so the pixel
+    # (960 + 2000 * 3 / 26, 540) is 3 m north on the plane 26 m down
+    "nadir": dict(
+        gimbal=(0.0, -90.0, 0.0), a_uav=25.0, points=[(0.0, 3.0, -26.0), (2.0, -1.0, -26.0)],
+        axis=(0.0, 0.0, -1.0), right=(0.0, 1.0, 0.0), down=(1.0, 0.0, 0.0),
+        pixels=[(1190.77, 540.0), (883.08, 693.85)],
+    ),
+    # (c) a body rolled 30 deg swings a camera 0.4 m out along its y axis,
+    # north at yaw 0, down by 0.2 m; the world gimbal keeps the nadir view
+    "rolled_body_lateral_offset": dict(
+        gimbal=(0.0, -90.0, 0.0), body=(0.0, 0.0, 30.0), mount=dict(cam_offset=(0.0, 0.4, 0.0)),
+        a_uav=25.0, points=[(0.0, 0.0, -26.0), (2.0, -1.0, -26.0)],
+        centre=(0.0, 0.2 * math.sqrt(3.0), -0.2),
+        axis=(0.0, 0.0, -1.0), right=(0.0, 1.0, 0.0), down=(1.0, 0.0, 0.0),
+        pixels=[(933.15, 540.0), (855.63, 695.04)],
+    ),
+    # (d) a body gimbal pitched 45 deg down on a body yawed 90 deg, its nose
+    # turned from east to south, looks south: image-right points east
+    "body_gimbal_yawed_body": dict(
+        gimbal=(0.0, -45.0, 0.0), body=(90.0, 0.0, 0.0), mount=dict(gimbal_frame="body"),
+        points=[(3.0, -10.0, -10.0), (0.0, -13.0, -10.0)],
+        axis=(0.0, -S45, -S45), right=(1.0, 0.0, 0.0), down=(0.0, -S45, S45),
+        pixels=[(1384.26, 540.0), (960.0, 800.87)],
+    ),
+}
+
+
+class TestConventionFixtures:
+    intrinsics = CameraIntrinsics(2000.0, 2000.0, 960.0, 540.0, 1920, 1080)
+
+    @pytest.mark.parametrize("case", CONVENTION_CASES.values(), ids=list(CONVENTION_CASES))
+    def test_pose_agrees_with_the_hand_built_camera(self, case):
+        camera = Camera(self.intrinsics, **case.get("mount", {}))
+        r_cw, c, depth = camera_pose(
+            np.radians(case["gimbal"]), np.radians(case.get("body", (0.0, 0.0, 0.0))),
+            case.get("a_uav", 9.0), 1.0, camera,
+        )
+        points, centre = np.array(case["points"]), case.get("centre", (0.0, 0.0, 0.0))
+        q = points - centre
+        u = 960.0 + 2000.0 * (q @ case["right"]) / (q @ case["axis"])
+        v = 540.0 + 2000.0 * (q @ case["down"]) / (q @ case["axis"])
+        assert_allclose(np.column_stack([u, v]), case["pixels"], atol=0.005)
+        assert_allclose(c, centre, atol=1e-12)
+        pu, pv, _ = project(points - c, r_cw, camera)
+        assert_allclose(pu, u, atol=1e-9)
+        assert_allclose(pv, v, atol=1e-9)
+        p_c, codes = cast(u, v, depth, r_cw, camera)
+        assert codes.tolist() == [RECOVERED] * len(points)
+        assert_allclose(p_c @ r_cw + c, points, atol=1e-9)
 
 
 class TestValidation:
