@@ -13,6 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .geometry import wrap_angle
+
 
 @dataclass(frozen=True)
 class Ellipsoid:
@@ -41,15 +43,10 @@ WGS84 = Ellipsoid(r_e=6378137.0, r_p=6356752.314245)
 ELLIPSOIDS = {"wgs84": WGS84}
 
 
-def _wrap_lon(lon):
-    wrapped = np.remainder(np.asarray(lon, dtype=float) + np.pi, 2.0 * np.pi) - np.pi
-    return np.where(wrapped == -np.pi, np.pi, wrapped)
-
-
 def _checked_geodetic(geo) -> np.ndarray:
     """Geodetic points (..., 3) as a float array, longitude wrapped into
-    (-pi, pi]; a non-finite coordinate or a latitude beyond the poles
-    raises ValueError."""
+    (-pi, pi] by wrap_angle, which returns one in range bit for bit; a
+    non-finite coordinate or a latitude beyond the poles raises ValueError."""
     lat, lon, h = np.moveaxis(np.asarray(geo, dtype=float), -1, 0)
     if not np.all(np.isfinite(lat)) or np.any(np.abs(lat) > np.pi / 2 + 1e-12):
         raise ValueError("latitude must be finite and within [-pi/2, pi/2]")
@@ -57,7 +54,7 @@ def _checked_geodetic(geo) -> np.ndarray:
         raise ValueError("longitude must be finite")
     if not np.all(np.isfinite(h)):
         raise ValueError("height must be finite")
-    return np.stack([lat, _wrap_lon(lon), h], axis=-1)
+    return np.stack([lat, wrap_angle(lon), h], axis=-1)
 
 
 def _checked_ecef(xyz, ell: Ellipsoid) -> np.ndarray:

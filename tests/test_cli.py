@@ -204,6 +204,14 @@ class TestPipeline:
         assert abs(rows["lon_deg"][0] - 17.7) < 0.01
         assert rows["flags"][0] == ""
 
+    def test_reference_fix_is_written_as_configured(self, workdir):
+        # an in-range longitude passes the geodetic check bit for bit
+        simulate(workdir)
+        header, *lines = (workdir / "obs.csv").read_text(encoding="utf-8").splitlines()
+        k = header.split(",").index("ref_lat_deg")
+        assert {tuple(line.split(",")[k:k + 3]) for line in lines} == {("42.87", "17.7", "25.0")}
+        assert len(lines) == 120
+
     def test_deterministic_bytes(self, workdir):
         noisy = SCENARIO + "sigma_px: 2.0\nseed: 11\n"
         (workdir / "noisy.yaml").write_text(noisy, encoding="utf-8")

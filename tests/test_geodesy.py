@@ -2,6 +2,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from depthray.geodesy import (
@@ -184,6 +186,14 @@ class TestTypes:
     def test_longitude_wrapped(self):
         g = _checked_geodetic(np.array([0.0, 3 * np.pi / 2, 0.0]))
         assert g[1] == pytest.approx(-np.pi / 2)
+
+    @given(st.floats(-np.pi, np.pi))
+    @example(lon=-np.pi)
+    @example(lon=-0.0)
+    def test_longitude_in_range_is_kept_bit_for_bit(self, lon):
+        got = _checked_geodetic(np.array([0.5, lon, 10.0]))[1]
+        want = np.pi if lon == -np.pi else lon
+        assert np.float64(got).tobytes() == np.float64(want).tobytes()
 
     def test_far_point_warns(self):
         with pytest.warns(RuntimeWarning, match="100 km"):
