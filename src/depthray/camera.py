@@ -111,10 +111,9 @@ def undistort(x_d, y_d, d: DistortionCoeffs):
 
     Returns ((x, y), converged): the undistorted points and a boolean
     array that is False where a point did not converge: its residual was
-    not below UNDISTORT_TOL after UNDISTORT_MAX_ITER iterations, as for
-    any non-finite point, whatever the lens, or its iterate escaped the
-    model's invertible region around the input. Those points hold their
-    last iterate.
+    not below UNDISTORT_TOL after UNDISTORT_MAX_ITER iterations (as for
+    any non-finite point), or its iterate escaped the invertible region
+    around the input. Those points hold their last iterate.
     """
     shape = np.shape(x_d)
     xd = np.asarray(x_d, dtype=float).reshape(-1)

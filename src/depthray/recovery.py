@@ -146,8 +146,7 @@ class Camera:
 def camera_rotation(gimbal, r_body, camera: Camera) -> np.ndarray:
     """Rotation from {G} into {C} for one observation, or a stack.
 
-    gimbal: (..., 3) array of wrapped yaw, pitch, roll in radians; the
-    pitch is multiplied by the camera's gimbal_pitch_sign and wrapped again.
+    gimbal: (..., 3) array of wrapped yaw, pitch, roll in radians.
     r_body: the body-to-world rotation (..., 3, 3), read only for a
     body-referenced gimbal, which is composed after it; None will do for
     a world gimbal. The gimbal angles orient a forward/right/down frame
@@ -233,6 +232,9 @@ def recover_batch(columns, config) -> tuple[dict, np.ndarray]:
     Returns a dict from TRAJECTORY_COLUMNS to the columns of the
     recovered rows, in input order, and an int8 reason code per input row:
     RECOVERED, or why the row was excluded (REASONS names the codes).
+    enu_* is the fix in {D}, ENU at the UAV body at the row's reference
+    fix. For the landmark offsets `recover --origin-track` passes as pixels,
+    that holds for a pure image shift only (README "File formats").
     The intermediate arrays grow with the rows passed in; `recover`
     passes one CSV block at a time.
     """

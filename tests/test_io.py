@@ -498,9 +498,9 @@ def csv_blocks(draw, line_ends=None):
     """A schema and the lines of a block of its rows, as a file yields them:
     rows of JSON numbers and plain text. Half the blocks hold one odd
     field; the others none, or a row a field short, a row a field long,
-    or both. Each line ends in one of `line_ends`; without them, one of
-    the two sets above is drawn for the whole block, so that half the
-    blocks end every line as _parse_block reads it."""
+    or both. Each line ends in one of `line_ends`; without them, one line
+    end is drawn for the whole block, LF or CRLF on two blocks in three,
+    so that most blocks end every line as _parse_block reads it."""
     columns, text_columns, reader = draw(st.sampled_from(SCHEMAS))
     rows = [
         [draw(texts if c in text_columns else numbers) for c in columns]
@@ -517,8 +517,11 @@ def csv_blocks(draw, line_ends=None):
         del row[k]
     if "long" in fault:
         other.insert(k, other[k - 1])
-    line_ends = line_ends or draw(st.sampled_from([PARSED_LINE_ENDS, ANY_LINE_ENDS]))
-    ends = st.sampled_from(line_ends)
+    if line_ends:
+        ends = st.sampled_from(line_ends)
+    else:
+        ends = st.just(draw(st.one_of(st.sampled_from(PARSED_LINE_ENDS),
+                                      st.sampled_from(ANY_LINE_ENDS))))
     text = "".join(",".join(fields) + draw(ends) for fields in rows)
     if draw(st.booleans()):
         text = text.rstrip("\r\n")
@@ -592,10 +595,13 @@ class TestFastParser:
 
     @settings(deadline=None)
     @given(csv_blocks())
-    # accepted but for one guard of _parse_block: a bare -0, a JSON letter, brackets
+    # accepted but for one guard of _parse_block: a bare -0, a JSON letter,
+    # brackets, a line longer than csv.field_size_limit
     @example(block=(io.GROUND_TRUTH_COLUMNS, (), io.read_ground_truth, ["0.0,1.0,2.0,-0\n"]))
     @example(block=(io.GROUND_TRUTH_COLUMNS, (), io.read_ground_truth, ["0.0,true,2.0,3.0\n"]))
     @example(block=(io.GROUND_TRUTH_COLUMNS, (), io.read_ground_truth, ["0.0,[1],{},3.0\n"]))
+    @example(block=(io.GROUND_TRUTH_COLUMNS, (), io.read_ground_truth,
+                    ["0.0,1." + "0" * 140_000 + ",2.0,3.0\n"]))
     def test_readers_match_the_csv_path(self, tmp_path_factory, block):
         columns, text_columns, reader, lines = block
         path = tmp_path_factory.mktemp("csv") / "log.csv"
