@@ -13,26 +13,27 @@ null, and each null is replaced by the repr of its value.
 Logs are read into dicts that map each column name to a 1-D numpy
 array, in schema order, text columns as object arrays, and written
 from any such mappings, a block of rows at a time. A log is read as
-bytes, a block of lines at a time: numpy finds each comma and line
-end, orjson parses the numeric fields as one JSON array, and the text
-columns are cut out by position. JSON numbers are a subset of what
-float() reads, and orjson rounds them as float() does. A block is
-declined, so that values and errors are the csv module's, when it
-holds a quote, a byte that is not ASCII or a NUL, a blank line or a
-lone CR, a line with too few or too many fields or longer than the csv
-field size limit, numeric fields with [ ] { } or the letters t, f or n
-(of true, false and null) or a bare -0 (an integer to JSON, which
-loses its sign), or when orjson cannot parse them or a value is not
-finite. A declined block hands the rest of the file to one csv.reader
-+ float(), which reads quoted fields across lines; so does a header
-that is not the column names alone, or a pipe, from its start. What
-csv.reader refuses (a field over its size limit, a NUL before Python
-3.11) is a SchemaError naming the line, as a bad value is. A block is
-written as bytes, its text fields quoted so that csv.reader reads them
-back. A log can be read block by block; a file is written
-from a sequence of column mappings to a temporary file, renamed onto
-the target once complete (see staged, which also lets a command
-replace two files together).
+bytes, 64 KiB at a time, and parsed a block of lines at a time: numpy
+finds each comma and line end, orjson parses the numeric fields as one
+JSON array, and the text columns are cut out by position. JSON numbers
+are a subset of what float() reads, and orjson rounds them as float()
+does. A block is declined, so that values and errors are the csv
+module's, when it holds a quote, a byte that is not ASCII or a NUL, a
+blank line or a lone CR, a line with too few or too many fields or
+longer than the csv field size limit, numeric fields with [ ] { } or
+the letters t, f or n (of true, false and null) or a bare -0 (an
+integer to JSON, which loses its sign), or when orjson cannot parse
+them or a value is not finite. A declined block hands the rest of the
+file to one csv.reader, which reads quoted fields across lines, and
+float(), called once on each numeric field to check and keep its
+value; so does a header that is not the column names alone, or a
+pipe, from its start. What csv.reader refuses (a field over its size
+limit, a NUL before Python 3.11) is a SchemaError naming the line, as
+a bad value is. A block is written as bytes, its text fields quoted so
+that csv.reader reads them back. A log can be read block by block; a
+file is written from a sequence of column mappings to a temporary
+file, renamed onto the target once complete (see staged, which also
+lets a command replace two files together).
 """
 
 import contextlib
@@ -71,10 +72,8 @@ TRACK_COLUMNS = ["t", "u", "v"]
 # rows parsed or formatted per block, which bounds the text held at once
 CSV_BLOCK_ROWS = 4096
 
-# bytes per line assumed for the first read of a file's lines, and the
-# most read at once, which bounds how far the file is read ahead of a block
-_FIRST_READ_LINE_BYTES = 16
-_MAX_READ_BYTES = 1 << 22
+# bytes read at once, which bounds how far the file is read ahead of a block
+_READ_BYTES = 1 << 16
 
 # In numeric fields, JSON structure and the letters of true, false and null:
 # orjson would read these where float() refuses them.
@@ -84,21 +83,23 @@ _JSON_ONLY_BYTES = (b"[", b"]", b"{", b"}", b"t", b"f", b"n")
 _QUOTED_CHARS = ',"\r\n'
 
 
-def _check_record(path, columns, text_columns, raw, lineno):
-    """Raise the SchemaError for the first bad field of one record, if any."""
+def _check_record(path, columns, text_columns, raw, lineno) -> list:
+    """The fields of one record, each numeric one converted once by float()
+    in place; the SchemaError for the first bad field, quoting its text."""
     if len(raw) != len(columns):
         raise SchemaError(f"{path}: expected {len(columns)} fields, got {len(raw)}", line=lineno)
-    for name, value in zip(columns, raw):
+    for j, (name, value) in enumerate(zip(columns, raw)):
         if name in text_columns:
             continue
         try:
-            number = float(value)
+            raw[j] = float(value)
         except ValueError:
             raise SchemaError(
                 f"{path}: column {name}: not a number: {value!r}", line=lineno
             ) from None
-        if not math.isfinite(number):
+        if not math.isfinite(raw[j]):
             raise SchemaError(f"{path}: column {name}: non-finite value {value}", line=lineno)
+    return raw
 
 
 def _span_index(starts, stops):
@@ -191,20 +192,15 @@ def _line_blocks(raw, rows):
     its byte offset and the positions of its LF bytes; the last block may
     hold fewer lines, and an unended one.
 
-    Each read asks for the lines the block still needs at the mean line
-    length seen so far, up to _MAX_READ_BYTES, so a read rarely runs far
-    past the block's end.
+    Each read asks for _READ_BYTES, so the file is read less than that
+    past a block's end.
     """
     offset, data, ends = raw.tell(), bytearray(), np.empty(0, np.intp)
-    width = _FIRST_READ_LINE_BYTES
     while True:
-        while len(ends) < rows and (
-            chunk := raw.read(min((rows - len(ends)) * width, _MAX_READ_BYTES))
-        ):
+        while len(ends) < rows and (chunk := raw.read(_READ_BYTES)):
             found = np.flatnonzero(np.frombuffer(chunk, np.uint8) == 10) + len(data)
             ends = np.concatenate([ends, found])
             data += chunk
-            width = -(-len(data) // max(len(ends), 1))
         if len(ends) < rows:
             if data:
                 yield offset, data, ends
@@ -216,10 +212,9 @@ def _line_blocks(raw, rows):
 
 
 def _record_columns(columns, text_columns, records):
-    """The column dict of a list of checked records."""
+    """The column dict of a list of records as _check_record returns them."""
     return {
-        name: np.array(values, dtype=object) if name in text_columns
-        else np.fromiter(map(float, values), dtype=float, count=len(values))
+        name: np.array(values, dtype=object if name in text_columns else float)
         for name, values in zip(columns, zip(*records))
     }
 
@@ -243,8 +238,7 @@ def _csv_blocks(path, columns, text_columns, handle, first_line):
                         line=1,
                     )
             elif raw:
-                _check_record(path, columns, text_columns, raw, lineno)
-                records.append(raw)
+                records.append(_check_record(path, columns, text_columns, raw, lineno))
                 linenos.append(lineno)
                 if len(records) == CSV_BLOCK_ROWS:
                     yield np.array(linenos), _record_columns(columns, text_columns, records)
@@ -643,12 +637,9 @@ def _camera(data, cam_offset, path) -> Camera:
         dist = DistortionCoeffs(k1=v["k1"], k2=v["k2"], k3=v["k3"], p1=v["p1"], p2=v["p2"])
     except ValueError as exc:
         raise ConfigError(f"{where}: {exc}") from exc
+    mount = {key: data[key] for key in ("gimbal_pitch_sign", "gimbal_frame") if key in data}
     try:
-        return Camera(
-            intr, dist, cam_offset=cam_offset,
-            gimbal_pitch_sign=data.get("gimbal_pitch_sign", 1),
-            gimbal_frame=data.get("gimbal_frame", "world"),
-        )
+        return Camera(intr, dist, cam_offset=cam_offset, **mount)
     except ValueError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
 
@@ -681,7 +672,7 @@ def load_run_config(path) -> RunConfig:
     path = Path(path)
     data = _load_mapping(path)
     v = _read(data, RUN_CONFIG_TABLE, path)
-    camera = _camera(data, v["cam_offset"], path)
+    camera = _camera(data, v.pop("cam_offset"), path)
     gt_rescale = data.get("gt_rescale", False)
     if not isinstance(gt_rescale, bool):
         raise ConfigError(f"{path}: key gt_rescale must be true or false")
@@ -693,16 +684,7 @@ def load_run_config(path) -> RunConfig:
             if key in data:
                 raise ConfigError(f"{path}: key {key} is used only with gt_rescale: true")
     try:
-        return RunConfig(
-            camera=camera,
-            ellipsoid=_ellipsoid(data, path),
-            altitude_datum_offset=v["altitude_datum_offset"],
-            sync_max_gap=v["sync_max_gap"],
-            gt_frame_yaw=v["gt_frame_yaw"],
-            gt_frame_translation=v["gt_frame_translation"],
-            gt_rescale_a_cam=rescale_a_cam,
-            gt_rescale_nadir=v["gt_rescale_nadir"],
-        )
+        return RunConfig(camera, _ellipsoid(data, path), gt_rescale_a_cam=rescale_a_cam, **v)
     except ValueError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
 

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import io as textio
 import os
 import threading
@@ -15,7 +16,7 @@ from depthray.camera import CameraIntrinsics, DistortionCoeffs
 from depthray.cli import main
 from depthray.errors import ConfigError, SchemaError
 from depthray.recovery import Camera
-from depthray.synth import generate_logs
+from depthray.synth import NoiseSpec, Scenario, generate_logs
 
 from conftest import assert_columns_equal, read_observation_log
 
@@ -43,6 +44,20 @@ def camera_of(calibration_path):
     """The camera of a run configuration beside the calibration file."""
     run = write(calibration_path.parent / "run.yaml", f"calibration: {calibration_path.name}\n")
     return io.load_run_config(run).camera
+
+
+def assert_field_defaults(obj, cls, names):
+    """Each of `names` of `obj` equals its default in the dataclass `cls`,
+    compared by np.array_equal, as a dataclass == over arrays raises."""
+    fields = {f.name: f for f in dataclasses.fields(cls)}
+    for name in names:
+        f = fields[name]
+        default = f.default_factory() if f.default is dataclasses.MISSING else f.default
+        assert np.array_equal(getattr(obj, name), default), name
+
+
+# the fields of Camera that a config's mount keys fill
+MOUNT_FIELDS = ("cam_offset", "gimbal_pitch_sign", "gimbal_frame")
 
 
 class TestCalibration:
@@ -82,6 +97,10 @@ class TestRunConfig:
         assert config.gt_frame_yaw == 0.0
         assert config.gt_frame_translation.tolist() == [0.0, 0.0, 0.0]
         assert config.gt_rescale_a_cam is None
+        # the loader fills each field by name: its default is the dataclass's
+        names = [f.name for f in dataclasses.fields(io.RunConfig) if f.name != "camera"]
+        assert_field_defaults(config, io.RunConfig, names)
+        assert_field_defaults(config.camera, Camera, MOUNT_FIELDS)
 
     def test_full_config(self, tmp_path):
         write(tmp_path / "cal.yaml", CALIB)
@@ -213,6 +232,13 @@ calibration: {fx: 1000.0, fy: 1000.0, cx: 960.0, cy: 540.0, width: 1920, height:
         assert tuple(scenario.ref_geo) == pytest.approx(
             (np.radians(-45.5), np.radians(-170.0), 12.0)
         )
+
+    def test_defaults(self, tmp_path):
+        scenario = io.load_scenario_config(write(tmp_path / "scn.yaml", "altitude: 25.0\n" + INLINE))
+        assert_field_defaults(scenario, Scenario, ("gimbal", "body"))
+        assert_field_defaults(scenario.camera, Camera, MOUNT_FIELDS)
+        assert scenario.camera.distortion == DistortionCoeffs()
+        assert scenario.noise == NoiseSpec()
 
     def test_unknown_pattern_rejected(self, tmp_path):
         text = """\
@@ -496,11 +522,12 @@ ANY_LINE_ENDS = PARSED_LINE_ENDS + ["\n\n", "\r\n\r\n", "\r", "\r\r"]
 @st.composite
 def csv_blocks(draw, line_ends=None):
     """A schema and the lines of a block of its rows, as a file yields them:
-    rows of JSON numbers and plain text. Half the blocks hold one odd
-    field; the others none, or a row a field short, a row a field long,
-    or both. Each line ends in one of `line_ends`; without them, one line
-    end is drawn for the whole block, LF or CRLF on two blocks in three,
-    so that most blocks end every line as _parse_block reads it."""
+    rows of JSON numbers and plain text. One block in three holds a fault:
+    half of those one odd field, the others a row a field short, a row a
+    field long, or both. Each line ends in one of `line_ends`; without
+    them, one line end is drawn for the whole block, LF or CRLF on two
+    blocks in three, so that most blocks end every line as _parse_block
+    reads it."""
     columns, text_columns, reader = draw(st.sampled_from(SCHEMAS))
     rows = [
         [draw(texts if c in text_columns else numbers) for c in columns]
@@ -508,8 +535,8 @@ def csv_blocks(draw, line_ends=None):
     ]
     row, other = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
     k = draw(st.integers(0, len(columns) - 1))
-    fault = "odd" if draw(st.booleans()) else draw(
-        st.sampled_from(["none", "short", "long", "short and long"])
+    fault = "none" if draw(st.integers(0, 2)) else "odd" if draw(st.booleans()) else draw(
+        st.sampled_from(["short", "long", "short and long"])
     )
     if fault == "odd":
         row[k] = draw(odd_texts if columns[k] in text_columns else odd_numbers)
@@ -677,6 +704,60 @@ class TestFastParser:
             table = reader(path)
         assert table["t"].tolist() == [float(t) for t in range(16)]
         assert table[columns[-1]].tolist() == texts
+
+
+class RecordedReads(textio.BytesIO):
+    """A binary file that records the size each read asks for."""
+
+    def __init__(self, data):
+        super().__init__(data)
+        self.sizes = []
+
+    def read(self, size=-1):
+        self.sizes.append(size)
+        return super().read(size)
+
+
+class TestLineBlocks:
+    """_line_blocks reads _READ_BYTES at a time and cuts blocks of whole lines."""
+
+    @staticmethod
+    def check_blocks(lines, rows):
+        # after a header line, as _read_blocks hands the file over
+        raw = RecordedReads(b"t,x\n" + b"".join(lines))
+        raw.readline()
+        blocks = list(io._line_blocks(raw, rows))
+        assert raw.sizes and set(raw.sizes) == {io._READ_BYTES}
+        assert len(blocks) == -(-len(lines) // rows)
+        offset = 4
+        for k, (at, block, ends) in enumerate(blocks):
+            want = b"".join(lines[k * rows:(k + 1) * rows])
+            assert (at, bytes(block)) == (offset, want)
+            assert ends.tolist() == np.flatnonzero(np.frombuffer(want, np.uint8) == 10).tolist()
+            offset += len(want)
+        return blocks
+
+    @pytest.mark.parametrize("rows", [1, 1000])
+    @pytest.mark.parametrize("end", [b"\n", b"\r\n"], ids=["lf", "crlf"])
+    @pytest.mark.parametrize("ended", [True, False], ids=["ended", "unended"])
+    def test_blocks_of_rows_lines(self, rows, end, ended):
+        # 3001 lines of 43-47 bytes, over two reads' worth; the last block holds one line
+        lines = [f"{t}.0,".encode() + b"1.0," * 9 + b"ok" + end for t in range(3001)]
+        if not ended:
+            lines[-1] = lines[-1].removesuffix(end)
+        blocks = self.check_blocks(lines, rows)
+        assert [len(ends) for _, _, ends in blocks[-2:]] == [rows, int(ended)]
+
+    def test_a_line_longer_than_a_read(self, tmp_path):
+        flag = "x" * 100_000
+        assert io._READ_BYTES < len(flag) < csv.field_size_limit()
+        lines = [traj_line(t).encode() for t in range(5)]
+        lines[2] = lines[2].replace(b"ok", flag.encode())
+        self.check_blocks(lines, 2)
+        path = tmp_path / "traj.csv"
+        path.write_bytes((",".join(io.TRAJECTORY_COLUMNS) + "\n").encode() + b"".join(lines))
+        with mock.patch.object(io, "_csv_blocks", side_effect=AssertionError):
+            assert io.read_trajectory(path)["flags"].tolist() == ["ok", "ok", flag, "ok", "ok"]
 
 
 def reference_csv(columns, table, text_columns):
